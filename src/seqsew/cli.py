@@ -12,12 +12,11 @@ failure, 4 I/O or input-parse failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -101,6 +100,15 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     if header is None:
         raise ArgumentError(f"{path}: no data")
     return header, rows
+
+
+def _read_json(path: Path) -> Any:
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
 def _csv_floats(path: Path, column: str) -> list[float]:
@@ -190,40 +198,23 @@ def _out_dir(config: dict[str, Any]) -> Path:
     return out
 
 
-def _threads() -> int:
-    raw = os.environ.get("SEQSEW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    n = _threads()
-    if n <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
 
 
-def _execute_run(config: dict[str, Any]) -> tuple[ProtocolResult, ScenarioSpec, Dictionary]:
+def _execute_run(config: dict[str, Any], seed_offset: int = 1) -> tuple[ProtocolResult, ScenarioSpec]:
     spec = _scenario(config)
     dictionary = Dictionary(spec.dictionary)
     sequence = gen_individual_sequence(spec)
     backend = _backend_config(config)
-    forecaster = _forecaster(config, dictionary.d, backend)
-    result = run_protocol(forecaster, sequence, dictionary)
-    return result, spec, dictionary
+    forecaster = _forecaster(config, dictionary.d, backend, seed_offset=seed_offset)
+    return run_protocol(forecaster, sequence, dictionary), spec
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result, spec, _ = _execute_run(config)
+    result, spec = _execute_run(config)
     out = _out_dir(config)
 
     rows = [
@@ -281,7 +272,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if b not in bounds_mod.BOUND_NAMES:
             raise ArgumentError(f"unknown bound {b!r}; choose from {', '.join(bounds_mod.BOUND_NAMES)}")
 
-    result, spec, _ = _execute_run(config)
+    result, spec = _execute_run(config)
     backend = _backend_config(config)
     stats = bounds_mod.SequenceStats.from_arrays(result.features, result.y)
 
@@ -289,8 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if backend.backend != "quadrature" and args.replays >= 2:
         losses = [result.cumulative_loss]
         for i in range(1, args.replays):
-            replay_config = dict(config)
-            replay = _execute_run_with_seed_offset(replay_config, 1 + i)
+            replay, _ = _execute_run(config, seed_offset=1 + i)
             losses.append(replay.cumulative_loss)
         mc_allowance = bounds_mod.mc_allowance_from_replays(losses)
 
@@ -329,15 +319,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _EXIT_VERIFY if n_fail else _EXIT_OK
 
 
-def _execute_run_with_seed_offset(config: dict[str, Any], offset: int) -> ProtocolResult:
-    spec = _scenario(config)
-    dictionary = Dictionary(spec.dictionary)
-    sequence = gen_individual_sequence(spec)
-    backend = _backend_config(config)
-    forecaster = _forecaster(config, dictionary.d, backend, seed_offset=offset)
-    return run_protocol(forecaster, sequence, dictionary)
-
-
 def cmd_batch(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(config)
@@ -361,26 +342,27 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _batch_random_design(config: dict[str, Any], variant: str, replications: int, n_eval: int):
-    spec = _scenario(config)
+def _replicate(config: dict[str, Any], spec: ScenarioSpec, fit, replications: int, n_eval: int = 0):
+    """Fit and score reseeded draws of the scenario; returns the per-draw
+    risks and the mean over draws of max_t Y_t^2."""
     backend = _backend_config(config)
     master = int(config.get("seed", 0))
     dictionary = Dictionary(spec.dictionary)
-
-    def one(i: int) -> tuple[float, float]:
-        rep_spec = ScenarioSpec(**{**_spec_kwargs(spec), "seed": spec.seed + 1000 * (i + 1)})
+    risks, max_y_sq = [], []
+    for i in range(replications):
+        rep_spec = replace(spec, seed=spec.seed + 1000 * (i + 1))
         samples, f_truth, _ = gen_stochastic(rep_spec)
-        est = batch_mod.fit_random_design(
-            samples, dictionary, backend, seed=np.random.default_rng(np.random.SeedSequence([master, 50 + i]))
-        )
+        fit_rng = np.random.default_rng(np.random.SeedSequence([master, 50 + i]))
+        est = fit(samples, dictionary, backend, seed=fit_rng)
         rng_eval = np.random.default_rng(np.random.SeedSequence([master, 90 + i]))
-        r = batch_mod.risk(est, f_truth, design_sampler(rep_spec), n_eval=n_eval, rng=rng_eval)
-        max_y_sq = max(y * y for _, y in samples)
-        return r, max_y_sq
+        risks.append(batch_mod.risk(est, f_truth, design_sampler(rep_spec), n_eval=n_eval, rng=rng_eval))
+        max_y_sq.append(max(y * y for _, y in samples))
+    return risks, float(np.mean(max_y_sq))
 
-    results = _parallel_map(one, range(replications))
-    risks = [r for r, _ in results]
-    e_max_y_sq = float(np.mean([m for _, m in results]))
+
+def _batch_random_design(config: dict[str, Any], variant: str, replications: int, n_eval: int):
+    spec = _scenario(config)
+    risks, e_max_y_sq = _replicate(config, spec, batch_mod.fit_random_design, replications, n_eval)
 
     _, _, closed = gen_stochastic(spec)
     u_true = closed["u_true"]
@@ -422,44 +404,13 @@ def _batch_random_design(config: dict[str, Any], variant: str, replications: int
     return payload, reps
 
 
-def _spec_kwargs(spec: ScenarioSpec) -> dict[str, Any]:
-    return {
-        "T": spec.T,
-        "d": spec.d,
-        "s": spec.s,
-        "u_true": spec.u_true,
-        "design": spec.design,
-        "noise": spec.noise,
-        "seed": spec.seed,
-        "dictionary": spec.dictionary,
-        "amplitude_script": spec.amplitude_script,
-        "design_scale": spec.design_scale,
-        "grid_size": spec.grid_size,
-    }
-
-
 def _batch_fixed_design(config: dict[str, Any], variant: str, replications: int):
     spec = _scenario(config)
     if spec.design != "fixed_grid":
         raise ArgumentError(f"{variant} needs the fixed_grid design")
-    backend = _backend_config(config)
-    master = int(config.get("seed", 0))
+    risks, e_max_y_sq = _replicate(config, spec, batch_mod.fit_fixed_design, replications)
+
     dictionary = Dictionary(spec.dictionary)
-
-    def one(i: int) -> tuple[float, float]:
-        rep_spec = ScenarioSpec(**{**_spec_kwargs(spec), "seed": spec.seed + 1000 * (i + 1)})
-        samples, f_truth, _ = gen_stochastic(rep_spec)
-        est = batch_mod.fit_fixed_design(
-            samples, dictionary, backend, seed=np.random.default_rng(np.random.SeedSequence([master, 50 + i]))
-        )
-        r = batch_mod.risk(est, f_truth)
-        max_y_sq = max(y * y for _, y in samples)
-        return r, max_y_sq
-
-    results = _parallel_map(one, range(replications))
-    risks = [r for r, _ in results]
-    e_max_y_sq = float(np.mean([m for _, m in results]))
-
     base_samples, f_truth, closed = gen_stochastic(spec)
     u_true = closed["u_true"]
     features = np.vstack([dictionary.features(x) for x, _ in base_samples])
@@ -633,13 +584,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         svg = _svg.line_chart("clip threshold schedule", "round t", "B_t", [("B_t", xs, ys)])
     elif kind == "margins":
         p = paths[0]
-        try:
-            payload = json.loads(p.read_text())
-        except OSError as exc:
-            raise DataError(f"{p}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{p}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-        reports = payload.get("reports", [])
+        reports = _read_json(p).get("reports", [])
         if not reports:
             raise ArgumentError(f"{p}: no reports to plot")
         labels = [f"{r['bound']}/{r.get('comparator', '?')}" for r in reports]
@@ -648,12 +593,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     elif kind == "risk":
         points = []
         for p in paths:
-            try:
-                payload = json.loads(p.read_text())
-            except OSError as exc:
-                raise DataError(f"{p}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{p}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+            payload = _read_json(p)
             points.append((float(payload["T"]), float(payload["measured_risk"]), float(payload["rhs"])))
         if not points:
             raise ArgumentError("no risk points to plot")

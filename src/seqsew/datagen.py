@@ -77,18 +77,6 @@ class Dictionary:
         signs = np.where(row_rng.random(self.d) < 0.5, -1.0, 1.0)
         return self.spec.normalization * signs
 
-    def sup_norm(self, input_bound: float | None = None) -> float | None:
-        """sup_x max_j |phi_j(x)| when derivable; None when it depends on
-        an unbounded input domain."""
-        kind = self.spec.kind
-        if kind == "fourier":
-            return abs(self.spec.normalization) * math.sqrt(2.0)
-        if kind == "random_signs":
-            return abs(self.spec.normalization)
-        if input_bound is not None:
-            return abs(self.spec.normalization) * input_bound
-        return None
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:

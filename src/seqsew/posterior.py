@@ -349,6 +349,11 @@ class PosteriorCloud:
     Build with :func:`init`; then alternate :meth:`predict` and
     :meth:`update` following the online protocol.  The inverse temperature
     passed to ``update`` must never increase.
+
+    Between rounds ``samples`` is never written in place: an update that
+    moves the sample set rebinds it to a fresh array, so a reference taken
+    between rounds keeps that round's set.  The batch estimators rely on
+    this to store each distinct set once.
     """
 
     def __init__(self, prior: SparsityPrior, config: BackendConfig, rng: np.random.Generator | None) -> None:
@@ -485,7 +490,7 @@ class PosteriorCloud:
             self.samples, floor=1e-3 * self.prior.tau
         )
         self.samples, self.cum_loss, self._margins, _, self._step_multiplier = _metropolis_coordinate_steps(
-            self.samples,
+            self.samples.copy(),
             self.cum_loss,
             self._margins,
             hist,

@@ -102,16 +102,6 @@ def log_density(prior: SparsityPrior, u: np.ndarray) -> float:
     return float(np.sum(coordinate_log_density(u, prior.tau)))
 
 
-def log_density_rows(prior: SparsityPrior, points: np.ndarray) -> np.ndarray:
-    """Log density for each row of an (n, d) array of points."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != prior.dim:
-        raise DimensionMismatchError(
-            f"points have shape {points.shape}, expected (n, {prior.dim})"
-        )
-    return np.sum(coordinate_log_density(points, prior.tau), axis=1)
-
-
 def magnitude_from_uniform(v: np.ndarray, tau: float) -> np.ndarray:
     """Inverse CDF of the coordinate magnitude: v in [0, 1) -> tau * ((1-v)^(-1/3) - 1).
 

@@ -19,6 +19,7 @@ from seqsew.batch import (
 )
 from seqsew.datagen import Dictionary, DictionarySpec
 from seqsew.errors import ArgumentError
+from seqsew.forecasters import SeqSEWAdaptive
 from seqsew.posterior import BackendConfig
 
 QUAD = BackendConfig(backend="quadrature", grid_points_per_dim=257)
@@ -308,3 +309,82 @@ class TestThm10EndToEnd:
             "thm10", T=T, d=1, l0=1, l1=abs(u_star), approx_error=0.0, e_max_y_sq=e_max, sum_feature_l2=1.0
         )
         assert measured <= rhs
+
+
+class TestStoredPassMatchesFullSnapshots:
+    """The estimators against a hand-written adaptive run that keeps a full
+    ``cloud.snapshot()`` every round, kept as the reference."""
+
+    BACKENDS = {
+        "quadrature": (1, QUAD),
+        "importance": (2, BackendConfig(backend="importance", n_samples=300, ess_floor=0.9)),
+        "chain": (2, BackendConfig(backend="chain", n_samples=100, burn_in=5)),
+    }
+
+    @staticmethod
+    def _samples(d):
+        rng = np.random.default_rng(21)
+        grid = [rng.uniform(-1, 1, size=d) for _ in range(6)]
+        xs = [grid[i] for i in rng.integers(0, 6, size=40)]  # repeated design points
+        return [(x, float(1.5 * x[0] + 0.3 * rng.standard_normal())) for x in xs]
+
+    @staticmethod
+    def _reference(rounds, dictionary, backend, tau, clip_center=0.0):
+        forecaster = SeqSEWAdaptive(dictionary.d, tau, backend, seed=5, clip_center=clip_center)
+        snapshots = []
+        for x, y in rounds:
+            forecaster.predict(dictionary.features(x))
+            snapshots.append((forecaster.cloud.snapshot(), forecaster.state.B))
+            forecaster.observe(y)
+        return snapshots, forecaster.cloud.resample_count
+
+    @pytest.mark.parametrize("fit", [fit_random_design, fit_fixed_design, fit_remark15])
+    @pytest.mark.parametrize("backend_name", ["quadrature", "importance", "chain"])
+    def test_matches_reference(self, backend_name, fit):
+        d, backend = self.BACKENDS[backend_name]
+        dictionary = _coord_dict(d=d, norm=10.0)  # large features collapse the ESS
+        samples = self._samples(d)
+        anchor, rounds = (samples[0][1], samples[1:]) if fit is fit_remark15 else (0.0, samples)
+        tau = 1.0 / math.sqrt(d * len(rounds))
+        ref, resamples = self._reference(rounds, dictionary, backend, tau, clip_center=anchor)
+        est = fit(samples, dictionary, backend, seed=5)
+
+        assert len(est.snapshots) == len(ref)
+        for (cloud, b), (ref_cloud, ref_b) in zip(est.snapshots, ref):
+            assert b == ref_b
+            assert cloud.eta == ref_cloud.eta and cloud.backend == ref_cloud.backend
+            for field in ("samples", "log_weights", "cum_loss"):
+                assert np.array_equal(getattr(cloud, field), getattr(ref_cloud, field))
+        distinct = len({id(cloud.samples) for cloud, _ in est.snapshots})
+        expected = {"quadrature": 1, "importance": 1 + resamples, "chain": len(ref)}[backend_name]
+        assert distinct == expected
+        if backend_name == "importance":
+            assert resamples >= 1  # the case must span more than one epoch
+
+        def round_means(x):
+            return np.asarray([c.predict_clipped_mean(dictionary.features(x), b) for c, b in ref])
+
+        def ref_predict(x):
+            if fit is not fit_fixed_design:
+                return anchor + float(np.mean(round_means(x)))
+            visits = [t for t, (p, _) in enumerate(rounds) if np.array_equal(p, x)]
+            return float(np.mean(round_means(x)[visits])) if visits else 0.0
+
+        truth = lambda x: 1.5 * float(np.asarray(x)[0])
+        rng = np.random.default_rng(3)
+        probe = [x for x, _ in samples[:8]] + [rng.uniform(-2, 2, size=d) for _ in range(4)]
+        expected_preds = np.asarray([ref_predict(x) for x in probe])
+        tol = dict(rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose([est.predict(x) for x in probe], expected_preds, **tol)
+        np.testing.assert_allclose(est.predict_many(probe), expected_preds, **tol)
+        ref_round_risks = np.mean([(truth(x) - anchor - round_means(x)) ** 2 for x in probe], axis=0)
+        np.testing.assert_allclose(per_round_risks(est, truth, probe), ref_round_risks, **tol)
+
+        sampler = lambda r, n: [r.uniform(-1, 1, size=d) for _ in range(n)]
+        if fit is fit_fixed_design:
+            eval_points = [x for x, _ in samples]
+        else:
+            eval_points = sampler(np.random.default_rng(9), 50)
+        ref_risk = np.mean([(truth(x) - ref_predict(x)) ** 2 for x in eval_points])
+        measured = risk(est, truth, sampler, n_eval=50, rng=np.random.default_rng(9))
+        np.testing.assert_allclose(measured, ref_risk, **tol)
