@@ -10,8 +10,7 @@ Run:  python3 demos/02_online_forecasting.py
 
 import numpy as np
 
-from seqsew.batch import NoiseFamily
-from seqsew.datagen import DictionarySpec, ScenarioSpec, gen_individual_sequence
+from seqsew.datagen import DictionarySpec, NoiseFamily, ScenarioSpec, gen_individual_sequence
 from seqsew.forecasters import ridge_baseline, run_protocol, seqsew_adaptive
 from seqsew.posterior import BackendConfig
 

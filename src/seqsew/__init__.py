@@ -5,7 +5,6 @@ risk guarantee of the scheme."""
 
 from .batch import (
     BatchEstimator,
-    NoiseFamily,
     empirical_max_sq,
     fit_fixed_design,
     fit_random_design,
@@ -32,6 +31,7 @@ from .bounds import (
 from .datagen import (
     Dictionary,
     DictionarySpec,
+    NoiseFamily,
     ScenarioSpec,
     design_sampler,
     gen_individual_sequence,

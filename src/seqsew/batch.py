@@ -25,9 +25,8 @@ a single epoch costs ~0.16 GB where full copies cost ~2.5 GB.  The chain
 backend moves its walkers every round, so it has one epoch per round and
 gains nothing.
 
-The noise families used in the risk corollaries are also defined here,
-with generators that certify the parameters they satisfy, plus the
-maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T.
+The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
+noise families (defined in :mod:`seqsew.datagen`) are also here.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
+from .datagen import NoiseFamily
 from .errors import ArgumentError
 from .forecasters import SeqSEWAdaptive
 from .posterior import BackendConfig, FrozenCloud, PosteriorCloud
@@ -55,79 +54,6 @@ __all__ = [
     "per_round_risks",
     "risk_bound_rhs",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseFamily:
-    """A centred noise assumption: bd (bounded), sg (subgaussian),
-    bem (bounded exponential moment), or bm (bounded alpha-th moment).
-
-    Construct through the classmethods, which validate parameters and
-    yield generators certified to satisfy exactly the advertised
-    condition."""
-
-    kind: str
-    B: float = 0.0
-    sigma_sq: float = 0.0
-    alpha: float = 0.0
-    M: float = 0.0
-
-    @classmethod
-    def bounded(cls, B: float) -> "NoiseFamily":
-        if not B > 0.0:
-            raise ArgumentError("bd needs B > 0")
-        return cls(kind="bd", B=float(B))
-
-    @classmethod
-    def subgaussian(cls, sigma_sq: float) -> "NoiseFamily":
-        if not sigma_sq > 0.0:
-            raise ArgumentError("sg needs sigma_sq > 0")
-        return cls(kind="sg", sigma_sq=float(sigma_sq))
-
-    @classmethod
-    def bounded_exp_moment(cls, alpha: float, M: float = 2.0) -> "NoiseFamily":
-        if not (alpha > 0.0 and M > 1.0):
-            raise ArgumentError("bem needs alpha > 0 and M > 1")
-        return cls(kind="bem", alpha=float(alpha), M=float(M))
-
-    @classmethod
-    def bounded_moment(cls, alpha: float, M: float) -> "NoiseFamily":
-        if not alpha > 2.0:
-            raise ArgumentError("bm needs alpha > 2")
-        if not M > 0.0:
-            raise ArgumentError("bm needs M > 0")
-        return cls(kind="bm", alpha=float(alpha), M=float(M))
-
-    def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-        """Centred draws certified to satisfy this family's condition.
-
-        bd: uniform on [-B, B]. sg: Gaussian with variance sigma_sq (the
-        subgaussian bound holds with equality).  bem: Laplace with scale
-        (1 - 1/M) / alpha, so E exp(alpha |Z|) = M exactly.  bm: Student t
-        with alpha + 2 degrees of freedom, scaled so E |Z|^alpha = M.
-        """
-        if self.kind == "bd":
-            return rng.uniform(-self.B, self.B, size=size)
-        if self.kind == "sg":
-            return math.sqrt(self.sigma_sq) * rng.standard_normal(size)
-        if self.kind == "bem":
-            scale = (1.0 - 1.0 / self.M) / self.alpha
-            return rng.laplace(0.0, scale, size=size)
-        nu = self.alpha + 2.0
-        scale = (self.M / _student_abs_moment(nu, self.alpha)) ** (1.0 / self.alpha)
-        return scale * rng.standard_t(nu, size=size)
-
-
-def _student_abs_moment(nu: float, alpha: float) -> float:
-    """E |T_nu|^alpha for Student t with nu > alpha degrees of freedom."""
-    log_m = (
-        0.5 * alpha * math.log(nu)
-        + gammaln((alpha + 1.0) / 2.0)
-        + gammaln((nu - alpha) / 2.0)
-        - 0.5 * math.log(math.pi)
-        - gammaln(nu / 2.0)
-    )
-    return math.exp(log_m)
 
 
 def psi_bound(family: NoiseFamily, T: int) -> float:

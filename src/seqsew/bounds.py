@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, ContractViolationError
+from .errors import ArgumentError, ContractViolationError, DataError
 from .forecasters import ProtocolResult, dyadic_ceil_pow2
 
 __all__ = [
@@ -374,7 +374,9 @@ def verify(
     apply to the run's forecaster or tuning (every bound is a statement
     about a specific algorithm; checking it elsewhere would be vacuous).
     Any comparator gives a valid right-hand side, so passing at the supplied
-    witness is sound; the report records the witness used.
+    witness is sound; the report records the witness used.  Raises
+    :class:`DataError` when either side is not finite, since a NaN would
+    fail and an infinite right-hand side would pass without meaning.
     """
     if bound_name not in BOUND_NAMES:
         raise ArgumentError(f"unknown bound {bound_name!r}; expected one of {BOUND_NAMES}")
@@ -439,6 +441,8 @@ def verify(
         _require(comparator.l1 <= U * (1.0 + _REL_TOL), "cor9 witness must satisfy ||u||_1 <= U")
         rhs = comparator.cumulative_loss + cor9_rhs(s, U, stats)
 
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise DataError(f"{bound_name}: lhs {lhs!r} and rhs {rhs!r} must both be finite")
     slack = rhs - lhs
     return BoundReport(
         bound=bound_name,

@@ -23,7 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import _svg, batch as batch_mod, bounds as bounds_mod
-from .datagen import Dictionary, ScenarioSpec, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
+from .datagen import Dictionary, NoiseFamily, ScenarioSpec, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
 from .errors import ArgumentError, ContractViolationError, DataError, StateError
 from .forecasters import ProtocolResult, ridge_baseline, run_protocol, seqsew_adaptive, seqsew_auto, seqsew_fixed
 from .posterior import BackendConfig
@@ -457,10 +457,10 @@ def _batch_family_sweep(config: dict[str, Any], replications: int):
     spec = _scenario(config)
     master = int(config.get("seed", 0))
     families = [
-        batch_mod.NoiseFamily.bounded(1.0),
-        batch_mod.NoiseFamily.subgaussian(1.0),
-        batch_mod.NoiseFamily.bounded_exp_moment(1.0),
-        batch_mod.NoiseFamily.bounded_moment(4.0, 3.0),
+        NoiseFamily.bounded(1.0),
+        NoiseFamily.subgaussian(1.0),
+        NoiseFamily.bounded_exp_moment(1.0),
+        NoiseFamily.bounded_moment(4.0, 3.0),
     ]
     table = []
     rows = []

@@ -52,6 +52,10 @@ __all__ = [
 # any realistic data scale, so the regime index is capped there.
 _REGIME_CAP = 9
 
+# Largest y^2 for which the adaptive threshold B^2 (its dyadic ceiling),
+# 8 B^2 and a round's clipped loss (|y| + B)^2 <= 4 B^2 are all finite.
+_MAX_OUTCOME_SQ = 2.0**1020
+
 
 def dyadic_ceil_pow2(z: float) -> float:
     """Smallest power of two >= z, exact for z itself a power of two.
@@ -117,13 +121,20 @@ def regime_prior_scale(r: int) -> float:
 
 
 class _ForecasterBase:
-    """Shared predict/observe alternation guard."""
+    """Shared predict/observe alternation guard and input contract.
+
+    ``t`` counts the rounds predicted so far.  Features must be finite,
+    and an outcome must be finite with y^2 <= 2^1020, so that the adaptive
+    threshold arithmetic stays finite; anything else raises
+    :class:`DataError` naming the round, before the forecaster's state
+    changes."""
 
     dim: int
 
     def __init__(self) -> None:
         self._awaiting_y = False
         self._last_features: np.ndarray | None = None
+        self.t = 0
 
     def predict(self, features: np.ndarray) -> float:
         if self._awaiting_y:
@@ -131,6 +142,9 @@ class _ForecasterBase:
         features = np.asarray(features, dtype=float)
         if features.shape != (self.dim,):
             raise ArgumentError(f"features have shape {features.shape}, expected ({self.dim},)")
+        if not np.isfinite(features).all():
+            raise DataError(f"round {self.t + 1}: features must be finite, got {features.tolist()}")
+        self.t += 1
         yhat = self._predict(features)
         self._last_features = features
         self._awaiting_y = True
@@ -139,7 +153,10 @@ class _ForecasterBase:
     def observe(self, y: float) -> None:
         if not self._awaiting_y:
             raise StateError("observe called before predict")
-        self._observe(self._last_features, float(y))
+        y = float(y)
+        if not y * y <= _MAX_OUTCOME_SQ:
+            raise DataError(f"round {self.t}: outcome must be finite with y^2 <= 2^1020, got {y!r}")
+        self._observe(self._last_features, y)
         self._awaiting_y = False
 
     def _predict(self, features: np.ndarray) -> float:
@@ -260,6 +277,8 @@ class SeqSEWAdaptive(_ForecasterBase):
     def _observe(self, features: np.ndarray, y: float) -> None:
         b_used = self.state.B
         z = y - self.center
+        if not z * z <= _MAX_OUTCOME_SQ:
+            raise DataError(f"round {self.t}: residual y - clip_center must have square <= 2^1020, got {z!r}")
         self.state.max_y_sq = max(self.state.max_y_sq, z * z)
         if self.state.max_y_sq > 0.0:
             self.state.B_sq = dyadic_ceil_pow2(self.state.max_y_sq)
@@ -307,7 +326,6 @@ class SeqSEWAuto(_ForecasterBase):
         self.config = config or BackendConfig()
         self._seedseq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.regime = RegimeState()
-        self.t = 0
         self._pending_restart = False
         self._instance = self._fresh_instance()
 
@@ -321,7 +339,6 @@ class SeqSEWAuto(_ForecasterBase):
         )
 
     def _predict(self, features: np.ndarray) -> float:
-        self.t += 1
         self.regime.gram_trace += float(np.sum(features**2))
         self.regime.gamma = math.log1p(math.sqrt(self.regime.gram_trace))
         if self.regime.gamma > 2.0**self.regime.r and self.regime.r < _REGIME_CAP:

@@ -22,8 +22,8 @@ from seqsew.bounds import (
     thm8_rhs,
     verify,
 )
-from seqsew.errors import ArgumentError, ContractViolationError
-from seqsew.forecasters import ridge_baseline, run_protocol, seqsew_adaptive, seqsew_auto, seqsew_fixed
+from seqsew.errors import ArgumentError, ContractViolationError, DataError
+from seqsew.forecasters import ProtocolResult, ridge_baseline, run_protocol, seqsew_adaptive, seqsew_auto, seqsew_fixed
 from seqsew.posterior import BackendConfig
 
 QUAD = BackendConfig(backend="quadrature", grid_points_per_dim=513)
@@ -347,6 +347,38 @@ class TestVerify:
         comp = best_sparse_comparator(res.features, res.y, 1)
         with pytest.raises(ArgumentError):
             verify(res, "prop99", comp)
+
+    @staticmethod
+    def _hand_built(predictions, features=((1.0,), (0.5,))):
+        return ProtocolResult(
+            records=[],
+            features=np.array(features),
+            y=np.array([1.0, 0.5]),
+            predictions=np.array(predictions),
+            forecaster_info={"kind": "adaptive", "dim": 1, "tau": 0.5, "clip_center": 0.0},
+            gammas=np.full(2, math.nan),
+        )
+
+    def test_nan_lhs_is_a_data_error(self):
+        with pytest.raises(DataError, match="prop5"):
+            verify(self._hand_built([0.0, math.nan]), "prop5", _comp([0.0], 1.25))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "features, comparator",
+        [
+            (((1e200,), (1.0,)), _comp([1.0], 1.0)),  # the Gram trace overflows
+            (((1.0,), (0.5,)), _comp([1.0], math.inf)),
+        ],
+        ids=["gram", "comparator"],
+    )
+    def test_infinite_rhs_is_a_data_error(self, features, comparator):
+        with pytest.raises(DataError, match="rhs inf"):
+            verify(self._hand_built([0.0, 0.0], features), "prop5", comparator)
+
+    def test_hand_built_finite_run_still_verifies(self):
+        report = verify(self._hand_built([0.0, 0.0]), "prop5", _comp([0.0], 1.25))
+        assert report.lhs == 1.25 and math.isfinite(report.rhs) and report.passed
 
     def test_allowance_rescues_small_stochastic_deficits(self):
         res = _quad_run()

@@ -75,6 +75,13 @@ class TestRun:
         bad.write_text("{not json")
         assert cli.main(["run", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--bounds", "prop5"]])
+    def test_overflowing_outcome_is_input_error_naming_the_round(self, tmp_path, capsys, command):
+        scenario = json.loads(_write_config(tmp_path / "base.json").read_text())["scenario"]
+        cfg = _write_config(tmp_path / "cfg.json", scenario={**scenario, "amplitude_script": [[15, 1e160]]})
+        assert cli.main([*command, "--config", str(cfg)]) == 4
+        assert "error: round 15: outcome" in capsys.readouterr().err
+
     def test_overheated_fixed_tuning_warns_but_runs(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path / "cfg.json",

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from seqsew.batch import fit_random_design
 from seqsew.errors import ArgumentError, DataError, StateError
 from seqsew.forecasters import (
     RidgeBaseline,
@@ -288,3 +289,78 @@ class TestCausality:
         a = run_protocol(seqsew_adaptive(1, 0.2, QUAD), seq)
         b = run_protocol(seqsew_adaptive(1, 0.2, QUAD), seq)
         assert np.array_equal(a.predictions, b.predictions)
+
+
+class TestInputContract:
+    """Bad input raises DataError naming the round, on every backend and
+    through run_protocol, instead of turning into NaN predictions."""
+
+    IMP = BackendConfig(backend="importance", n_samples=500)
+
+    @staticmethod
+    def _play(forecaster, bad_round, x=None, y=None):
+        seq = _simple_sequence(T=6, seed=2)
+        features, outcome = seq[bad_round - 1]
+        seq[bad_round - 1] = (features if x is None else x, outcome if y is None else y)
+        return run_protocol(forecaster, seq)
+
+    @pytest.mark.parametrize("config", [QUAD, IMP], ids=["quadrature", "importance"])
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_non_finite_outcome(self, config, y):
+        with pytest.raises(DataError, match="round 3: outcome"):
+            self._play(seqsew_adaptive(1, 0.5, config, seed=0), 3, y=y)
+
+    @pytest.mark.parametrize("config", [QUAD, IMP], ids=["quadrature", "importance"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_feature(self, config, bad):
+        with pytest.raises(DataError, match="round 4: features"):
+            self._play(seqsew_adaptive(1, 0.5, config, seed=0), 4, x=np.array([bad]))
+
+    @pytest.mark.parametrize("y", [1e160, -1e155, 1e154])
+    def test_outcome_whose_square_overflows_the_threshold(self, y):
+        # 1e154**2 is finite, but 8 B^2 for its dyadic ceiling B^2 is not.
+        with pytest.raises(DataError, match="round 2: outcome"):
+            self._play(seqsew_adaptive(1, 0.5, QUAD), 2, y=y)
+
+    def test_largest_outcome_keeps_predictions_finite(self):
+        f = seqsew_adaptive(1, 0.5, QUAD)
+        preds = []
+        for y in (-(2.0**510), 2.0**510, -(2.0**510)):
+            preds.append(f.predict(np.array([1e6])))
+            f.observe(y)
+        assert f.state.B_sq == 2.0**1020 and f.state.eta > 0.0
+        assert np.all(np.isfinite(preds))
+
+    def test_overflowing_residual_under_a_clip_center(self):
+        f = seqsew_adaptive(1, 0.5, QUAD, clip_center=3e153)
+        f.predict(np.array([1.0]))
+        with pytest.raises(DataError, match="round 1: residual"):
+            f.observe(-3e153)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: seqsew_fixed(1, 2.0, 1.0 / 32.0, 0.5, QUAD),
+            lambda: seqsew_auto(1, QUAD, seed=0),
+            lambda: ridge_baseline(1, 1.0),
+        ],
+        ids=["fixed", "auto", "ridge"],
+    )
+    def test_every_forecaster_enforces_the_contract(self, make):
+        with pytest.raises(DataError, match="round 5: outcome"):
+            self._play(make(), 5, y=math.nan)
+        with pytest.raises(DataError, match="round 2: features"):
+            self._play(make(), 2, x=np.array([-math.inf]))
+
+    def test_rejected_features_leave_the_forecaster_usable(self):
+        f = seqsew_adaptive(1, 0.5, QUAD)
+        with pytest.raises(DataError):
+            f.predict(np.array([math.nan]))
+        f.predict(np.array([1.0]))
+        f.observe(1.0)
+        assert f.t == 1
+
+    def test_batch_fit_reports_the_round(self):
+        samples = [(np.array([0.5]), 1.0), (np.array([0.2]), math.nan), (np.array([0.1]), 0.0)]
+        with pytest.raises(DataError, match="round 2: outcome"):
+            fit_random_design(samples, None, QUAD)

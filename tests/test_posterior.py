@@ -301,3 +301,78 @@ class TestSnapshots:
         before = snap.predict_clipped_mean(phi, 2.0)
         cloud.update(phi, 1.0, 1.0, 0.125)
         assert snap.predict_clipped_mean(phi, 2.0) == before
+
+
+def _recomputed_cum_loss(cloud):
+    phi, y, b = cloud.history.arrays()
+    clipped = np.clip(cloud.samples @ phi.T, -b, b)
+    return np.sum((y - clipped) ** 2, axis=1)
+
+
+def _adaptive_rounds(cloud, xs, ys):
+    """Play the adaptive schedule; yields after every update."""
+    b_sq, max_y = 0.0, 0.0
+    for x, y in zip(xs, ys):
+        b = math.sqrt(b_sq)
+        cloud.predict(x, b)
+        max_y = max(max_y, y**2)
+        b_sq = 2.0 ** math.ceil(math.log2(max_y)) if max_y > 0 else 0.0
+        cloud.update(x, y, b, 1.0 / (8.0 * b_sq) if b_sq > 0 else math.inf)
+        yield
+
+
+class TestMovePolicies:
+    """Importance and chain share one move; only when they move differs."""
+
+    @staticmethod
+    def _data(d, T=25):
+        rng = np.random.default_rng(17)
+        xs = 10.0 * rng.uniform(-1, 1, size=(T, d))  # large features collapse the ESS
+        ys = 1.5 * xs[:, 0] / 10.0 + 0.3 * rng.standard_normal(T)
+        ys[:3] = 0.0  # eta stays infinite until the first nonzero outcome
+        return xs, ys
+
+    @pytest.mark.parametrize("backend", ["importance", "chain"])
+    def test_cached_losses_match_history(self, backend):
+        cfg = BackendConfig(backend=backend, n_samples=300, ess_floor=0.9, burn_in=5)
+        cloud = init(SparsityPrior(0.2, 2), cfg, np.random.default_rng(3))
+        xs, ys = self._data(2)
+        for _ in _adaptive_rounds(cloud, xs, ys):
+            np.testing.assert_allclose(cloud.cum_loss, _recomputed_cum_loss(cloud), rtol=1e-10, atol=0.0)
+        if backend == "importance":
+            assert cloud.resample_count >= 1  # the run must move its particles
+
+    def test_chain_weights_stay_exactly_uniform(self):
+        n = 300
+        cfg = BackendConfig(backend="chain", n_samples=n, burn_in=5)
+        cloud = init(SparsityPrior(0.2, 2), cfg, np.random.default_rng(4))
+        xs, ys = self._data(2)
+        etas = []
+        for _ in _adaptive_rounds(cloud, xs, ys):
+            etas.append(cloud.eta)
+            assert np.all(cloud.weights() == 1.0 / n)
+            assert cloud.resample_count == 0
+        assert etas[:3] == [math.inf] * 3 and math.isfinite(etas[-1])
+
+    def test_moves_never_write_a_previous_sample_set(self):
+        cfg = BackendConfig(backend="chain", n_samples=200, burn_in=3)
+        cloud = init(SparsityPrior(0.2, 1), cfg, np.random.default_rng(5))
+        xs, ys = self._data(1, T=6)
+        kept = []
+        for _ in _adaptive_rounds(cloud, xs, ys):
+            kept.append((cloud.samples, cloud.samples.copy()))
+        assert len({id(s) for s, _ in kept}) == len(kept)
+        for samples, copy in kept:
+            assert np.array_equal(samples, copy)
+
+    def test_quadrature_expectation_equals_quadrature_cloud(self):
+        prior = _prior_1d(0.3)
+        cfg = BackendConfig(backend="quadrature", grid_points_per_dim=257)
+        rng = np.random.default_rng(9)
+        rounds = [(np.array([rng.uniform(-2, 2)]), rng.uniform(-1, 1), 1.0) for _ in range(8)]
+        cloud = init(prior, cfg)
+        for phi, y, b in rounds:
+            cloud.update(phi, y, b, 0.125)
+        phi = np.array([0.4])
+        got = quadrature_expectation(prior, cfg, rounds, 0.125, clipped_margin_integrand(phi, 1.5))
+        assert got == pytest.approx(cloud.predict(phi, 1.5), abs=1e-15)
