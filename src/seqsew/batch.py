@@ -41,6 +41,7 @@ from .datagen import NoiseFamily
 from .errors import ArgumentError
 from .forecasters import SeqSEWAdaptive
 from .posterior import BackendConfig, FrozenCloud, PosteriorCloud
+from .prior import s_ln_term
 
 __all__ = [
     "NoiseFamily",
@@ -338,12 +339,6 @@ def per_round_risks(
 # ---------------------------------------------------------------------------
 
 
-def _ln_term(l0: int, l1: float, d: int, T: int) -> float:
-    if l0 == 0:
-        return 0.0
-    return l0 * math.log1p(math.sqrt(d * T) * l1 / l0)
-
-
 def risk_bound_rhs(variant: str, **kw: Any) -> float:
     """Right-hand side of a named risk guarantee, at a supplied comparator.
 
@@ -365,7 +360,7 @@ def risk_bound_rhs(variant: str, **kw: Any) -> float:
         approx = float(kw["approx_error"])
     except KeyError as missing:
         raise ArgumentError(f"risk_bound_rhs missing input {missing}") from None
-    ln_term = _ln_term(l0, l1, d, T)
+    ln_term = s_ln_term(l0, math.sqrt(d * T) * l1)
 
     if variant == "thm10":
         e_max = float(kw["e_max_y_sq"])

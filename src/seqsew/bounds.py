@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, DataError
 from .forecasters import ProtocolResult, dyadic_ceil_pow2
+from .prior import s_ln_term
 
 __all__ = [
     "SequenceStats",
@@ -109,27 +110,6 @@ class Comparator:
         )
 
 
-def s_ln_term(s: float, U: float) -> float:
-    """The map s -> s ln(1 + U / s), continuously extended by 0 at s = 0."""
-    if s < 0.0 or U < 0.0:
-        raise ArgumentError("s and U must be nonnegative")
-    if s == 0.0:
-        return 0.0
-    ratio = U / s
-    if math.isinf(ratio):
-        # s is subnormal: use s ln(1 + U/s) ~ s (ln U - ln s), which still
-        # vanishes as s -> 0 instead of overflowing.
-        return s * (math.log(U) - math.log(s))
-    return s * math.log1p(ratio)
-
-
-def _sparsity_term(l0: int, l1: float, inner_scale: float) -> float:
-    """l0 * ln(1 + inner_scale * l1 / l0) with the zero convention."""
-    if l0 == 0:
-        return 0.0
-    return l0 * math.log1p(inner_scale * l1 / l0)
-
-
 def prop2_rhs(comparator: Comparator, eta: float, tau: float, stats: SequenceStats) -> float:
     """Guarantee for the fixed forecaster: loss(u) + (4/eta) * sparsity term
     + tau^2 * Gram trace."""
@@ -137,7 +117,7 @@ def prop2_rhs(comparator: Comparator, eta: float, tau: float, stats: SequenceSta
         raise ArgumentError("eta and tau must be positive")
     return (
         comparator.cumulative_loss
-        + (4.0 / eta) * _sparsity_term(comparator.l0, comparator.l1, 1.0 / tau)
+        + (4.0 / eta) * s_ln_term(comparator.l0, (1.0 / tau) * comparator.l1)
         + tau**2 * stats.gram_trace
     )
 
@@ -151,7 +131,7 @@ def cor3_rhs(comparator: Comparator, B_y: float, B_Phi: float) -> float:
         comparator.cumulative_loss
         + 32.0
         * B_y**2
-        * _sparsity_term(comparator.l0, comparator.l1, math.sqrt(B_Phi) / (4.0 * B_y))
+        * s_ln_term(comparator.l0, (math.sqrt(B_Phi) / (4.0 * B_y)) * comparator.l1)
         + 16.0 * B_y**2
     )
 
@@ -163,7 +143,7 @@ def prop5_rhs(comparator: Comparator, tau: float, stats: SequenceStats) -> float
     b_sq = stats.B_T1_sq
     return (
         comparator.cumulative_loss
-        + 32.0 * b_sq * _sparsity_term(comparator.l0, comparator.l1, 1.0 / tau)
+        + 32.0 * b_sq * s_ln_term(comparator.l0, (1.0 / tau) * comparator.l1)
         + tau**2 * stats.gram_trace
         + 16.0 * b_sq
     )
@@ -176,7 +156,7 @@ def cor6_rhs(comparator: Comparator, B_Phi: float, stats: SequenceStats) -> floa
     b_sq = stats.B_T1_sq
     return (
         comparator.cumulative_loss
-        + 32.0 * b_sq * _sparsity_term(comparator.l0, comparator.l1, math.sqrt(B_Phi))
+        + 32.0 * b_sq * s_ln_term(comparator.l0, math.sqrt(B_Phi) * comparator.l1)
         + 16.0 * b_sq
         + 1.0
     )
@@ -189,7 +169,7 @@ def cor7_rhs(comparator: Comparator, d: int, stats: SequenceStats) -> float:
     b_sq = stats.B_T1_sq
     return (
         comparator.cumulative_loss
-        + 32.0 * b_sq * _sparsity_term(comparator.l0, comparator.l1, math.sqrt(d * stats.T))
+        + 32.0 * b_sq * s_ln_term(comparator.l0, math.sqrt(d * stats.T) * comparator.l1)
         + stats.gram_trace / (d * stats.T)
         + 16.0 * b_sq
     )
@@ -202,7 +182,7 @@ def thm8_rhs(comparator: Comparator, stats: SequenceStats) -> float:
     return (
         comparator.cumulative_loss
         + 256.0 * stats.max_y_sq * comparator.l0 * log_gram
-        + 64.0 * stats.max_y_sq * a_t * _sparsity_term(comparator.l0, comparator.l1, 1.0)
+        + 64.0 * stats.max_y_sq * a_t * s_ln_term(comparator.l0, comparator.l1)
         + (1.0 + 38.0 * stats.max_y_sq) * a_t
     )
 

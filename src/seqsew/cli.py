@@ -111,6 +111,13 @@ def _read_json(path: Path) -> Any:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
+def _require_keys(path: Path, entry: dict[str, Any], keys: Sequence[str]) -> dict[str, Any]:
+    for key in keys:
+        if key not in entry:
+            raise DataError(f"{path}: missing key {key!r}")
+    return entry
+
+
 def _csv_floats(path: Path, column: str) -> list[float]:
     header, rows = _read_csv(path)
     if column not in header:
@@ -323,10 +330,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     variant = args.variant
-    if variant in ("thm10", "cor12"):
-        payload, reps = _batch_random_design(config, variant, args.replications, args.n_eval)
-    elif variant in ("thm13", "cor14"):
-        payload, reps = _batch_fixed_design(config, variant, args.replications)
+    if variant in ("thm10", "cor12", "thm13", "cor14"):
+        payload, reps = _batch_risk(config, variant, args.replications, args.n_eval)
     elif variant == "cor11":
         payload, reps = _batch_family_sweep(config, args.replications)
     elif variant == "remark15":
@@ -342,115 +347,75 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _replicate(config: dict[str, Any], spec: ScenarioSpec, fit, replications: int, n_eval: int = 0):
-    """Fit and score reseeded draws of the scenario; returns the per-draw
-    risks and the mean over draws of max_t Y_t^2."""
-    backend = _backend_config(config)
-    master = int(config.get("seed", 0))
-    dictionary = Dictionary(spec.dictionary)
-    risks, max_y_sq = [], []
-    for i in range(replications):
-        rep_spec = replace(spec, seed=spec.seed + 1000 * (i + 1))
-        samples, f_truth, _ = gen_stochastic(rep_spec)
-        fit_rng = np.random.default_rng(np.random.SeedSequence([master, 50 + i]))
-        est = fit(samples, dictionary, backend, seed=fit_rng)
-        rng_eval = np.random.default_rng(np.random.SeedSequence([master, 90 + i]))
-        risks.append(batch_mod.risk(est, f_truth, design_sampler(rep_spec), n_eval=n_eval, rng=rng_eval))
-        max_y_sq.append(max(y * y for _, y in samples))
-    return risks, float(np.mean(max_y_sq))
-
-
-def _batch_random_design(config: dict[str, Any], variant: str, replications: int, n_eval: int):
+def _batch_risk(config: dict[str, Any], variant: str, replications: int, n_eval: int):
+    """Fit and score reseeded draws of the scenario, and compare the mean
+    risk with the variant's bound at the true coefficients.  Every
+    precondition of the variant is checked before the first fit."""
     spec = _scenario(config)
-    risks, e_max_y_sq = _replicate(config, spec, batch_mod.fit_random_design, replications, n_eval)
-
-    _, _, closed = gen_stochastic(spec)
-    u_true = closed["u_true"]
-    l0, l1 = int(np.count_nonzero(u_true)), float(np.sum(np.abs(u_true)))
-    approx = closed["approx_error_fn"](u_true) if closed.get("approx_error_fn") else 0.0
-    feat_sum = float(np.sum(closed["feature_l2_sq"])) if closed["feature_l2_sq"] else None
-    if feat_sum is None:
+    fixed_design = variant in ("thm13", "cor14")
+    if fixed_design and spec.design != "fixed_grid":
+        raise ArgumentError(f"{variant} needs the fixed_grid design")
+    base_samples, f_truth, closed = gen_stochastic(spec)
+    if not fixed_design and not closed["feature_l2_sq"]:
         raise ArgumentError("batch risk bounds need a design with known feature norms")
-
-    kw = dict(T=spec.T, d=spec.d, l0=l0, l1=l1, approx_error=approx, sum_feature_l2=feat_sum)
-    if variant == "thm10":
-        rhs = batch_mod.risk_bound_rhs("thm10", e_max_y_sq=e_max_y_sq, **kw)
-        amplitude_source = "measured"
-    else:
-        if spec.noise is None or spec.noise.kind != "sg":
+    if variant == "cor12":
+        if spec.noise.kind != "sg":
             raise ArgumentError("cor12 applies under subgaussian noise")
         if closed.get("f_inf") is None:
             raise ArgumentError("cor12 needs a bounded regression function")
-        rhs = batch_mod.risk_bound_rhs(
-            "cor12", f_inf=closed["f_inf"], sigma_sq=spec.noise.sigma_sq, **kw
-        )
-        amplitude_source = "analytic"
-    mean_risk = float(np.mean(risks))
-    payload = {
-        "schema": "seqsew.batch.v1",
-        "variant": variant,
-        "T": spec.T,
-        "d": spec.d,
-        "family": spec.noise.kind if spec.noise else None,
-        "replications": replications,
-        "measured_risk": mean_risk,
-        "risk_stderr": float(np.std(risks, ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else None,
-        "rhs": rhs,
-        "amplitude_source": amplitude_source,
-        "witness": [float(v) for v in u_true],
-        "pass": bool(mean_risk <= rhs),
-    }
-    reps = (["rep", "risk"], [[i, r] for i, r in enumerate(risks)])
-    return payload, reps
 
-
-def _batch_fixed_design(config: dict[str, Any], variant: str, replications: int):
-    spec = _scenario(config)
-    if spec.design != "fixed_grid":
-        raise ArgumentError(f"{variant} needs the fixed_grid design")
-    risks, e_max_y_sq = _replicate(config, spec, batch_mod.fit_fixed_design, replications)
-
+    backend = _backend_config(config)
+    master = int(config.get("seed", 0))
     dictionary = Dictionary(spec.dictionary)
-    base_samples, f_truth, closed = gen_stochastic(spec)
+    fit = batch_mod.fit_fixed_design if fixed_design else batch_mod.fit_random_design
+    risks, max_y_sq = [], []
+    for i in range(replications):
+        rep_spec = replace(spec, seed=spec.seed + 1000 * (i + 1))
+        samples, rep_truth, _ = gen_stochastic(rep_spec)
+        fit_rng = np.random.default_rng(np.random.SeedSequence([master, 50 + i]))
+        est = fit(samples, dictionary, backend, seed=fit_rng)
+        rng_eval = np.random.default_rng(np.random.SeedSequence([master, 90 + i]))
+        risks.append(batch_mod.risk(est, rep_truth, design_sampler(rep_spec), n_eval=n_eval, rng=rng_eval))
+        max_y_sq.append(max(y * y for _, y in samples))
+    e_max_y_sq = float(np.mean(max_y_sq))
+
     u_true = closed["u_true"]
-    features = np.vstack([dictionary.features(x) for x, _ in base_samples])
-    f_vals = np.asarray([f_truth(x) for x, _ in base_samples])
-    approx = float(np.mean((f_vals - features @ u_true) ** 2))
-    gram = float(np.sum(features**2))
-    kw = dict(
-        T=spec.T,
-        d=spec.d,
-        l0=int(np.count_nonzero(u_true)),
-        l1=float(np.sum(np.abs(u_true))),
-        approx_error=approx,
-        design_gram_trace=gram,
-    )
-    if variant == "thm13":
-        rhs = batch_mod.risk_bound_rhs("thm13", e_max_y_sq=e_max_y_sq, **kw)
+    l0, l1 = int(np.count_nonzero(u_true)), float(np.sum(np.abs(u_true)))
+    kw: dict[str, Any] = dict(T=spec.T, d=spec.d, l0=l0, l1=l1)
+    if fixed_design:
+        features = np.vstack([dictionary.features(x) for x, _ in base_samples])
+        f_vals = np.asarray([f_truth(x) for x, _ in base_samples])
+        kw["approx_error"] = float(np.mean((f_vals - features @ u_true) ** 2))
+        kw["design_gram_trace"] = float(np.sum(features**2))
     else:
-        if spec.noise is None:
-            raise ArgumentError("cor14 needs a noise family")
+        kw["approx_error"] = closed["approx_error_fn"](u_true) if closed.get("approx_error_fn") else 0.0
+        kw["sum_feature_l2"] = float(np.sum(closed["feature_l2_sq"]))
+    if variant == "cor12":
+        rhs = batch_mod.risk_bound_rhs("cor12", f_inf=closed["f_inf"], sigma_sq=spec.noise.sigma_sq, **kw)
+    elif variant == "cor14":
         rhs = batch_mod.risk_bound_rhs(
-            "cor14",
-            max_f_sq=float(np.max(f_vals**2)),
-            psi_t=batch_mod.psi_bound(spec.noise, spec.T),
-            **kw,
+            "cor14", max_f_sq=float(np.max(f_vals**2)), psi_t=batch_mod.psi_bound(spec.noise, spec.T), **kw
         )
+    else:
+        rhs = batch_mod.risk_bound_rhs(variant, e_max_y_sq=e_max_y_sq, **kw)
+
     mean_risk = float(np.mean(risks))
     payload = {
         "schema": "seqsew.batch.v1",
         "variant": variant,
         "T": spec.T,
         "d": spec.d,
-        "family": spec.noise.kind if spec.noise else None,
+        "family": spec.noise.kind,
         "replications": replications,
         "measured_risk": mean_risk,
         "rhs": rhs,
         "witness": [float(v) for v in u_true],
         "pass": bool(mean_risk <= rhs),
     }
-    reps = (["rep", "risk"], [[i, r] for i, r in enumerate(risks)])
-    return payload, reps
+    if not fixed_design:
+        payload["risk_stderr"] = float(np.std(risks, ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else None
+        payload["amplitude_source"] = "analytic" if variant == "cor12" else "measured"
+    return payload, (["rep", "risk"], [[i, r] for i, r in enumerate(risks)])
 
 
 def _batch_family_sweep(config: dict[str, Any], replications: int):
@@ -587,13 +552,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
         reports = _read_json(p).get("reports", [])
         if not reports:
             raise ArgumentError(f"{p}: no reports to plot")
+        reports = [_require_keys(p, r, ("bound", "slack", "mc_allowance")) for r in reports]
         labels = [f"{r['bound']}/{r.get('comparator', '?')}" for r in reports]
         values = [float(r["slack"]) + float(r["mc_allowance"]) for r in reports]
         svg = _svg.bar_chart("bound margins (slack + allowance)", "report", "margin", labels, values)
     elif kind == "risk":
         points = []
         for p in paths:
-            payload = _read_json(p)
+            payload = _require_keys(p, _read_json(p), ("T", "measured_risk", "rhs"))
             points.append((float(payload["T"]), float(payload["measured_risk"]), float(payload["rhs"])))
         if not points:
             raise ArgumentError("no risk points to plot")

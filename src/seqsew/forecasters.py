@@ -7,15 +7,18 @@ called with the feature vector and must return a prediction before
 
 Variants:
 
-* :class:`SeqSEWFixed` -- constant threshold B, inverse temperature eta,
-  prior scale tau.
 * :class:`SeqSEWAdaptive` -- data-driven dyadic threshold and
   eta = 1 / (8 B^2), adaptive to the unknown observation range; fixed tau.
+* :class:`SeqSEWFixed` -- the same scheme with the threshold B and the
+  inverse temperature eta pinned by the caller.
 * :class:`SeqSEWAuto` -- additionally adapts to the unknown feature mass
   by restarting the adaptive forecaster with rapidly shrinking tau
   whenever the cumulative Gram trace crosses a geometric schedule.
 * :class:`RidgeBaseline` -- follow-the-regularized-leader least squares,
   for comparison only.
+
+The lowercase names ``seqsew_fixed``, ``seqsew_adaptive``, ``seqsew_auto``
+and ``ridge_baseline`` are these classes under their functional names.
 """
 
 from __future__ import annotations
@@ -110,10 +113,6 @@ class RegimeState:
     regime_starts: list[int] = field(default_factory=lambda: [1])
     regime_ends: list[int] = field(default_factory=list)
 
-    @property
-    def tau_r(self) -> float:
-        return regime_prior_scale(self.r)
-
 
 def regime_prior_scale(r: int) -> float:
     """Prior scale 1 / (exp(2^r) - 1) for regime r (r capped upstream)."""
@@ -173,67 +172,6 @@ class _ForecasterBase:
         return {"B": math.nan, "eta": math.nan, "regime": 0, "ess": math.nan, "gamma": math.nan}
 
 
-def _make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-class SeqSEWFixed(_ForecasterBase):
-    """Exponentially weighted forecaster with fixed threshold, inverse
-    temperature, and prior scale.
-
-    The guarantee regime is eta <= 1 / (8 B^2) with B at least the
-    observation range; the constructor does not enforce that (the values
-    are the caller's promise) but `cli` warns on violation.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        B: float,
-        eta: float,
-        tau: float,
-        config: BackendConfig | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        if not (B > 0.0 and eta > 0.0 and tau > 0.0):
-            raise ArgumentError("B, eta, and tau must all be positive")
-        self.dim = int(dim)
-        self.B = float(B)
-        self.eta = float(eta)
-        self.tau = float(tau)
-        self.config = config or BackendConfig()
-        rng = _make_rng(seed) if self.config.backend != "quadrature" else None
-        self.cloud: PosteriorCloud = init_cloud(SparsityPrior(self.tau, self.dim), self.config, rng)
-
-    def _predict(self, features: np.ndarray) -> float:
-        return self.cloud.predict(features, self.B)
-
-    def _observe(self, features: np.ndarray, y: float) -> None:
-        self.cloud.update(features, y, self.B, min(self.eta, self.cloud.eta))
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "kind": "fixed",
-            "dim": self.dim,
-            "B": self.B,
-            "eta": self.eta,
-            "tau": self.tau,
-            "backend": self.config.backend,
-        }
-
-    def state_row(self) -> dict[str, float]:
-        return {
-            "B": self.B,
-            "eta": self.eta,
-            "regime": 0,
-            "ess": self.cloud.ess(),
-            "gamma": math.nan,
-        }
-
-
 class SeqSEWAdaptive(_ForecasterBase):
     """Adaptive-threshold forecaster.
 
@@ -256,7 +194,7 @@ class SeqSEWAdaptive(_ForecasterBase):
         self,
         dim: int,
         tau: float,
-        config: BackendConfig | None = None,
+        backend: BackendConfig | None = None,
         seed: int | np.random.Generator | None = None,
         clip_center: float = 0.0,
     ) -> None:
@@ -265,9 +203,9 @@ class SeqSEWAdaptive(_ForecasterBase):
             raise ArgumentError(f"tau must be positive, got {tau}")
         self.dim = int(dim)
         self.tau = float(tau)
-        self.config = config or BackendConfig()
+        self.config = backend or BackendConfig()
         self.center = float(clip_center)
-        rng = _make_rng(seed) if self.config.backend != "quadrature" else None
+        rng = np.random.default_rng(seed) if self.config.backend != "quadrature" else None
         self.cloud: PosteriorCloud = init_cloud(SparsityPrior(self.tau, self.dim), self.config, rng)
         self.state = AdaptiveState()
 
@@ -305,6 +243,43 @@ class SeqSEWAdaptive(_ForecasterBase):
         }
 
 
+class SeqSEWFixed(SeqSEWAdaptive):
+    """The adaptive scheme with the threshold B and the inverse temperature
+    eta pinned by the caller instead of tuned from the data.
+
+    The guarantee regime is eta <= 1 / (8 B^2) with B at least the
+    observation range; the constructor does not enforce that (the values
+    are the caller's promise) but `cli` warns on violation.
+    """
+
+    def __init__(
+        self,
+        dim: int,
+        B: float,
+        eta: float,
+        tau: float,
+        backend: BackendConfig | None = None,
+        seed: int | np.random.Generator | None = None,
+    ) -> None:
+        if not (B > 0.0 and eta > 0.0 and tau > 0.0):
+            raise ArgumentError("B, eta, and tau must all be positive")
+        super().__init__(dim, tau, backend, seed)
+        self.state = AdaptiveState(float(B), float(B) ** 2, float(eta))
+
+    def _observe(self, features: np.ndarray, y: float) -> None:
+        self.cloud.update(features, y, self.state.B, self.state.eta)
+
+    def describe(self) -> dict[str, Any]:
+        return {
+            "kind": "fixed",
+            "dim": self.dim,
+            "B": self.state.B,
+            "eta": self.state.eta,
+            "tau": self.tau,
+            "backend": self.config.backend,
+        }
+
+
 class SeqSEWAuto(_ForecasterBase):
     """Fully automatic forecaster (no parameters at all).
 
@@ -318,12 +293,12 @@ class SeqSEWAuto(_ForecasterBase):
     def __init__(
         self,
         dim: int,
-        config: BackendConfig | None = None,
+        backend: BackendConfig | None = None,
         seed: int | np.random.SeedSequence | None = None,
     ) -> None:
         super().__init__()
         self.dim = int(dim)
-        self.config = config or BackendConfig()
+        self.config = backend or BackendConfig()
         self._seedseq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.regime = RegimeState()
         self._pending_restart = False
@@ -401,37 +376,10 @@ class RidgeBaseline(_ForecasterBase):
         return {"kind": "ridge", "dim": self.dim, "regularization": self.regularization}
 
 
-def seqsew_fixed(
-    dim: int,
-    B: float,
-    eta: float,
-    tau: float,
-    backend: BackendConfig | None = None,
-    seed: int | np.random.Generator | None = None,
-) -> SeqSEWFixed:
-    return SeqSEWFixed(dim, B, eta, tau, backend, seed)
-
-
-def seqsew_adaptive(
-    dim: int,
-    tau: float,
-    backend: BackendConfig | None = None,
-    seed: int | np.random.Generator | None = None,
-    clip_center: float = 0.0,
-) -> SeqSEWAdaptive:
-    return SeqSEWAdaptive(dim, tau, backend, seed, clip_center)
-
-
-def seqsew_auto(
-    dim: int,
-    backend: BackendConfig | None = None,
-    seed: int | np.random.SeedSequence | None = None,
-) -> SeqSEWAuto:
-    return SeqSEWAuto(dim, backend, seed)
-
-
-def ridge_baseline(dim: int, regularization: float) -> RidgeBaseline:
-    return RidgeBaseline(dim, regularization)
+seqsew_fixed = SeqSEWFixed
+seqsew_adaptive = SeqSEWAdaptive
+seqsew_auto = SeqSEWAuto
+ridge_baseline = RidgeBaseline
 
 
 @dataclass

@@ -44,6 +44,7 @@ __all__ = [
     "magnitude_from_uniform",
     "coordinate_log_density",
     "coordinate_magnitude_cdf",
+    "s_ln_term",
     "kl_upper_bound",
     "refined_sparsity_term",
     "translated_loss_identity_check",
@@ -131,6 +132,20 @@ def sample(prior: SparsityPrior, rng: np.random.Generator, size: int | None = No
     return signs * magnitude_from_uniform(v, prior.tau)
 
 
+def s_ln_term(s: float, U: float) -> float:
+    """The map s -> s ln(1 + U / s), continuously extended by 0 at s = 0."""
+    if s < 0.0 or U < 0.0:
+        raise ArgumentError("s and U must be nonnegative")
+    if s == 0.0:
+        return 0.0
+    ratio = U / s
+    if math.isinf(ratio):
+        # s is subnormal: use s ln(1 + U/s) ~ s (ln U - ln s), which still
+        # vanishes as s -> 0 instead of overflowing.
+        return s * (math.log(U) - math.log(s))
+    return s * math.log1p(ratio)
+
+
 def kl_upper_bound(u_star: np.ndarray, tau: float) -> float:
     """Closed-form budget 4 ||u*||_0 ln(1 + ||u*||_1 / (||u*||_0 tau)).
 
@@ -140,11 +155,7 @@ def kl_upper_bound(u_star: np.ndarray, tau: float) -> float:
     if not tau > 0.0:
         raise ArgumentError(f"tau must be positive, got {tau}")
     u_star = np.asarray(u_star, dtype=float)
-    l0 = int(np.count_nonzero(u_star))
-    if l0 == 0:
-        return 0.0
-    l1 = float(np.sum(np.abs(u_star)))
-    return 4.0 * l0 * math.log1p(l1 / (l0 * tau))
+    return 4.0 * s_ln_term(int(np.count_nonzero(u_star)), float(np.sum(np.abs(u_star))) / tau)
 
 
 def refined_sparsity_term(u: np.ndarray, tau: float) -> float:

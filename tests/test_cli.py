@@ -35,6 +35,22 @@ def _write_config(path: Path, **overrides) -> Path:
     return path
 
 
+def _stochastic_scenario(**overrides):
+    """A scenario the batch commands accept: noisy and without an
+    amplitude script."""
+    scenario = {
+        "T": 12,
+        "d": 1,
+        "s": 1,
+        "u_true": [1.0],
+        "design": "iid_uniform",
+        "noise": {"kind": "sg", "sigma_sq": 0.25},
+        "dictionary": {"kind": "coordinate", "d": 1},
+    }
+    scenario.update(overrides)
+    return scenario
+
+
 class TestRun:
     def test_writes_csv_with_schema_and_one_row_per_round(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
@@ -196,6 +212,29 @@ class TestBatch:
         cfg = _write_config(tmp_path / "cfg.json")  # iid design
         assert cli.main(["batch", "--config", str(cfg), "--variant", "thm13"]) == 2
 
+    @pytest.mark.parametrize(
+        "variant, scenario, message",
+        [
+            ("cor12", _stochastic_scenario(noise={"kind": "bd", "B": 0.5}), "subgaussian"),
+            (
+                "thm10",
+                _stochastic_scenario(
+                    d=2, u_true=[1.0, 0.0], design="fixed_grid", dictionary={"kind": "coordinate", "d": 2}
+                ),
+                "known feature norms",
+            ),
+        ],
+        ids=["cor12-bounded-noise", "thm10-coordinate-fixed-grid"],
+    )
+    def test_unmet_precondition_exits_two_before_any_fit(self, tmp_path, monkeypatch, capsys, variant, scenario, message):
+        def fit(*args, **kwargs):
+            raise AssertionError("fitted a replication before checking the variant's preconditions")
+
+        monkeypatch.setattr(cli.batch_mod, "fit_random_design", fit)
+        cfg = _write_config(tmp_path / "cfg.json", scenario=scenario)
+        assert cli.main(["batch", "--config", str(cfg), "--variant", variant, "--replications", "2"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_thm10_reruns_are_byte_identical(self, tmp_path):
         cfg = _write_config(
             tmp_path / "cfg.json",
@@ -259,6 +298,22 @@ class TestGenAndPlot:
         out = tmp_path / "m.svg"
         code = cli.main(["plot", "--input", str(tmp_path / "out" / "verify.json"), "--kind", "margins", "--out", str(out)])
         assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("variant", ["cor11", "remark15"])
+    def test_plot_risk_of_a_batch_without_a_risk_is_io_error(self, tmp_path, capsys, variant):
+        cfg = _write_config(tmp_path / "cfg.json", scenario=_stochastic_scenario())
+        assert cli.main(["batch", "--config", str(cfg), "--variant", variant]) == 0
+        capsys.readouterr()
+        payload = tmp_path / "out" / f"batch_{variant}.json"
+        assert cli.main(["plot", "--input", str(payload), "--kind", "risk", "--out", str(tmp_path / "r.svg")]) == 4
+        err = capsys.readouterr().err
+        assert f"batch_{variant}.json: missing key 'measured_risk'" in err
+
+    def test_plot_margins_of_a_report_without_slack_is_io_error(self, tmp_path, capsys):
+        report = tmp_path / "verify.json"
+        report.write_text(json.dumps({"reports": [{"bound": "prop5", "mc_allowance": 0.0}]}))
+        assert cli.main(["plot", "--input", str(report), "--kind", "margins", "--out", str(tmp_path / "m.svg")]) == 4
+        assert "verify.json: missing key 'slack'" in capsys.readouterr().err
 
     def test_plot_is_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqsew.errors import (
     ArgumentError,
@@ -14,6 +15,7 @@ from seqsew.errors import (
     StateError,
     UnsupportedDimensionError,
 )
+from seqsew.forecasters import SeqSEWAdaptive
 from seqsew.posterior import (
     BackendConfig,
     FrozenCloud,
@@ -376,3 +378,46 @@ class TestMovePolicies:
         phi = np.array([0.4])
         got = quadrature_expectation(prior, cfg, rounds, 0.125, clipped_margin_integrand(phi, 1.5))
         assert got == pytest.approx(cloud.predict(phi, 1.5), abs=1e-15)
+
+
+_PROPERTY_BACKENDS = {
+    "importance": BackendConfig(backend="importance", n_samples=200),
+    "chain": BackendConfig(backend="chain", n_samples=200, burn_in=3),
+    "quadrature": BackendConfig(backend="quadrature", grid_points_per_dim=65),
+}
+
+
+@st.composite
+def _short_sequences(draw):
+    d = draw(st.integers(1, 2))
+    T = draw(st.integers(1, 12))
+    coord = st.floats(-10.0, 10.0, allow_nan=False)
+    xs = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=T, max_size=T))
+    ys = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=T, max_size=T))
+    return np.array(xs), ys
+
+
+class TestBackendProperties:
+    """Invariants every backend keeps on every round of any short sequence."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        backend=st.sampled_from(sorted(_PROPERTY_BACKENDS)),
+        data=_short_sequences(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prediction_weights_and_snapshot_round_trip(self, backend, data, seed):
+        xs, ys = data
+        f = SeqSEWAdaptive(xs.shape[1], 0.5, _PROPERTY_BACKENDS[backend], seed=seed)
+        for x, y in zip(xs, ys):
+            b = f.state.B
+            assert abs(f.predict(x)) <= b
+            f.observe(y)
+            weights = f.cloud.weights()
+            assert np.isfinite(weights).all()
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            snap = f.cloud.snapshot()
+            restored = FrozenCloud.from_json(snap.to_json())
+            for name in ("samples", "log_weights", "cum_loss"):
+                assert np.array_equal(getattr(restored, name), getattr(snap, name))
+            assert restored.eta == snap.eta and restored.backend == snap.backend
