@@ -111,11 +111,20 @@ def _read_json(path: Path) -> Any:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
-def _require_keys(path: Path, entry: dict[str, Any], keys: Sequence[str]) -> dict[str, Any]:
+def _require_keys(path: Path, entry: Any, keys: Sequence[str]) -> dict[str, Any]:
+    if not isinstance(entry, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(entry).__name__}")
     for key in keys:
         if key not in entry:
             raise DataError(f"{path}: missing key {key!r}")
     return entry
+
+
+def _number(path: Path, entry: dict[str, Any], key: str) -> float:
+    try:
+        return float(entry[key])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: key {key!r} is not a number: {entry[key]!r}") from exc
 
 
 def _csv_floats(path: Path, column: str) -> list[float]:
@@ -181,8 +190,17 @@ def _forecaster(config: dict[str, Any], dim: int, backend: BackendConfig, seed_o
     kind = fc.get("kind", "adaptive")
     master = int(config.get("seed", 0))
     rng = np.random.default_rng(np.random.SeedSequence([master, seed_offset]))
+
+    def param(key: str) -> float:
+        if key not in fc:
+            raise ArgumentError(f"forecaster kind {kind!r} needs {key!r}")
+        try:
+            return float(fc[key])
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"forecaster {key!r} must be a number, got {fc[key]!r}") from exc
+
     if kind == "fixed":
-        B, eta, tau = float(fc["B"]), float(fc["eta"]), float(fc["tau"])
+        B, eta, tau = param("B"), param("eta"), param("tau")
         if eta > 1.0 / (8.0 * B * B) * (1.0 + 1e-12):
             print(
                 f"warning: eta={eta} exceeds 1/(8 B^2)={1.0 / (8 * B * B)}; "
@@ -191,7 +209,7 @@ def _forecaster(config: dict[str, Any], dim: int, backend: BackendConfig, seed_o
             )
         return seqsew_fixed(dim, B, eta, tau, backend, seed=rng)
     if kind == "adaptive":
-        return seqsew_adaptive(dim, float(fc["tau"]), backend, seed=rng)
+        return seqsew_adaptive(dim, param("tau"), backend, seed=rng)
     if kind == "auto":
         return seqsew_auto(dim, backend, seed=np.random.SeedSequence([master, seed_offset]))
     if kind == "ridge":
@@ -351,6 +369,8 @@ def _batch_risk(config: dict[str, Any], variant: str, replications: int, n_eval:
     """Fit and score reseeded draws of the scenario, and compare the mean
     risk with the variant's bound at the true coefficients.  Every
     precondition of the variant is checked before the first fit."""
+    if replications < 1:
+        raise ArgumentError(f"batch risk needs replications >= 1, got {replications}")
     spec = _scenario(config)
     fixed_design = variant in ("thm13", "cor14")
     if fixed_design and spec.design != "fixed_grid":
@@ -549,18 +569,20 @@ def cmd_plot(args: argparse.Namespace) -> int:
         svg = _svg.line_chart("clip threshold schedule", "round t", "B_t", [("B_t", xs, ys)])
     elif kind == "margins":
         p = paths[0]
-        reports = _read_json(p).get("reports", [])
+        reports = _require_keys(p, _read_json(p), ()).get("reports", [])
+        if not isinstance(reports, list):
+            raise DataError(f"{p}: key 'reports' is not a list")
         if not reports:
             raise ArgumentError(f"{p}: no reports to plot")
         reports = [_require_keys(p, r, ("bound", "slack", "mc_allowance")) for r in reports]
         labels = [f"{r['bound']}/{r.get('comparator', '?')}" for r in reports]
-        values = [float(r["slack"]) + float(r["mc_allowance"]) for r in reports]
+        values = [_number(p, r, "slack") + _number(p, r, "mc_allowance") for r in reports]
         svg = _svg.bar_chart("bound margins (slack + allowance)", "report", "margin", labels, values)
     elif kind == "risk":
         points = []
         for p in paths:
             payload = _require_keys(p, _read_json(p), ("T", "measured_risk", "rhs"))
-            points.append((float(payload["T"]), float(payload["measured_risk"]), float(payload["rhs"])))
+            points.append(tuple(_number(p, payload, key) for key in ("T", "measured_risk", "rhs")))
         if not points:
             raise ArgumentError("no risk points to plot")
         points.sort()

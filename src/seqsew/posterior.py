@@ -15,10 +15,12 @@ points, their cached *cumulative* clipped losses and a log base mass, and
 weighs each point by ``log_base - eta * cum_loss``.  Because the weights
 are recomputed from the cumulative losses every round rather than updated
 incrementally, a re-tuned eta rescales all past losses exactly, with no
-approximation drift.  A *move* runs random-coordinate Metropolis steps
-targeting the current posterior and then rebases ``log_base`` to
-``eta * cum_loss``, so the moved points stand in for the posterior as
-they are.  The three backends are three move policies:
+approximation drift.  A *move* runs Metropolis steps targeting the
+current posterior and then rebases ``log_base`` to ``eta * cum_loss``, so
+the moved points stand in for the posterior as they are.  Each step
+changes one random coordinate, shared by every point, and computes the
+candidate losses over cache-sized blocks of points in reused buffers.
+The three backends are three move policies:
 
 ``importance``
     Points drawn exactly from the prior, never moved while the effective
@@ -143,11 +145,20 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Metropolis moves, the one way a cloud's points change.  One "step"
-# updates a single randomly chosen coordinate of every particle; margins
-# against the full history are carried along so each step costs
-# O(n_particles * n_rounds).
+# Metropolis moves, the one way a cloud's points change.  One "step" draws
+# a single coordinate, shared by every particle, and proposes a new value
+# for it in each particle.  The coordinate is drawn independently of the
+# particles, so each particle still follows a random-scan Metropolis chain
+# with the posterior as its target.  Margins against the full history are
+# carried along and move by the rank-1 update deltas x phi[:, j], and the
+# candidate losses are computed over blocks of particles small enough to
+# stay in cache, so each step costs O(n_particles * n_rounds) with no
+# (n_particles, n_rounds) temporaries.
 # ---------------------------------------------------------------------------
+
+# Bytes of float64 scratch per block of particle rows in the Metropolis
+# step; small enough for the block to stay resident in a core's cache.
+_KERNEL_BLOCK_BYTES = 512 * 1024
 
 
 def _robust_coordinate_scales(samples: np.ndarray, floor: float) -> np.ndarray:
@@ -170,7 +181,7 @@ def _metropolis_coordinate_steps(
     coord_scales: np.ndarray,
     step_multiplier: float,
 ) -> float:
-    """Random-coordinate Metropolis sweeps targeting the current posterior.
+    """Shared-coordinate Metropolis sweeps targeting the current posterior.
 
     Moves ``samples`` and their cached ``cum_loss`` in place and returns
     the step multiplier, which is retuned after every step toward the
@@ -179,29 +190,50 @@ def _metropolis_coordinate_steps(
     n, d = samples.shape
     margins = samples @ phi.T
     eta_term = eta if math.isfinite(eta) else 0.0
+    rows = max(1, _KERNEL_BLOCK_BYTES // (8 * y.shape[0]))
+    candidate = np.empty((min(rows, n), y.shape[0]))
+    work = np.empty_like(candidate)
+    neg_b = -b
+    new_loss = np.empty(n)
+    accept = np.empty(n, dtype=bool)
     for _ in range(n_steps):
-        coords = rng.integers(0, d, size=n)
+        j = int(rng.integers(0, d))
         # Mixture of local and long-range moves keeps the heavy tails
         # reachable without wrecking the acceptance rate.
-        base = coord_scales[coords] * step_multiplier
+        base = coord_scales[j] * step_multiplier
         widths = np.where(rng.random(n) < 0.2, 10.0 * base, base)
         deltas = rng.standard_normal(n) * widths
+        log_u = np.log(rng.random(n))
 
-        old_vals = samples[np.arange(n), coords]
+        old_vals = samples[:, j]
         new_vals = old_vals + deltas
         log_prior_delta = -4.0 * (
             np.log1p(np.abs(new_vals) / prior.tau) - np.log1p(np.abs(old_vals) / prior.tau)
         )
-        new_margins = margins + deltas[:, None] * phi[:, coords].T
-        clipped = np.clip(new_margins, -b[None, :], b[None, :])
-        new_loss = np.sum((y[None, :] - clipped) ** 2, axis=1)
-        log_alpha = log_prior_delta - eta_term * (new_loss - cum_loss)
-        accept = np.log(rng.random(n)) < log_alpha
+        column = phi[:, j]
+        for start in range(0, n, rows):
+            rows_here = slice(start, start + rows)
+            held = margins[rows_here]
+            cand = candidate[: held.shape[0]]
+            buf = work[: held.shape[0]]
+            np.multiply(deltas[rows_here, None], column, out=cand)
+            np.add(cand, held, out=cand)
+            # min then max is np.clip(cand, -b, b) (b >= 0), without
+            # np.clip's per-call overhead.
+            np.minimum(cand, b, out=buf)
+            np.maximum(buf, neg_b, out=buf)
+            np.subtract(y, buf, out=buf)
+            np.square(buf, out=buf)
+            np.sum(buf, axis=1, out=new_loss[rows_here])
+            log_alpha = log_prior_delta[rows_here] - eta_term * (new_loss[rows_here] - cum_loss[rows_here])
+            np.less(log_u[rows_here], log_alpha, out=accept[rows_here])
+            # Accepted rows take the candidate itself, so the cached
+            # margins are exactly the ones their cached losses came from.
+            np.copyto(held, cand, where=accept[rows_here, None])
         rate = float(np.count_nonzero(accept)) / n
 
-        samples[accept, coords[accept]] = new_vals[accept]
+        samples[accept, j] = new_vals[accept]
         cum_loss[accept] = new_loss[accept]
-        margins[accept] = new_margins[accept]
         if rate < 0.2:
             step_multiplier *= 0.7
         elif rate > 0.5:

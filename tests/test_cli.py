@@ -2,6 +2,9 @@
 and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +108,32 @@ class TestRun:
         )
         assert cli.main(["run", "--config", str(cfg)]) == 0
         assert "guarantee" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--bounds", "prop5"]])
+    @pytest.mark.parametrize(
+        "forecaster, message",
+        [
+            ({"kind": "adaptive"}, "forecaster kind 'adaptive' needs 'tau'"),
+            ({"kind": "fixed", "eta": 0.1, "tau": 0.5}, "forecaster kind 'fixed' needs 'B'"),
+            ({"kind": "fixed", "B": 1.0, "tau": 0.5}, "forecaster kind 'fixed' needs 'eta'"),
+            ({"kind": "fixed", "B": 1.0, "eta": 0.1}, "forecaster kind 'fixed' needs 'tau'"),
+            ({"kind": "adaptive", "tau": "x"}, "forecaster 'tau' must be a number, got 'x'"),
+        ],
+        ids=["adaptive-tau", "fixed-B", "fixed-eta", "fixed-tau", "adaptive-text-tau"],
+    )
+    def test_forecaster_without_a_parameter_is_usage_error(self, tmp_path, capsys, command, forecaster, message):
+        cfg = _write_config(tmp_path / "cfg.json", forecaster=forecaster)
+        assert cli.main([*command, "--config", str(cfg)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqsew", "--help"], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: seqsew")
 
 
 class TestVerify:
@@ -235,6 +264,18 @@ class TestBatch:
         assert cli.main(["batch", "--config", str(cfg), "--variant", variant, "--replications", "2"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_replications_below_one_exit_two_before_any_fit(self, tmp_path, monkeypatch, capsys, replications):
+        def fit(*args, **kwargs):
+            raise AssertionError("fitted a replication")
+
+        monkeypatch.setattr(cli.batch_mod, "fit_random_design", fit)
+        cfg = _write_config(tmp_path / "cfg.json", scenario=_stochastic_scenario())
+        args = ["batch", "--config", str(cfg), "--variant", "thm10", "--replications", str(replications)]
+        assert cli.main(args) == 2
+        assert "needs replications >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "batch_thm10.json").exists()
+
     def test_thm10_reruns_are_byte_identical(self, tmp_path):
         cfg = _write_config(
             tmp_path / "cfg.json",
@@ -314,6 +355,22 @@ class TestGenAndPlot:
         report.write_text(json.dumps({"reports": [{"bound": "prop5", "mc_allowance": 0.0}]}))
         assert cli.main(["plot", "--input", str(report), "--kind", "margins", "--out", str(tmp_path / "m.svg")]) == 4
         assert "verify.json: missing key 'slack'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, payload, message",
+        [
+            ("margins", [1, 2], "expected a JSON object, got list"),
+            ("margins", {"reports": 5}, "key 'reports' is not a list"),
+            ("margins", {"reports": [{"bound": "prop5", "slack": "x", "mc_allowance": 0.0}]}, "key 'slack' is not a number"),
+            ("risk", {"T": "x", "measured_risk": 1, "rhs": 2}, "key 'T' is not a number"),
+        ],
+        ids=["margins-list", "margins-reports-not-list", "margins-text-slack", "risk-text-T"],
+    )
+    def test_plot_of_wrongly_shaped_json_is_io_error(self, tmp_path, capsys, kind, payload, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["plot", "--input", str(path), "--kind", kind, "--out", str(tmp_path / "p.svg")]) == 4
+        assert f"input.json: {message}" in capsys.readouterr().err
 
     def test_plot_is_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")

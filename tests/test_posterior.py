@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqsew import posterior
 from seqsew.errors import (
     ArgumentError,
     ContractViolationError,
@@ -378,6 +379,45 @@ class TestMovePolicies:
         phi = np.array([0.4])
         got = quadrature_expectation(prior, cfg, rounds, 0.125, clipped_margin_integrand(phi, 1.5))
         assert got == pytest.approx(cloud.predict(phi, 1.5), abs=1e-15)
+
+
+class TestMetropolisKernel:
+    """The shared-coordinate, cache-blocked Metropolis step."""
+
+    N, T, D = 250, 7, 3
+
+    def _run(self, n_steps, seed=11):
+        rng = np.random.default_rng(seed)
+        phi = 5.0 * rng.uniform(-1, 1, size=(self.T, self.D))
+        y = rng.standard_normal(self.T)
+        b = np.full(self.T, 1.5)
+        prior = SparsityPrior(0.5, self.D)
+        samples = 0.5 * rng.standard_normal((self.N, self.D))
+        cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
+        before = samples.copy()
+        multiplier = posterior._metropolis_coordinate_steps(
+            samples, cum_loss, (phi, y, b), 0.1, prior, np.random.default_rng(seed + 1),
+            n_steps, np.full(self.D, 0.5), 1.0,
+        )
+        return before, samples, cum_loss, multiplier
+
+    def test_result_does_not_depend_on_block_size(self, monkeypatch):
+        rows = 16
+        assert rows < self.N and self.N % rows != 0
+        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * self.T * rows)
+        before, samples, cum_loss, multiplier = self._run(n_steps=20)
+        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * self.T * self.N)
+        _, whole_samples, whole_loss, whole_multiplier = self._run(n_steps=20)
+        assert not np.array_equal(samples, before)
+        assert np.array_equal(samples, whole_samples)
+        assert np.array_equal(cum_loss, whole_loss)
+        assert multiplier == whole_multiplier
+
+    def test_one_step_moves_one_shared_coordinate(self):
+        for seed in range(5):
+            before, samples, _, _ = self._run(n_steps=1, seed=seed)
+            changed = np.any(samples != before, axis=0)
+            assert np.count_nonzero(changed) == 1
 
 
 _PROPERTY_BACKENDS = {
