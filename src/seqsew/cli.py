@@ -1,9 +1,10 @@
 """Command-line surface: run forecasters, verify bounds, run batch-risk
 experiments, generate data, and plot results.
 
-One JSON config document is the single source of truth for an experiment;
-flags override individual fields.  Every command is deterministic given
-(config, seed): identical invocations produce byte-identical outputs.
+One JSON config document is the single source of truth for an experiment.
+It is checked once, with the flags applied, into the `_Config` that every
+command reads.  Every command is deterministic given (config, seed):
+identical invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 2 usage or config error, 3 bound-verification
 failure, 4 I/O or input-parse failure.
@@ -13,17 +14,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from . import _svg, batch as batch_mod, bounds as bounds_mod
-from .datagen import Dictionary, NoiseFamily, ScenarioSpec, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
+from .datagen import Dictionary, NoiseFamily, ScenarioSpec, checked_section, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
 from .errors import ArgumentError, ContractViolationError, DataError, StateError
 from .forecasters import ProtocolResult, ridge_baseline, run_protocol, seqsew_adaptive, seqsew_auto, seqsew_fixed
 from .posterior import BackendConfig
@@ -62,6 +64,7 @@ def _sanitize(obj: Any) -> Any:
 
 
 def _dump_json(path: Path, payload: dict[str, Any]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=1) + "\n")
 
 
@@ -72,6 +75,7 @@ def _cell(v: Any) -> str:
 
 
 def _write_csv(path: Path, schema: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         fh.write(f"# schema={schema}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -146,81 +150,91 @@ def _csv_floats(path: Path, column: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(args: argparse.Namespace) -> dict[str, Any]:
+# The parameters of each forecaster kind and their defaults (None: required).
+# A forecaster section holds "kind" and its kind's parameters, nothing else.
+_FORECASTER_PARAMS: dict[str, dict[str, float | None]] = {
+    "fixed": {"B": None, "eta": None, "tau": None},
+    "adaptive": {"tau": None},
+    "auto": {},
+    "ridge": {"regularization": 1.0},
+}
+
+
+@dataclass(frozen=True)
+class _Config:
+    """The checked config document with the flags applied; commands read only this."""
+
+    seed: int
+    scenario: dict[str, Any]  # the section as written; run_summary.json echoes it
+    spec: ScenarioSpec
+    backend: BackendConfig
+    forecaster_kind: str
+    forecaster: dict[str, float]
+    out_dir: Path
+
+
+def _load_config(args: argparse.Namespace) -> _Config:
     path = Path(args.config)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(text)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
-    if config.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
-        raise ArgumentError(f"unsupported config schema {config.get('schema')!r}")
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    backend = dict(config.get("backend", {}))
-    if getattr(args, "backend", None):
-        backend["backend"] = args.backend
-    if getattr(args, "samples", None):
-        backend["n_samples"] = args.samples
-    config["backend"] = backend
-    if getattr(args, "out", None):
-        config.setdefault("outputs", {})["dir"] = args.out
-    return config
+    checked_section(f"config {path}", raw, ("schema", "seed", "scenario", "forecaster", "backend", "outputs"))
+    if raw.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
+        raise ArgumentError(f"unsupported config schema {raw.get('schema')!r}")
+    seed = raw.get("seed", 0) if args.seed is None else args.seed
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ArgumentError(f"config 'seed' must be an integer, got {seed!r}")
 
-
-def _backend_config(config: dict[str, Any]) -> BackendConfig:
-    known = {f for f in BackendConfig.__dataclass_fields__}
-    fields = {k: v for k, v in config.get("backend", {}).items() if k in known}
-    return BackendConfig(**fields)
-
-
-def _scenario(config: dict[str, Any]) -> ScenarioSpec:
-    if "scenario" not in config:
+    if "scenario" not in raw:
         raise ArgumentError("config needs a 'scenario' section")
-    scenario = dict(config["scenario"])
-    scenario.setdefault("seed", int(config.get("seed", 0)))
-    return scenario_from_dict(scenario)
+    spec = scenario_from_dict(raw["scenario"])
+    if "seed" not in raw["scenario"]:
+        spec = replace(spec, seed=seed)
 
+    backend = dict(checked_section("config section 'backend'", raw.get("backend", {}), BackendConfig.__dataclass_fields__))
+    for key, flag in (("backend", args.backend), ("n_samples", args.samples)):
+        if flag is not None:
+            backend[key] = flag
+    try:
+        backend_config = BackendConfig(**backend)
+    except TypeError as exc:  # a value of the wrong type
+        raise ArgumentError(f"invalid backend config: {exc}") from exc
 
-def _forecaster(config: dict[str, Any], dim: int, backend: BackendConfig, seed_offset: int = 1):
-    fc = config.get("forecaster", {"kind": "adaptive", "tau": 1.0})
-    kind = fc.get("kind", "adaptive")
-    master = int(config.get("seed", 0))
-    rng = np.random.default_rng(np.random.SeedSequence([master, seed_offset]))
-
-    def param(key: str) -> float:
-        if key not in fc:
+    fc = raw.get("forecaster", {"kind": "adaptive", "tau": 1.0})
+    kind = fc.get("kind", "adaptive") if isinstance(fc, dict) else "adaptive"
+    if not isinstance(kind, str) or kind not in _FORECASTER_PARAMS:
+        raise ArgumentError(f"unknown forecaster kind {kind!r}")
+    checked_section("config section 'forecaster'", fc, ("kind", *_FORECASTER_PARAMS[kind]))
+    params = {}
+    for key, default in _FORECASTER_PARAMS[kind].items():
+        if key not in fc and default is None:
             raise ArgumentError(f"forecaster kind {kind!r} needs {key!r}")
         try:
-            return float(fc[key])
+            params[key] = float(fc.get(key, default))
         except (TypeError, ValueError) as exc:
             raise ArgumentError(f"forecaster {key!r} must be a number, got {fc[key]!r}") from exc
 
-    if kind == "fixed":
-        B, eta, tau = param("B"), param("eta"), param("tau")
-        if eta > 1.0 / (8.0 * B * B) * (1.0 + 1e-12):
-            print(
-                f"warning: eta={eta} exceeds 1/(8 B^2)={1.0 / (8 * B * B)}; "
-                "the fixed-forecaster guarantee does not cover this tuning",
-                file=sys.stderr,
-            )
-        return seqsew_fixed(dim, B, eta, tau, backend, seed=rng)
-    if kind == "adaptive":
-        return seqsew_adaptive(dim, param("tau"), backend, seed=rng)
-    if kind == "auto":
-        return seqsew_auto(dim, backend, seed=np.random.SeedSequence([master, seed_offset]))
-    if kind == "ridge":
-        return ridge_baseline(dim, float(fc.get("regularization", 1.0)))
-    raise ArgumentError(f"unknown forecaster kind {kind!r}")
+    out_dir = args.out or checked_section("config section 'outputs'", raw.get("outputs", {}), ("dir",)).get("dir", ".")
+    if not isinstance(out_dir, str):
+        raise ArgumentError(f"config section 'outputs' key 'dir' must be a string, got {out_dir!r}")
+    return _Config(seed, raw["scenario"], spec, backend_config, kind, params, Path(out_dir))
 
 
-def _out_dir(config: dict[str, Any]) -> Path:
-    out = Path(config.get("outputs", {}).get("dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _forecaster(config: _Config, seed_offset: int):
+    p, dim = config.forecaster, config.spec.dictionary.d
+    seed = np.random.SeedSequence([config.seed, seed_offset])
+    if config.forecaster_kind == "fixed":
+        return seqsew_fixed(dim, p["B"], p["eta"], p["tau"], config.backend, seed=np.random.default_rng(seed))
+    if config.forecaster_kind == "adaptive":
+        return seqsew_adaptive(dim, p["tau"], config.backend, seed=np.random.default_rng(seed))
+    if config.forecaster_kind == "auto":
+        return seqsew_auto(dim, config.backend, seed=seed)
+    return ridge_baseline(dim, p["regularization"])
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +242,22 @@ def _out_dir(config: dict[str, Any]) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _execute_run(config: dict[str, Any], seed_offset: int = 1) -> tuple[ProtocolResult, ScenarioSpec]:
-    spec = _scenario(config)
-    dictionary = Dictionary(spec.dictionary)
-    sequence = gen_individual_sequence(spec)
-    backend = _backend_config(config)
-    forecaster = _forecaster(config, dictionary.d, backend, seed_offset=seed_offset)
-    return run_protocol(forecaster, sequence, dictionary), spec
+def _runs(config: _Config) -> Iterator[ProtocolResult]:
+    """Fresh forecasters, seeded 1, 2, ..., played on the scenario's one sequence."""
+    dictionary = Dictionary(config.spec.dictionary)
+    sequence = gen_individual_sequence(config.spec)
+    p = config.forecaster
+    if config.forecaster_kind == "fixed" and 8.0 * p["eta"] * p["B"] * p["B"] > 1.0 + 1e-12:
+        print(f"warning: eta={p['eta']} exceeds 1/(8 B^2)={1.0 / (8 * p['B'] * p['B'])}; "
+              "the fixed-forecaster guarantee does not cover this tuning", file=sys.stderr)
+    for seed_offset in itertools.count(1):
+        yield run_protocol(_forecaster(config, seed_offset), sequence, dictionary)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result, spec = _execute_run(config)
-    out = _out_dir(config)
+    result = next(_runs(config))
+    out = config.out_dir
 
     rows = [
         [r.t, r.y, r.yhat, r.loss, r.cumloss, r.B, r.eta, r.regime, r.ess]
@@ -251,7 +268,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     stats = bounds_mod.SequenceStats.from_arrays(result.features, result.y)
     summary = {
         "schema": "seqsew.run-summary.v1",
-        "seed": int(config.get("seed", 0)),
+        "seed": config.seed,
         "T": stats.T,
         "cumulative_loss": result.cumulative_loss,
         "forecaster": result.forecaster_info,
@@ -265,7 +282,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "ends": result.regime_bounds[1] if result.regime_bounds else [],
             },
         },
-        "scenario": config.get("scenario", {}),
+        "scenario": config.scenario,
     }
     _dump_json(out / "run_summary.json", summary)
     print(f"wrote {out / 'run.csv'} and {out / 'run_summary.json'}")
@@ -297,19 +314,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if b not in bounds_mod.BOUND_NAMES:
             raise ArgumentError(f"unknown bound {b!r}; choose from {', '.join(bounds_mod.BOUND_NAMES)}")
 
-    result, spec = _execute_run(config)
-    backend = _backend_config(config)
+    runs = _runs(config)
+    result = next(runs)
     stats = bounds_mod.SequenceStats.from_arrays(result.features, result.y)
 
+    replays = args.replays if config.backend.backend != "quadrature" else 0
     mc_allowance = 0.0
-    if backend.backend != "quadrature" and args.replays >= 2:
-        losses = [result.cumulative_loss]
-        for i in range(1, args.replays):
-            replay, _ = _execute_run(config, seed_offset=1 + i)
-            losses.append(replay.cumulative_loss)
+    if replays >= 2:
+        losses = [result.cumulative_loss] + [next(runs).cumulative_loss for _ in range(1, replays)]
         mc_allowance = bounds_mod.mc_allowance_from_replays(losses)
 
-    comparators = _comparator_set(result, spec, [c.strip() for c in args.comparators.split(",")])
+    comparators = _comparator_set(result, config.spec, [c.strip() for c in args.comparators.split(",")])
     info = result.forecaster_info
     reports = []
     for bound in bound_names:
@@ -321,19 +336,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             elif bound == "cor6":
                 kwargs["B_Phi"] = 1.0 / info["tau"] ** 2
             elif bound == "cor9":
-                kwargs["s"] = max(comp.l0, spec.s)
+                kwargs["s"] = max(comp.l0, config.spec.s)
                 kwargs["U"] = max(comp.l1, 1.0)
             report = bounds_mod.verify(result, bound, comp, **kwargs)
             entry = report.to_json_dict()
             entry["comparator"] = cname
             reports.append(entry)
 
-    out = _out_dir(config)
+    out = config.out_dir
     payload = {
         "schema": "seqsew.verify.v1",
-        "seed": int(config.get("seed", 0)),
-        "backend": backend.backend,
-        "replays": args.replays if backend.backend != "quadrature" else 0,
+        "seed": config.seed,
+        "backend": config.backend.backend,
+        "replays": replays,
         "mc_allowance": mc_allowance,
         "T": stats.T,
         "reports": reports,
@@ -346,7 +361,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    out = _out_dir(config)
+    out = config.out_dir
     variant = args.variant
     if variant in ("thm10", "cor12", "thm13", "cor14"):
         payload, reps = _batch_risk(config, variant, args.replications, args.n_eval)
@@ -365,13 +380,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _batch_risk(config: dict[str, Any], variant: str, replications: int, n_eval: int):
+def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
     """Fit and score reseeded draws of the scenario, and compare the mean
     risk with the variant's bound at the true coefficients.  Every
     precondition of the variant is checked before the first fit."""
     if replications < 1:
         raise ArgumentError(f"batch risk needs replications >= 1, got {replications}")
-    spec = _scenario(config)
+    spec = config.spec
     fixed_design = variant in ("thm13", "cor14")
     if fixed_design and spec.design != "fixed_grid":
         raise ArgumentError(f"{variant} needs the fixed_grid design")
@@ -384,17 +399,15 @@ def _batch_risk(config: dict[str, Any], variant: str, replications: int, n_eval:
         if closed.get("f_inf") is None:
             raise ArgumentError("cor12 needs a bounded regression function")
 
-    backend = _backend_config(config)
-    master = int(config.get("seed", 0))
     dictionary = Dictionary(spec.dictionary)
     fit = batch_mod.fit_fixed_design if fixed_design else batch_mod.fit_random_design
     risks, max_y_sq = [], []
     for i in range(replications):
         rep_spec = replace(spec, seed=spec.seed + 1000 * (i + 1))
         samples, rep_truth, _ = gen_stochastic(rep_spec)
-        fit_rng = np.random.default_rng(np.random.SeedSequence([master, 50 + i]))
-        est = fit(samples, dictionary, backend, seed=fit_rng)
-        rng_eval = np.random.default_rng(np.random.SeedSequence([master, 90 + i]))
+        fit_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 50 + i]))
+        est = fit(samples, dictionary, config.backend, seed=fit_rng)
+        rng_eval = np.random.default_rng(np.random.SeedSequence([config.seed, 90 + i]))
         risks.append(batch_mod.risk(est, rep_truth, design_sampler(rep_spec), n_eval=n_eval, rng=rng_eval))
         max_y_sq.append(max(y * y for _, y in samples))
     e_max_y_sq = float(np.mean(max_y_sq))
@@ -438,9 +451,7 @@ def _batch_risk(config: dict[str, Any], variant: str, replications: int, n_eval:
     return payload, (["rep", "risk"], [[i, r] for i, r in enumerate(risks)])
 
 
-def _batch_family_sweep(config: dict[str, Any], replications: int):
-    spec = _scenario(config)
-    master = int(config.get("seed", 0))
+def _batch_family_sweep(config: _Config, replications: int):
     families = [
         NoiseFamily.bounded(1.0),
         NoiseFamily.subgaussian(1.0),
@@ -451,10 +462,10 @@ def _batch_family_sweep(config: dict[str, Any], replications: int):
     rows = []
     reps = max(replications, 100)
     for k, family in enumerate(families):
-        rng = np.random.default_rng(np.random.SeedSequence([master, 300 + k]))
-        draws = family.draw(rng, (reps, spec.T))
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 300 + k]))
+        draws = family.draw(rng, (reps, config.spec.T))
         measured = batch_mod.empirical_max_sq(draws)
-        cap = spec.T * batch_mod.psi_bound(family, spec.T)
+        cap = config.spec.T * batch_mod.psi_bound(family, config.spec.T)
         table.append(
             {
                 "family": family.kind,
@@ -467,7 +478,7 @@ def _batch_family_sweep(config: dict[str, Any], replications: int):
     payload = {
         "schema": "seqsew.batch.v1",
         "variant": "cor11",
-        "T": spec.T,
+        "T": config.spec.T,
         "replications": reps,
         "families": table,
         "pass": bool(all(e["pass"] for e in table)),
@@ -475,10 +486,8 @@ def _batch_family_sweep(config: dict[str, Any], replications: int):
     return payload, (["family", "measured_e_max_sq", "analytic_cap"], rows)
 
 
-def _batch_remark15(config: dict[str, Any], shift: float):
-    spec = _scenario(config)
-    backend = _backend_config(config)
-    master = int(config.get("seed", 0))
+def _batch_remark15(config: _Config, shift: float):
+    spec = config.spec
     dictionary = Dictionary(spec.dictionary)
     raw_samples, f_truth, _ = gen_stochastic(spec)
     # Quantize outcomes (and the shift) to multiples of 2^-20 so that every
@@ -490,11 +499,11 @@ def _batch_remark15(config: dict[str, Any], shift: float):
     samples = [(x, round(y / quantum) * quantum) for x, y in raw_samples]
     shifted = [(x, y + shift) for x, y in samples]
 
-    est_base = batch_mod.fit_remark15(
-        samples, dictionary, backend, seed=np.random.default_rng(np.random.SeedSequence([master, 50]))
-    )
-    est_shift = batch_mod.fit_remark15(
-        shifted, dictionary, backend, seed=np.random.default_rng(np.random.SeedSequence([master, 50]))
+    est_base, est_shift = (
+        batch_mod.fit_remark15(
+            data, dictionary, config.backend, seed=np.random.default_rng(np.random.SeedSequence([config.seed, 50]))
+        )
+        for data in (samples, shifted)
     )
     probe = [x for x, _ in samples[: min(16, len(samples))]]
     comps_base = [est_base.predict_components(x) for x in probe]
@@ -523,15 +532,10 @@ def _batch_remark15(config: dict[str, Any], shift: float):
 
 def cmd_gen(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    spec = _scenario(config)
-    sequence = gen_individual_sequence(spec)
-    out = _out_dir(config)
-    first_x = np.atleast_1d(np.asarray(sequence[0][0], dtype=float))
-    header = ["t"] + [f"x_{j + 1}" for j in range(first_x.size)] + ["y"]
-    rows = []
-    for t, (x, y) in enumerate(sequence, start=1):
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        rows.append([t, *xv.tolist(), y])
+    sequence = gen_individual_sequence(config.spec)
+    out = config.out_dir
+    rows = [[t, *np.atleast_1d(np.asarray(x, dtype=float)).tolist(), y] for t, (x, y) in enumerate(sequence, start=1)]
+    header = ["t"] + [f"x_{j}" for j in range(1, len(rows[0]) - 1)] + ["y"]
     path = out / "dataset.csv"
     _write_csv(path, DATASET_CSV_SCHEMA, header, rows)
     print(f"wrote {path}")
@@ -557,11 +561,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         pairs = [(t, b) for t, b in zip(_csv_floats(p, "t"), _csv_floats(p, "B_t")) if math.isfinite(b)]
         if not pairs:
             raise ArgumentError(f"{p}: no rounds with a finite threshold to plot")
-        ts = [t for t, _ in pairs]
-        bs = [b for _, b in pairs]
         xs, ys = [], []
-        for i, (t, b) in enumerate(zip(ts, bs)):
-            if i > 0:
+        for t, b in pairs:
+            if ys:
                 xs.append(t)
                 ys.append(ys[-1])
             xs.append(t)
@@ -663,10 +665,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ArgumentError, ContractViolationError, StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_IO
 

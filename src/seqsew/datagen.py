@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 from scipy.special import gammaln
@@ -205,22 +205,17 @@ def _dictionary_inputs(spec: ScenarioSpec, rng: np.random.Generator) -> list[Any
     scale = spec.design_scale
     if kind == "random_signs":
         return list(range(spec.T))
-    if kind == "fourier":
-        if spec.design == "fixed_grid":
-            size = spec.grid_size or spec.T
-            grid = np.linspace(0.0, 1.0, size, endpoint=False)
-            return [float(grid[t % size]) for t in range(spec.T)]
-        return [float(v) for v in rng.random(spec.T)]
-    # coordinate features: inputs are vectors in R^d
-    if spec.design == "iid_uniform":
-        return [rng.uniform(-scale, scale, size=spec.d) for _ in range(spec.T)]
-    if spec.design == "iid_gaussian":
-        return [scale * rng.standard_normal(spec.d) for _ in range(spec.T)]
     if spec.design == "fixed_grid":
         size = spec.grid_size or spec.T
+        if kind == "fourier":
+            grid = np.linspace(0.0, 1.0, size, endpoint=False)
+            return [float(grid[t % size]) for t in range(spec.T)]
         base = np.linspace(-scale, scale, size)
         return [np.full(spec.d, base[t % size]) for t in range(spec.T)]
-    # adversarial_script: deterministic alternating ramp, no randomness
+    if kind == "fourier" or spec.design != "adversarial_script":
+        # The i.i.d. designs: the same draws as the risk evaluation's.
+        return design_sampler(spec)(rng, spec.T)
+    # adversarial_script on coordinate inputs: deterministic alternating ramp
     out = []
     for t in range(spec.T):
         v = np.zeros(spec.d)
@@ -238,24 +233,23 @@ def _amplitude_factors(spec: ScenarioSpec) -> np.ndarray:
     return factors
 
 
-def gen_individual_sequence(spec: ScenarioSpec) -> list[tuple[Any, float]]:
-    """A deterministic (x_t, y_t) sequence: y = u_true . phi(x) plus the
-    scenario's noise, then scaled by the amplitude script."""
+def _samples(spec: ScenarioSpec) -> tuple[list[tuple[Any, float]], Dictionary, np.ndarray]:
+    """The (x_t, u_true . phi(x_t) + noise_t) pairs both generators draw,
+    with the dictionary and the u_true they used."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     dictionary = Dictionary(spec.dictionary)
     xs = _dictionary_inputs(spec, rng)
     u = spec.resolved_u_true()
-    noise = (
-        spec.noise.draw(rng, spec.T)
-        if spec.noise is not None
-        else np.zeros(spec.T)
-    )
+    noise = spec.noise.draw(rng, spec.T) if spec.noise is not None else np.zeros(spec.T)
+    return [(x, float(u @ dictionary.features(x)) + float(noise[t])) for t, x in enumerate(xs)], dictionary, u
+
+
+def gen_individual_sequence(spec: ScenarioSpec) -> list[tuple[Any, float]]:
+    """A deterministic (x_t, y_t) sequence: y = u_true . phi(x) plus the
+    scenario's noise, then scaled by the amplitude script."""
+    samples, _, _ = _samples(spec)
     factors = _amplitude_factors(spec)
-    sequence = []
-    for t, x in enumerate(xs):
-        y = float(u @ dictionary.features(x)) + float(noise[t])
-        sequence.append((x, factors[t] * y))
-    return sequence
+    return [(x, factors[t] * y) for t, (x, y) in enumerate(samples)]
 
 
 def gen_stochastic(
@@ -274,14 +268,7 @@ def gen_stochastic(
         raise ArgumentError("stochastic generation needs a noise family")
     if spec.amplitude_script:
         raise ArgumentError("amplitude scripts apply to individual sequences only")
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    dictionary = Dictionary(spec.dictionary)
-    xs = _dictionary_inputs(spec, rng)
-    u = spec.resolved_u_true()
-    eps = spec.noise.draw(rng, spec.T)
-    samples = [
-        (x, float(u @ dictionary.features(x)) + float(eps[t])) for t, x in enumerate(xs)
-    ]
+    samples, dictionary, u = _samples(spec)
 
     def f_truth(x: Any) -> float:
         return float(u @ dictionary.features(x))
@@ -387,9 +374,22 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict[str, Any]:
     return out
 
 
+def checked_section(where: str, data: Any, keys: Iterable[str]) -> dict[str, Any]:
+    """``data`` if it is a JSON object with no key outside ``keys``; else an
+    ArgumentError naming ``where`` and the offending key."""
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{where} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ArgumentError(f"{where} has unknown key {unknown[0]!r}")
+    return data
+
+
 def scenario_from_dict(data: dict[str, Any]) -> ScenarioSpec:
+    """The inverse of :func:`scenario_to_dict`; refuses a key that is no spec field."""
+    checked_section("scenario", data, ScenarioSpec.__dataclass_fields__)
     try:
-        dict_data = data.get("dictionary", {})
+        dict_data = checked_section("scenario 'dictionary'", data.get("dictionary", {}), DictionarySpec.__dataclass_fields__)
         dictionary = DictionarySpec(
             kind=dict_data.get("kind", "coordinate"),
             d=int(dict_data.get("d", data["d"])),
@@ -398,7 +398,7 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioSpec:
         )
         noise = None
         if "noise" in data and data["noise"] is not None:
-            nd = data["noise"]
+            nd = checked_section("scenario 'noise'", data["noise"], NoiseFamily.__dataclass_fields__)
             kind = nd["kind"]
             if kind == "bd":
                 noise = NoiseFamily.bounded(float(nd["B"]))

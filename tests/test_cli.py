@@ -101,6 +101,26 @@ class TestRun:
         assert cli.main([*command, "--config", str(cfg)]) == 4
         assert "error: round 15: outcome" in capsys.readouterr().err
 
+    def test_overheated_fixed_tuning_warns_once_per_command(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            forecaster={"kind": "fixed", "B": 16.0, "eta": 1.0, "tau": 0.5},
+            backend={"backend": "importance", "n_samples": 200},
+        )
+        # All four replays play before prop2 refuses the tuning.
+        assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop2", "--replays", "4"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: prop2 requires eta <= 1/(8 B^2)"
+        warnings = [line for line in err if line.startswith("warning:")]
+        assert len(warnings) == 1 and "guarantee" in warnings[0]
+
+    @pytest.mark.parametrize("samples", [0, 50])
+    def test_too_few_samples_flag_is_usage_error(self, tmp_path, capsys, samples):
+        cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 400})
+        assert cli.main(["run", "--config", str(cfg), "--samples", str(samples)]) == 2
+        assert "error: stochastic backends need n_samples >= 100" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_overheated_fixed_tuning_warns_but_runs(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path / "cfg.json",
@@ -136,7 +156,82 @@ class TestRun:
         assert proc.stdout.startswith("usage: seqsew")
 
 
+def _edited_config(path: Path, edit) -> Path:
+    """A valid config with ``edit`` applied to its parsed JSON; ``edit``
+    returns the document to write."""
+    config = edit(json.loads(_write_config(path).read_text()))
+    path.write_text(json.dumps(config))
+    return path
+
+
+class TestConfig:
+    """The config is checked once, before any command does work: a
+    malformed one exits 2 naming the key or section and writes nothing."""
+
+    @pytest.mark.parametrize("command", [["gen"], ["run"], ["verify", "--bounds", "prop5"], ["batch", "--variant", "thm10"]])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: {**c, "forecaster": 5}, "config section 'forecaster' must be a JSON object, got int"),
+            (lambda c: {**c, "backend": 5}, "config section 'backend' must be a JSON object, got int"),
+            (lambda c: {**c, "scenario": [1]}, "scenario must be a JSON object, got list"),
+            (lambda c: {**c, "seed": "x"}, "config 'seed' must be an integer, got 'x'"),
+            (lambda c: [c], "cfg.json must be a JSON object, got list"),
+            (
+                lambda c: {**c, "backend": {"backend": "importance", "n_sample": 100, "ess_flor": 0.9}},
+                "config section 'backend' has unknown key 'ess_flor'",
+            ),
+            (lambda c: {**c, "scenario": {**c["scenario"], "desing_scale": 2.0}}, "scenario has unknown key 'desing_scale'"),
+            (
+                lambda c: {**c, "forecaster": {"kind": "ridge", "regularisation": 2.0}},
+                "config section 'forecaster' has unknown key 'regularisation'",
+            ),
+            (lambda c: {**c, "ouputs": c["outputs"]}, "cfg.json has unknown key 'ouputs'"),
+            (lambda c: {**c, "seed": 1.7}, "config 'seed' must be an integer, got 1.7"),
+        ],
+        ids=[
+            "forecaster-int", "backend-int", "scenario-list", "seed-text", "top-level-list",
+            "backend-keys", "scenario-key", "forecaster-key", "top-level-key", "seed-float",
+        ],
+    )
+    def test_malformed_config_exits_two_and_writes_nothing(self, tmp_path, capsys, command, edit, message):
+        cfg = _edited_config(tmp_path / "cfg.json", edit)
+        assert cli.main([*command, "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("### Config schema")[1].split("```json")[1].split("```")[0]
+        cfg = tmp_path / "readme.json"
+        cfg.write_text("\n".join(line.split("//")[0] for line in example.splitlines()))
+        assert cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "dataset.csv").exists()
+
+
 class TestVerify:
+    @pytest.mark.parametrize(
+        "forecaster, command, n_reports",
+        [
+            ({"kind": "auto"}, ["verify", "--bounds", "thm8,cor9"], 6),
+            ({"kind": "fixed", "B": 4.0, "eta": 1.0 / 128, "tau": 0.5}, ["verify", "--bounds", "prop2,cor3"], 6),
+            ({"kind": "adaptive", "tau": 0.2}, ["verify", "--bounds", "prop5"], 3),
+            ({"kind": "ridge"}, ["run"], 0),
+        ],
+        ids=["auto", "fixed", "adaptive", "ridge"],
+    )
+    def test_every_forecaster_kind_through_the_cli(self, tmp_path, forecaster, command, n_reports):
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            scenario=_stochastic_scenario(d=2, u_true=[1.0, 0.0], dictionary={"kind": "coordinate", "d": 2}),
+            forecaster=forecaster,
+            backend={"backend": "quadrature", "grid_points_per_dim": 129},
+        )
+        assert cli.main([*command, "--config", str(cfg)]) == 0
+        if n_reports:
+            reports = json.loads((tmp_path / "out" / "verify.json").read_text())["reports"]
+            assert len(reports) == n_reports and all(r["pass"] for r in reports)
+
     def test_quadrature_reports_pass_with_zero_allowance(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
         code = cli.main(["verify", "--config", str(cfg), "--bounds", "prop5"])

@@ -2,6 +2,7 @@
 family contracts the risk corollaries assume."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ class TestStochasticGeneration:
         assert len(pts) == 50
         assert all(np.all(np.abs(p) <= spec.design_scale) for p in pts)
 
+    @pytest.mark.parametrize(
+        "kind, design", [("coordinate", "iid_uniform"), ("coordinate", "iid_gaussian"), ("fourier", "iid_uniform")]
+    )
+    def test_iid_training_inputs_are_design_sampler_draws(self, kind, design):
+        spec = _spec(
+            design=design, design_scale=1.7, noise=NoiseFamily.subgaussian(0.5), dictionary=DictionarySpec(kind=kind, d=2)
+        )
+        samples, _, _ = gen_stochastic(spec)
+        expected = design_sampler(spec)(np.random.default_rng(np.random.SeedSequence([spec.seed, 0])), spec.T)
+        assert len(samples) == len(expected) == spec.T
+        for (x, _), e in zip(samples, expected):
+            assert np.array_equal(x, e)
+
 
 class TestFixedGrid:
     def test_duplicates_appear_when_grid_smaller_than_horizon(self):
@@ -211,3 +225,24 @@ class TestConfigRoundTrip:
     def test_invalid_config_reports_cleanly(self):
         with pytest.raises(ArgumentError):
             scenario_from_dict({"d": 2})  # T missing
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"T": 5, "d": 1, "desing_scale": 2.0}, "scenario has unknown key 'desing_scale'"),
+            ({"T": 5, "d": 1, "dictionary": {"normalisation": 2.0}}, "scenario 'dictionary' has unknown key 'normalisation'"),
+            ({"T": 5, "d": 1, "noise": {"kind": "sg", "sigma": 1.0}}, "scenario 'noise' has unknown key 'sigma'"),
+            ({"T": 5, "d": 1, "noise": [1]}, "scenario 'noise' must be a JSON object, got list"),
+            ([1], "scenario must be a JSON object, got list"),
+        ],
+        ids=["scenario-key", "dictionary-key", "noise-key", "noise-list", "scenario-list"],
+    )
+    def test_unknown_keys_and_non_objects_are_refused(self, data, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            scenario_from_dict(data)
+
+    def test_every_noise_field_is_an_accepted_key(self):
+        spec = _spec(noise=NoiseFamily.bounded(2.0))
+        data = scenario_to_dict(spec)
+        assert set(data["noise"]) == {"kind", "B", "sigma_sq", "alpha", "M"}
+        assert scenario_from_dict(data) == spec

@@ -461,3 +461,29 @@ class TestBackendProperties:
             for name in ("samples", "log_weights", "cum_loss"):
                 assert np.array_equal(getattr(restored, name), getattr(snap, name))
             assert restored.eta == snap.eta and restored.backend == snap.backend
+
+
+class TestNumericalEdgeCases:
+    @pytest.mark.parametrize("backend", ["importance", "chain", "quadrature"])
+    def test_tiny_tau_keeps_predictions_finite_and_clipped(self, backend):
+        cfg = BackendConfig(backend=backend, n_samples=300, burn_in=3, grid_points_per_dim=129)
+        f = SeqSEWAdaptive(2, 1e-8, cfg, seed=0)
+        rng = np.random.default_rng(2)
+        for _ in range(15):
+            b = f.state.B
+            yhat = f.predict(rng.uniform(-1, 1, 2))
+            assert math.isfinite(yhat) and abs(yhat) <= b
+            f.observe(float(rng.standard_normal()))
+
+    def test_fully_collapsed_ess_resamples_to_a_finite_cloud(self):
+        cloud = init(SparsityPrior(0.5, 2), BackendConfig(backend="importance", n_samples=500), np.random.default_rng(1))
+        phi = np.array([10.0, 10.0])
+        cloud.predict(phi, 64.0)
+        cloud.update(phi, 50.0, 64.0, 1e3)  # one particle holds all the weight
+        assert cloud.resample_count == 1
+        ess = cloud.ess()
+        assert math.isfinite(ess) and ess > 0.0
+        assert np.isfinite(cloud.cum_loss).all()
+        assert math.isfinite(cloud.predict(phi, 64.0))
+        cloud.update(phi, 50.0, 64.0, 1e3)
+        assert math.isfinite(cloud.predict(np.array([1.0, -2.0]), 64.0))
