@@ -20,12 +20,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
 from . import _svg, batch as batch_mod, bounds as bounds_mod
-from .datagen import Dictionary, NoiseFamily, ScenarioSpec, checked_section, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
+from .datagen import Dictionary, NoiseFamily, ScenarioSpec, checked_number, checked_section, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
 from .errors import ArgumentError, ContractViolationError, DataError, StateError
 from .forecasters import ProtocolResult, ridge_baseline, run_protocol, seqsew_adaptive, seqsew_auto, seqsew_fixed
 from .posterior import BackendConfig
@@ -196,14 +196,20 @@ def _load_config(args: argparse.Namespace) -> _Config:
     if "seed" not in raw["scenario"]:
         spec = replace(spec, seed=seed)
 
-    backend = dict(checked_section("config section 'backend'", raw.get("backend", {}), BackendConfig.__dataclass_fields__))
+    field_types = get_type_hints(BackendConfig)
+    backend = dict(checked_section("config section 'backend'", raw.get("backend", {}), field_types))
     for key, flag in (("backend", args.backend), ("n_samples", args.samples)):
         if flag is not None:
             backend[key] = flag
-    try:
-        backend_config = BackendConfig(**backend)
-    except TypeError as exc:  # a value of the wrong type
-        raise ArgumentError(f"invalid backend config: {exc}") from exc
+    for key, value in backend.items():
+        label = f"config section 'backend' key {key!r}"
+        if field_types[key] in (int, float):
+            backend[key] = checked_number(label, value, field_types[key])
+        elif key == "grid_nodes" and value is not None:
+            if not (isinstance(value, list) and all(isinstance(nodes, list) for nodes in value)):
+                raise ArgumentError(f"{label} must be a list of node lists, got {value!r}")
+            backend[key] = tuple(tuple(checked_number(label, v, float) for v in nodes) for nodes in value)
+    backend_config = BackendConfig(**backend)
 
     fc = raw.get("forecaster", {"kind": "adaptive", "tau": 1.0})
     kind = fc.get("kind", "adaptive") if isinstance(fc, dict) else "adaptive"
@@ -214,10 +220,7 @@ def _load_config(args: argparse.Namespace) -> _Config:
     for key, default in _FORECASTER_PARAMS[kind].items():
         if key not in fc and default is None:
             raise ArgumentError(f"forecaster kind {kind!r} needs {key!r}")
-        try:
-            params[key] = float(fc.get(key, default))
-        except (TypeError, ValueError) as exc:
-            raise ArgumentError(f"forecaster {key!r} must be a number, got {fc[key]!r}") from exc
+        params[key] = checked_number(f"forecaster {key!r}", fc.get(key, default), float)
 
     out_dir = args.out or checked_section("config section 'outputs'", raw.get("outputs", {}), ("dir",)).get("dir", ".")
     if not isinstance(out_dir, str):
@@ -313,6 +316,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for b in bound_names:
         if b not in bounds_mod.BOUND_NAMES:
             raise ArgumentError(f"unknown bound {b!r}; choose from {', '.join(bounds_mod.BOUND_NAMES)}")
+
+    if args.replays < 0:
+        raise ArgumentError(f"verify needs replays >= 0, got {args.replays}")
 
     runs = _runs(config)
     result = next(runs)

@@ -9,6 +9,7 @@ that certify the parameters they satisfy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -385,43 +386,66 @@ def checked_section(where: str, data: Any, keys: Iterable[str]) -> dict[str, Any
     return data
 
 
+def checked_number(label: str, value: Any, kind: type) -> Any:
+    """``value`` as ``kind`` (int or float) if it is a number of that kind:
+    an integer for int, any real for float, never a bool.  Otherwise an
+    ArgumentError that starts with ``label``; nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        noun = "an integer" if kind is int else "a number"
+        raise ArgumentError(f"{label} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def scenario_from_dict(data: dict[str, Any]) -> ScenarioSpec:
-    """The inverse of :func:`scenario_to_dict`; refuses a key that is no spec field."""
+    """The inverse of :func:`scenario_to_dict`; refuses a key that is no
+    spec field and a value of the wrong type."""
     checked_section("scenario", data, ScenarioSpec.__dataclass_fields__)
+
+    def number(where: str, section: dict[str, Any], key: str, kind: type, default: Any = None) -> Any:
+        """``section[key]`` checked as ``kind``; required when there is no default."""
+        value = section[key] if default is None else section.get(key, default)
+        return checked_number(f"{where} key {key!r}", value, kind)
+
     try:
+        d = number("scenario", data, "d", int)
         dict_data = checked_section("scenario 'dictionary'", data.get("dictionary", {}), DictionarySpec.__dataclass_fields__)
         dictionary = DictionarySpec(
             kind=dict_data.get("kind", "coordinate"),
-            d=int(dict_data.get("d", data["d"])),
-            normalization=float(dict_data.get("normalization", 1.0)),
-            seed=int(dict_data.get("seed", 0)),
+            d=number("scenario 'dictionary'", dict_data, "d", int, d),
+            normalization=number("scenario 'dictionary'", dict_data, "normalization", float, 1.0),
+            seed=number("scenario 'dictionary'", dict_data, "seed", int, 0),
         )
         noise = None
         if "noise" in data and data["noise"] is not None:
             nd = checked_section("scenario 'noise'", data["noise"], NoiseFamily.__dataclass_fields__)
             kind = nd["kind"]
             if kind == "bd":
-                noise = NoiseFamily.bounded(float(nd["B"]))
+                noise = NoiseFamily.bounded(number("scenario 'noise'", nd, "B", float))
             elif kind == "sg":
-                noise = NoiseFamily.subgaussian(float(nd["sigma_sq"]))
+                noise = NoiseFamily.subgaussian(number("scenario 'noise'", nd, "sigma_sq", float))
             elif kind == "bem":
-                noise = NoiseFamily.bounded_exp_moment(float(nd["alpha"]), float(nd.get("M", 2.0)))
+                noise = NoiseFamily.bounded_exp_moment(
+                    number("scenario 'noise'", nd, "alpha", float), number("scenario 'noise'", nd, "M", float, 2.0)
+                )
             elif kind == "bm":
-                noise = NoiseFamily.bounded_moment(float(nd["alpha"]), float(nd["M"]))
+                noise = NoiseFamily.bounded_moment(number("scenario 'noise'", nd, "alpha", float), number("scenario 'noise'", nd, "M", float))
             else:
                 raise ArgumentError(f"unknown noise kind {kind!r}")
         return ScenarioSpec(
-            T=int(data["T"]),
-            d=int(data["d"]),
-            s=int(data.get("s", 0)),
-            u_true=tuple(float(v) for v in data["u_true"]) if "u_true" in data else None,
+            T=number("scenario", data, "T", int),
+            d=d,
+            s=number("scenario", data, "s", int, 0),
+            u_true=tuple(checked_number("scenario key 'u_true'", v, float) for v in data["u_true"]) if "u_true" in data else None,
             design=data.get("design", "iid_uniform"),
             noise=noise,
-            seed=int(data.get("seed", 0)),
+            seed=number("scenario", data, "seed", int, 0),
             dictionary=dictionary,
-            amplitude_script=tuple((int(t), float(f)) for t, f in data.get("amplitude_script", [])),
-            design_scale=float(data.get("design_scale", 1.0)),
-            grid_size=int(data["grid_size"]) if data.get("grid_size") is not None else None,
+            amplitude_script=tuple(
+                (checked_number("scenario key 'amplitude_script'", t, int), checked_number("scenario key 'amplitude_script'", f, float))
+                for t, f in data.get("amplitude_script", [])
+            ),
+            design_scale=number("scenario", data, "design_scale", float, 1.0),
+            grid_size=number("scenario", data, "grid_size", int) if data.get("grid_size") is not None else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"invalid scenario config: {exc}") from exc

@@ -138,7 +138,8 @@ class _ForecasterBase:
     def predict(self, features: np.ndarray) -> float:
         if self._awaiting_y:
             raise StateError("predict called twice without an observation in between")
-        features = np.asarray(features, dtype=float)
+        # A copy: the caller may reuse its buffer for the next round.
+        features = np.array(features, dtype=float)
         if features.shape != (self.dim,):
             raise ArgumentError(f"features have shape {features.shape}, expected ({self.dim},)")
         if not np.isfinite(features).all():

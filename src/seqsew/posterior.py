@@ -40,6 +40,15 @@ The three backends are three move policies:
 
 The Metropolis step size is calibrated to keep acceptance between roughly
 20% and 50%.
+
+A round costs one pass over the points.  The weights are normalised once
+per state, on first use, and handed out read-only together with their
+effective sample size; only an update and a move change the state, and
+both drop them.  ``predict`` keeps the clipped margins it averaged, and an
+update with the same features (compared by value) and the same threshold
+adds those to the cumulative losses instead of computing them again.
+Every arithmetic step is the one an uncached round would run, so results
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -118,7 +127,7 @@ class _History:
         return len(self._y)
 
     def append(self, features: np.ndarray, y: float, b: float) -> None:
-        self._phi.append(np.asarray(features, dtype=float))
+        self._phi.append(np.array(features, dtype=float))
         self._y.append(float(y))
         self._b.append(float(b))
 
@@ -376,6 +385,13 @@ class PosteriorCloud:
         self._rng = rng
         self._step_multiplier = 1.0
         self.resample_count = 0
+        # Normalised weights and their ESS for the current state, filled
+        # on first use and dropped whenever the state changes.
+        self._weights: np.ndarray | None = None
+        self._ess: float | None = None
+        # (features, threshold, clipped margins) of the last predict,
+        # reused by an update of the same round.
+        self._predicted: tuple[np.ndarray, float, np.ndarray] | None = None
 
         if self.backend == "quadrature":
             self.samples, self._log_base = _build_grid(prior, config)
@@ -397,10 +413,21 @@ class PosteriorCloud:
         return self._log_base - self.eta * self.cum_loss
 
     def weights(self) -> np.ndarray:
-        return _normalized_log_weights(self._log_unnormalized())
+        """Normalised weights of the current state (read-only; computed
+        once per state)."""
+        if self._weights is None:
+            weights = _normalized_log_weights(self._log_unnormalized())
+            weights.flags.writeable = False
+            self._weights = weights
+        return self._weights
 
     def ess(self) -> float:
-        return _ess_from_weights(self.weights())
+        if self._ess is None:
+            self._ess = _ess_from_weights(self.weights())
+        return self._ess
+
+    def _state_changed(self) -> None:
+        self._weights = self._ess = None
 
     # -- protocol --------------------------------------------------------
 
@@ -415,6 +442,7 @@ class PosteriorCloud:
             raise StateError("posterior cloud has no support points")
         margins = self.samples @ features
         clipped = np.clip(margins, -threshold, threshold)
+        self._predicted = (features.copy(), threshold, clipped)
         value = float(np.dot(self.weights(), clipped))
         # The weighted average of values in [-B, B] can exceed the interval
         # by a rounding ulp; the protocol promises |prediction| <= B exactly.
@@ -440,17 +468,23 @@ class PosteriorCloud:
                 f"inverse temperature must not increase: {new_eta} > {self.eta}"
             )
 
-        margins = self.samples @ features
-        clipped = np.clip(margins, -threshold_used, threshold_used)
+        predicted, self._predicted = self._predicted, None
+        if predicted is not None and predicted[1] == threshold_used and np.array_equal(predicted[0], features):
+            clipped = predicted[2]
+        else:
+            margins = self.samples @ features
+            clipped = np.clip(margins, -threshold_used, threshold_used)
         self.cum_loss = self.cum_loss + (y - clipped) ** 2
         self.history.append(features, y, threshold_used)
         self.eta = float(new_eta)
+        self._state_changed()
 
         if self.backend == "chain":
             self._move(self.samples.copy(), self.cum_loss, self.config.burn_in)
         elif self.backend == "importance" and math.isfinite(self.eta):
             weights = self.weights()
-            if _ess_from_weights(weights) < self.config.ess_floor * weights.shape[0]:
+            self._ess = _ess_from_weights(weights)
+            if self._ess < self.config.ess_floor * weights.shape[0]:
                 idx = _systematic_resample(weights, self._rng)
                 self.resample_count += 1
                 # The copy is not needed for correctness.  With it, the
@@ -480,6 +514,7 @@ class PosteriorCloud:
         self.samples, self.cum_loss = samples, cum_loss
         if math.isfinite(self.eta):
             self._log_base = self.eta * cum_loss
+        self._state_changed()
 
     # -- snapshots ---------------------------------------------------------
 

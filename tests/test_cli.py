@@ -188,10 +188,49 @@ class TestConfig:
             ),
             (lambda c: {**c, "ouputs": c["outputs"]}, "cfg.json has unknown key 'ouputs'"),
             (lambda c: {**c, "seed": 1.7}, "config 'seed' must be an integer, got 1.7"),
+            (
+                lambda c: {**c, "backend": {"backend": "importance", "n_samples": 200.0}},
+                "config section 'backend' key 'n_samples' must be an integer, got 200.0",
+            ),
+            (
+                lambda c: {**c, "backend": {"backend": "chain", "burn_in": True}},
+                "config section 'backend' key 'burn_in' must be an integer, got True",
+            ),
+            (
+                lambda c: {**c, "backend": {"backend": "importance", "ess_floor": "0.5"}},
+                "config section 'backend' key 'ess_floor' must be a number, got '0.5'",
+            ),
+            (lambda c: {**c, "scenario": {**c["scenario"], "T": 2.5}}, "scenario key 'T' must be an integer, got 2.5"),
+            (lambda c: {**c, "scenario": {**c["scenario"], "s": 1.9}}, "scenario key 's' must be an integer, got 1.9"),
+            (lambda c: {**c, "scenario": {**c["scenario"], "seed": 1.7}}, "scenario key 'seed' must be an integer, got 1.7"),
+            (lambda c: {**c, "scenario": {**c["scenario"], "d": True}}, "scenario key 'd' must be an integer, got True"),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "design_scale": "2"}},
+                "scenario key 'design_scale' must be a number, got '2'",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "noise": {"kind": "sg", "sigma_sq": False}}},
+                "scenario 'noise' key 'sigma_sq' must be a number, got False",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "dictionary": {"kind": "coordinate", "d": 1.0}}},
+                "scenario 'dictionary' key 'd' must be an integer, got 1.0",
+            ),
+            (
+                lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": 5}},
+                "config section 'backend' key 'grid_nodes' must be a list of node lists, got 5",
+            ),
+            (
+                lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": [["x", 1.0]]}},
+                "config section 'backend' key 'grid_nodes' must be a number, got 'x'",
+            ),
         ],
         ids=[
             "forecaster-int", "backend-int", "scenario-list", "seed-text", "top-level-list",
             "backend-keys", "scenario-key", "forecaster-key", "top-level-key", "seed-float",
+            "backend-float-count", "backend-bool-count", "backend-text-number", "scenario-float-T",
+            "scenario-float-s", "scenario-float-seed", "scenario-bool-d", "scenario-text-number",
+            "noise-bool", "dictionary-float-d", "grid-nodes-int", "grid-nodes-text",
         ],
     )
     def test_malformed_config_exits_two_and_writes_nothing(self, tmp_path, capsys, command, edit, message):
@@ -199,6 +238,10 @@ class TestConfig:
         assert cli.main([*command, "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
+
+    def test_explicit_grid_nodes_load(self, tmp_path):
+        cfg = _edited_config(tmp_path / "cfg.json", lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": [[-1, 0.0, 1.5]]}})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -252,6 +295,16 @@ class TestVerify:
         payload = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert payload["mc_allowance"] > 0.0
         assert payload["replays"] == 4
+
+    def test_negative_replays_exit_two_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def play(*args, **kwargs):
+            raise AssertionError("played a run")
+
+        monkeypatch.setattr(cli, "run_protocol", play)
+        cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 400})
+        assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop5", "--replays", "-3"]) == 2
+        assert "needs replays >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_bound_is_usage_error(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")

@@ -364,3 +364,54 @@ class TestInputContract:
         samples = [(np.array([0.5]), 1.0), (np.array([0.2]), math.nan), (np.array([0.1]), 0.0)]
         with pytest.raises(DataError, match="round 2: outcome"):
             fit_random_design(samples, None, QUAD)
+
+
+class TestReusedFeatureBuffer:
+    """A caller may fill one features buffer anew every round: the
+    forecaster and the posterior history keep copies, so the run equals
+    one fed fresh arrays bit for bit."""
+
+    BACKENDS = {
+        "chain": BackendConfig(backend="chain", n_samples=500, burn_in=5),
+        "importance": BackendConfig(backend="importance", n_samples=500, ess_floor=0.9),
+        "quadrature": BackendConfig(backend="quadrature", grid_points_per_dim=129),
+    }
+
+    @staticmethod
+    def _play(config, xs, ys, reuse):
+        f = seqsew_adaptive(xs.shape[1], 0.3, config, seed=6)
+        buffer = np.empty(xs.shape[1])
+        preds = []
+        for x, y in zip(xs, ys):
+            if reuse:
+                buffer[:] = x
+                preds.append(f.predict(buffer))
+            else:
+                preds.append(f.predict(x.copy()))
+            f.observe(y)
+        return f, np.asarray(preds)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_reused_buffer_run_equals_fresh_arrays(self, backend):
+        rng = np.random.default_rng(12)
+        xs = 5.0 * rng.uniform(-1, 1, size=(30, 2))  # large features make importance resample
+        ys = 0.3 * xs[:, 0] + 0.3 * rng.standard_normal(30)
+        fresh, fresh_preds = self._play(self.BACKENDS[backend], xs, ys, reuse=False)
+        reused, reused_preds = self._play(self.BACKENDS[backend], xs, ys, reuse=True)
+        assert np.array_equal(reused_preds, fresh_preds)
+        assert np.array_equal(reused.cloud.history.arrays()[0], xs)
+        assert np.array_equal(reused.cloud.cum_loss, fresh.cloud.cum_loss)
+        if backend == "importance":
+            assert reused.cloud.resample_count >= 1
+
+    def test_buffer_rewritten_between_predict_and_observe(self):
+        f = seqsew_adaptive(1, 0.3, self.BACKENDS["quadrature"])
+        ref = seqsew_adaptive(1, 0.3, self.BACKENDS["quadrature"])
+        buffer = np.empty(1)
+        for x, y in ((0.5, 1.0), (1.0, -0.4), (-0.7, 0.2), (0.3, 0.9)):
+            buffer[0] = x
+            assert f.predict(buffer) == ref.predict(np.array([x]))
+            buffer[0] = 99.0
+            f.observe(y)
+            ref.observe(y)
+        assert np.array_equal(f.cloud.history.arrays()[0][:, 0], [0.5, 1.0, -0.7, 0.3])

@@ -487,3 +487,119 @@ class TestNumericalEdgeCases:
         assert math.isfinite(cloud.predict(phi, 64.0))
         cloud.update(phi, 50.0, 64.0, 1e3)
         assert math.isfinite(cloud.predict(np.array([1.0, -2.0]), 64.0))
+
+
+_CACHE_BACKENDS = {
+    "importance": BackendConfig(backend="importance", n_samples=300, ess_floor=0.9),
+    "chain": BackendConfig(backend="chain", n_samples=300, burn_in=5),
+    "quadrature": BackendConfig(backend="quadrature", grid_points_per_dim=129),
+}
+
+
+def _cache_cloud(backend, d=2, seed=3):
+    rng = None if backend == "quadrature" else np.random.default_rng(seed)
+    return init(SparsityPrior(0.2, d), _CACHE_BACKENDS[backend], rng)
+
+
+class TestOnePassPerRound:
+    """The weights are normalised once per state and handed out read-only,
+    and an update reuses the clipped margins of the round it predicted."""
+
+    @pytest.mark.parametrize("backend", sorted(_CACHE_BACKENDS))
+    def test_weights_are_read_only(self, backend):
+        cloud = _cache_cloud(backend)
+        phi = np.array([0.5, -1.0])
+        for _ in range(2):
+            cloud.predict(phi, 1.0)
+            with pytest.raises(ValueError):
+                cloud.weights()[0] = 1.0
+            cloud.update(phi, 0.7, 1.0, 0.125)
+
+    @pytest.mark.parametrize("backend", sorted(_CACHE_BACKENDS))
+    def test_cached_weights_and_ess_match_a_fresh_normalisation(self, backend):
+        cloud = _cache_cloud(backend)
+
+        def assert_fresh():
+            fresh = posterior._normalized_log_weights(cloud._log_unnormalized())
+            assert np.array_equal(cloud.weights(), fresh)
+            assert cloud.ess() == posterior._ess_from_weights(fresh)
+
+        moves = []
+        move = cloud._move
+
+        def checked_move(*args):
+            move(*args)
+            moves.append(cloud.resample_count)
+            assert_fresh()
+
+        cloud._move = checked_move
+        xs, ys = TestMovePolicies._data(2)
+        for _ in _adaptive_rounds(cloud, xs, ys):
+            assert_fresh()
+        if backend == "importance":
+            assert cloud.resample_count >= 1 and len(moves) == cloud.resample_count
+        elif backend == "chain":
+            assert len(moves) == len(xs)
+        else:
+            assert not moves
+
+    @pytest.mark.parametrize("backend", sorted(_CACHE_BACKENDS))
+    @pytest.mark.parametrize("change", ["features", "threshold", "buffer"])
+    def test_update_off_the_predicted_round_recomputes(self, backend, change):
+        rng = np.random.default_rng(8)
+        predicted, reference = _cache_cloud(backend), _cache_cloud(backend)
+        for _ in range(4):
+            phi, other, y = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2), rng.uniform(-1, 1)
+            b, b_used = 1.0, 1.0
+            if change == "features":
+                predicted.predict(phi, b)
+            elif change == "threshold":
+                predicted.predict(other, b)
+                b_used = 0.5
+            else:
+                buffer = phi.copy()
+                predicted.predict(buffer, b)
+                buffer[:] = other  # the caller rewrites its buffer before the update
+            predicted.update(other, y, b_used, 0.125)
+            reference.update(other, y, b_used, 0.125)
+            assert np.array_equal(predicted.cum_loss, reference.cum_loss)
+            assert np.array_equal(predicted.samples, reference.samples)
+
+    @pytest.mark.parametrize("backend", ["chain", "importance"])
+    def test_cloud_fed_through_one_buffer_equals_fresh_arrays(self, backend):
+        xs, ys = TestMovePolicies._data(2)
+        fresh, reused = _cache_cloud(backend), _cache_cloud(backend)
+
+        def one_buffer():
+            buffer = np.empty(2)
+            for x in xs:
+                buffer[:] = x
+                yield buffer
+
+        for cloud, feed in ((fresh, (x.copy() for x in xs)), (reused, one_buffer())):
+            for _ in _adaptive_rounds(cloud, feed, ys):
+                pass
+        assert np.array_equal(reused.history.arrays()[0], xs)
+        assert np.array_equal(reused.samples, fresh.samples)
+        assert np.array_equal(reused.cum_loss, fresh.cum_loss)
+        if backend == "importance":
+            assert reused.resample_count >= 1
+
+    def test_importance_run_without_moves_normalises_once_per_round(self, monkeypatch):
+        calls = []
+        normalise = posterior._normalized_log_weights
+
+        def counted(log_unnorm):
+            calls.append(1)
+            return normalise(log_unnorm)
+
+        monkeypatch.setattr(posterior, "_normalized_log_weights", counted)
+        T = 30
+        rng = np.random.default_rng(4)
+        f = SeqSEWAdaptive(2, 0.5, BackendConfig(backend="importance", n_samples=500, ess_floor=0.01), seed=1)
+        for _ in range(T):
+            f.predict(rng.uniform(-0.1, 0.1, 2))
+            f.state_row()
+            f.observe(rng.uniform(-0.1, 0.1))
+        assert f.cloud.resample_count == 0
+        assert 0 < len(calls) <= T + 1
