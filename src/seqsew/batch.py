@@ -15,15 +15,15 @@ mean of the clipped linear predictor); the batch estimator averages them:
   translation equivariant.
 
 Snapshots are retained explicitly (not re-simulated) so that predictions
-at new points are deterministic, but each distinct sample set is stored
-only once, as an *epoch*: importance particles change only when they are
+at new points are deterministic: ``BatchEstimator.snapshots`` is the list
+of each round's ``(FrozenCloud, B)``.  The snapshots of one *epoch* share
+its sample set, since importance particles change only when they are
 rejuvenated and quadrature nodes never change.  Each round adds one row
-of log-weights and cumulative losses plus its eta, threshold and epoch
-index, so a fit holds O(epochs * n * d + T * n) floats rather than the
-O(T * n * d) of a full copy per round.  At T = 1000, n = 10^4 and d = 30
-a single epoch costs ~0.16 GB where full copies cost ~2.5 GB.  The chain
-backend moves its walkers every round, so it has one epoch per round and
-gains nothing.
+of log-weights and cumulative losses, so a fit holds
+O(epochs * n * d + T * n) floats rather than the O(T * n * d) of a full
+copy per round.  At T = 1000, n = 10^4 and d = 30 a single epoch costs
+~0.16 GB where full copies cost ~2.5 GB.  The chain backend moves its
+walkers every round, so it has one epoch per round and gains nothing.
 
 The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
 noise families (defined in :mod:`seqsew.datagen`) are also here.
@@ -40,7 +40,7 @@ import numpy as np
 from .datagen import NoiseFamily
 from .errors import ArgumentError
 from .forecasters import SeqSEWAdaptive
-from .posterior import BackendConfig, FrozenCloud, PosteriorCloud
+from .posterior import BackendConfig, FrozenCloud
 from .prior import s_ln_term
 
 __all__ = [
@@ -97,64 +97,12 @@ def _design_key(x: Any) -> bytes:
     return np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=float))).tobytes()
 
 
-class _OnlinePass(Sequence[tuple[FrozenCloud, float]]):
-    """One stored adaptive run, read as its per-round ``(FrozenCloud, B)``
-    snapshots.
-
-    Each distinct sample set is kept once, as an *epoch*; per round only
-    the log-weights, cumulative losses, eta, threshold and epoch index are
-    kept.  Item ``t`` is rebuilt on access and equals, field for field,
-    what ``PosteriorCloud.snapshot()`` returned at round ``t``.  Every
-    stored array is read-only.
-    """
-
-    def __init__(self, cloud: PosteriorCloud, rounds: int) -> None:
-        n = cloud.samples.shape[0]
-        self.backend = cloud.backend
-        self.epochs: list[np.ndarray] = []
-        self.epoch = np.empty(rounds, dtype=np.intp)
-        self.log_weights = np.empty((rounds, n))
-        self.cum_loss = np.empty((rounds, n))
-        self.eta = np.empty(rounds)
-        self.thresholds = np.empty(rounds)
-
-    def record(self, t: int, cloud: PosteriorCloud, threshold: float) -> None:
-        # The cloud rebinds ``samples`` whenever its sample set changes and
-        # never writes into it, so the same array object means the same set.
-        if not self.epochs or cloud.samples is not self.epochs[-1]:
-            cloud.samples.setflags(write=False)
-            self.epochs.append(cloud.samples)
-        self.epoch[t] = len(self.epochs) - 1
-        # The log-weights PosteriorCloud.snapshot() stores.
-        self.log_weights[t] = np.log(np.maximum(cloud.weights(), 1e-300))
-        self.cum_loss[t] = cloud.cum_loss
-        self.eta[t] = cloud.eta
-        self.thresholds[t] = threshold
-
-    def seal(self) -> None:
-        for table in (self.epoch, self.log_weights, self.cum_loss, self.eta, self.thresholds):
-            table.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.eta.shape[0]
-
-    def __getitem__(self, t: int) -> tuple[FrozenCloud, float]:
-        cloud = FrozenCloud(
-            samples=self.epochs[self.epoch[t]],
-            log_weights=self.log_weights[t],
-            cum_loss=self.cum_loss[t],
-            eta=float(self.eta[t]),
-            backend=self.backend,
-        )
-        return cloud, float(self.thresholds[t])
-
-
 @dataclass
 class BatchEstimator:
     """Average of per-round clipped posterior-mean regressors."""
 
     mode: str
-    snapshots: _OnlinePass
+    snapshots: list[tuple[FrozenCloud, float]]
     dictionary: Any
     anchor: float = 0.0
     design_points: list[Any] | None = None
@@ -164,18 +112,20 @@ class BatchEstimator:
         the m points, without the anchor: the one place per-round
         regressors are evaluated.
 
-        Rounds that share an epoch and a threshold are clipped once and
-        take their weighted means in one matrix product."""
+        Rounds that share a sample set and a threshold are clipped once
+        and take their weighted means in one matrix product."""
         to_phi = (lambda x: x) if self.dictionary is None else self.dictionary.features
         phi = np.vstack([np.asarray(to_phi(x), dtype=float) for x in xs])  # (m, d)
-        run = self.snapshots
-        out = np.full((len(run), phi.shape[0]), np.nan)
-        for e, samples in enumerate(run.epochs):
+        # Rounds of one epoch share one sample-set object, kept alive here,
+        # so its id names the set.
+        groups: dict[int, tuple[np.ndarray, dict[float, list[int]]]] = {}
+        for t, (cloud, b) in enumerate(self.snapshots):
+            groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1].setdefault(b, []).append(t)
+        out = np.full((len(self.snapshots), phi.shape[0]), np.nan)
+        for samples, by_threshold in groups.values():
             margins = samples @ phi.T  # (n, m)
-            in_epoch = run.epoch == e
-            for b in np.unique(run.thresholds[in_epoch]):
-                rows = np.flatnonzero(in_epoch & (run.thresholds == b))
-                log_w = run.log_weights[rows]
+            for b, rows in by_threshold.items():
+                log_w = np.stack([self.snapshots[t][0].log_weights for t in rows])
                 w = np.exp(log_w - np.max(log_w, axis=1, keepdims=True))
                 w /= np.sum(w, axis=1, keepdims=True)
                 out[rows] = w @ np.clip(margins, -b, b)
@@ -214,7 +164,7 @@ class BatchEstimator:
 
     @property
     def max_threshold(self) -> float:
-        return float(np.max(self.snapshots.thresholds, initial=0.0))
+        return max((b for _, b in self.snapshots), default=0.0)
 
 
 def _online_pass(
@@ -223,20 +173,35 @@ def _online_pass(
     backend: BackendConfig | None,
     seed: int | np.random.Generator | None,
     clip_center: float = 0.0,
-) -> _OnlinePass:
+) -> list[tuple[FrozenCloud, float]]:
     """Play the adaptive forecaster at tau = 1/sqrt(d T) through the T
-    ``rounds`` and store the posterior each round was predicted with."""
+    ``rounds`` and store the posterior each round was predicted with, as
+    ``PosteriorCloud.snapshot()`` would give it.  The snapshots share the
+    cloud's sample set, which it never writes in place, and read their
+    weights and losses from two (T, n) tables; every stored array is
+    read-only."""
     d = dictionary.d if dictionary is not None else len(np.atleast_1d(rounds[0][0]))
     tau = 1.0 / math.sqrt(d * len(rounds))
     forecaster = SeqSEWAdaptive(d, tau, backend or BackendConfig(), seed=seed, clip_center=clip_center)
-    stored = _OnlinePass(forecaster.cloud, len(rounds))
+    cloud = forecaster.cloud
+    log_weights = np.empty((len(rounds), cloud.samples.shape[0]))
+    cum_loss = np.empty_like(log_weights)
+    snapshots = []
     for t, (x, y) in enumerate(rounds):
         phi = dictionary.features(x) if dictionary is not None else np.asarray(x, dtype=float)
         forecaster.predict(np.asarray(phi, dtype=float))
-        stored.record(t, forecaster.cloud, forecaster.state.B)
+        log_weights[t] = np.log(np.maximum(cloud.weights(), 1e-300))
+        cum_loss[t] = cloud.cum_loss
+        cloud.samples.setflags(write=False)
+        snapshot = FrozenCloud(cloud.samples, log_weights[t], cum_loss[t], cloud.eta, cloud.backend)
+        # A view made before its table is sealed stays writable.
+        snapshot.log_weights.setflags(write=False)
+        snapshot.cum_loss.setflags(write=False)
+        snapshots.append((snapshot, forecaster.state.B))
         forecaster.observe(float(y))
-    stored.seal()
-    return stored
+    log_weights.setflags(write=False)
+    cum_loss.setflags(write=False)
+    return snapshots
 
 
 def fit_random_design(
@@ -352,34 +317,31 @@ def risk_bound_rhs(variant: str, **kw: Any) -> float:
     - ``thm13``: ``e_max_y_sq``, ``design_gram_trace``.
     - ``cor14``: ``max_f_sq``, ``psi_t``, ``design_gram_trace``.
     """
-    try:
-        T = int(kw["T"])
-        d = int(kw["d"])
-        l0 = int(kw["l0"])
-        l1 = float(kw["l1"])
-        approx = float(kw["approx_error"])
-    except KeyError as missing:
-        raise ArgumentError(f"risk_bound_rhs missing input {missing}") from None
+    def value(key: str, kind: type = float) -> Any:
+        if key not in kw:
+            raise ArgumentError(f"risk_bound_rhs missing input {key!r}")
+        return kind(kw[key])
+
+    T = value("T", int)
+    d = value("d", int)
+    l0 = value("l0", int)
+    l1 = value("l1")
+    approx = value("approx_error")
     ln_term = s_ln_term(l0, math.sqrt(d * T) * l1)
 
     if variant == "thm10":
-        e_max = float(kw["e_max_y_sq"])
-        feat = float(kw["sum_feature_l2"])
-        return approx + 64.0 * (e_max / T) * ln_term + feat / (d * T) + 32.0 * e_max / T
+        e_max = value("e_max_y_sq")
+        return approx + 64.0 * (e_max / T) * ln_term + value("sum_feature_l2") / (d * T) + 32.0 * e_max / T
     if variant == "cor11":
-        amp = float(kw["mean_y"]) ** 2 / T + float(kw["psi_t"])
-        feat = float(kw["sum_feature_l2"])
-        return approx + 128.0 * amp * ln_term + feat / (d * T) + 64.0 * amp
+        amp = value("mean_y") ** 2 / T + value("psi_t")
+        return approx + 128.0 * amp * ln_term + value("sum_feature_l2") / (d * T) + 64.0 * amp
     if variant == "cor12":
-        amp = float(kw["f_inf"]) ** 2 + 2.0 * float(kw["sigma_sq"]) * math.log(2.0 * math.e * T)
-        feat = float(kw["sum_feature_l2"])
-        return approx + 128.0 * (amp / T) * ln_term + feat / (d * T) + 64.0 * amp / T
+        amp = value("f_inf") ** 2 + 2.0 * value("sigma_sq") * math.log(2.0 * math.e * T)
+        return approx + 128.0 * (amp / T) * ln_term + value("sum_feature_l2") / (d * T) + 64.0 * amp / T
     if variant == "thm13":
-        e_max = float(kw["e_max_y_sq"])
-        gram = float(kw["design_gram_trace"])
-        return approx + 64.0 * (e_max / T) * ln_term + gram / (d * T**2) + 32.0 * e_max / T
+        e_max = value("e_max_y_sq")
+        return approx + 64.0 * (e_max / T) * ln_term + value("design_gram_trace") / (d * T**2) + 32.0 * e_max / T
     if variant == "cor14":
-        amp = float(kw["max_f_sq"]) / T + float(kw["psi_t"])
-        gram = float(kw["design_gram_trace"])
-        return approx + 128.0 * amp * ln_term + gram / (d * T**2) + 64.0 * amp
+        amp = value("max_f_sq") / T + value("psi_t")
+        return approx + 128.0 * amp * ln_term + value("design_gram_trace") / (d * T**2) + 64.0 * amp
     raise ArgumentError(f"unknown risk bound variant {variant!r}")

@@ -447,5 +447,7 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioSpec:
             design_scale=number("scenario", data, "design_scale", float, 1.0),
             grid_size=number("scenario", data, "grid_size", int) if data.get("grid_size") is not None else None,
         )
+    except ArgumentError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"invalid scenario config: {exc}") from exc

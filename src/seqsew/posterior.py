@@ -108,6 +108,9 @@ class BackendConfig:
             raise ArgumentError("quadrature backend needs grid_points_per_dim >= 64")
         if not 0.0 < self.ess_floor < 1.0:
             raise ArgumentError("ess_floor must lie in (0, 1)")
+        for key in ("burn_in", "refresh_sweeps"):
+            if getattr(self, key) < 1:
+                raise ArgumentError(f"{key} must be >= 1, got {getattr(self, key)!r}")
         if not self.proposal_scale > 0.0:
             raise ArgumentError("proposal_scale must be positive")
         if not self.grid_radius_multiplier > 0.0:

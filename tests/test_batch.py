@@ -20,7 +20,7 @@ from seqsew.batch import (
 from seqsew.datagen import Dictionary, DictionarySpec
 from seqsew.errors import ArgumentError
 from seqsew.forecasters import SeqSEWAdaptive
-from seqsew.posterior import BackendConfig
+from seqsew.posterior import BackendConfig, FrozenCloud
 
 QUAD = BackendConfig(backend="quadrature", grid_points_per_dim=257)
 IMP = BackendConfig(backend="importance", n_samples=1000)
@@ -282,6 +282,30 @@ class TestRiskBoundRhs:
         with pytest.raises(ArgumentError, match="missing input"):
             risk_bound_rhs("thm10", T=5, d=1, l0=0, l1=0.0)
 
+    VARIANT_INPUTS = {
+        "thm10": ("e_max_y_sq", "sum_feature_l2"),
+        "cor11": ("mean_y", "psi_t", "sum_feature_l2"),
+        "cor12": ("f_inf", "sigma_sq", "sum_feature_l2"),
+        "thm13": ("e_max_y_sq", "design_gram_trace"),
+        "cor14": ("max_f_sq", "psi_t", "design_gram_trace"),
+    }
+
+    @pytest.mark.parametrize(
+        "variant, dropped",
+        [
+            (variant, key)
+            for variant, keys in VARIANT_INPUTS.items()
+            for key in ("T", "d", "l0", "l1", "approx_error", *keys)
+        ],
+    )
+    def test_every_missing_input_is_named(self, variant, dropped):
+        inputs = dict(T=10, d=2, l0=1, l1=1.0, approx_error=0.0)
+        inputs.update({key: 1.0 for key in self.VARIANT_INPUTS[variant]})
+        assert math.isfinite(risk_bound_rhs(variant, **inputs))
+        del inputs[dropped]
+        with pytest.raises(ArgumentError, match=f"risk_bound_rhs missing input '{dropped}'"):
+            risk_bound_rhs(variant, **inputs)
+
     def test_unknown_variant(self):
         with pytest.raises(ArgumentError):
             risk_bound_rhs("thm99", T=5, d=1, l0=0, l1=0.0, approx_error=0.0)
@@ -388,3 +412,24 @@ class TestStoredPassMatchesFullSnapshots:
         ref_risk = np.mean([(truth(x) - ref_predict(x)) ** 2 for x in eval_points])
         measured = risk(est, truth, sampler, n_eval=50, rng=np.random.default_rng(9))
         np.testing.assert_allclose(measured, ref_risk, **tol)
+
+
+class TestStoredPassIsAReadOnlyList:
+    """``est.snapshots`` is a plain list of read-only ``(FrozenCloud, B)``."""
+
+    @pytest.mark.parametrize("fit", [fit_random_design, fit_fixed_design, fit_remark15])
+    @pytest.mark.parametrize("backend_name", ["quadrature", "importance", "chain"])
+    def test_list_of_read_only_snapshots(self, backend_name, fit):
+        d, backend = TestStoredPassMatchesFullSnapshots.BACKENDS[backend_name]
+        samples = TestStoredPassMatchesFullSnapshots._samples(d)
+        est = fit(samples, _coord_dict(d=d, norm=10.0), backend, seed=5)
+
+        assert type(est.snapshots) is list
+        assert len(est.snapshots) == len(samples) - (fit is fit_remark15)
+        for cloud, b in est.snapshots:
+            assert type(cloud) is FrozenCloud and type(b) is float
+            # The per-round rows and the tables they are cut from.
+            arrays = [cloud.samples, cloud.log_weights, cloud.cum_loss, cloud.log_weights.base, cloud.cum_loss.base]
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0

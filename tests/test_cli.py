@@ -224,6 +224,11 @@ class TestConfig:
                 lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": [["x", 1.0]]}},
                 "config section 'backend' key 'grid_nodes' must be a number, got 'x'",
             ),
+            (lambda c: {**c, "backend": {"backend": "chain", "burn_in": 0}}, "burn_in must be >= 1, got 0"),
+            (
+                lambda c: {**c, "backend": {"backend": "importance", "refresh_sweeps": 0}},
+                "refresh_sweeps must be >= 1, got 0",
+            ),
         ],
         ids=[
             "forecaster-int", "backend-int", "scenario-list", "seed-text", "top-level-list",
@@ -231,6 +236,7 @@ class TestConfig:
             "backend-float-count", "backend-bool-count", "backend-text-number", "scenario-float-T",
             "scenario-float-s", "scenario-float-seed", "scenario-bool-d", "scenario-text-number",
             "noise-bool", "dictionary-float-d", "grid-nodes-int", "grid-nodes-text",
+            "burn-in-zero", "refresh-sweeps-zero",
         ],
     )
     def test_malformed_config_exits_two_and_writes_nothing(self, tmp_path, capsys, command, edit, message):
@@ -238,6 +244,19 @@ class TestConfig:
         assert cli.main([*command, "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ({"T": 2.5}, "scenario key 'T' must be an integer, got 2.5"),
+            ({"noise": {"kind": "zz"}}, "unknown noise kind 'zz'"),
+        ],
+        ids=["float-T", "noise-kind"],
+    )
+    def test_scenario_message_is_prefixed_once(self, tmp_path, capsys, scenario, message):
+        cfg = _edited_config(tmp_path / "cfg.json", lambda c: {**c, "scenario": {**c["scenario"], **scenario}})
+        assert cli.main(["gen", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
     def test_explicit_grid_nodes_load(self, tmp_path):
         cfg = _edited_config(tmp_path / "cfg.json", lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": [[-1, 0.0, 1.5]]}})

@@ -18,9 +18,13 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    # TMPDIR keeps the scratch directories a demo makes inside tmp_path.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    # A demo's scratch files go to a temp dir of its own, and it must
+    # leave that dir as empty as it found it.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmpdir)}
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert list(tmpdir.iterdir()) == []
