@@ -25,7 +25,7 @@ from typing import Any, Iterator, Sequence, get_type_hints
 import numpy as np
 
 from . import _svg, batch as batch_mod, bounds as bounds_mod
-from .datagen import Dictionary, NoiseFamily, ScenarioSpec, checked_number, checked_section, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
+from .datagen import Dictionary, NoiseFamily, ScenarioSpec, checked_number, checked_section, checked_seed, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
 from .errors import ArgumentError, ContractViolationError, DataError, StateError
 from .forecasters import ProtocolResult, ridge_baseline, run_protocol, seqsew_adaptive, seqsew_auto, seqsew_fixed
 from .posterior import BackendConfig
@@ -186,9 +186,10 @@ def _load_config(args: argparse.Namespace) -> _Config:
     checked_section(f"config {path}", raw, ("schema", "seed", "scenario", "forecaster", "backend", "outputs"))
     if raw.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
         raise ArgumentError(f"unsupported config schema {raw.get('schema')!r}")
-    seed = raw.get("seed", 0) if args.seed is None else args.seed
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ArgumentError(f"config 'seed' must be an integer, got {seed!r}")
+    if args.seed is None:
+        seed = checked_seed("config 'seed'", raw.get("seed", 0))
+    else:
+        seed = checked_seed("--seed", args.seed)
 
     if "scenario" not in raw:
         raise ArgumentError("config needs a 'scenario' section")
@@ -397,8 +398,11 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
     if fixed_design and spec.design != "fixed_grid":
         raise ArgumentError(f"{variant} needs the fixed_grid design")
     base_samples, f_truth, closed = gen_stochastic(spec)
-    if not fixed_design and not closed["feature_l2_sq"]:
-        raise ArgumentError("batch risk bounds need a design with known feature norms")
+    if not fixed_design:
+        if not closed["feature_l2_sq"]:
+            raise ArgumentError("batch risk bounds need a design with known feature norms")
+        if n_eval < 1:
+            raise ArgumentError(f"random-design risk needs n_eval >= 1, got {n_eval}")
     if variant == "cor12":
         if spec.noise.kind != "sg":
             raise ArgumentError("cor12 applies under subgaussian noise")
@@ -493,14 +497,16 @@ def _batch_family_sweep(config: _Config, replications: int):
 
 
 def _batch_remark15(config: _Config, shift: float):
-    spec = config.spec
-    dictionary = Dictionary(spec.dictionary)
-    raw_samples, f_truth, _ = gen_stochastic(spec)
     # Quantize outcomes (and the shift) to multiples of 2^-20 so that every
     # shifted sum y + c is exact in binary floating point; the internal
     # residuals y - Y_1 are then bit-identical across the two runs and the
     # equivariance check is exact rather than within-rounding.
     quantum = 2.0**-20
+    if not math.isfinite(shift / quantum):
+        raise ArgumentError(f"remark15 needs a finite --shift of magnitude below 2^1004, got {shift!r}")
+    spec = config.spec
+    dictionary = Dictionary(spec.dictionary)
+    raw_samples, f_truth, _ = gen_stochastic(spec)
     shift = round(shift / quantum) * quantum
     samples = [(x, round(y / quantum) * quantum) for x, y in raw_samples]
     shifted = [(x, y + shift) for x, y in samples]

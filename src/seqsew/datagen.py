@@ -396,6 +396,16 @@ def checked_number(label: str, value: Any, kind: type) -> Any:
     return kind(value)
 
 
+def checked_seed(label: str, value: Any) -> int:
+    """``value`` if it is a non-negative integer, the only seeds
+    ``np.random.SeedSequence`` takes; otherwise an ArgumentError that
+    starts with ``label``."""
+    seed = checked_number(label, value, int)
+    if seed < 0:
+        raise ArgumentError(f"{label} must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def scenario_from_dict(data: dict[str, Any]) -> ScenarioSpec:
     """The inverse of :func:`scenario_to_dict`; refuses a key that is no
     spec field and a value of the wrong type."""
@@ -413,7 +423,7 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioSpec:
             kind=dict_data.get("kind", "coordinate"),
             d=number("scenario 'dictionary'", dict_data, "d", int, d),
             normalization=number("scenario 'dictionary'", dict_data, "normalization", float, 1.0),
-            seed=number("scenario 'dictionary'", dict_data, "seed", int, 0),
+            seed=checked_seed("scenario 'dictionary' key 'seed'", dict_data.get("seed", 0)),
         )
         noise = None
         if "noise" in data and data["noise"] is not None:
@@ -438,7 +448,7 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioSpec:
             u_true=tuple(checked_number("scenario key 'u_true'", v, float) for v in data["u_true"]) if "u_true" in data else None,
             design=data.get("design", "iid_uniform"),
             noise=noise,
-            seed=number("scenario", data, "seed", int, 0),
+            seed=checked_seed("scenario key 'seed'", data.get("seed", 0)),
             dictionary=dictionary,
             amplitude_script=tuple(
                 (checked_number("scenario key 'amplitude_script'", t, int), checked_number("scenario key 'amplitude_script'", f, float))

@@ -20,6 +20,10 @@ current posterior and then rebases ``log_base`` to ``eta * cum_loss``, so
 the moved points stand in for the posterior as they are.  Each step
 changes one random coordinate, shared by every point, and computes the
 candidate losses over cache-sized blocks of points in reused buffers.
+The blocks are split into contiguous row ranges, one per core the process
+may run on, and scored by that many threads; every random draw stays in
+the calling thread, and each point's arithmetic does not depend on its
+range, so results do not depend on the worker count.
 The three backends are three move policies:
 
 ``importance``
@@ -55,6 +59,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -166,6 +172,14 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # candidate losses are computed over blocks of particles small enough to
 # stay in cache, so each step costs O(n_particles * n_rounds) with no
 # (n_particles, n_rounds) temporaries.
+#
+# The blocks of a step are scored on every usable core.  Every random
+# draw stays in the calling thread, in one fixed order, so the stream does
+# not depend on the worker count, and the one BLAS product runs before the
+# workers start, so BLAS threads never compete with them.  The workers run
+# only ufuncs with ``out=`` and row sums, which release the GIL, each on
+# its own rows, and a row's arithmetic is the same whichever worker scores
+# it: the result is bit-identical for any worker count.
 # ---------------------------------------------------------------------------
 
 # Bytes of float64 scratch per block of particle rows in the Metropolis
@@ -180,6 +194,14 @@ def _robust_coordinate_scales(samples: np.ndarray, floor: float) -> np.ndarray:
     med = np.median(samples, axis=0)
     mad = np.median(np.abs(samples - med), axis=0) * 1.4826
     return np.maximum(mad, floor)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _metropolis_coordinate_steps(
@@ -203,27 +225,21 @@ def _metropolis_coordinate_steps(
     margins = samples @ phi.T
     eta_term = eta if math.isfinite(eta) else 0.0
     rows = max(1, _KERNEL_BLOCK_BYTES // (8 * y.shape[0]))
-    candidate = np.empty((min(rows, n), y.shape[0]))
-    work = np.empty_like(candidate)
+    n_blocks = -(-n // rows)
+    workers = min(_usable_cores(), n_blocks)
+    # Worker k scores rows bounds[k]:bounds[k + 1], a run of whole blocks,
+    # in its own (candidate, work) buffer pair.
+    bounds = [min(n, (k * n_blocks // workers) * rows) for k in range(workers + 1)]
+    buffers = [np.empty((2, min(rows, n), y.shape[0])) for _ in range(workers)]
     neg_b = -b
     new_loss = np.empty(n)
     accept = np.empty(n, dtype=bool)
-    for _ in range(n_steps):
-        j = int(rng.integers(0, d))
-        # Mixture of local and long-range moves keeps the heavy tails
-        # reachable without wrecking the acceptance rate.
-        base = coord_scales[j] * step_multiplier
-        widths = np.where(rng.random(n) < 0.2, 10.0 * base, base)
-        deltas = rng.standard_normal(n) * widths
-        log_u = np.log(rng.random(n))
 
-        old_vals = samples[:, j]
-        new_vals = old_vals + deltas
-        log_prior_delta = -4.0 * (
-            np.log1p(np.abs(new_vals) / prior.tau) - np.log1p(np.abs(old_vals) / prior.tau)
-        )
-        column = phi[:, j]
-        for start in range(0, n, rows):
+    def propose_rows(
+        worker: int, column: np.ndarray, deltas: np.ndarray, log_u: np.ndarray, log_prior_delta: np.ndarray
+    ) -> None:
+        candidate, work = buffers[worker]
+        for start in range(bounds[worker], bounds[worker + 1], rows):
             rows_here = slice(start, start + rows)
             held = margins[rows_here]
             cand = candidate[: held.shape[0]]
@@ -242,14 +258,36 @@ def _metropolis_coordinate_steps(
             # Accepted rows take the candidate itself, so the cached
             # margins are exactly the ones their cached losses came from.
             np.copyto(held, cand, where=accept[rows_here, None])
-        rate = float(np.count_nonzero(accept)) / n
 
-        samples[accept, j] = new_vals[accept]
-        cum_loss[accept] = new_loss[accept]
-        if rate < 0.2:
-            step_multiplier *= 0.7
-        elif rate > 0.5:
-            step_multiplier *= 1.4
+    # The pool starts a thread on its first submit, so one worker starts none.
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        for _ in range(n_steps):
+            j = int(rng.integers(0, d))
+            # Mixture of local and long-range moves keeps the heavy tails
+            # reachable without wrecking the acceptance rate.
+            base = coord_scales[j] * step_multiplier
+            widths = np.where(rng.random(n) < 0.2, 10.0 * base, base)
+            deltas = rng.standard_normal(n) * widths
+            log_u = np.log(rng.random(n))
+
+            old_vals = samples[:, j]
+            new_vals = old_vals + deltas
+            log_prior_delta = -4.0 * (
+                np.log1p(np.abs(new_vals) / prior.tau) - np.log1p(np.abs(old_vals) / prior.tau)
+            )
+            step = (phi[:, j], deltas, log_u, log_prior_delta)
+            others = [pool.submit(propose_rows, worker, *step) for worker in range(1, workers)]
+            propose_rows(0, *step)
+            for other in others:
+                other.result()
+            rate = float(np.count_nonzero(accept)) / n
+
+            samples[accept, j] = new_vals[accept]
+            cum_loss[accept] = new_loss[accept]
+            if rate < 0.2:
+                step_multiplier *= 0.7
+            elif rate > 0.5:
+                step_multiplier *= 1.4
     return step_multiplier
 
 

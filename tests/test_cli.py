@@ -229,6 +229,15 @@ class TestConfig:
                 lambda c: {**c, "backend": {"backend": "importance", "refresh_sweeps": 0}},
                 "refresh_sweeps must be >= 1, got 0",
             ),
+            (lambda c: {**c, "seed": -2}, "config 'seed' must be a non-negative integer, got -2"),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "seed": -1}},
+                "scenario key 'seed' must be a non-negative integer, got -1",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "dictionary": {"kind": "coordinate", "d": 1, "seed": -3}}},
+                "scenario 'dictionary' key 'seed' must be a non-negative integer, got -3",
+            ),
         ],
         ids=[
             "forecaster-int", "backend-int", "scenario-list", "seed-text", "top-level-list",
@@ -236,13 +245,21 @@ class TestConfig:
             "backend-float-count", "backend-bool-count", "backend-text-number", "scenario-float-T",
             "scenario-float-s", "scenario-float-seed", "scenario-bool-d", "scenario-text-number",
             "noise-bool", "dictionary-float-d", "grid-nodes-int", "grid-nodes-text",
-            "burn-in-zero", "refresh-sweeps-zero",
+            "burn-in-zero", "refresh-sweeps-zero", "seed-negative", "scenario-seed-negative",
+            "dictionary-seed-negative",
         ],
     )
     def test_malformed_config_exits_two_and_writes_nothing(self, tmp_path, capsys, command, edit, message):
         cfg = _edited_config(tmp_path / "cfg.json", edit)
         assert cli.main([*command, "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["gen"], ["run"], ["verify", "--bounds", "prop5"], ["batch", "--variant", "thm10"]])
+    def test_negative_seed_flag_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
+        cfg = _write_config(tmp_path / "cfg.json")
+        assert cli.main([*command, "--config", str(cfg), "--seed", "-5"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: --seed must be a non-negative integer, got -5"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -442,6 +459,30 @@ class TestBatch:
         assert cli.main(args) == 2
         assert "needs replications >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "batch_thm10.json").exists()
+
+    @pytest.mark.parametrize("variant", ["thm10", "cor12"])
+    @pytest.mark.parametrize("n_eval", [0, -1])
+    def test_n_eval_below_one_exit_two_before_any_fit(self, tmp_path, monkeypatch, capsys, variant, n_eval):
+        def fit(*args, **kwargs):
+            raise AssertionError("fitted a replication")
+
+        monkeypatch.setattr(cli.batch_mod, "fit_random_design", fit)
+        cfg = _write_config(tmp_path / "cfg.json", scenario=_stochastic_scenario())
+        args = ["batch", "--config", str(cfg), "--variant", variant, "--replications", "2", "--n-eval", str(n_eval)]
+        assert cli.main(args) == 2
+        assert f"needs n_eval >= 1, got {n_eval}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shift", ["nan", "inf", "-inf", "1e308"])
+    def test_remark15_unusable_shift_exits_two_before_any_fit(self, tmp_path, monkeypatch, capsys, shift):
+        def fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the shift")
+
+        monkeypatch.setattr(cli.batch_mod, "fit_remark15", fit)
+        cfg = _write_config(tmp_path / "cfg.json", scenario=_stochastic_scenario())
+        assert cli.main(["batch", "--config", str(cfg), "--variant", "remark15", f"--shift={shift}"]) == 2
+        assert "remark15 needs a finite --shift" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_thm10_reruns_are_byte_identical(self, tmp_path):
         cfg = _write_config(

@@ -3,6 +3,7 @@ reweighting, Markov-chain walkers, and their agreement."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from seqsew.errors import (
     StateError,
     UnsupportedDimensionError,
 )
-from seqsew.forecasters import SeqSEWAdaptive
+from seqsew.forecasters import SeqSEWAdaptive, run_protocol
 from seqsew.posterior import (
     BackendConfig,
     FrozenCloud,
@@ -419,6 +420,73 @@ class TestMetropolisKernel:
             changed = np.any(samples != before, axis=0)
             assert np.count_nonzero(changed) == 1
 
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [16, 60])
+    def test_result_does_not_depend_on_worker_count(self, monkeypatch, cores, rows):
+        # 250 rows: the last block, and so the last worker's range, is short.
+        assert self.N % rows != 0
+        submitted = []
+
+        class RecordingPool(posterior.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(posterior, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * self.T * self.N)
+        _, whole_samples, whole_loss, whole_multiplier = self._run(n_steps=20)
+        assert submitted == []
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * self.T * rows)
+        # Switch threads as often as the interpreter allows, so a worker
+        # that wrote outside its own rows would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before, samples, cum_loss, multiplier = self._run(n_steps=20)
+        finally:
+            sys.setswitchinterval(interval)
+        # The calling thread takes the first range; each other worker gets
+        # one range per step.
+        assert sorted(set(submitted)) == list(range(1, cores))
+        assert len(submitted) == 20 * (cores - 1)
+        assert not np.array_equal(samples, before)
+        assert np.array_equal(samples, whole_samples)
+        assert np.array_equal(cum_loss, whole_loss)
+        assert multiplier == whole_multiplier
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def submit(*args, **kwargs):
+            raise AssertionError("started a worker for a single block")
+
+        monkeypatch.setattr(posterior.ThreadPoolExecutor, "submit", submit)
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * self.T * self.N)
+        self._run(n_steps=5)
+
+    def test_importance_run_does_not_depend_on_worker_count(self, monkeypatch):
+        rng = np.random.default_rng(424242)
+        T, d = 40, 30
+        xs = rng.uniform(-1.0, 1.0, size=(T, d))
+        u_true = np.zeros(d)
+        u_true[[2, 11, 25]] = [1.5, -2.0, 1.0]
+        seq = list(zip(xs, xs @ u_true + 0.5 * rng.standard_normal(T)))
+        cfg = BackendConfig(backend="importance", n_samples=600, ess_floor=0.5, refresh_sweeps=1)
+        # Blocks of 2000 / t rows, so any move after round 3 is split.
+        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * T * 50)
+
+        def run(cores):
+            monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
+            f = SeqSEWAdaptive(d, 3.0, cfg, seed=1000)
+            return run_protocol(f, seq), f.cloud
+
+        (serial, serial_cloud), (split, split_cloud) = run(1), run(2)
+        assert split_cloud.resample_count == serial_cloud.resample_count >= 1
+        assert np.array_equal(split.predictions, serial.predictions)
+        assert np.array_equal(split_cloud.samples, serial_cloud.samples)
+        assert np.array_equal(split_cloud.cum_loss, serial_cloud.cum_loss)
+
 
 _PROPERTY_BACKENDS = {
     "importance": BackendConfig(backend="importance", n_samples=200),
@@ -435,6 +503,29 @@ def _short_sequences(draw):
     xs = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=T, max_size=T))
     ys = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=T, max_size=T))
     return np.array(xs), ys
+
+
+class TestOracleTrackingProperty:
+    """Criterion 3's check on short drawn sequences: at d <= 2, with the
+    criterion's n = 10^4 and tolerance, importance and chain predictions
+    stay within 0.05 max(B, 1) of the grid oracle on >= 95% of rounds."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=_short_sequences(), seed=st.integers(0, 2**32 - 1))
+    def test_stochastic_backends_track_grid_oracle(self, data, seed):
+        xs, ys = data
+        d = xs.shape[1]
+        seq = list(zip(xs, ys))
+        grid_pts = 1001 if d == 1 else 257
+        ref = run_protocol(SeqSEWAdaptive(d, 0.1, BackendConfig(backend="quadrature", grid_points_per_dim=grid_pts)), seq)
+        imp = run_protocol(SeqSEWAdaptive(d, 0.1, BackendConfig(backend="importance", n_samples=10_000), seed=seed), seq)
+        cha = run_protocol(
+            SeqSEWAdaptive(d, 0.1, BackendConfig(backend="chain", n_samples=10_000, burn_in=20), seed=seed + 1), seq
+        )
+        tol = 0.05 * np.maximum(np.asarray([r.B for r in ref.records]), 1.0)
+        for approx in (imp, cha):
+            within = np.abs(approx.predictions - ref.predictions) <= tol
+            assert float(np.mean(within)) >= 0.95
 
 
 class TestBackendProperties:
