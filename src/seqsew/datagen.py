@@ -181,6 +181,8 @@ class ScenarioSpec:
             raise ArgumentError("scenario needs T >= 1")
         if self.design not in ("iid_uniform", "iid_gaussian", "fixed_grid", "adversarial_script"):
             raise ArgumentError(f"unknown design {self.design!r}")
+        if self.grid_size is not None and self.grid_size < 1:
+            raise ArgumentError(f"scenario key 'grid_size' must be >= 1, got {self.grid_size!r}")
         if self.u_true is not None:
             u = tuple(float(v) for v in self.u_true)
             if len(u) != self.d:
@@ -207,7 +209,7 @@ def _dictionary_inputs(spec: ScenarioSpec, rng: np.random.Generator) -> list[Any
     if kind == "random_signs":
         return list(range(spec.T))
     if spec.design == "fixed_grid":
-        size = spec.grid_size or spec.T
+        size = spec.T if spec.grid_size is None else spec.grid_size
         if kind == "fourier":
             grid = np.linspace(0.0, 1.0, size, endpoint=False)
             return [float(grid[t % size]) for t in range(spec.T)]

@@ -20,6 +20,13 @@ current posterior and then rebases ``log_base`` to ``eta * cum_loss``, so
 the moved points stand in for the posterior as they are.  Each step
 changes one random coordinate, shared by every point, and computes the
 candidate losses over cache-sized blocks of points in reused buffers.
+The step carries each point's residuals against the history rather than
+its margins, so a candidate's loss is the sum of squares of its residuals
+clipped to ``[y - B, y + B]``: six sweeps of a block per step, against
+eight for the margin form.  Clipping the residual equals clipping the
+margin only up to rounding, so sampled values differ in the last bits
+from the margin form's, while a fixed seed still reproduces them byte for
+byte.
 The blocks are split into contiguous row ranges, one per core the process
 may run on, and scored by that many threads; every random draw stays in
 the calling thread, and each point's arithmetic does not depend on its
@@ -125,23 +132,39 @@ class BackendConfig:
 
 class _History:
     """Per-round (features, y, B) needed to re-evaluate cumulative clipped
-    losses at arbitrary points."""
+    losses at arbitrary points.
 
-    def __init__(self) -> None:
-        self._phi: list[np.ndarray] = []
-        self._y: list[float] = []
-        self._b: list[float] = []
+    Each field is one array grown by doubling, so handing the history to a
+    move costs no copy.  Rows below the current length are never written
+    again, so a view handed out earlier keeps its rounds."""
+
+    def __init__(self, dim: int) -> None:
+        self._phi = np.empty((0, dim))
+        self._y = np.empty(0)
+        self._b = np.empty(0)
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self._y)
+        return self._len
 
     def append(self, features: np.ndarray, y: float, b: float) -> None:
-        self._phi.append(np.array(features, dtype=float))
-        self._y.append(float(y))
-        self._b.append(float(b))
+        t = self._len
+        if t == self._y.shape[0]:
+            capacity = max(1, 2 * t)
+            self._phi = np.concatenate([self._phi, np.empty((capacity - t, self._phi.shape[1]))])
+            self._y = np.concatenate([self._y, np.empty(capacity - t)])
+            self._b = np.concatenate([self._b, np.empty(capacity - t)])
+        self._phi[t] = features
+        self._y[t] = y
+        self._b[t] = b
+        self._len = t + 1
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (np.vstack(self._phi), np.asarray(self._y), np.asarray(self._b))
+        """Read-only views of the (features, y, B) of the rounds so far."""
+        views = (self._phi[: self._len], self._y[: self._len], self._b[: self._len])
+        for view in views:
+            view.flags.writeable = False
+        return views
 
 
 def _normalized_log_weights(log_unnorm: np.ndarray) -> np.ndarray:
@@ -167,19 +190,24 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # a single coordinate, shared by every particle, and proposes a new value
 # for it in each particle.  The coordinate is drawn independently of the
 # particles, so each particle still follows a random-scan Metropolis chain
-# with the posterior as its target.  Margins against the full history are
-# carried along and move by the rank-1 update deltas x phi[:, j], and the
-# candidate losses are computed over blocks of particles small enough to
-# stay in cache, so each step costs O(n_particles * n_rounds) with no
+# with the posterior as its target.  Residuals y - u . phi against the full
+# history are carried along, built once in the margin product's own array,
+# and move by the rank-1 update -deltas x phi[:, j].  Clipping a residual
+# to [y - b, y + b] equals y - clip(u . phi, -b, b) up to rounding, so a
+# candidate's clipped loss is the row sum of squares of its clipped
+# residuals.  A block is swept six times per step: two passes form the
+# candidates, two clip them, one takes the row sums of squares and one
+# copies the accepted rows back.  The blocks of particles are small enough
+# to stay in cache, so each step costs O(n_particles * n_rounds) with no
 # (n_particles, n_rounds) temporaries.
 #
 # The blocks of a step are scored on every usable core.  Every random
 # draw stays in the calling thread, in one fixed order, so the stream does
 # not depend on the worker count, and the one BLAS product runs before the
 # workers start, so BLAS threads never compete with them.  The workers run
-# only ufuncs with ``out=`` and row sums, which release the GIL, each on
-# its own rows, and a row's arithmetic is the same whichever worker scores
-# it: the result is bit-identical for any worker count.
+# only ufuncs and row-wise einsum sums with ``out=``, which release the
+# GIL, each on its own rows, and a row's arithmetic is the same whichever
+# worker scores it: the result is bit-identical for any worker count.
 # ---------------------------------------------------------------------------
 
 # Bytes of float64 scratch per block of particle rows in the Metropolis
@@ -222,7 +250,12 @@ def _metropolis_coordinate_steps(
     20-50% acceptance window."""
     phi, y, b = history
     n, d = samples.shape
-    margins = samples @ phi.T
+    # resid = y - samples @ phi.T, built in the product's own array: the
+    # plain expression would hold a second (n, t) array at its peak.
+    resid = samples @ phi.T
+    np.subtract(y, resid, out=resid)
+    # y - clip(m, -b, b) == clip(y - m, y - b, y + b) (b >= 0), up to rounding.
+    low, high = y - b, y + b
     eta_term = eta if math.isfinite(eta) else 0.0
     rows = max(1, _KERNEL_BLOCK_BYTES // (8 * y.shape[0]))
     n_blocks = -(-n // rows)
@@ -231,7 +264,6 @@ def _metropolis_coordinate_steps(
     # in its own (candidate, work) buffer pair.
     bounds = [min(n, (k * n_blocks // workers) * rows) for k in range(workers + 1)]
     buffers = [np.empty((2, min(rows, n), y.shape[0])) for _ in range(workers)]
-    neg_b = -b
     new_loss = np.empty(n)
     accept = np.empty(n, dtype=bool)
 
@@ -241,22 +273,20 @@ def _metropolis_coordinate_steps(
         candidate, work = buffers[worker]
         for start in range(bounds[worker], bounds[worker + 1], rows):
             rows_here = slice(start, start + rows)
-            held = margins[rows_here]
+            held = resid[rows_here]
             cand = candidate[: held.shape[0]]
             buf = work[: held.shape[0]]
             np.multiply(deltas[rows_here, None], column, out=cand)
-            np.add(cand, held, out=cand)
-            # min then max is np.clip(cand, -b, b) (b >= 0), without
-            # np.clip's per-call overhead.
-            np.minimum(cand, b, out=buf)
-            np.maximum(buf, neg_b, out=buf)
-            np.subtract(y, buf, out=buf)
-            np.square(buf, out=buf)
-            np.sum(buf, axis=1, out=new_loss[rows_here])
+            np.subtract(held, cand, out=cand)
+            # min then max is np.clip(cand, low, high), without np.clip's
+            # per-call overhead.
+            np.minimum(cand, high, out=buf)
+            np.maximum(buf, low, out=buf)
+            np.einsum("ij,ij->i", buf, buf, out=new_loss[rows_here])
             log_alpha = log_prior_delta[rows_here] - eta_term * (new_loss[rows_here] - cum_loss[rows_here])
             np.less(log_u[rows_here], log_alpha, out=accept[rows_here])
             # Accepted rows take the candidate itself, so the cached
-            # margins are exactly the ones their cached losses came from.
+            # residuals are exactly the ones their cached losses came from.
             np.copyto(held, cand, where=accept[rows_here, None])
 
     # The pool starts a thread on its first submit, so one worker starts none.
@@ -282,8 +312,8 @@ def _metropolis_coordinate_steps(
                 other.result()
             rate = float(np.count_nonzero(accept)) / n
 
-            samples[accept, j] = new_vals[accept]
-            cum_loss[accept] = new_loss[accept]
+            np.copyto(samples[:, j], new_vals, where=accept)
+            np.copyto(cum_loss, new_loss, where=accept)
             if rate < 0.2:
                 step_multiplier *= 0.7
             elif rate > 0.5:
@@ -422,7 +452,7 @@ class PosteriorCloud:
         self.config = config
         self.backend = config.backend
         self.eta = math.inf
-        self.history = _History()
+        self.history = _History(prior.dim)
         self._rng = rng
         self._step_multiplier = 1.0
         self.resample_count = 0

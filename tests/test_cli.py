@@ -238,6 +238,14 @@ class TestConfig:
                 lambda c: {**c, "scenario": {**c["scenario"], "dictionary": {"kind": "coordinate", "d": 1, "seed": -3}}},
                 "scenario 'dictionary' key 'seed' must be a non-negative integer, got -3",
             ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "design": "fixed_grid", "grid_size": -3}},
+                "scenario key 'grid_size' must be >= 1, got -3",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "design": "fixed_grid", "grid_size": 0}},
+                "scenario key 'grid_size' must be >= 1, got 0",
+            ),
         ],
         ids=[
             "forecaster-int", "backend-int", "scenario-list", "seed-text", "top-level-list",
@@ -246,7 +254,7 @@ class TestConfig:
             "scenario-float-s", "scenario-float-seed", "scenario-bool-d", "scenario-text-number",
             "noise-bool", "dictionary-float-d", "grid-nodes-int", "grid-nodes-text",
             "burn-in-zero", "refresh-sweeps-zero", "seed-negative", "scenario-seed-negative",
-            "dictionary-seed-negative",
+            "dictionary-seed-negative", "grid-size-negative", "grid-size-zero",
         ],
     )
     def test_malformed_config_exits_two_and_writes_nothing(self, tmp_path, capsys, command, edit, message):

@@ -4,6 +4,7 @@ reweighting, Markov-chain walkers, and their agreement."""
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,6 +383,29 @@ class TestMovePolicies:
         assert got == pytest.approx(cloud.predict(phi, 1.5), abs=1e-15)
 
 
+class TestHistory:
+    """The per-round history the moves read, grown in place."""
+
+    def test_views_keep_their_rounds_and_equal_the_stacked_rows(self):
+        rng = np.random.default_rng(41)
+        rounds = [(rng.standard_normal(2), rng.standard_normal(), rng.uniform()) for _ in range(9)]
+        history = posterior._History(2)
+        handed_out = []
+        for features, y, b in rounds:
+            history.append(features, y, b)
+            views = history.arrays()
+            handed_out.append((views, [view.copy() for view in views]))
+        # Nine appends cross every doubling up to a capacity of 16.
+        for views, copies in handed_out:
+            assert all(np.array_equal(view, copy) for view, copy in zip(views, copies))
+            assert not any(view.flags.writeable for view in views)
+        phi, y, b = history.arrays()
+        assert len(history) == 9
+        assert np.array_equal(phi, np.vstack([features for features, _, _ in rounds]))
+        assert np.array_equal(y, [y for _, y, _ in rounds])
+        assert np.array_equal(b, [b for _, _, b in rounds])
+
+
 class TestMetropolisKernel:
     """The shared-coordinate, cache-blocked Metropolis step."""
 
@@ -464,6 +488,61 @@ class TestMetropolisKernel:
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 4)
         monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * self.T * self.N)
         self._run(n_steps=5)
+
+    @pytest.mark.parametrize("eta", [0.1, math.inf])
+    def test_cached_losses_equal_recomputed_clipped_losses(self, eta):
+        rng = np.random.default_rng(21)
+        phi = 5.0 * rng.uniform(-1, 1, size=(self.T, self.D))
+        y = 2.0 * rng.standard_normal(self.T)
+        b = np.full(self.T, 1.5)
+        b[3] = 0.0
+        prior = SparsityPrior(0.5, self.D)
+
+        def losses(samples, y):
+            return np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
+
+        def run(y):
+            samples = np.random.default_rng(23).standard_normal((self.N, self.D))
+            cum_loss = losses(samples, y)
+            posterior._metropolis_coordinate_steps(
+                samples, cum_loss, (phi, y, b), eta, prior, np.random.default_rng(22), 30, np.full(self.D, 0.5), 1.0
+            )
+            return samples, cum_loss
+
+        samples, cum_loss = run(y)
+        margins = samples @ phi.T
+        # Some rounds clip on both sides.
+        assert np.any(np.any(margins > b, axis=0) & np.any(margins < -b, axis=0))
+        np.testing.assert_allclose(cum_loss, losses(samples, y), rtol=1e-12, atol=0.0)
+        # At eta = inf only the prior ratio decides, so the moves do not
+        # depend on the outcomes.
+        other_samples, _ = run(-y)
+        assert np.array_equal(other_samples, samples) == (eta == math.inf)
+
+    def test_peak_memory_is_one_residual_array_plus_block_buffers(self, monkeypatch):
+        n, t, d, steps = 2000, 200, 3, 5
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: 2)
+        rng = np.random.default_rng(31)
+        phi = rng.uniform(-1, 1, size=(t, d))
+        y = rng.standard_normal(t)
+        b = np.full(t, 1.0)
+        samples = rng.standard_normal((n, d))
+        cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
+        rows = posterior._KERNEL_BLOCK_BYTES // (8 * t)
+        assert -(-n // rows) >= 2  # both workers get blocks
+        tracemalloc.start()
+        try:
+            posterior._metropolis_coordinate_steps(
+                samples, cum_loss, (phi, y, b), 0.1, SparsityPrior(0.5, d), np.random.default_rng(32),
+                steps, np.full(d, 0.5), 1.0,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        residuals = 8 * n * t
+        block_buffers = 2 * 2 * 8 * rows * t
+        slack = 32 * 8 * n
+        assert peak < residuals + block_buffers + slack
 
     def test_importance_run_does_not_depend_on_worker_count(self, monkeypatch):
         rng = np.random.default_rng(424242)
