@@ -20,12 +20,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence, get_type_hints
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from . import _svg, batch as batch_mod, bounds as bounds_mod
-from .datagen import Dictionary, NoiseFamily, ScenarioSpec, checked_number, checked_section, checked_seed, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
+from .datagen import Dictionary, NoiseFamily, ScenarioSpec, Seed, checked_fields, checked_section, checked_value, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
 from .errors import ArgumentError, ContractViolationError, DataError, StateError
 from .forecasters import ProtocolResult, ridge_baseline, run_protocol, seqsew_adaptive, seqsew_auto, seqsew_fixed
 from .posterior import BackendConfig
@@ -131,17 +131,21 @@ def _number(path: Path, entry: dict[str, Any], key: str) -> float:
         raise DataError(f"{path}: key {key!r} is not a number: {entry[key]!r}") from exc
 
 
-def _csv_floats(path: Path, column: str) -> list[float]:
+def _csv_floats(path: Path, *columns: str) -> list[list[float]]:
+    """The named columns of one read of the CSV at ``path``, as floats."""
     header, rows = _read_csv(path)
-    if column not in header:
-        raise DataError(f"{path}: missing column {column!r}")
-    idx = header.index(column)
     out = []
-    for lineno, row in enumerate(rows, start=1):
-        try:
-            out.append(float(row[idx]))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {lineno}: bad float in {column!r}: {row[idx]!r}") from exc
+    for column in columns:
+        if column not in header:
+            raise DataError(f"{path}: missing column {column!r}")
+        idx = header.index(column)
+        values = []
+        for lineno, row in enumerate(rows, start=1):
+            try:
+                values.append(float(row[idx]))
+            except ValueError as exc:
+                raise DataError(f"{path}: row {lineno}: bad float in {column!r}: {row[idx]!r}") from exc
+        out.append(values)
     return out
 
 
@@ -187,9 +191,9 @@ def _load_config(args: argparse.Namespace) -> _Config:
     if raw.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
         raise ArgumentError(f"unsupported config schema {raw.get('schema')!r}")
     if args.seed is None:
-        seed = checked_seed("config 'seed'", raw.get("seed", 0))
+        seed = checked_value("config 'seed'", raw.get("seed", 0), Seed)
     else:
-        seed = checked_seed("--seed", args.seed)
+        seed = checked_value("--seed", args.seed, Seed)
 
     if "scenario" not in raw:
         raise ArgumentError("config needs a 'scenario' section")
@@ -197,19 +201,10 @@ def _load_config(args: argparse.Namespace) -> _Config:
     if "seed" not in raw["scenario"]:
         spec = replace(spec, seed=seed)
 
-    field_types = get_type_hints(BackendConfig)
-    backend = dict(checked_section("config section 'backend'", raw.get("backend", {}), field_types))
+    backend = checked_fields("config section 'backend'", raw.get("backend", {}), BackendConfig)
     for key, flag in (("backend", args.backend), ("n_samples", args.samples)):
         if flag is not None:
             backend[key] = flag
-    for key, value in backend.items():
-        label = f"config section 'backend' key {key!r}"
-        if field_types[key] in (int, float):
-            backend[key] = checked_number(label, value, field_types[key])
-        elif key == "grid_nodes" and value is not None:
-            if not (isinstance(value, list) and all(isinstance(nodes, list) for nodes in value)):
-                raise ArgumentError(f"{label} must be a list of node lists, got {value!r}")
-            backend[key] = tuple(tuple(checked_number(label, v, float) for v in nodes) for nodes in value)
     backend_config = BackendConfig(**backend)
 
     fc = raw.get("forecaster", {"kind": "adaptive", "tau": 1.0})
@@ -221,7 +216,7 @@ def _load_config(args: argparse.Namespace) -> _Config:
     for key, default in _FORECASTER_PARAMS[kind].items():
         if key not in fc and default is None:
             raise ArgumentError(f"forecaster kind {kind!r} needs {key!r}")
-        params[key] = checked_number(f"forecaster {key!r}", fc.get(key, default), float)
+        params[key] = checked_value(f"forecaster {key!r}", fc.get(key, default), float)
 
     out_dir = args.out or checked_section("config section 'outputs'", raw.get("outputs", {}), ("dir",)).get("dir", ".")
     if not isinstance(out_dir, str):
@@ -303,20 +298,27 @@ def _comparator_set(result: ProtocolResult, spec: ScenarioSpec, names: Sequence[
             out[name] = bounds_mod.best_sparse_comparator(
                 result.features, result.y, max(spec.s, 1), allow_greedy=True
             )
-        elif name == "ols":
+        else:
             coef = np.linalg.lstsq(result.features, result.y, rcond=None)[0]
             out[name] = bounds_mod.Comparator.from_vector(coef, result.features, result.y)
-        else:
-            raise ArgumentError(f"unknown comparator {name!r} (use zero, sparse, ols)")
     return out
+
+
+def _names(flag: str, noun: str, value: str, known: Sequence[str]) -> list[str]:
+    """The comma-separated names in ``value``: at least one, each from ``known``."""
+    names = [n.strip() for n in value.split(",") if n.strip()]
+    if not names:
+        raise ArgumentError(f"{flag} names no {noun}; choose from {', '.join(known)}")
+    for name in names:
+        if name not in known:
+            raise ArgumentError(f"unknown {noun} {name!r}; choose from {', '.join(known)}")
+    return names
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    bound_names = [b.strip() for b in args.bounds.split(",") if b.strip()]
-    for b in bound_names:
-        if b not in bounds_mod.BOUND_NAMES:
-            raise ArgumentError(f"unknown bound {b!r}; choose from {', '.join(bounds_mod.BOUND_NAMES)}")
+    bound_names = _names("--bounds", "bound", args.bounds, bounds_mod.BOUND_NAMES)
+    comparator_names = _names("--comparators", "comparator", args.comparators, ("zero", "sparse", "ols"))
 
     if args.replays < 0:
         raise ArgumentError(f"verify needs replays >= 0, got {args.replays}")
@@ -331,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         losses = [result.cumulative_loss] + [next(runs).cumulative_loss for _ in range(1, replays)]
         mc_allowance = bounds_mod.mc_allowance_from_replays(losses)
 
-    comparators = _comparator_set(result, config.spec, [c.strip() for c in args.comparators.split(",")])
+    comparators = _comparator_set(result, config.spec, comparator_names)
     info = result.forecaster_info
     reports = []
     for bound in bound_names:
@@ -547,6 +549,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     sequence = gen_individual_sequence(config.spec)
     out = config.out_dir
     rows = [[t, *np.atleast_1d(np.asarray(x, dtype=float)).tolist(), y] for t, (x, y) in enumerate(sequence, start=1)]
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"round {row[0]}: x and y must be finite, got {row[1:]}")
     header = ["t"] + [f"x_{j}" for j in range(1, len(rows[0]) - 1)] + ["y"]
     path = out / "dataset.csv"
     _write_csv(path, DATASET_CSV_SCHEMA, header, rows)
@@ -562,15 +567,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if kind == "cumloss":
         series = []
         for p in paths:
-            ts = _csv_floats(p, "t")
-            cl = _csv_floats(p, "cumloss")
+            ts, cl = _csv_floats(p, "t", "cumloss")
             if not ts:
                 raise ArgumentError(f"{p}: no rounds to plot")
             series.append((p.stem, ts, cl))
         svg = _svg.line_chart("cumulative square loss", "round t", "cumulative loss", series)
     elif kind == "staircase":
         p = paths[0]
-        pairs = [(t, b) for t, b in zip(_csv_floats(p, "t"), _csv_floats(p, "B_t")) if math.isfinite(b)]
+        pairs = [(t, b) for t, b in zip(*_csv_floats(p, "t", "B_t")) if math.isfinite(b)]
         if not pairs:
             raise ArgumentError(f"{p}: no rounds with a finite threshold to plot")
         xs, ys = [], []

@@ -8,10 +8,13 @@ that certify the parameters they satisfy.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
+import sys
+import types
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NewType, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.special import gammaln
@@ -27,8 +30,11 @@ __all__ = [
     "gen_stochastic",
     "design_sampler",
     "scenario_from_dict",
-    "scenario_to_dict",
 ]
+
+# A seed for ``np.random.SeedSequence``: a config reads it as a
+# non-negative integer.
+Seed = NewType("Seed", int)
 
 
 @dataclass(frozen=True)
@@ -36,9 +42,9 @@ class NoiseFamily:
     """A centred noise assumption: bd (bounded), sg (subgaussian),
     bem (bounded exponential moment), or bm (bounded alpha-th moment).
 
-    Construct through the classmethods, which validate parameters and
-    yield generators certified to satisfy exactly the advertised
-    condition."""
+    Every family checks its own parameters on construction, so the draws
+    are certified to satisfy exactly the advertised condition; the
+    classmethods build each family from its own parameters only."""
 
     kind: str
     B: float = 0.0
@@ -46,30 +52,35 @@ class NoiseFamily:
     alpha: float = 0.0
     M: float = 0.0
 
+    def __post_init__(self) -> None:
+        conditions = {
+            # Below 2^1023 the uniform draw's width 2 B is finite.
+            "bd": (0.0 < self.B < 2.0**1023, f"bd needs 0 < B < 2^1023, got {self.B!r}"),
+            "sg": (self.sigma_sq > 0.0, f"sg needs sigma_sq > 0, got {self.sigma_sq!r}"),
+            "bem": (self.alpha > 0.0 and self.M > 1.0, f"bem needs alpha > 0 and M > 1, got {self.alpha!r} and {self.M!r}"),
+            # Above alpha ~ 256.6 the scale's moment E |T|^alpha overflows.
+            "bm": (2.0 < self.alpha <= 256.0 and self.M > 0.0, f"bm needs 2 < alpha <= 256 and M > 0, got {self.alpha!r} and {self.M!r}"),
+        }
+        if self.kind not in conditions:
+            raise ArgumentError(f"unknown noise kind {self.kind!r}")
+        holds, message = conditions[self.kind]
+        if not holds:
+            raise ArgumentError(message)
+
     @classmethod
     def bounded(cls, B: float) -> "NoiseFamily":
-        if not B > 0.0:
-            raise ArgumentError("bd needs B > 0")
         return cls(kind="bd", B=float(B))
 
     @classmethod
     def subgaussian(cls, sigma_sq: float) -> "NoiseFamily":
-        if not sigma_sq > 0.0:
-            raise ArgumentError("sg needs sigma_sq > 0")
         return cls(kind="sg", sigma_sq=float(sigma_sq))
 
     @classmethod
     def bounded_exp_moment(cls, alpha: float, M: float = 2.0) -> "NoiseFamily":
-        if not (alpha > 0.0 and M > 1.0):
-            raise ArgumentError("bem needs alpha > 0 and M > 1")
         return cls(kind="bem", alpha=float(alpha), M=float(M))
 
     @classmethod
     def bounded_moment(cls, alpha: float, M: float) -> "NoiseFamily":
-        if not alpha > 2.0:
-            raise ArgumentError("bm needs alpha > 2")
-        if not M > 0.0:
-            raise ArgumentError("bm needs M > 0")
         return cls(kind="bm", alpha=float(alpha), M=float(M))
 
     def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
@@ -118,13 +129,15 @@ class DictionarySpec:
     kind: str = "coordinate"
     d: int = 1
     normalization: float = 1.0
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("coordinate", "fourier", "random_signs"):
             raise ArgumentError(f"unknown dictionary kind {self.kind!r}")
         if self.d < 1:
             raise ArgumentError("dictionary needs d >= 1")
+        if self.normalization == 0.0:
+            raise ArgumentError(f"dictionary key 'normalization' must be nonzero, got {self.normalization!r}")
 
 
 class Dictionary:
@@ -170,7 +183,7 @@ class ScenarioSpec:
     u_true: tuple[float, ...] | None = None
     design: str = "iid_uniform"
     noise: NoiseFamily | None = None
-    seed: int = 0
+    seed: Seed = 0
     dictionary: DictionarySpec = field(default_factory=DictionarySpec)
     amplitude_script: tuple[tuple[int, float], ...] = ()
     design_scale: float = 1.0
@@ -183,6 +196,11 @@ class ScenarioSpec:
             raise ArgumentError(f"unknown design {self.design!r}")
         if self.grid_size is not None and self.grid_size < 1:
             raise ArgumentError(f"scenario key 'grid_size' must be >= 1, got {self.grid_size!r}")
+        if self.dictionary.d != self.d:
+            raise ArgumentError(f"scenario key 'd' is {self.d} but the dictionary's d is {self.dictionary.d}")
+        # Below 2^1023 the uniform design's width 2 * design_scale is finite.
+        if not 0.0 < self.design_scale < 2.0**1023:
+            raise ArgumentError(f"scenario key 'design_scale' must lie in (0, 2^1023), got {self.design_scale!r}")
         if self.u_true is not None:
             u = tuple(float(v) for v in self.u_true)
             if len(u) != self.d:
@@ -345,38 +363,6 @@ def design_sampler(spec: ScenarioSpec) -> Callable[[np.random.Generator, int], l
 # ---------------------------------------------------------------------------
 
 
-def scenario_to_dict(spec: ScenarioSpec) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "T": spec.T,
-        "d": spec.d,
-        "s": spec.s,
-        "design": spec.design,
-        "seed": spec.seed,
-        "design_scale": spec.design_scale,
-        "dictionary": {
-            "kind": spec.dictionary.kind,
-            "d": spec.dictionary.d,
-            "normalization": spec.dictionary.normalization,
-            "seed": spec.dictionary.seed,
-        },
-    }
-    if spec.u_true is not None:
-        out["u_true"] = list(spec.u_true)
-    if spec.noise is not None:
-        out["noise"] = {
-            "kind": spec.noise.kind,
-            "B": spec.noise.B,
-            "sigma_sq": spec.noise.sigma_sq,
-            "alpha": spec.noise.alpha,
-            "M": spec.noise.M,
-        }
-    if spec.amplitude_script:
-        out["amplitude_script"] = [[t, f] for t, f in spec.amplitude_script]
-    if spec.grid_size is not None:
-        out["grid_size"] = spec.grid_size
-    return out
-
-
 def checked_section(where: str, data: Any, keys: Iterable[str]) -> dict[str, Any]:
     """``data`` if it is a JSON object with no key outside ``keys``; else an
     ArgumentError naming ``where`` and the offending key."""
@@ -388,78 +374,70 @@ def checked_section(where: str, data: Any, keys: Iterable[str]) -> dict[str, Any
     return data
 
 
-def checked_number(label: str, value: Any, kind: type) -> Any:
-    """``value`` as ``kind`` (int or float) if it is a number of that kind:
-    an integer for int, any real for float, never a bool.  Otherwise an
-    ArgumentError that starts with ``label``; nothing is truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
-        noun = "an integer" if kind is int else "a number"
-        raise ArgumentError(f"{label} must be {noun}, got {value!r}")
-    return kind(value)
+def checked_value(label: str, value: Any, kind: Any) -> Any:
+    """``value`` read from JSON as the annotated type ``kind``, or an
+    ArgumentError that starts with ``label``.  An int is an integer and a
+    float a finite real, never a bool, and nothing is truncated; a Seed is
+    a non-negative integer, the only seed ``np.random.SeedSequence``
+    takes; ``X | None`` is null or an X; and a tuple (``tuple[T, ...]`` or
+    a fixed ``tuple[A, B]``) is a JSON list."""
+    if kind in (int, float, Seed):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real if kind is float else numbers.Integral):
+            noun = "a number" if kind is float else "an integer"
+            raise ArgumentError(f"{label} must be {noun}, got {value!r}")
+        # An integer compares exactly, so one beyond the float range is
+        # refused here rather than overflowing in float().
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise ArgumentError(f"{label} must be a finite number, got {value!r}")
+        if kind is Seed and value < 0:
+            raise ArgumentError(f"{label} must be a non-negative integer, got {value!r}")
+        return float(value) if kind is float else int(value)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ArgumentError(f"{label} must be a string, got {value!r}")
+        return value
+    args = get_args(kind)
+    if get_origin(kind) in (Union, types.UnionType):
+        (inner,) = (a for a in args if a is not type(None))
+        return None if value is None else checked_value(label, value, inner)
+    if get_origin(kind) is not tuple:
+        raise TypeError(f"no config reader for {kind!r}")
+    if not isinstance(value, list):
+        raise ArgumentError(f"{label} must be a list, got {value!r}")
+    if args[-1] is Ellipsis:
+        return tuple(checked_value(label, v, args[0]) for v in value)
+    if len(value) != len(args):
+        raise ArgumentError(f"{label} must be a list of {len(args)} items, got {value!r}")
+    return tuple(checked_value(label, v, a) for v, a in zip(value, args))
 
 
-def checked_seed(label: str, value: Any) -> int:
-    """``value`` if it is a non-negative integer, the only seeds
-    ``np.random.SeedSequence`` takes; otherwise an ArgumentError that
-    starts with ``label``."""
-    seed = checked_number(label, value, int)
-    if seed < 0:
-        raise ArgumentError(f"{label} must be a non-negative integer, got {seed!r}")
-    return seed
+def checked_fields(where: str, data: Any, cls: type) -> dict[str, Any]:
+    """The fields of dataclass ``cls`` that the JSON object ``data`` sets,
+    each checked against its annotated type.  Refuses a non-object, an
+    unknown key, a missing required field and a value of the wrong type,
+    with an ArgumentError naming ``where`` and the key.  Fields that hold
+    a dataclass are returned as written, for their own call."""
+    hints = get_type_hints(cls)
+    checked_section(where, data, hints)
+    for f in dataclasses.fields(cls):
+        if f.name not in data and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ArgumentError(f"{where} needs key {f.name!r}")
+    return {
+        key: value if any(map(dataclasses.is_dataclass, get_args(hints[key]) or (hints[key],)))
+        else checked_value(f"{where} key {key!r}", value, hints[key])
+        for key, value in data.items()
+    }
 
 
 def scenario_from_dict(data: dict[str, Any]) -> ScenarioSpec:
-    """The inverse of :func:`scenario_to_dict`; refuses a key that is no
-    spec field and a value of the wrong type."""
-    checked_section("scenario", data, ScenarioSpec.__dataclass_fields__)
-
-    def number(where: str, section: dict[str, Any], key: str, kind: type, default: Any = None) -> Any:
-        """``section[key]`` checked as ``kind``; required when there is no default."""
-        value = section[key] if default is None else section.get(key, default)
-        return checked_number(f"{where} key {key!r}", value, kind)
-
-    try:
-        d = number("scenario", data, "d", int)
-        dict_data = checked_section("scenario 'dictionary'", data.get("dictionary", {}), DictionarySpec.__dataclass_fields__)
-        dictionary = DictionarySpec(
-            kind=dict_data.get("kind", "coordinate"),
-            d=number("scenario 'dictionary'", dict_data, "d", int, d),
-            normalization=number("scenario 'dictionary'", dict_data, "normalization", float, 1.0),
-            seed=checked_seed("scenario 'dictionary' key 'seed'", dict_data.get("seed", 0)),
-        )
-        noise = None
-        if "noise" in data and data["noise"] is not None:
-            nd = checked_section("scenario 'noise'", data["noise"], NoiseFamily.__dataclass_fields__)
-            kind = nd["kind"]
-            if kind == "bd":
-                noise = NoiseFamily.bounded(number("scenario 'noise'", nd, "B", float))
-            elif kind == "sg":
-                noise = NoiseFamily.subgaussian(number("scenario 'noise'", nd, "sigma_sq", float))
-            elif kind == "bem":
-                noise = NoiseFamily.bounded_exp_moment(
-                    number("scenario 'noise'", nd, "alpha", float), number("scenario 'noise'", nd, "M", float, 2.0)
-                )
-            elif kind == "bm":
-                noise = NoiseFamily.bounded_moment(number("scenario 'noise'", nd, "alpha", float), number("scenario 'noise'", nd, "M", float))
-            else:
-                raise ArgumentError(f"unknown noise kind {kind!r}")
-        return ScenarioSpec(
-            T=number("scenario", data, "T", int),
-            d=d,
-            s=number("scenario", data, "s", int, 0),
-            u_true=tuple(checked_number("scenario key 'u_true'", v, float) for v in data["u_true"]) if "u_true" in data else None,
-            design=data.get("design", "iid_uniform"),
-            noise=noise,
-            seed=checked_seed("scenario key 'seed'", data.get("seed", 0)),
-            dictionary=dictionary,
-            amplitude_script=tuple(
-                (checked_number("scenario key 'amplitude_script'", t, int), checked_number("scenario key 'amplitude_script'", f, float))
-                for t, f in data.get("amplitude_script", [])
-            ),
-            design_scale=number("scenario", data, "design_scale", float, 1.0),
-            grid_size=number("scenario", data, "grid_size", int) if data.get("grid_size") is not None else None,
-        )
-    except ArgumentError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArgumentError(f"invalid scenario config: {exc}") from exc
+    """The ScenarioSpec a JSON scenario section describes; refuses a key
+    that is no spec field and a value of the wrong type."""
+    fields = checked_fields("scenario", data, ScenarioSpec)
+    dict_fields = checked_fields("scenario 'dictionary'", fields.get("dictionary", {}), DictionarySpec)
+    fields["dictionary"] = DictionarySpec(**{"d": fields["d"], **dict_fields})
+    if fields.get("noise") is not None:
+        noise = checked_fields("scenario 'noise'", fields["noise"], NoiseFamily)
+        if noise["kind"] == "bem":
+            noise.setdefault("M", 2.0)  # as NoiseFamily.bounded_exp_moment
+        fields["noise"] = NoiseFamily(**noise)
+    return ScenarioSpec(**fields)

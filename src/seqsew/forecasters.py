@@ -264,6 +264,8 @@ class SeqSEWFixed(SeqSEWAdaptive):
     ) -> None:
         if not (B > 0.0 and eta > 0.0 and tau > 0.0):
             raise ArgumentError("B, eta, and tau must all be positive")
+        if not B * B < math.inf:
+            raise ArgumentError(f"B^2 must be finite, got B = {B!r}")
         super().__init__(dim, tau, backend, seed)
         self.state = AdaptiveState(float(B), float(B) ** 2, float(eta))
 

@@ -110,7 +110,7 @@ class BackendConfig:
     refresh_sweeps: int = 1
     grid_points_per_dim: int = 257
     grid_radius_multiplier: float = 1.0
-    grid_nodes: tuple | None = None
+    grid_nodes: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in ("importance", "chain", "quadrature"):
@@ -128,6 +128,10 @@ class BackendConfig:
             raise ArgumentError("proposal_scale must be positive")
         if not self.grid_radius_multiplier > 0.0:
             raise ArgumentError("grid_radius_multiplier must be positive")
+        for nodes in self.grid_nodes or ():
+            nodes = np.asarray(nodes, dtype=float)
+            if not np.isfinite(nodes).all() or np.unique(nodes).size != nodes.size:
+                raise ArgumentError(f"grid_nodes must be finite and distinct, got {nodes.tolist()!r}")
 
 
 class _History:

@@ -63,8 +63,10 @@ class SparsityPrior:
     dim: int
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0.0) or not math.isfinite(self.tau):
-            raise ArgumentError(f"prior scale tau must be positive and finite, got {self.tau}")
+        # In this range the density's constant 3 / (2 tau) is a finite,
+        # positive float.
+        if not 2.0**-1022 <= self.tau < 2.0**1023:
+            raise ArgumentError(f"prior scale tau must lie in [2^-1022, 2^1023), got {self.tau}")
         if self.dim < 1 or int(self.dim) != self.dim:
             raise ArgumentError(f"dimension must be a positive integer, got {self.dim}")
 

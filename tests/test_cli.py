@@ -2,13 +2,16 @@
 and byte-level determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seqsew.cli as cli
 from seqsew.bounds import BoundReport
@@ -138,13 +141,17 @@ class TestRun:
             ({"kind": "fixed", "B": 1.0, "tau": 0.5}, "forecaster kind 'fixed' needs 'eta'"),
             ({"kind": "fixed", "B": 1.0, "eta": 0.1}, "forecaster kind 'fixed' needs 'tau'"),
             ({"kind": "adaptive", "tau": "x"}, "forecaster 'tau' must be a number, got 'x'"),
+            ({"kind": "adaptive", "tau": 1e-313}, "prior scale tau must lie in [2^-1022, 2^1023), got 1e-313"),
+            ({"kind": "adaptive", "tau": 1e308}, "prior scale tau must lie in [2^-1022, 2^1023), got 1e+308"),
+            ({"kind": "fixed", "B": 1e160, "eta": 0.1, "tau": 0.5}, "B^2 must be finite, got B = 1e+160"),
         ],
-        ids=["adaptive-tau", "fixed-B", "fixed-eta", "fixed-tau", "adaptive-text-tau"],
+        ids=["adaptive-tau", "fixed-B", "fixed-eta", "fixed-tau", "adaptive-text-tau", "tau-subnormal", "tau-huge", "fixed-B-huge"],
     )
     def test_forecaster_without_a_parameter_is_usage_error(self, tmp_path, capsys, command, forecaster, message):
         cfg = _write_config(tmp_path / "cfg.json", forecaster=forecaster)
         assert cli.main([*command, "--config", str(cfg)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -218,7 +225,7 @@ class TestConfig:
             ),
             (
                 lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": 5}},
-                "config section 'backend' key 'grid_nodes' must be a list of node lists, got 5",
+                "config section 'backend' key 'grid_nodes' must be a list, got 5",
             ),
             (
                 lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": [["x", 1.0]]}},
@@ -246,6 +253,74 @@ class TestConfig:
                 lambda c: {**c, "scenario": {**c["scenario"], "design": "fixed_grid", "grid_size": 0}},
                 "scenario key 'grid_size' must be >= 1, got 0",
             ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "design_scale": -1.0}},
+                "scenario key 'design_scale' must lie in (0, 2^1023), got -1.0",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "design_scale": math.nan}},
+                "scenario key 'design_scale' must be a finite number, got nan",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "design_scale": 0}},
+                "scenario key 'design_scale' must lie in (0, 2^1023), got 0.0",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "u_true": [math.nan]}},
+                "scenario key 'u_true' must be a finite number, got nan",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "amplitude_script": [[15, math.nan]]}},
+                "scenario key 'amplitude_script' must be a finite number, got nan",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "amplitude_script": "x"}},
+                "scenario key 'amplitude_script' must be a list, got 'x'",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "amplitude_script": [[5]]}},
+                "scenario key 'amplitude_script' must be a list of 2 items, got [5]",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "dictionary": {"kind": "coordinate", "normalization": math.nan}}},
+                "scenario 'dictionary' key 'normalization' must be a finite number, got nan",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "dictionary": {"kind": "coordinate", "normalization": 0}}},
+                "dictionary key 'normalization' must be nonzero, got 0.0",
+            ),
+            (
+                lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": [[0.0, math.nan]]}},
+                "config section 'backend' key 'grid_nodes' must be a finite number, got nan",
+            ),
+            (
+                lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": [[0.0, 1.0, 0.0]]}},
+                "grid_nodes must be finite and distinct, got [0.0, 1.0, 0.0]",
+            ),
+            (
+                lambda c: {**c, "forecaster": {"kind": "fixed", "B": math.inf, "eta": 0.1, "tau": 0.5}},
+                "forecaster 'B' must be a finite number, got inf",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "noise": {"kind": "sg", "sigma_sq": math.inf}}},
+                "scenario 'noise' key 'sigma_sq' must be a finite number, got inf",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "design_scale": 1e308}},
+                "scenario key 'design_scale' must lie in (0, 2^1023), got 1e+308",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "design_scale": 10**400}},
+                "scenario key 'design_scale' must be a finite number, got 1000",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "noise": {"kind": "bd", "B": 1e308}}},
+                "bd needs 0 < B < 2^1023, got 1e+308",
+            ),
+            (
+                lambda c: {**c, "scenario": {**c["scenario"], "dictionary": {"kind": "fourier", "d": 2}}},
+                "scenario key 'd' is 1 but the dictionary's d is 2",
+            ),
         ],
         ids=[
             "forecaster-int", "backend-int", "scenario-list", "seed-text", "top-level-list",
@@ -255,6 +330,11 @@ class TestConfig:
             "noise-bool", "dictionary-float-d", "grid-nodes-int", "grid-nodes-text",
             "burn-in-zero", "refresh-sweeps-zero", "seed-negative", "scenario-seed-negative",
             "dictionary-seed-negative", "grid-size-negative", "grid-size-zero",
+            "design-scale-negative", "design-scale-nan", "design-scale-zero", "u-true-nan",
+            "amplitude-factor-nan", "amplitude-script-text", "amplitude-script-short",
+            "normalization-nan", "normalization-zero", "grid-nodes-nan", "grid-nodes-duplicate",
+            "fixed-B-inf", "noise-sigma-sq-inf", "design-scale-huge", "design-scale-huge-int",
+            "noise-bd-huge", "dictionary-d-mismatch",
         ],
     )
     def test_malformed_config_exits_two_and_writes_nothing(self, tmp_path, capsys, command, edit, message):
@@ -288,12 +368,81 @@ class TestConfig:
         assert cli.main(["run", "--config", str(cfg)]) == 0
 
     def test_readme_config_example_loads(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        example = readme.split("### Config schema")[1].split("```json")[1].split("```")[0]
         cfg = tmp_path / "readme.json"
-        cfg.write_text("\n".join(line.split("//")[0] for line in example.splitlines()))
+        cfg.write_text(json.dumps(_readme_config()))
         assert cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "dataset.csv").exists()
+
+
+def _readme_config() -> dict:
+    """The example config of the README's "Config schema" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("### Config schema")[1].split("```json")[1].split("```")[0]
+    return json.loads("\n".join(line.split("//")[0] for line in example.splitlines()))
+
+
+def _value_paths(node, path=()):
+    """The path of every value below ``node``: keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*path, key)
+        yield from _value_paths(child, (*path, key))
+
+
+# The README config at a small size: T, the scripted round and the grid
+# shrink so that each example runs in well under a second.
+_SMALL_README = _readme_config()
+_SMALL_README["scenario"].update(T=12, amplitude_script=[[6, 5.0]])
+_SMALL_README["backend"]["grid_points_per_dim"] = 64
+_MUTABLE_PATHS = [p for p in _value_paths(_SMALL_README) if p[0] != "outputs"]
+
+# Replacement values.  Integers stay small, so no mutation asks for a huge
+# T, d, n_samples or grid.
+_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, -1e308, 1e-300, 2.5]),
+    st.sampled_from([True, None, "x", "chain", "importance", "fourier", "fixed_grid", "bd", "fixed", [], [1.0], [[5]], {}]),
+    st.integers(-3, 20),
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestBoundaryProperty:
+    """One changed value of the README config, through gen, run and verify:
+    every outcome is a documented exit code, a refused config writes
+    nothing, and an accepted one writes finite losses and bounds."""
+
+    @staticmethod
+    def _finite(values) -> bool:
+        return all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(_MUTABLE_PATHS), value=_VALUES)
+    def test_mutated_readme_config(self, path, value):
+        config = json.loads(json.dumps(_SMALL_README))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            for command in (["gen"], ["run"], ["verify", "--bounds", "prop5", "--replays", "0"]):
+                out = Path(tmp) / command[0]
+                code = cli.main([*command, "--config", str(cfg), "--out", str(out)])
+                assert code in (0, 2, 3, 4)
+                if code == 2:
+                    assert not out.exists()
+                if code != 0:
+                    continue
+                if command[0] == "gen":
+                    assert self._finite(float(line.split(",")[-1]) for line in (out / "dataset.csv").read_text().splitlines()[2:])
+                elif command[0] == "run":
+                    rows = (out / "run.csv").read_text().splitlines()[2:]
+                    assert self._finite(float(v) for row in rows for v in row.split(",")[1:5])
+                    assert self._finite([json.loads((out / "run_summary.json").read_text())["cumulative_loss"]])
+                else:
+                    reports = json.loads((out / "verify.json").read_text())["reports"]
+                    assert self._finite(r[key] for r in reports for key in ("lhs", "rhs"))
 
 
 class TestVerify:
@@ -348,6 +497,27 @@ class TestVerify:
         cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 400})
         assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop5", "--replays", "-3"]) == 2
         assert "needs replays >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--bounds", ""], "--bounds names no bound"),
+            (["--bounds", " , "], "--bounds names no bound"),
+            (["--bounds", "prop5", "--comparators", ""], "--comparators names no comparator"),
+            (["--bounds", "prop5", "--comparators", ","], "--comparators names no comparator"),
+            (["--bounds", "prop5", "--comparators", "zero,best"], "unknown comparator 'best'"),
+        ],
+        ids=["bounds-empty", "bounds-commas", "comparators-empty", "comparators-comma", "comparator-unknown"],
+    )
+    def test_empty_or_unknown_name_list_exits_two_before_any_run(self, tmp_path, monkeypatch, capsys, flags, message):
+        def play(*args, **kwargs):
+            raise AssertionError("played a run")
+
+        monkeypatch.setattr(cli, "run_protocol", play)
+        cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 400})
+        assert cli.main(["verify", "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_bound_is_usage_error(self, tmp_path):
@@ -528,6 +698,13 @@ class TestGenAndPlot:
         assert lines[1] == "t,x_1,y"
         assert len(lines) == 2 + 25
 
+    def test_gen_of_an_overflowing_outcome_is_input_error(self, tmp_path, capsys):
+        scenario = json.loads(_write_config(tmp_path / "base.json").read_text())["scenario"]
+        cfg = _write_config(tmp_path / "cfg.json", scenario={**scenario, "u_true": [1e308]})
+        assert cli.main(["gen", "--config", str(cfg)]) == 4
+        assert "x and y must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_plot_cumloss_and_staircase(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
         cli.main(["run", "--config", str(cfg)])
@@ -536,6 +713,17 @@ class TestGenAndPlot:
         assert cli.main(["plot", "--input", run_csv, "--kind", "cumloss", "--out", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
         assert cli.main(["plot", "--input", run_csv, "--kind", "staircase", "--out", str(tmp_path / "st.svg")]) == 0
+
+    @pytest.mark.parametrize("kind, n_inputs", [("cumloss", 2), ("staircase", 1)])
+    def test_plot_reads_each_csv_once(self, tmp_path, monkeypatch, kind, n_inputs):
+        cfg = _write_config(tmp_path / "cfg.json")
+        cli.main(["run", "--config", str(cfg)])
+        reads = []
+        read_csv = cli._read_csv
+        monkeypatch.setattr(cli, "_read_csv", lambda path: reads.append(path) or read_csv(path))
+        run_csv = str(tmp_path / "out" / "run.csv")
+        assert cli.main(["plot", "--input", *[run_csv] * n_inputs, "--kind", kind, "--out", str(tmp_path / "p.svg")]) == 0
+        assert len(reads) == n_inputs
 
     def test_plot_risk_vs_horizon(self, tmp_path):
         for i, (T, measured, rhs) in enumerate([(50, 0.4, 3.0), (200, 0.2, 1.1)]):

@@ -16,7 +16,6 @@ from seqsew.datagen import (
     gen_individual_sequence,
     gen_stochastic,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from seqsew.errors import ArgumentError
 from seqsew.forecasters import run_protocol, seqsew_adaptive
@@ -212,19 +211,87 @@ class TestFixedGrid:
         assert xs[0] == xs[3] == xs[6]
 
 
+# The section _spec() builds, every field written out.
+_SPEC_DICT = {
+    "T": 30,
+    "d": 2,
+    "s": 1,
+    "u_true": [1.5, 0.0],
+    "design": "iid_uniform",
+    "seed": 3,
+    "design_scale": 1.0,
+    "grid_size": None,
+    "dictionary": {"kind": "coordinate", "d": 2, "normalization": 1.0, "seed": 0},
+}
+
+
+class TestSpecRanges:
+    """Range checks live in the specs, so library callers get them too."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: _spec(design_scale=0.0), "scenario key 'design_scale' must lie in (0, 2^1023), got 0.0"),
+            (lambda: _spec(design_scale=math.nan), "scenario key 'design_scale' must lie in (0, 2^1023), got nan"),
+            (lambda: _spec(dictionary=DictionarySpec(d=3)), "scenario key 'd' is 2 but the dictionary's d is 3"),
+            (lambda: DictionarySpec(normalization=-0.0), "dictionary key 'normalization' must be nonzero, got -0.0"),
+            (lambda: NoiseFamily(kind="sg", sigma_sq=-1.0), "sg needs sigma_sq > 0, got -1.0"),
+            (lambda: NoiseFamily(kind="bd"), "bd needs 0 < B < 2^1023, got 0.0"),
+            (lambda: NoiseFamily(kind="bem", alpha=1.0, M=1.0), "bem needs alpha > 0 and M > 1, got 1.0 and 1.0"),
+            (lambda: NoiseFamily(kind="bm", alpha=3.0, M=0.0), "bm needs 2 < alpha <= 256 and M > 0, got 3.0 and 0.0"),
+            (lambda: NoiseFamily(kind="bm", alpha=257.0, M=3.0), "bm needs 2 < alpha <= 256 and M > 0, got 257.0 and 3.0"),
+            (lambda: NoiseFamily(kind="zz"), "unknown noise kind 'zz'"),
+        ],
+        ids=["design-scale-zero", "design-scale-nan", "d-mismatch", "normalization-zero", "sg", "bd-missing-B", "bem", "bm", "bm-huge-alpha", "kind"],
+    )
+    def test_out_of_range_spec_is_refused(self, build, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            build()
+
+
 class TestConfigRoundTrip:
-    def test_scenario_dict_round_trip(self):
+    def test_scenario_dict_reads_every_field(self):
         spec = _spec(
             noise=NoiseFamily.bounded_moment(alpha=3.0, M=2.0),
             amplitude_script=((5, 2.0),),
             grid_size=None,
         )
-        again = scenario_from_dict(scenario_to_dict(spec))
-        assert again == spec
+        data = {
+            **_SPEC_DICT,
+            "noise": {"kind": "bm", "B": 0.0, "sigma_sq": 0.0, "alpha": 3.0, "M": 2.0},
+            "amplitude_script": [[5, 2.0]],
+        }
+        assert scenario_from_dict(data) == spec
 
     def test_invalid_config_reports_cleanly(self):
         with pytest.raises(ArgumentError):
             scenario_from_dict({"d": 2})  # T missing
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"d": 2}, "scenario needs key 'T'"),
+            ({"T": 5, "d": 1, "noise": {"B": 1.0}}, "scenario 'noise' needs key 'kind'"),
+            ({"T": 5, "d": 1, "design": 3}, "scenario key 'design' must be a string, got 3"),
+        ],
+        ids=["missing-T", "missing-noise-kind", "text-design"],
+    )
+    def test_reader_names_the_key(self, data, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "extra, field, value",
+        [
+            ({"u_true": None}, "u_true", None),
+            ({"grid_size": None}, "grid_size", None),
+            ({"amplitude_script": [[2, 3]]}, "amplitude_script", ((2, 3.0),)),
+            ({"noise": {"kind": "bem", "alpha": 1.0}}, "noise", NoiseFamily.bounded_exp_moment(1.0)),
+        ],
+        ids=["null-u-true", "null-grid-size", "integer-factor", "bem-default-M"],
+    )
+    def test_reader_reads_the_declared_type(self, extra, field, value):
+        assert getattr(scenario_from_dict({"T": 5, "d": 1, **extra}), field) == value
 
     @pytest.mark.parametrize(
         "data, message",
@@ -243,6 +310,5 @@ class TestConfigRoundTrip:
 
     def test_every_noise_field_is_an_accepted_key(self):
         spec = _spec(noise=NoiseFamily.bounded(2.0))
-        data = scenario_to_dict(spec)
-        assert set(data["noise"]) == {"kind", "B", "sigma_sq", "alpha", "M"}
+        data = {**_SPEC_DICT, "noise": {"kind": "bd", "B": 2.0, "sigma_sq": 0.0, "alpha": 0.0, "M": 0.0}}
         assert scenario_from_dict(data) == spec
