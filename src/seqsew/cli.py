@@ -327,18 +327,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     result = next(runs)
     stats = bounds_mod.SequenceStats.from_arrays(result.features, result.y)
 
-    replays = args.replays if config.backend.backend != "quadrature" else 0
-    mc_allowance = 0.0
-    if replays >= 2:
-        losses = [result.cumulative_loss] + [next(runs).cumulative_loss for _ in range(1, replays)]
-        mc_allowance = bounds_mod.mc_allowance_from_replays(losses)
-
+    # Every report is made before any replay, so a bound that does not
+    # apply to this run is refused before the replays are played.
     comparators = _comparator_set(result, config.spec, comparator_names)
     info = result.forecaster_info
-    reports = []
+    verified = []
     for bound in bound_names:
         for cname, comp in comparators.items():
-            kwargs: dict[str, Any] = {"mc_allowance": mc_allowance}
+            kwargs: dict[str, Any] = {}
             if bound == "cor3":
                 kwargs["B_y"] = info["B"]
                 kwargs["B_Phi"] = 16.0 * info["B"] ** 2 / info["tau"] ** 2
@@ -347,10 +343,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             elif bound == "cor9":
                 kwargs["s"] = max(comp.l0, config.spec.s)
                 kwargs["U"] = max(comp.l1, 1.0)
-            report = bounds_mod.verify(result, bound, comp, **kwargs)
-            entry = report.to_json_dict()
-            entry["comparator"] = cname
-            reports.append(entry)
+            verified.append((cname, bounds_mod.verify(result, bound, comp, **kwargs)))
+
+    replays = args.replays if config.backend.backend != "quadrature" else 0
+    mc_allowance = 0.0
+    if replays >= 2:
+        losses = [result.cumulative_loss] + [next(runs).cumulative_loss for _ in range(1, replays)]
+        mc_allowance = bounds_mod.mc_allowance_from_replays(losses)
+    reports = [{**report.with_allowance(mc_allowance).to_json_dict(), "comparator": cname} for cname, report in verified]
 
     out = config.out_dir
     payload = {

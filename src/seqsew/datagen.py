@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NewType, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ArgumentError
 
@@ -107,10 +106,10 @@ def _student_abs_moment(nu: float, alpha: float) -> float:
     """E |T_nu|^alpha for Student t with nu > alpha degrees of freedom."""
     log_m = (
         0.5 * alpha * math.log(nu)
-        + gammaln((alpha + 1.0) / 2.0)
-        + gammaln((nu - alpha) / 2.0)
+        + math.lgamma((alpha + 1.0) / 2.0)
+        + math.lgamma((nu - alpha) / 2.0)
         - 0.5 * math.log(math.pi)
-        - gammaln(nu / 2.0)
+        - math.lgamma(nu / 2.0)
     )
     return math.exp(log_m)
 
@@ -376,11 +375,11 @@ def checked_section(where: str, data: Any, keys: Iterable[str]) -> dict[str, Any
 
 def checked_value(label: str, value: Any, kind: Any) -> Any:
     """``value`` read from JSON as the annotated type ``kind``, or an
-    ArgumentError that starts with ``label``.  An int is an integer and a
-    float a finite real, never a bool, and nothing is truncated; a Seed is
-    a non-negative integer, the only seed ``np.random.SeedSequence``
-    takes; ``X | None`` is null or an X; and a tuple (``tuple[T, ...]`` or
-    a fixed ``tuple[A, B]``) is a JSON list."""
+    ArgumentError that starts with ``label``.  An int is an integer within
+    int64 and a float a finite real, never a bool, and nothing is
+    truncated; a Seed is a non-negative integer of any size, the only seed
+    ``np.random.SeedSequence`` takes; ``X | None`` is null or an X; and a
+    tuple (``tuple[T, ...]`` or a fixed ``tuple[A, B]``) is a JSON list."""
     if kind in (int, float, Seed):
         if isinstance(value, bool) or not isinstance(value, numbers.Real if kind is float else numbers.Integral):
             noun = "a number" if kind is float else "an integer"
@@ -391,6 +390,10 @@ def checked_value(label: str, value: Any, kind: Any) -> Any:
             raise ArgumentError(f"{label} must be a finite number, got {value!r}")
         if kind is Seed and value < 0:
             raise ArgumentError(f"{label} must be a non-negative integer, got {value!r}")
+        # A count goes into numpy, which holds no integer beyond int64 (a
+        # seed goes to SeedSequence, which takes any size).
+        if kind is int and not np.iinfo(np.int64).min <= value <= np.iinfo(np.int64).max:
+            raise ArgumentError(f"{label} must fit in a 64-bit integer, got {value!r}")
         return float(value) if kind is float else int(value)
     if kind is str:
         if not isinstance(value, str):

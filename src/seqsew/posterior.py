@@ -173,6 +173,9 @@ class _History:
 
 def _normalized_log_weights(log_unnorm: np.ndarray) -> np.ndarray:
     m = float(np.max(log_unnorm))
+    if not math.isfinite(m):
+        # -inf - -inf is NaN: no finite weight is left to normalise by.
+        raise StateError(f"the largest log weight is {m!r}, so the weights are undefined")
     w = np.exp(log_unnorm - m)
     return w / np.sum(w)
 
@@ -491,7 +494,10 @@ class PosteriorCloud:
         """Normalised weights of the current state (read-only; computed
         once per state)."""
         if self._weights is None:
-            weights = _normalized_log_weights(self._log_unnormalized())
+            try:
+                weights = _normalized_log_weights(self._log_unnormalized())
+            except StateError as exc:
+                raise StateError(f"posterior after round {len(self.history)}: {exc}") from None
             weights.flags.writeable = False
             self._weights = weights
         return self._weights

@@ -22,6 +22,12 @@ Closed forms implemented here:
 * the finite-support duality between log-partition values and
   entropy-regularised linear minimisation.
 
+The quadrature oracles at the end (``coordinate_density_integral``,
+``coordinate_second_moment``, ``kl_translated_quadrature``) check these
+closed forms by a separate route, ``scipy.integrate.quad``.  They import
+scipy on first call, so importing this module (or the package) does not
+load it; nothing on the forecasting path calls them.
+
 Conventions: ``0 * ln(1 + U / 0) = 0`` throughout.
 """
 
@@ -32,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ArgumentError, DimensionMismatchError
 
@@ -286,6 +291,8 @@ def _coordinate_density(tau: float) -> Callable[[float], float]:
 
 def coordinate_density_integral(tau: float) -> float:
     """Adaptive quadrature of the per-coordinate density over R (should be 1)."""
+    from scipy import integrate
+
     dens = _coordinate_density(tau)
     left, _ = integrate.quad(dens, -np.inf, 0.0)
     right, _ = integrate.quad(dens, 0.0, np.inf)
@@ -298,6 +305,7 @@ def coordinate_second_moment(tau: float) -> float:
     Integrates in the normalised variable t = u / tau and scales by tau^2,
     so the accuracy does not degrade with the scale.
     """
+    from scipy import integrate
 
     def integrand(t: float) -> float:
         return t * t * 1.5 / (1.0 + abs(t)) ** 4
@@ -316,6 +324,8 @@ def _kl_translated_coordinate(center: float, tau: float) -> float:
     """
     if center == 0.0:
         return 0.0
+    from scipy import integrate
+
     dens = _coordinate_density(tau)
 
     def integrand(v: float) -> float:

@@ -110,7 +110,7 @@ class TestRun:
             forecaster={"kind": "fixed", "B": 16.0, "eta": 1.0, "tau": 0.5},
             backend={"backend": "importance", "n_samples": 200},
         )
-        # All four replays play before prop2 refuses the tuning.
+        # prop2 refuses the tuning after the first run, before any replay.
         assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop2", "--replays", "4"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "error: prop2 requires eta <= 1/(8 B^2)"
@@ -154,13 +154,46 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-m", "seqsew", "--help"], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-m", "seqsew", "--help"], env=_src_env(), capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: seqsew")
+
+    def test_import_and_help_load_no_scipy(self):
+        # Only the quadrature oracles in seqsew.prior use scipy, and they
+        # import it on first call.
+        imported = subprocess.run(
+            [sys.executable, "-c", "import sys, seqsew, seqsew.cli; print(*sys.modules)"],
+            env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.split()
+        # -X importtime lists every module the real `python -m` start imports.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "seqsew", "--help"],
+            env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
+        )
+        at_help = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+        for modules in (imported, at_help):
+            assert {"numpy", "seqsew.cli", "seqsew.prior"} <= set(modules)
+            assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--bounds", "prop2", "--replays", "0"]])
+    def test_overflowing_eta_exits_two_naming_the_round(self, tmp_path, capsys, command):
+        # After round 6, eta * cum_loss overflows to inf at every grid
+        # point: no log weight is finite, and normalising would give NaN.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**_SMALL_README, "forecaster": {"kind": "fixed", "B": 4, "eta": 1e308, "tau": 0.5}}))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        message = "error: posterior after round 6: the largest log weight is -inf, so the weights are undefined"
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert not (tmp_path / "out").exists()
+
+
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _edited_config(path: Path, edit) -> Path:
@@ -396,10 +429,10 @@ _SMALL_README["scenario"].update(T=12, amplitude_script=[[6, 5.0]])
 _SMALL_README["backend"]["grid_points_per_dim"] = 64
 _MUTABLE_PATHS = [p for p in _value_paths(_SMALL_README) if p[0] != "outputs"]
 
-# Replacement values.  Integers stay small, so no mutation asks for a huge
-# T, d, n_samples or grid.
+# Replacement values.  Integers stay small or beyond int64, which the
+# config check refuses, so no mutation runs a huge T, d, n_samples or grid.
 _VALUES = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, -1e308, 1e-300, 2.5]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, -1e308, 1e-300, 2.5, 10**400, -(10**400)]),
     st.sampled_from([True, None, "x", "chain", "importance", "fourier", "fixed_grid", "bd", "fixed", [], [1.0], [[5]], {}]),
     st.integers(-3, 20),
     st.floats(-1e3, 1e3),
@@ -443,6 +476,26 @@ class TestBoundaryProperty:
                 else:
                     reports = json.loads((out / "verify.json").read_text())["reports"]
                     assert self._finite(r[key] for r in reports for key in ("lhs", "rhs"))
+
+    @pytest.mark.parametrize("value", [2**63, 10**400, -(2**63) - 1])
+    @pytest.mark.parametrize(
+        "path, label",
+        [
+            (("scenario", "T"), "scenario key 'T'"),
+            (("backend", "n_samples"), "config section 'backend' key 'n_samples'"),
+            (("backend", "grid_points_per_dim"), "config section 'backend' key 'grid_points_per_dim'"),
+        ],
+        ids=["T", "n_samples", "grid_points_per_dim"],
+    )
+    def test_count_beyond_int64_exits_two_naming_the_key(self, tmp_path, capsys, path, label, value):
+        config = json.loads(json.dumps(_SMALL_README))
+        config[path[0]][path[1]] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for command in (["gen"], ["run"]):
+            assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.splitlines()[-1] == f"error: {label} must fit in a 64-bit integer, got {value}"
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerify:
@@ -497,6 +550,28 @@ class TestVerify:
         cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 400})
         assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop5", "--replays", "-3"]) == 2
         assert "needs replays >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "forecaster, bound, message",
+        [
+            ({"kind": "adaptive", "tau": 0.2}, "thm8", "thm8 applies to the automatic forecaster, run used 'adaptive'"),
+            ({"kind": "fixed", "B": 16.0, "eta": 1.0, "tau": 0.5}, "prop2", "prop2 requires eta <= 1/(8 B^2)"),
+        ],
+        ids=["thm8-adaptive", "prop2-overheated"],
+    )
+    def test_unfit_bound_exits_two_before_any_replay(self, tmp_path, monkeypatch, capsys, forecaster, bound, message):
+        played, play = [], cli.run_protocol
+
+        def counting(*args, **kwargs):
+            played.append(args)
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_protocol", counting)
+        cfg = _write_config(tmp_path / "cfg.json", forecaster=forecaster, backend={"backend": "importance", "n_samples": 200})
+        assert cli.main(["verify", "--config", str(cfg), "--bounds", bound, "--replays", "6"]) == 2
+        assert len(played) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from seqsew.datagen import (
     Dictionary,
     DictionarySpec,
     ScenarioSpec,
+    _student_abs_moment,
     design_sampler,
     gen_individual_sequence,
     gen_stochastic,
@@ -119,6 +120,30 @@ class TestNoiseFamilies:
         draws = fam.draw(np.random.default_rng(4), 400_000)
         measured = float(np.mean(np.abs(draws) ** 4))
         assert measured == pytest.approx(3.0, rel=0.25)  # heavy-tailed, noisy estimate
+
+    @staticmethod
+    def _abs_moment_by_gammaln(nu, alpha):
+        from scipy.special import gammaln
+
+        log_m = 0.5 * alpha * math.log(nu) + gammaln((alpha + 1) / 2) + gammaln((nu - alpha) / 2) - gammaln(nu / 2)
+        return math.exp(log_m) / math.sqrt(math.pi)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.5, 3.0, 4.0, 8.0, 16.0, 30.0])
+    @pytest.mark.parametrize("excess", [0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+    def test_student_abs_moment_matches_gammaln(self, alpha, excess):
+        nu = alpha + excess
+        assert _student_abs_moment(nu, alpha) == pytest.approx(self._abs_moment_by_gammaln(nu, alpha), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [64.0, 128.0, 200.0, 256.0])
+    def test_student_abs_moment_matches_gammaln_up_to_bm_alpha_limit(self, alpha):
+        # The moment of a bm draw (nu = alpha + 2) reaches e^700 at alpha =
+        # 256; each route rounds its log to ~1e-13 absolute there.
+        nu = alpha + 2.0
+        assert _student_abs_moment(nu, alpha) == pytest.approx(self._abs_moment_by_gammaln(nu, alpha), rel=1e-12, abs=0.0)
+
+    def test_student_abs_moment_closed_form(self):
+        # E |T_3| = 2 sqrt(3) / pi.
+        assert _student_abs_moment(3.0, 1.0) == pytest.approx(2.0 * math.sqrt(3.0) / math.pi, rel=1e-15, abs=0.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ArgumentError):

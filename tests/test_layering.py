@@ -3,7 +3,8 @@
 The data generators sit below the estimators: ``datagen`` may not import
 the posterior, the forecasters, the batch estimators, the bounds engine or
 the CLI.  The CLI is the top layer: only the ``python -m seqsew`` entry
-point, ``__main__``, imports it."""
+point, ``__main__``, imports it.  No module imports scipy at module level:
+only the quadrature oracles need it, and they import it when called."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,35 @@ def test_datagen_imports_no_estimator_layer():
 @pytest.mark.parametrize("name", [m for m in MODULES if m not in ("cli", "__main__")])
 def test_no_module_imports_cli(name):
     assert "cli" not in _imported_modules(name)
+
+
+
+def _module_level_imports(source: str) -> set[str]:
+    """Top-level names of the packages ``source`` imports when it is
+    imported itself: everywhere but inside function bodies."""
+    found: set[str] = set()
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add((node.module or "").split(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_module_level_scan_skips_function_bodies_only():
+    source = (
+        "import numpy.linalg as la\n"
+        "try:\n    from scipy import stats\nexcept ImportError:\n    pass\n"
+        "class C:\n    import math\n    def f(self):\n        import json\n"
+        "def g():\n    from scipy import integrate\n"
+    )
+    assert _module_level_imports(source) == {"numpy", "scipy", "math"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_scipy_at_module_level(name):
+    assert "scipy" not in _module_level_imports((PACKAGE / f"{name}.py").read_text())

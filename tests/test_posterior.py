@@ -689,6 +689,18 @@ class TestNumericalEdgeCases:
         cloud.update(phi, 50.0, 64.0, 1e3)
         assert math.isfinite(cloud.predict(np.array([1.0, -2.0]), 64.0))
 
+    @pytest.mark.parametrize("backend", ["importance", "quadrature"])
+    def test_overflowing_log_weights_are_a_state_error_naming_the_round(self, backend):
+        # eta * cum_loss overflows to inf at every point, so every log
+        # weight is -inf and normalising them would give NaN weights.
+        cfg = BackendConfig(backend=backend, n_samples=300, grid_points_per_dim=129)
+        cloud = init(_prior_1d(0.5), cfg, np.random.default_rng(4))
+        phi = np.array([1.0])
+        with np.errstate(over="ignore"), pytest.raises(StateError, match="posterior after round 1: the largest log weight is -inf"):
+            cloud.predict(phi, 4.0)
+            cloud.update(phi, 100.0, 4.0, 1e308)
+            cloud.predict(phi, 4.0)
+
 
 _CACHE_BACKENDS = {
     "importance": BackendConfig(backend="importance", n_samples=300, ess_floor=0.9),
