@@ -18,8 +18,9 @@ Snapshots are retained explicitly (not re-simulated) so that predictions
 at new points are deterministic: ``BatchEstimator.snapshots`` is the list
 of each round's ``(FrozenCloud, B)``.  The snapshots of one *epoch* share
 its sample set, since importance particles change only when they are
-rejuvenated and quadrature nodes never change.  Each round adds one row
-of log-weights and cumulative losses, so a fit holds
+rejuvenated and quadrature nodes never change.  Each round keeps the
+cloud's own read-only cumulative losses (the cloud rebinds, never writes,
+them) plus one new array of log-weights, so a fit holds
 O(epochs * n * d + T * n) floats rather than the O(T * n * d) of a full
 copy per round.  At T = 1000, n = 10^4 and d = 30 a single epoch costs
 ~0.16 GB where full copies cost ~2.5 GB.  The chain backend moves its
@@ -175,32 +176,19 @@ def _online_pass(
     clip_center: float = 0.0,
 ) -> list[tuple[FrozenCloud, float]]:
     """Play the adaptive forecaster at tau = 1/sqrt(d T) through the T
-    ``rounds`` and store the posterior each round was predicted with, as
-    ``PosteriorCloud.snapshot()`` would give it.  The snapshots share the
-    cloud's sample set, which it never writes in place, and read their
-    weights and losses from two (T, n) tables; every stored array is
-    read-only."""
+    ``rounds`` and keep ``cloud.snapshot()`` of the posterior each round
+    was predicted with, together with that round's threshold.  The
+    snapshots share the cloud's read-only sample set and loss array
+    rather than copy them; only the log-weights are new each round."""
     d = dictionary.d if dictionary is not None else len(np.atleast_1d(rounds[0][0]))
     tau = 1.0 / math.sqrt(d * len(rounds))
     forecaster = SeqSEWAdaptive(d, tau, backend or BackendConfig(), seed=seed, clip_center=clip_center)
-    cloud = forecaster.cloud
-    log_weights = np.empty((len(rounds), cloud.samples.shape[0]))
-    cum_loss = np.empty_like(log_weights)
     snapshots = []
-    for t, (x, y) in enumerate(rounds):
+    for x, y in rounds:
         phi = dictionary.features(x) if dictionary is not None else np.asarray(x, dtype=float)
         forecaster.predict(np.asarray(phi, dtype=float))
-        log_weights[t] = np.log(np.maximum(cloud.weights(), 1e-300))
-        cum_loss[t] = cloud.cum_loss
-        cloud.samples.setflags(write=False)
-        snapshot = FrozenCloud(cloud.samples, log_weights[t], cum_loss[t], cloud.eta, cloud.backend)
-        # A view made before its table is sealed stays writable.
-        snapshot.log_weights.setflags(write=False)
-        snapshot.cum_loss.setflags(write=False)
-        snapshots.append((snapshot, forecaster.state.B))
+        snapshots.append((forecaster.cloud.snapshot(), forecaster.state.B))
         forecaster.observe(float(y))
-    log_weights.setflags(write=False)
-    cum_loss.setflags(write=False)
     return snapshots
 
 

@@ -164,6 +164,20 @@ _FORECASTER_PARAMS: dict[str, dict[str, float | None]] = {
 }
 
 
+# The most elements one array of a command may hold: T * d (the sequence),
+# n_samples * d (the particles), grid_points_per_dim^d (the grid),
+# n_eval * d (the risk evaluation points) and replications * T (the cor11
+# noise draws).  2^24 float64 values are 128 MiB; the largest shipped
+# config (n_samples = 10^4 at d = 30) is 3 * 10^5.  A count beyond it is a
+# config error rather than a run that grows until memory runs out.
+_MAX_ELEMENTS = 2**24
+
+
+def _check_size(name: str, formula: str, count: int) -> None:
+    if count > _MAX_ELEMENTS:
+        raise ArgumentError(f"{name} is too large: {formula} = {count} exceeds the size budget of 2^24 elements")
+
+
 @dataclass(frozen=True)
 class _Config:
     """The checked config document with the flags applied; commands read only this."""
@@ -206,6 +220,13 @@ def _load_config(args: argparse.Namespace) -> _Config:
         if flag is not None:
             backend[key] = flag
     backend_config = BackendConfig(**backend)
+    _check_size("scenario key 'T'", "T * d", spec.T * spec.d)
+    if backend_config.backend != "quadrature":
+        name = "--samples" if args.samples is not None else "config section 'backend' key 'n_samples'"
+        _check_size(name, "n_samples * d", backend_config.n_samples * spec.d)
+    elif backend_config.grid_nodes is None and spec.d <= 2:  # no grid is built beyond d = 2
+        grid = backend_config.grid_points_per_dim**spec.d
+        _check_size("config section 'backend' key 'grid_points_per_dim'", "grid_points_per_dim^d", grid)
 
     fc = raw.get("forecaster", {"kind": "adaptive", "tau": 1.0})
     kind = fc.get("kind", "adaptive") if isinstance(fc, dict) else "adaptive"
@@ -399,12 +420,13 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
     fixed_design = variant in ("thm13", "cor14")
     if fixed_design and spec.design != "fixed_grid":
         raise ArgumentError(f"{variant} needs the fixed_grid design")
-    base_samples, f_truth, closed = gen_stochastic(spec)
     if not fixed_design:
-        if not closed["feature_l2_sq"]:
-            raise ArgumentError("batch risk bounds need a design with known feature norms")
         if n_eval < 1:
             raise ArgumentError(f"random-design risk needs n_eval >= 1, got {n_eval}")
+        _check_size("--n-eval", "n_eval * d", n_eval * spec.d)
+    base_samples, f_truth, closed = gen_stochastic(spec)
+    if not fixed_design and not closed["feature_l2_sq"]:
+        raise ArgumentError("batch risk bounds need a design with known feature norms")
     if variant == "cor12":
         if spec.noise.kind != "sg":
             raise ArgumentError("cor12 applies under subgaussian noise")
@@ -421,6 +443,10 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
         est = fit(samples, dictionary, config.backend, seed=fit_rng)
         rng_eval = np.random.default_rng(np.random.SeedSequence([config.seed, 90 + i]))
         risks.append(batch_mod.risk(est, rep_truth, design_sampler(rep_spec), n_eval=n_eval, rng=rng_eval))
+        # Free the estimator's per-round arrays before the next replication
+        # allocates: kept alive, they would interleave with its data on the
+        # heap and leave holes too small to reuse once freed.
+        del est
         max_y_sq.append(max(y * y for _, y in samples))
     e_max_y_sq = float(np.mean(max_y_sq))
 
@@ -473,6 +499,7 @@ def _batch_family_sweep(config: _Config, replications: int):
     table = []
     rows = []
     reps = max(replications, 100)
+    _check_size("--replications", "replications * T", reps * config.spec.T)
     for k, family in enumerate(families):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 300 + k]))
         draws = family.draw(rng, (reps, config.spec.T))

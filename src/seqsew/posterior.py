@@ -68,8 +68,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,8 +87,6 @@ __all__ = [
     "PosteriorCloud",
     "FrozenCloud",
     "init",
-    "quadrature_expectation",
-    "clipped_margin_integrand",
 ]
 
 # Radius of the default grid in units of tau: prior mass beyond it is
@@ -429,16 +426,47 @@ class FrozenCloud:
 
     @classmethod
     def from_json(cls, text: str) -> "FrozenCloud":
+        """Load a ``seqsew.cloud.v1`` payload.  A missing key, an entry
+        that is not a finite number, or arrays whose shapes disagree
+        (``samples`` (n, d), ``log_weights`` and ``cum_loss`` (n,)) raise
+        ``ArgumentError`` naming the key; ``eta`` may be ``inf``."""
         payload = json.loads(text)
-        if payload.get("schema") != "seqsew.cloud.v1":
+        if not isinstance(payload, dict) or payload.get("schema") != "seqsew.cloud.v1":
             raise ArgumentError("not a serialized posterior snapshot")
-        return cls(
-            samples=np.array([[float(v) for v in row] for row in payload["samples"]], dtype=float),
-            log_weights=np.array([float(v) for v in payload["log_weights"]], dtype=float),
-            cum_loss=np.array([float(v) for v in payload["cum_loss"]], dtype=float),
-            eta=float(payload["eta"]),
-            backend=payload["backend"],
-        )
+        for key in ("backend", "eta", "samples", "log_weights", "cum_loss"):
+            if key not in payload:
+                raise ArgumentError(f"posterior snapshot lacks key {key!r}")
+
+        def finite(key: str, values: object) -> list[float]:
+            try:
+                numbers = [float(v) for v in values] if isinstance(values, list) else None
+            except (TypeError, ValueError):
+                numbers = None
+            if numbers is None or not all(map(math.isfinite, numbers)):
+                raise ArgumentError(f"posterior snapshot key {key!r} must hold lists of finite numbers")
+            return numbers
+
+        rows = payload["samples"]
+        rows = [finite("samples", row) for row in rows] if isinstance(rows, list) else []
+        if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+            raise ArgumentError("posterior snapshot key 'samples' must be a non-empty (n, d) array")
+        samples = np.array(rows)
+        log_weights = np.array(finite("log_weights", payload["log_weights"]))
+        cum_loss = np.array(finite("cum_loss", payload["cum_loss"]))
+        for key, values in (("log_weights", log_weights), ("cum_loss", cum_loss)):
+            if values.shape != samples.shape[:1]:
+                raise ArgumentError(
+                    f"posterior snapshot key {key!r} has {values.size} entries for {samples.shape[0]} samples"
+                )
+        try:
+            eta = float(payload["eta"])
+        except (TypeError, ValueError):
+            eta = math.nan
+        if math.isnan(eta):
+            raise ArgumentError(f"posterior snapshot key 'eta' must be a number, got {payload['eta']!r}")
+        if not isinstance(payload["backend"], str):
+            raise ArgumentError(f"posterior snapshot key 'backend' must be a string, got {payload['backend']!r}")
+        return cls(samples, log_weights, cum_loss, eta, payload["backend"])
 
 
 class PosteriorCloud:
@@ -448,10 +476,12 @@ class PosteriorCloud:
     :meth:`update` following the online protocol.  The inverse temperature
     passed to ``update`` must never increase.
 
-    Between rounds ``samples`` is never written in place: a move works on
-    a fresh array and rebinds ``samples`` to it, so a reference taken
-    between rounds keeps that round's set.  The batch estimators rely on
-    this to store each distinct set once.
+    Between rounds neither ``samples`` nor ``cum_loss`` is written in
+    place: an update rebinds ``cum_loss`` to a new array, and a move works
+    on fresh arrays and rebinds both to them, so a reference taken between
+    rounds keeps that round's values.  :meth:`snapshot` relies on this to
+    share both arrays rather than copy them, and the batch estimators to
+    store each distinct sample set once.
     """
 
     def __init__(self, prior: SparsityPrior, config: BackendConfig, rng: np.random.Generator | None) -> None:
@@ -600,49 +630,16 @@ class PosteriorCloud:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> FrozenCloud:
-        return FrozenCloud(
-            samples=self.samples.copy(),
-            log_weights=np.log(np.maximum(self.weights(), 1e-300)),
-            cum_loss=self.cum_loss.copy(),
-            eta=self.eta,
-            backend=self.backend,
-        )
+        """The current posterior, frozen: the cloud's own ``samples`` and
+        ``cum_loss``, marked read-only and shared rather than copied (the
+        cloud never writes them again), and fresh read-only log-weights."""
+        log_weights = np.log(np.maximum(self.weights(), 1e-300))
+        for array in (self.samples, self.cum_loss, log_weights):
+            array.flags.writeable = False
+        return FrozenCloud(self.samples, log_weights, self.cum_loss, self.eta, self.backend)
 
 
 def init(prior: SparsityPrior, config: BackendConfig, rng: np.random.Generator | None = None) -> PosteriorCloud:
     """Fresh cloud representing the prior itself (no data, eta formally
     infinite)."""
     return PosteriorCloud(prior, config, rng)
-
-
-# ---------------------------------------------------------------------------
-# Stand-alone quadrature expectation (the exact low-dimensional oracle).
-# ---------------------------------------------------------------------------
-
-
-def clipped_margin_integrand(features: np.ndarray, threshold: float) -> Callable[[np.ndarray], np.ndarray]:
-    features = np.asarray(features, dtype=float)
-
-    def integrand(points: np.ndarray) -> np.ndarray:
-        return np.clip(points @ features, -threshold, threshold)
-
-    return integrand
-
-
-def quadrature_expectation(
-    prior: SparsityPrior,
-    config: BackendConfig,
-    rounds: Sequence[tuple[np.ndarray, float, float]],
-    eta: float,
-    integrand: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Deterministic tensor-grid value of the posterior expectation of
-    ``integrand``.
-
-    ``rounds`` lists the played (features, y, threshold) triples defining
-    the cumulative clipped loss.  d <= 2 only.
-    """
-    cloud = init(prior, replace(config, backend="quadrature"))
-    for features, y, threshold in rounds:
-        cloud.update(features, y, threshold, eta)
-    return float(np.dot(cloud.weights(), np.asarray(integrand(cloud.samples), dtype=float)))

@@ -428,8 +428,6 @@ class TestStoredPassIsAReadOnlyList:
         assert len(est.snapshots) == len(samples) - (fit is fit_remark15)
         for cloud, b in est.snapshots:
             assert type(cloud) is FrozenCloud and type(b) is float
-            # The per-round rows and the tables they are cut from.
-            arrays = [cloud.samples, cloud.log_weights, cloud.cum_loss, cloud.log_weights.base, cloud.cum_loss.base]
-            for array in arrays:
+            for array in (cloud.samples, cloud.log_weights, cloud.cum_loss):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0

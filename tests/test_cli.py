@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import seqsew.cli as cli
 from seqsew.bounds import BoundReport
+from seqsew.errors import ArgumentError
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -495,6 +496,105 @@ class TestBoundaryProperty:
         for command in (["gen"], ["run"]):
             assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
             assert capsys.readouterr().err.splitlines()[-1] == f"error: {label} must fit in a 64-bit integer, got {value}"
+        assert not (tmp_path / "out").exists()
+
+
+_D2 = dict(d=2, u_true=[1.0, 0.0], dictionary={"kind": "coordinate", "d": 2})
+
+
+class TestSizeBudget:
+    """A count within int64 but far beyond memory is refused, naming the
+    key or flag, before anything is built: no array a command allocates
+    may hold more than ``cli._MAX_ELEMENTS`` elements."""
+
+    @staticmethod
+    def _load(tmp_path, argv=(), **overrides):
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+        return cli._load_config(cli._build_parser().parse_args(["gen", "--config", str(cfg), *argv]))
+
+    @pytest.mark.parametrize(
+        "overrides, argv, message",
+        [
+            (
+                dict(scenario=_stochastic_scenario(T=2**62)),
+                (),
+                "scenario key 'T' is too large: T * d = 4611686018427387904 exceeds the size budget of 2^24 elements",
+            ),
+            (dict(scenario=_stochastic_scenario(T=2**23 + 1, **_D2)), (), "scenario key 'T' is too large: T * d = 16777218"),
+            (
+                dict(backend={"backend": "importance", "n_samples": 10**12}),
+                (),
+                "config section 'backend' key 'n_samples' is too large: n_samples * d = 1000000000000",
+            ),
+            (
+                dict(scenario=_stochastic_scenario(**_D2), backend={"backend": "chain", "n_samples": 2**23 + 1}),
+                (),
+                "config section 'backend' key 'n_samples' is too large: n_samples * d = 16777218",
+            ),
+            (dict(backend={"backend": "chain", "n_samples": 400}), ("--samples", str(10**12)), "--samples is too large"),
+            (
+                dict(scenario=_stochastic_scenario(**_D2), backend={"backend": "quadrature", "grid_points_per_dim": 2**12 + 1}),
+                (),
+                "config section 'backend' key 'grid_points_per_dim' is too large: grid_points_per_dim^d = 16785409",
+            ),
+            (
+                dict(backend={"backend": "quadrature", "grid_points_per_dim": 2**24 + 1}),
+                (),
+                "grid_points_per_dim^d = 16777217",
+            ),
+        ],
+        ids=["T-2^62", "T-just-over", "n_samples", "n_samples-just-over", "samples-flag", "grid-d2", "grid-d1"],
+    )
+    def test_config_count_beyond_budget_is_refused(self, tmp_path, overrides, argv, message):
+        with pytest.raises(ArgumentError) as refusal:
+            self._load(tmp_path, argv, **overrides)
+        assert message in str(refusal.value)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(scenario=_stochastic_scenario(T=2**24)),
+            dict(scenario=_stochastic_scenario(**_D2), backend={"backend": "importance", "n_samples": 2**23}),
+            dict(scenario=_stochastic_scenario(**_D2), backend={"backend": "quadrature", "grid_points_per_dim": 2**12}),
+            # No grid is built beyond d = 2, so only the dimension is refused, later.
+            dict(
+                scenario=_stochastic_scenario(d=3, u_true=[1.0, 0.0, 0.0], dictionary={"kind": "coordinate", "d": 3}),
+                backend={"backend": "quadrature", "grid_points_per_dim": 2**12},
+            ),
+        ],
+        ids=["T", "n_samples", "grid", "grid-d3"],
+    )
+    def test_counts_at_the_budget_load(self, tmp_path, overrides):
+        self._load(tmp_path, **overrides)
+
+    def test_gen_refuses_before_generating(self, tmp_path, monkeypatch, capsys):
+        def generate(*args, **kwargs):
+            raise AssertionError("generated a sequence")
+
+        monkeypatch.setattr(cli, "gen_individual_sequence", generate)
+        cfg = _write_config(tmp_path / "cfg.json", scenario=_stochastic_scenario(T=2**62))
+        assert cli.main(["gen", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: scenario key 'T' is too large")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "variant, flags, message",
+        [
+            ("thm10", ["--replications", "2", "--n-eval", str(10**12)], "--n-eval is too large: n_eval * d = 1000000000000"),
+            ("cor12", ["--replications", "2", "--n-eval", str(2**24 + 1)], "--n-eval is too large: n_eval * d = 16777217"),
+            ("cor11", ["--replications", str(10**12)], "--replications is too large: replications * T = 12000000000000"),
+        ],
+        ids=["thm10-n-eval", "cor12-n-eval", "cor11-replications"],
+    )
+    def test_batch_flag_beyond_budget_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys, variant, flags, message):
+        def allocate(*args, **kwargs):
+            raise AssertionError("drew or fitted before the size check")
+
+        monkeypatch.setattr(cli.batch_mod, "fit_random_design", allocate)
+        monkeypatch.setattr(cli.NoiseFamily, "draw", allocate)
+        cfg = _write_config(tmp_path / "cfg.json", scenario=_stochastic_scenario())
+        assert cli.main(["batch", "--config", str(cfg), "--variant", variant, *flags]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message} exceeds the size budget of 2^24 elements"
         assert not (tmp_path / "out").exists()
 
 

@@ -4,7 +4,9 @@ The data generators sit below the estimators: ``datagen`` may not import
 the posterior, the forecasters, the batch estimators, the bounds engine or
 the CLI.  The CLI is the top layer: only the ``python -m seqsew`` entry
 point, ``__main__``, imports it.  No module imports scipy at module level:
-only the quadrature oracles need it, and they import it when called."""
+only the quadrature oracles need it, and they import it when called.  A
+``FrozenCloud`` is built only by ``PosteriorCloud.snapshot`` and
+``FrozenCloud.from_json``, so a live cloud has one way to be frozen."""
 
 import ast
 from pathlib import Path
@@ -82,3 +84,53 @@ def test_module_level_scan_skips_function_bodies_only():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_scipy_at_module_level(name):
     assert "scipy" not in _module_level_imports((PACKAGE / f"{name}.py").read_text())
+
+
+def _frozen_cloud_constructions(source: str) -> list[str | None]:
+    """The function around each call in ``source`` that builds a
+    ``FrozenCloud``: a call of the class under any name it is imported
+    as, or of ``cls`` in the class's own methods (None at module level)."""
+    tree = ast.parse(source)
+    names = {"FrozenCloud"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "FrozenCloud" and alias.asname
+    }
+    found: list[str | None] = []
+
+    def visit(node: ast.AST, owner: str | None, function: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name in names or (name == "cls" and owner == "FrozenCloud"):
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, function)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_construction_scan_sees_aliases_and_cls():
+    source = (
+        "from .posterior import FrozenCloud as Frozen\n"
+        "import seqsew.posterior as p\n"
+        "class FrozenCloud:\n    @classmethod\n    def load(cls):\n        return cls()\n"
+        "def a():\n    return Frozen()\n"
+        "def b():\n    return [p.FrozenCloud() for _ in range(2)]\n"
+        "def c(cls):\n    return cls()\n"
+        "top = FrozenCloud()\n"
+    )
+    assert _frozen_cloud_constructions(source) == ["load", "a", "b", None]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_snapshot_and_from_json_build_frozen_clouds(name):
+    found = _frozen_cloud_constructions((PACKAGE / f"{name}.py").read_text())
+    assert sorted(found) == (["from_json", "snapshot"] if name == "posterior" else [])

@@ -19,13 +19,7 @@ from seqsew.errors import (
     UnsupportedDimensionError,
 )
 from seqsew.forecasters import SeqSEWAdaptive, run_protocol
-from seqsew.posterior import (
-    BackendConfig,
-    FrozenCloud,
-    clipped_margin_integrand,
-    init,
-    quadrature_expectation,
-)
+from seqsew.posterior import BackendConfig, FrozenCloud, init
 from seqsew.prior import SparsityPrior
 
 
@@ -172,27 +166,29 @@ class TestUpdate:
         assert imp.predict(phi, b) == pytest.approx(quad.predict(phi, b), abs=0.05 * b)
 
 
-class TestQuadratureExpectation:
-    def test_normalization_integrand(self):
-        prior = _prior_1d()
-        cfg = BackendConfig(backend="quadrature", grid_points_per_dim=257)
-        val = quadrature_expectation(prior, cfg, [], 0.0, lambda pts: np.ones(pts.shape[0]))
-        assert val == pytest.approx(1.0, abs=1e-14)
+class TestQuadratureOracle:
+    """The grid cloud is the exact oracle: its prediction is the posterior
+    expectation of the clipped margin."""
+
+    @staticmethod
+    def _expectation(prior, cfg, rounds, eta, features, threshold):
+        cloud = init(prior, cfg)
+        for phi, y, b in rounds:
+            cloud.update(phi, y, b, eta)
+        return cloud.predict(features, threshold)
 
     def test_symmetric_prior_expectation_is_zero(self):
-        prior = _prior_1d()
         cfg = BackendConfig(backend="quadrature", grid_points_per_dim=257)
-        val = quadrature_expectation(prior, cfg, [], 0.0, clipped_margin_integrand(np.array([2.0]), 3.0))
+        val = self._expectation(_prior_1d(), cfg, [], 0.0, np.array([2.0]), 3.0)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_hand_computed_five_point_rule(self):
         # Same five support points, computed by hand with explicit softmax.
         nodes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        prior = _prior_1d()
         cfg = BackendConfig(backend="quadrature", grid_points_per_dim=5, grid_nodes=(nodes,))
         rounds = [(np.array([1.0]), 1.5, 1.0)]
         eta = 0.125
-        got = quadrature_expectation(prior, cfg, rounds, eta, clipped_margin_integrand(np.array([1.0]), 2.0))
+        got = self._expectation(_prior_1d(), cfg, rounds, eta, np.array([1.0]), 2.0)
 
         log_prior = np.log(1.5 / (1.0 + np.abs(nodes)) ** 4)
         loss = (1.5 - np.clip(nodes, -1.0, 1.0)) ** 2
@@ -209,20 +205,13 @@ class TestQuadratureExpectation:
         b = 1.0
         for _ in range(20):
             rounds.append((np.array([rng.uniform(-2, 2)]), rng.uniform(-1.5, 1.5), b))
-        integrand = clipped_margin_integrand(np.array([0.7]), b)
-        coarse = quadrature_expectation(prior, BackendConfig(backend="quadrature", grid_points_per_dim=2001), rounds, 0.125, integrand)
-        fine = quadrature_expectation(prior, BackendConfig(backend="quadrature", grid_points_per_dim=4001), rounds, 0.125, integrand)
-        assert abs(coarse - fine) < 1e-4
-
-    def test_refuses_high_dimension(self):
-        with pytest.raises(UnsupportedDimensionError):
-            quadrature_expectation(
-                SparsityPrior(tau=1.0, dim=3),
-                BackendConfig(backend="quadrature"),
-                [],
-                0.0,
-                lambda pts: np.ones(pts.shape[0]),
+        coarse, fine = (
+            self._expectation(
+                prior, BackendConfig(backend="quadrature", grid_points_per_dim=m), rounds, 0.125, np.array([0.7]), b
             )
+            for m in (2001, 4001)
+        )
+        assert abs(coarse - fine) < 1e-4
 
 
 class TestBackendEquivalence:
@@ -289,27 +278,98 @@ class TestClippingDominance:
         assert np.all((y - clipped) ** 2 <= (y - margins) ** 2 + 1e-12)
 
 
+_DROP = object()  # a payload edit that removes the key
+
+
 class TestSnapshots:
-    def test_json_round_trip_preserves_predictions(self):
+    @pytest.mark.parametrize("eta", [0.125, math.inf])  # the initial eta = inf loads too
+    def test_json_round_trip_preserves_predictions(self, eta):
         cloud = init(_prior_1d(), BackendConfig(backend="importance", n_samples=500), np.random.default_rng(0))
-        cloud.update(np.array([1.0]), 1.0, 1.0, 0.125)
+        if eta < math.inf:
+            cloud.update(np.array([1.0]), 1.0, 1.0, eta)
         snap = cloud.snapshot()
         restored = FrozenCloud.from_json(snap.to_json())
+        assert restored.eta == eta
         phi = np.array([0.7])
         assert restored.predict_clipped_mean(phi, 1.5) == pytest.approx(
             snap.predict_clipped_mean(phi, 1.5), abs=1e-12
         )
 
-    def test_rejects_foreign_payload(self):
-        with pytest.raises(ArgumentError):
-            FrozenCloud.from_json(json.dumps({"schema": "something.else"}))
-
-    def test_snapshot_is_independent_of_later_updates(self):
+    @staticmethod
+    def _payload():
         cloud = init(_prior_1d(), BackendConfig(backend="quadrature", grid_points_per_dim=65))
+        cloud.update(np.array([1.0]), 1.0, 1.0, 0.125)
+        return json.loads(cloud.snapshot().to_json())
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("schema", "something.else", "not a serialized posterior snapshot"),
+            ("samples", _DROP, "lacks key 'samples'"),
+            ("log_weights", _DROP, "lacks key 'log_weights'"),
+            ("cum_loss", _DROP, "lacks key 'cum_loss'"),
+            ("eta", _DROP, "lacks key 'eta'"),
+            ("backend", _DROP, "lacks key 'backend'"),
+            ("log_weights", lambda v: v[:-1], "'log_weights' has 64 entries for 65 samples"),
+            ("cum_loss", lambda v: v + ["0.0"], "'cum_loss' has 66 entries for 65 samples"),
+            ("samples", lambda v: v[:1] + [row + ["0.0"] for row in v[1:]], "'samples' must be a non-empty"),
+            ("samples", [], "'samples' must be a non-empty"),
+            ("samples", "1.0", "'samples' must be a non-empty"),
+            ("samples", lambda v: [["nan"]] + v[1:], "'samples' must hold lists of finite numbers"),
+            ("samples", lambda v: [["x"]] + v[1:], "'samples' must hold lists of finite numbers"),
+            ("log_weights", lambda v: ["-inf"] + v[1:], "'log_weights' must hold lists of finite numbers"),
+            ("cum_loss", lambda v: v[:-1] + ["inf"], "'cum_loss' must hold lists of finite numbers"),
+            ("eta", "nan", "'eta' must be a number"),
+            ("backend", 3, "'backend' must be a string"),
+        ],
+        ids=[
+            "foreign-schema", "no-samples", "no-log-weights", "no-cum-loss", "no-eta", "no-backend",
+            "short-log-weights", "long-cum-loss", "ragged-samples", "empty-samples", "samples-not-a-list",
+            "nan-sample", "text-sample", "infinite-log-weight", "infinite-loss", "nan-eta", "backend-not-a-string",
+        ],
+    )
+    def test_rejects_foreign_payload(self, key, value, match):
+        payload = self._payload()
+        if value is _DROP:
+            del payload[key]
+        else:
+            payload[key] = value(payload[key]) if callable(value) else value
+        with pytest.raises(ArgumentError, match=match):
+            FrozenCloud.from_json(json.dumps(payload))
+
+    BACKENDS = {
+        "quadrature": BackendConfig(backend="quadrature", grid_points_per_dim=65),
+        "importance": BackendConfig(backend="importance", n_samples=300, ess_floor=0.9),
+        "chain": BackendConfig(backend="chain", n_samples=300, burn_in=5),
+    }
+
+    @pytest.mark.parametrize("backend", ["quadrature", "importance", "chain"])
+    def test_snapshot_is_independent_of_later_updates(self, backend):
+        cloud = init(SparsityPrior(0.2, 2), self.BACKENDS[backend], np.random.default_rng(3))
+        xs, ys = TestMovePolicies._data(2)
+        rounds = _adaptive_rounds(cloud, xs, ys)
+        for _ in range(5):  # past the zero outcomes, so eta is finite
+            next(rounds)
         snap = cloud.snapshot()
-        phi = np.array([1.0])
+        # Shared, not copied, and read-only.
+        assert snap.samples is cloud.samples and snap.cum_loss is cloud.cum_loss
+        arrays = (snap.samples, snap.log_weights, snap.cum_loss)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        copies = [array.copy() for array in arrays]
+        phi = np.array([1.0, -0.5])
         before = snap.predict_clipped_mean(phi, 2.0)
-        cloud.update(phi, 1.0, 1.0, 0.125)
+        resamples = cloud.resample_count
+
+        for _ in rounds:
+            pass
+        if backend == "importance":
+            assert cloud.resample_count > resamples  # the particles moved after the snapshot
+        assert snap.cum_loss is not cloud.cum_loss
+        assert (snap.samples is cloud.samples) == (backend == "quadrature")  # only grid nodes never move
+        for array, copy in zip(arrays, copies):
+            assert array.tobytes() == copy.tobytes()
         assert snap.predict_clipped_mean(phi, 2.0) == before
 
 
@@ -374,18 +434,6 @@ class TestMovePolicies:
         assert len({id(s) for s, _ in kept}) == len(kept)
         for samples, copy in kept:
             assert np.array_equal(samples, copy)
-
-    def test_quadrature_expectation_equals_quadrature_cloud(self):
-        prior = _prior_1d(0.3)
-        cfg = BackendConfig(backend="quadrature", grid_points_per_dim=257)
-        rng = np.random.default_rng(9)
-        rounds = [(np.array([rng.uniform(-2, 2)]), rng.uniform(-1, 1), 1.0) for _ in range(8)]
-        cloud = init(prior, cfg)
-        for phi, y, b in rounds:
-            cloud.update(phi, y, b, 0.125)
-        phi = np.array([0.4])
-        got = quadrature_expectation(prior, cfg, rounds, 0.125, clipped_margin_integrand(phi, 1.5))
-        assert got == pytest.approx(cloud.predict(phi, 1.5), abs=1e-15)
 
 
 class TestHistory:
