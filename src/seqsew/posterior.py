@@ -18,19 +18,19 @@ incrementally, a re-tuned eta rescales all past losses exactly, with no
 approximation drift.  A *move* runs Metropolis steps targeting the
 current posterior and then rebases ``log_base`` to ``eta * cum_loss``, so
 the moved points stand in for the posterior as they are.  Each step
-changes one random coordinate, shared by every point, and computes the
-candidate losses over cache-sized blocks of points in reused buffers.
-The step carries each point's residuals against the history rather than
-its margins, so a candidate's loss is the sum of squares of its residuals
-clipped to ``[y - B, y + B]``: six sweeps of a block per step, against
-eight for the margin form.  Clipping the residual equals clipping the
-margin only up to rounding, so sampled values differ in the last bits
-from the margin form's, while a fixed seed still reproduces them byte for
-byte.
-The blocks are split into contiguous row ranges, one per core the process
-may run on, and scored by that many threads; every random draw stays in
-the calling thread, and each point's arithmetic does not depend on its
-range, so results do not depend on the worker count.
+changes one random coordinate, shared by every point.  The step carries
+each point's residuals against the history rather than its margins, so a
+candidate's loss is the sum of squares of its residuals clipped to
+``[y - B, y + B]``: six sweeps of a block per step, against eight for the
+margin form.  Clipping the residual equals clipping the margin only up to
+rounding, so sampled values differ in the last bits from the margin
+form's, while a fixed seed still reproduces them byte for byte.
+The points are cut into cache-sized blocks, and each block runs the whole
+move on its own rows, with its own random draws (from a seed the move
+draws) and its own step size, in reused buffers.  The cores the process
+may run on each take one contiguous run of blocks per move, so a block's
+result does not depend on which core ran it, and results do not depend on
+the worker count.
 The three backends are three move policies:
 
 ``importance``
@@ -49,8 +49,9 @@ The three backends are three move policies:
     in u / tau so the polynomial tails are resolved with few nodes.  Serves
     as the exact oracle the stochastic backends are checked against.
 
-The Metropolis step size is calibrated to keep acceptance between roughly
-20% and 50%.
+The Metropolis step size is calibrated, block by block, to keep acceptance
+between roughly 20% and 50%; a move starts from the median of the last
+move's per-block step sizes.
 
 A round costs one pass over the points.  The weights are normalised once
 per state, on first use, and handed out read-only together with their
@@ -191,31 +192,36 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 
 # ---------------------------------------------------------------------------
 # Metropolis moves, the one way a cloud's points change.  One "step" draws
-# a single coordinate, shared by every particle, and proposes a new value
-# for it in each particle.  The coordinate is drawn independently of the
-# particles, so each particle still follows a random-scan Metropolis chain
-# with the posterior as its target.  Residuals y - u . phi against the full
-# history are carried along, built once in the margin product's own array,
-# and move by the rank-1 update -deltas x phi[:, j].  Clipping a residual
-# to [y - b, y + b] equals y - clip(u . phi, -b, b) up to rounding, so a
-# candidate's clipped loss is the row sum of squares of its clipped
-# residuals.  A block is swept six times per step: two passes form the
-# candidates, two clip them, one takes the row sums of squares and one
-# copies the accepted rows back.  The blocks of particles are small enough
-# to stay in cache, so each step costs O(n_particles * n_rounds) with no
-# (n_particles, n_rounds) temporaries.
+# a single coordinate and proposes a new value for it in each particle.
+# The coordinates of a move are drawn up front, independently of the
+# particles, and shared by every particle, so each particle still follows a
+# random-scan Metropolis chain with the posterior as its target.  Residuals
+# y - u . phi against the full history are carried along, built once in the
+# margin product's own array, and move by the rank-1 update
+# -deltas x phi[:, j].  Clipping a residual to [y - b, y + b] equals
+# y - clip(u . phi, -b, b) up to rounding, so a candidate's clipped loss is
+# the row sum of squares of its clipped residuals.  A block is swept six
+# times per step: two passes form the candidates, two clip them, one takes
+# the row sums of squares and one copies the accepted rows back.
 #
-# The blocks of a step are scored on every usable core.  Every random
-# draw stays in the calling thread, in one fixed order, so the stream does
-# not depend on the worker count, and the one BLAS product runs before the
-# workers start, so BLAS threads never compete with them.  The workers run
-# only ufuncs and row-wise einsum sums with ``out=``, which release the
-# GIL, each on its own rows, and a row's arithmetic is the same whichever
-# worker scores it: the result is bit-identical for any worker count.
+# The particles are cut into blocks of equal size, small enough for a
+# block's residual rows to stay in cache, and a block runs every step of
+# the move on its own rows before the next block starts: its own proposal
+# and acceptance draws, from a generator seeded by the caller, and its own
+# step size, retuned toward 20-50% acceptance after each of its steps.  So
+# a block's moves depend only on its rows, its seed and the shared
+# coordinates, never on another block.  Each usable core takes one
+# contiguous run of blocks per move, the calling thread the first; the one
+# BLAS product runs before the workers start, so BLAS threads never compete
+# with them, and the workers run only ufuncs, einsum with ``out=`` and the
+# generators' fills, which release the GIL.  So the result is bit-identical
+# for any worker count, and a move hands each extra worker one task.  Each
+# step costs O(n_particles * n_rounds) with no (n_particles, n_rounds)
+# temporaries.
 # ---------------------------------------------------------------------------
 
-# Bytes of float64 scratch per block of particle rows in the Metropolis
-# step; small enough for the block to stay resident in a core's cache.
+# Most bytes of float64 scratch per block of particle rows in a Metropolis
+# move; small enough for the block to stay resident in a core's cache.
 _KERNEL_BLOCK_BYTES = 512 * 1024
 
 
@@ -249,80 +255,109 @@ def _metropolis_coordinate_steps(
 ) -> float:
     """Shared-coordinate Metropolis sweeps targeting the current posterior.
 
-    Moves ``samples`` and their cached ``cum_loss`` in place and returns
-    the step multiplier, which is retuned after every step toward the
-    20-50% acceptance window."""
+    Moves ``samples`` and their cached ``cum_loss`` in place.  Every block
+    of rows starts from ``step_multiplier`` and retunes its own after each
+    step toward the 20-50% acceptance window; the median of the blocks'
+    final multipliers is returned for the next move."""
     phi, y, b = history
     n, d = samples.shape
+    t = y.shape[0]
     # resid = y - samples @ phi.T, built in the product's own array: the
     # plain expression would hold a second (n, t) array at its peak.
     resid = samples @ phi.T
     np.subtract(y, resid, out=resid)
     # y - clip(m, -b, b) == clip(y - m, y - b, y + b) (b >= 0), up to rounding.
     low, high = y - b, y + b
+    columns = np.ascontiguousarray(phi.T)
     eta_term = eta if math.isfinite(eta) else 0.0
-    rows = max(1, _KERNEL_BLOCK_BYTES // (8 * y.shape[0]))
-    n_blocks = -(-n // rows)
+    tau = prior.tau
+    coords = rng.integers(0, d, size=n_steps).tolist()
+    scales = coord_scales.tolist()
+    # Blocks of equal size (to one row), so none is a short remainder with
+    # a noisy acceptance rate, and two cores' runs differ by one block at
+    # most.
+    n_blocks = -(-n // max(1, _KERNEL_BLOCK_BYTES // (8 * t)))
+    rows = -(-n // n_blocks)
+    seeds = rng.integers(np.iinfo(np.int64).max, size=n_blocks).tolist()
     workers = min(_usable_cores(), n_blocks)
-    # Worker k scores rows bounds[k]:bounds[k + 1], a run of whole blocks,
-    # in its own (candidate, work) buffer pair.
-    bounds = [min(n, (k * n_blocks // workers) * rows) for k in range(workers + 1)]
-    buffers = [np.empty((2, min(rows, n), y.shape[0])) for _ in range(workers)]
-    new_loss = np.empty(n)
-    accept = np.empty(n, dtype=bool)
+    # Worker k moves blocks first[k]:first[k + 1], a contiguous run.
+    first = [k * n_blocks // workers for k in range(workers + 1)]
 
-    def propose_rows(
-        worker: int, column: np.ndarray, deltas: np.ndarray, log_u: np.ndarray, log_prior_delta: np.ndarray
-    ) -> None:
-        candidate, work = buffers[worker]
-        for start in range(bounds[worker], bounds[worker + 1], rows):
-            rows_here = slice(start, start + rows)
-            held = resid[rows_here]
-            cand = candidate[: held.shape[0]]
-            buf = work[: held.shape[0]]
-            np.multiply(deltas[rows_here, None], column, out=cand)
-            np.subtract(held, cand, out=cand)
-            # min then max is np.clip(cand, low, high), without np.clip's
-            # per-call overhead.
-            np.minimum(cand, high, out=buf)
-            np.maximum(buf, low, out=buf)
-            np.einsum("ij,ij->i", buf, buf, out=new_loss[rows_here])
-            log_alpha = log_prior_delta[rows_here] - eta_term * (new_loss[rows_here] - cum_loss[rows_here])
-            np.less(log_u[rows_here], log_alpha, out=accept[rows_here])
-            # Accepted rows take the candidate itself, so the cached
-            # residuals are exactly the ones their cached losses came from.
-            np.copyto(held, cand, where=accept[rows_here, None])
+    # Scratch for one block per worker, reused by every block and step of
+    # its run.  It is allocated here, not in the workers, so that the
+    # workers' malloc arenas hold none of it (a worker's arena keeps freed
+    # memory of its own, which adds to the peak RSS).
+    scratch = [
+        (np.empty((2, rows, t)), np.empty((6, rows)), np.empty((2, rows), dtype=bool)) for _ in range(workers)
+    ]
+
+    def move_blocks(worker: int) -> list[float]:
+        (candidate, work), floats, flags = scratch[worker]
+        multipliers = []
+        for block in range(first[worker], first[worker + 1]):
+            block_rng = np.random.default_rng(seeds[block])
+            start = block * rows
+            held = resid[start : start + rows]
+            m = held.shape[0]
+            points = samples[start : start + rows]
+            losses = cum_loss[start : start + rows]
+            cand, buf = candidate[:m], work[:m]
+            uniform, deltas, new_vals, log_alpha, prior_new, new_loss = floats[:, :m]
+            long_range, accept = flags[:, :m]
+            multiplier = step_multiplier
+            for j in coords:
+                # Mixture of local and long-range moves keeps the heavy
+                # tails reachable without wrecking the acceptance rate.
+                block_rng.random(out=uniform)
+                np.less(uniform, 0.2, out=long_range)
+                block_rng.standard_normal(out=deltas)
+                np.multiply(deltas, scales[j] * multiplier, out=deltas)
+                np.multiply(deltas, 10.0, out=deltas, where=long_range)
+                old_vals = points[:, j]
+                np.add(old_vals, deltas, out=new_vals)
+                # The prior's log ratio, -4 (log1p(|new| / tau) -
+                # log1p(|old| / tau)).
+                for values, out in ((old_vals, log_alpha), (new_vals, prior_new)):
+                    np.abs(values, out=out)
+                    np.divide(out, tau, out=out)
+                    np.log1p(out, out=out)
+                np.subtract(log_alpha, prior_new, out=log_alpha)
+                np.multiply(log_alpha, 4.0, out=log_alpha)
+                np.einsum("i,j->ij", deltas, columns[j], out=cand)
+                np.subtract(held, cand, out=cand)
+                # min then max is np.clip(cand, low, high), without np.clip's
+                # per-call overhead.
+                np.minimum(cand, high, out=buf)
+                np.maximum(buf, low, out=buf)
+                np.einsum("ij,ij->i", buf, buf, out=new_loss)
+                # Accept where log u < prior ratio - eta (new - old loss).
+                np.subtract(new_loss, losses, out=uniform)
+                np.multiply(uniform, eta_term, out=uniform)
+                np.subtract(log_alpha, uniform, out=log_alpha)
+                block_rng.random(out=uniform)
+                np.log(uniform, out=uniform)
+                np.less(uniform, log_alpha, out=accept)
+                # Accepted rows take the candidate itself, so the cached
+                # residuals are exactly the ones their cached losses came
+                # from.
+                np.copyto(held, cand, where=accept[:, None])
+                np.copyto(old_vals, new_vals, where=accept)
+                np.copyto(losses, new_loss, where=accept)
+                rate = np.count_nonzero(accept) / m
+                if rate < 0.2:
+                    multiplier *= 0.7
+                elif rate > 0.5:
+                    multiplier *= 1.4
+            multipliers.append(multiplier)
+        return multipliers
 
     # The pool starts a thread on its first submit, so one worker starts none.
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        for _ in range(n_steps):
-            j = int(rng.integers(0, d))
-            # Mixture of local and long-range moves keeps the heavy tails
-            # reachable without wrecking the acceptance rate.
-            base = coord_scales[j] * step_multiplier
-            widths = np.where(rng.random(n) < 0.2, 10.0 * base, base)
-            deltas = rng.standard_normal(n) * widths
-            log_u = np.log(rng.random(n))
-
-            old_vals = samples[:, j]
-            new_vals = old_vals + deltas
-            log_prior_delta = -4.0 * (
-                np.log1p(np.abs(new_vals) / prior.tau) - np.log1p(np.abs(old_vals) / prior.tau)
-            )
-            step = (phi[:, j], deltas, log_u, log_prior_delta)
-            others = [pool.submit(propose_rows, worker, *step) for worker in range(1, workers)]
-            propose_rows(0, *step)
-            for other in others:
-                other.result()
-            rate = float(np.count_nonzero(accept)) / n
-
-            np.copyto(samples[:, j], new_vals, where=accept)
-            np.copyto(cum_loss, new_loss, where=accept)
-            if rate < 0.2:
-                step_multiplier *= 0.7
-            elif rate > 0.5:
-                step_multiplier *= 1.4
-    return step_multiplier
+        others = [pool.submit(move_blocks, worker) for worker in range(1, workers)]
+        multipliers = move_blocks(0)
+        for other in others:
+            multipliers += other.result()
+    return float(np.median(multipliers))
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +633,8 @@ class PosteriorCloud:
             if self._ess < self.config.ess_floor * weights.shape[0]:
                 idx = _systematic_resample(weights, self._rng)
                 self.resample_count += 1
-                # The copy is not needed for correctness.  With it, the
-                # process peak RSS of a d = 30, n = 4000 run stayed at
-                # 146-149 MB; without it, it varied from run to run between
-                # 147 and 168 MB (2-core VM, glibc malloc).
-                samples = self.samples[idx].copy()
-                self._move(samples, self.cum_loss[idx], self.config.refresh_sweeps * self.prior.dim)
+                # Indexing by idx makes fresh arrays for the move to write.
+                self._move(self.samples[idx], self.cum_loss[idx], self.config.refresh_sweeps * self.prior.dim)
 
     def _move(self, samples: np.ndarray, cum_loss: np.ndarray, n_steps: int) -> None:
         """Metropolis-move ``samples`` and their ``cum_loss`` (fresh
