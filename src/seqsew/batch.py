@@ -26,6 +26,18 @@ copy per round.  At T = 1000, n = 10^4 and d = 30 a single epoch costs
 ~0.16 GB where full copies cost ~2.5 GB.  The chain backend moves its
 walkers every round, so it has one epoch per round and gains nothing.
 
+Predictions evaluate only what they average.  Within a group of rounds
+that share a sample set and a threshold, the per-round means are linear
+in the weights, so the uniform average needs one summed weight vector per
+group: O(T n) to sum the weights plus O(groups n m) for m points (the
+margins, d multiply-adds each, are formed once per sample set).  The
+fixed-design average reads each round only at its own design point, so
+each round is evaluated there alone: O(T n d).  Scratch is a few
+cache-sized (rows, n) blocks (``_BLOCK_BYTES``), never the (T, m) matrix
+of per-round means, which only ``per_round_risks`` builds.  Evaluation
+points must be finite; a bad one raises :class:`DataError` naming its
+index.
+
 The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
 noise families (defined in :mod:`seqsew.datagen`) are also here.
 """
@@ -34,12 +46,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .datagen import NoiseFamily
-from .errors import ArgumentError
+from .errors import ArgumentError, DataError
 from .forecasters import SeqSEWAdaptive
 from .posterior import BackendConfig, FrozenCloud
 from .prior import s_ln_term
@@ -98,6 +110,17 @@ def _design_key(x: Any) -> bytes:
     return np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=float))).tobytes()
 
 
+# Most bytes of one float64 scratch block while the averaged regressor is
+# evaluated: a (rows, n_samples) block of margins or weights, small enough
+# to stay resident in a core's cache.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _block_rows(n: int) -> int:
+    """Rows of a (rows, n) float64 scratch block."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
 @dataclass
 class BatchEstimator:
     """Average of per-round clipped posterior-mean regressors."""
@@ -108,44 +131,112 @@ class BatchEstimator:
     anchor: float = 0.0
     design_points: list[Any] | None = None
 
+    def _features(self, xs: Sequence[Any]) -> np.ndarray:
+        """(m, d) features of the evaluation points, each point and its
+        features checked finite; a bad one raises :class:`DataError`
+        naming its index."""
+        to_phi = (lambda x: x) if self.dictionary is None else self.dictionary.features
+        phi = np.empty((len(xs), self.snapshots[0][0].samples.shape[1]))
+        for i, x in enumerate(xs):
+            point = np.asarray(x, dtype=float)
+            if not np.all(np.isfinite(point)):
+                raise DataError(f"evaluation point {i}: must be finite, got {point.tolist()}")
+            phi[i] = to_phi(x)
+            if not np.all(np.isfinite(phi[i])):
+                raise DataError(f"evaluation point {i}: features must be finite, got {phi[i].tolist()}")
+        return phi
+
+    def _groups(self, rounds: Iterable[int]) -> list[tuple[np.ndarray, dict[float, list[int]]]]:
+        """The given rounds by sample set, then by threshold.  Rounds of
+        one epoch share one sample-set object, kept alive by the
+        snapshots, so its id names the set."""
+        groups: dict[int, tuple[np.ndarray, dict[float, list[int]]]] = {}
+        for t in rounds:
+            cloud, b = self.snapshots[t]
+            groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1].setdefault(b, []).append(t)
+        return list(groups.values())
+
     def _round_means(self, xs: Sequence[Any]) -> np.ndarray:
         """(T, m) matrix of each round's clipped posterior mean at each of
-        the m points, without the anchor: the one place per-round
-        regressors are evaluated.
+        the m points, without the anchor.  Only ``per_round_risks`` needs
+        every round's values; predictions average without building it.
 
         Rounds that share a sample set and a threshold are clipped once
         and take their weighted means in one matrix product."""
-        to_phi = (lambda x: x) if self.dictionary is None else self.dictionary.features
-        phi = np.vstack([np.asarray(to_phi(x), dtype=float) for x in xs])  # (m, d)
-        # Rounds of one epoch share one sample-set object, kept alive here,
-        # so its id names the set.
-        groups: dict[int, tuple[np.ndarray, dict[float, list[int]]]] = {}
-        for t, (cloud, b) in enumerate(self.snapshots):
-            groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1].setdefault(b, []).append(t)
+        phi = self._features(xs)
         out = np.full((len(self.snapshots), phi.shape[0]), np.nan)
-        for samples, by_threshold in groups.values():
+        for samples, by_threshold in self._groups(range(len(self.snapshots))):
             margins = samples @ phi.T  # (n, m)
             for b, rows in by_threshold.items():
-                log_w = np.stack([self.snapshots[t][0].log_weights for t in rows])
-                w = np.exp(log_w - np.max(log_w, axis=1, keepdims=True))
-                w /= np.sum(w, axis=1, keepdims=True)
+                w = np.stack([self.snapshots[t][0].weights() for t in rows])
                 out[rows] = w @ np.clip(margins, -b, b)
         return out
 
     def _deltas(self, xs: Sequence[Any]) -> np.ndarray:
         """Averaged clipped deviation at each point: over all rounds, or in
         fixed-design mode over the rounds that visited the point (0 off
-        the design)."""
-        means = self._round_means(xs)
-        if self.mode != "fixed_design_grouped":
-            return np.mean(means, axis=0)
+        the design).
+
+        Only what is averaged is evaluated.  Over all rounds, a group's
+        per-round means are linear in its weights, so each (sample set,
+        threshold) group contributes its rounds' summed weights times its
+        clipped margins, one cache-sized block of points at a time.  In
+        fixed-design mode a round is read only at its own design point, so
+        each round is evaluated there alone, a block of rounds at a time.
+        Scratch stays at two (rows, n) blocks either way."""
+        if len(xs) == 0:
+            return np.zeros(0)
+        phi = self._features(xs)
+        if self.mode == "fixed_design_grouped":
+            return self._design_point_deltas(xs, phi)
+        out = np.zeros(phi.shape[0])
+        # One sample set at a time (the chain backend has one per round):
+        # each block of its margins is formed once and clipped per threshold.
+        for samples, by_threshold in self._groups(range(len(self.snapshots))):
+            sums = []
+            for b, rows in by_threshold.items():
+                w = np.zeros(samples.shape[0])
+                for t in rows:
+                    w += self.snapshots[t][0].weights()
+                sums.append((b, w))
+            height = min(_block_rows(samples.shape[0]), phi.shape[0])
+            margins, clipped = np.empty((height, samples.shape[0])), np.empty((height, samples.shape[0]))
+            for start in range(0, phi.shape[0], height):
+                block = phi[start : start + height]
+                m, c = margins[: len(block)], clipped[: len(block)]
+                np.matmul(block, samples.T, out=m)
+                for b, w in sums:
+                    out[start : start + len(block)] += np.clip(m, -b, b, out=c) @ w
+        return out / len(self.snapshots)
+
+    def _design_point_deltas(self, xs: Sequence[Any], phi: np.ndarray) -> np.ndarray:
+        """Fixed-design average at each point: the mean over the rounds
+        that visited it of their clipped posterior means there."""
         ids: dict[bytes, int] = {}
-        round_ids = np.asarray([ids.setdefault(_design_key(p), len(ids)) for p in self.design_points])
-        point_ids = np.asarray([ids.get(_design_key(x), -1) for x in xs])
-        visits = round_ids[:, None] == point_ids[None, :]
-        counts = np.sum(visits, axis=0)
-        sums = np.sum(means, axis=0, where=visits)
-        return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+        round_ids = [ids.setdefault(_design_key(p), len(ids)) for p in self.design_points]
+        point_ids = np.asarray([ids.get(_design_key(x), -1) for x in xs], dtype=np.intp)
+        # A design point's features are those of the first evaluation point
+        # equal to it; rounds at points not asked for are skipped.
+        row_of: dict[int, int] = {}
+        for i, pid in enumerate(point_ids.tolist()):
+            if pid >= 0:
+                row_of.setdefault(pid, i)
+        sums = np.zeros(len(ids))
+        for samples, by_threshold in self._groups(t for t, pid in enumerate(round_ids) if pid in row_of):
+            height = min(_block_rows(samples.shape[0]), max(len(rows) for rows in by_threshold.values()))
+            margins, w = np.empty((height, samples.shape[0])), np.empty((height, samples.shape[0]))
+            for b, rows in by_threshold.items():
+                for start in range(0, len(rows), height):
+                    block = rows[start : start + height]
+                    block_ids = [round_ids[t] for t in block]
+                    m, wb = margins[: len(block)], w[: len(block)]
+                    np.matmul(phi[[row_of[pid] for pid in block_ids]], samples.T, out=m)
+                    np.clip(m, -b, b, out=m)
+                    for i, t in enumerate(block):
+                        wb[i] = self.snapshots[t][0].weights()
+                    np.add.at(sums, block_ids, np.einsum("rn,rn->r", wb, m))
+        counts = np.bincount(round_ids, minlength=len(ids))
+        return np.where(point_ids >= 0, sums[point_ids] / counts[point_ids], 0.0)
 
     def predict_components(self, x: Any) -> tuple[float, float]:
         """(anchor, averaged clipped deviation); the prediction is their sum.
@@ -269,6 +360,8 @@ def risk(
         if design_sampler is None or rng is None:
             raise ArgumentError("random-design risk needs a design sampler and rng")
         xs = design_sampler(rng, n_eval)
+        if len(xs) != n_eval:
+            raise ArgumentError(f"the design sampler returned {len(xs)} points, not n_eval = {n_eval}")
     preds = estimator.predict_many(xs)
     truths = np.asarray([float(truth_f(x)) for x in xs])
     return float(np.mean((truths - preds) ** 2))
@@ -282,6 +375,8 @@ def per_round_risks(
     """Squared risk of each per-round regressor on the given points
     (used to check the averaging direction: risk of the average never
     exceeds the average of these)."""
+    if len(xs) < 1:
+        raise ArgumentError("per_round_risks needs at least one evaluation point")
     truths = np.asarray([float(truth_f(x)) for x in xs])
     preds = estimator.anchor + estimator._round_means(xs)
     return np.mean((truths[None, :] - preds) ** 2, axis=1)

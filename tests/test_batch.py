@@ -2,10 +2,13 @@
 inequalities, and the risk-bound evaluators."""
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from seqsew import batch
 from seqsew.batch import (
     NoiseFamily,
     empirical_max_sq,
@@ -18,7 +21,7 @@ from seqsew.batch import (
     risk_bound_rhs,
 )
 from seqsew.datagen import Dictionary, DictionarySpec
-from seqsew.errors import ArgumentError
+from seqsew.errors import ArgumentError, DataError
 from seqsew.forecasters import SeqSEWAdaptive
 from seqsew.posterior import BackendConfig, FrozenCloud
 
@@ -224,6 +227,13 @@ class TestRisk:
             risk(est, lambda x: 0.0, None, n_eval=10, rng=np.random.default_rng(0))
         with pytest.raises(ArgumentError):
             risk(est, lambda x: 0.0, lambda r, n: [], n_eval=0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("returned", [0, 9, 11])
+    def test_sampler_must_return_n_eval_points(self, returned):
+        est = fit_random_design([(np.array([0.5]), 1.0)], _coord_dict(), QUAD)
+        sampler = lambda rng, n: [rng.uniform(-1, 1, size=1) for _ in range(returned)]
+        with pytest.raises(ArgumentError, match=f"returned {returned} points, not n_eval = 10"):
+            risk(est, lambda x: 0.0, sampler, n_eval=10, rng=np.random.default_rng(0))
 
     def test_averaging_never_hurts(self):
         # Risk of the averaged estimator is at most the average of the
@@ -431,3 +441,117 @@ class TestStoredPassIsAReadOnlyList:
             for array in (cloud.samples, cloud.log_weights, cloud.cum_loss):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
+
+
+FITS = [fit_random_design, fit_fixed_design, fit_remark15]
+
+
+class TestEvaluationPoints:
+    """Evaluation points must be finite; no points is an empty answer."""
+
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_named(self, fit, bad):
+        samples = [(np.array([0.5, -0.25]), 1.0), (np.array([0.1, 0.3]), -0.5)]
+        est = fit(samples, _coord_dict(d=2), IMP, seed=0)
+        point = np.array([bad, 0.0])
+        with pytest.raises(DataError, match="evaluation point 0: must be finite"):
+            est.predict(point)
+        with pytest.raises(DataError, match="evaluation point 0: must be finite"):
+            est.predict_components(point)
+        with pytest.raises(DataError, match="evaluation point 2: must be finite"):
+            est.predict_many([samples[0][0], samples[1][0], point])
+
+    def test_non_finite_features_are_named(self):
+        # A finite point whose normalised features overflow.
+        est = fit_random_design([(np.array([0.5]), 1.0)], _coord_dict(norm=10.0), QUAD)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="evaluation point 1: features must be finite"):
+            est.predict_many([np.array([0.5]), np.array([1e308])])
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_no_points_predict_nothing(self, fit):
+        samples = [(np.array([0.5]), 1.0), (np.array([-0.5]), 2.0)]
+        est = fit(samples, _coord_dict(), QUAD)
+        preds = est.predict_many([])
+        assert preds.shape == (0,) and preds.dtype == np.float64
+
+    def test_per_round_risks_needs_points(self):
+        est = fit_random_design([(np.array([0.5]), 1.0)], _coord_dict(), QUAD)
+        with pytest.raises(ArgumentError, match="at least one evaluation point"):
+            per_round_risks(est, lambda x: 0.0, [])
+
+
+class TestBlockedAverage:
+    """Predictions sum each group's weights and evaluate one block at a
+    time; block edges must not show.  The reference evaluates every
+    snapshot on its own and averages, as the estimators are defined."""
+
+    @staticmethod
+    def _fit(backend_name, fit):
+        d, backend = TestStoredPassMatchesFullSnapshots.BACKENDS[backend_name]
+        samples = TestStoredPassMatchesFullSnapshots._samples(d)
+        est = fit(samples, _coord_dict(d=d, norm=10.0), backend, seed=5)
+        sets = len({id(cloud.samples) for cloud, _ in est.snapshots})
+        if backend_name == "chain":
+            assert sets == len(est.snapshots)  # one group per round
+        else:
+            assert sets >= 2  # at least one resample
+        return est, samples, backend.n_samples
+
+    @staticmethod
+    def _reference(est, x):
+        features = est.dictionary.features(x)
+        means = np.asarray([cloud.predict_clipped_mean(features, b) for cloud, b in est.snapshots])
+        if est.mode != "fixed_design_grouped":
+            return est.anchor + float(np.mean(means))
+        visits = [t for t, p in enumerate(est.design_points) if np.array_equal(p, x)]
+        return float(np.mean(means[visits])) if visits else 0.0
+
+    @pytest.mark.parametrize("excess", [-1, 0, 1])  # points just below, at and above one block
+    @pytest.mark.parametrize("fit", [fit_random_design, fit_remark15])
+    @pytest.mark.parametrize("backend_name", ["importance", "chain"])
+    def test_point_blocks(self, monkeypatch, backend_name, fit, excess):
+        est, samples, n = self._fit(backend_name, fit)
+        height = 5
+        monkeypatch.setattr(batch, "_BLOCK_BYTES", 8 * n * height)
+        d = len(samples[0][0])
+        rng = np.random.default_rng(30)
+        points = [rng.uniform(-2, 2, size=d) for _ in range(height + excess)]
+        expected = [self._reference(est, x) for x in points]
+        np.testing.assert_allclose(est.predict_many(points), expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("excess", [-1, 0, 1])  # rounds just below, at and above one block
+    @pytest.mark.parametrize("backend_name", ["importance", "chain"])
+    def test_round_blocks(self, monkeypatch, backend_name, excess):
+        est, samples, n = self._fit(backend_name, fit_fixed_design)
+        largest = max(Counter((id(cloud.samples), b) for cloud, b in est.snapshots).values())
+        assert largest >= (2 if backend_name == "importance" else 1)
+        monkeypatch.setattr(batch, "_BLOCK_BYTES", 8 * n * max(1, largest - excess))
+        d = len(samples[0][0])
+        points = [x for x, _ in samples[:10]] + [np.full(d, 0.125)]  # design points and one off it
+        expected = [self._reference(est, x) for x in points]
+        np.testing.assert_allclose(est.predict_many(points), expected, rtol=0.0, atol=1e-12)
+
+
+class TestPredictionScratch:
+    """One ``predict_many`` call holds a few cache-sized blocks, not the
+    (T, m) matrix of per-round means or (n, m) margins."""
+
+    @pytest.mark.parametrize("fit", [fit_random_design, fit_fixed_design])
+    def test_transient_peak_is_a_few_blocks(self, fit):
+        rng = np.random.default_rng(12)
+        n, d, T = 2000, 2, 200
+        samples = [(x, float(x[0] + 0.3 * rng.standard_normal())) for x in rng.uniform(-1, 1, size=(T, d))]
+        est = fit(samples, _coord_dict(d=d), BackendConfig(backend="importance", n_samples=n), seed=4)
+        points = [x for x, _ in samples] if fit is fit_fixed_design else list(rng.uniform(-1, 1, size=(T, d)))
+        est.predict_many(points)  # first-call allocations are not the path's own
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            est.predict_many(points)
+            transient = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Two (rows, n) blocks plus O(m d + n) arrays; an (n, m) margin
+        # array alone is 3.2 MB here.
+        assert transient <= 3 * batch._BLOCK_BYTES
