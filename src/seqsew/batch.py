@@ -34,9 +34,8 @@ margins, d multiply-adds each, are formed once per sample set).  The
 fixed-design average reads each round only at its own design point, so
 each round is evaluated there alone: O(T n d).  Scratch is a few
 cache-sized (rows, n) blocks (``_BLOCK_BYTES``), never the (T, m) matrix
-of per-round means, which only ``per_round_risks`` builds.  Evaluation
-points must be finite; a bad one raises :class:`DataError` naming its
-index.
+of per-round means.  Evaluation points must be finite; a bad one raises
+:class:`DataError` naming its index.
 
 The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
 noise families (defined in :mod:`seqsew.datagen`) are also here.
@@ -65,7 +64,6 @@ __all__ = [
     "fit_fixed_design",
     "fit_remark15",
     "risk",
-    "per_round_risks",
     "risk_bound_rhs",
 ]
 
@@ -155,22 +153,6 @@ class BatchEstimator:
             cloud, b = self.snapshots[t]
             groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1].setdefault(b, []).append(t)
         return list(groups.values())
-
-    def _round_means(self, xs: Sequence[Any]) -> np.ndarray:
-        """(T, m) matrix of each round's clipped posterior mean at each of
-        the m points, without the anchor.  Only ``per_round_risks`` needs
-        every round's values; predictions average without building it.
-
-        Rounds that share a sample set and a threshold are clipped once
-        and take their weighted means in one matrix product."""
-        phi = self._features(xs)
-        out = np.full((len(self.snapshots), phi.shape[0]), np.nan)
-        for samples, by_threshold in self._groups(range(len(self.snapshots))):
-            margins = samples @ phi.T  # (n, m)
-            for b, rows in by_threshold.items():
-                w = np.stack([self.snapshots[t][0].weights() for t in rows])
-                out[rows] = w @ np.clip(margins, -b, b)
-        return out
 
     def _deltas(self, xs: Sequence[Any]) -> np.ndarray:
         """Averaged clipped deviation at each point: over all rounds, or in
@@ -365,21 +347,6 @@ def risk(
     preds = estimator.predict_many(xs)
     truths = np.asarray([float(truth_f(x)) for x in xs])
     return float(np.mean((truths - preds) ** 2))
-
-
-def per_round_risks(
-    estimator: BatchEstimator,
-    truth_f: Callable[[Any], float],
-    xs: Sequence[Any],
-) -> np.ndarray:
-    """Squared risk of each per-round regressor on the given points
-    (used to check the averaging direction: risk of the average never
-    exceeds the average of these)."""
-    if len(xs) < 1:
-        raise ArgumentError("per_round_risks needs at least one evaluation point")
-    truths = np.asarray([float(truth_f(x)) for x in xs])
-    preds = estimator.anchor + estimator._round_means(xs)
-    return np.mean((truths[None, :] - preds) ** 2, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ rounding, so sampled values differ in the last bits from the margin
 form's, while a fixed seed still reproduces them byte for byte.
 The points are cut into cache-sized blocks, and each block runs the whole
 move on its own rows, with its own random draws (from a seed the move
-draws) and its own step size, in reused buffers.  The cores the process
-may run on each take one contiguous run of blocks per move, so a block's
-result does not depend on which core ran it, and results do not depend on
-the worker count.
+draws) and its own step size, in reused buffers.  A block builds its own
+residual rows just before its steps, so a move never holds an
+(n_points, n_rounds) array: its memory is a few block buffers per core,
+whatever the horizon.  The cores the process may run on each take one
+contiguous run of blocks per move, so a block's result does not depend on
+which core ran it, and results do not depend on the worker count.
 The three backends are three move policies:
 
 ``importance``
@@ -196,33 +198,39 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # The coordinates of a move are drawn up front, independently of the
 # particles, and shared by every particle, so each particle still follows a
 # random-scan Metropolis chain with the posterior as its target.  Residuals
-# y - u . phi against the full history are carried along, built once in the
-# margin product's own array, and move by the rank-1 update
-# -deltas x phi[:, j].  Clipping a residual to [y - b, y + b] equals
-# y - clip(u . phi, -b, b) up to rounding, so a candidate's clipped loss is
-# the row sum of squares of its clipped residuals.  A block is swept six
-# times per step: two passes form the candidates, two clip them, one takes
-# the row sums of squares and one copies the accepted rows back.
+# y - u . phi against the full history are carried along and move by the
+# rank-1 update -deltas x phi[:, j].  Clipping a residual to [y - b, y + b]
+# equals y - clip(u . phi, -b, b) up to rounding, so a candidate's clipped
+# loss is the row sum of squares of its clipped residuals.  A block is
+# swept six times per step: two passes form the candidates, two clip them,
+# one takes the row sums of squares and one copies the accepted rows back.
 #
 # The particles are cut into blocks of equal size, small enough for a
 # block's residual rows to stay in cache, and a block runs every step of
-# the move on its own rows before the next block starts: its own proposal
-# and acceptance draws, from a generator seeded by the caller, and its own
-# step size, retuned toward 20-50% acceptance after each of its steps.  So
-# a block's moves depend only on its rows, its seed and the shared
-# coordinates, never on another block.  Each usable core takes one
-# contiguous run of blocks per move, the calling thread the first; the one
-# BLAS product runs before the workers start, so BLAS threads never compete
-# with them, and the workers run only ufuncs, einsum with ``out=`` and the
-# generators' fills, which release the GIL.  So the result is bit-identical
-# for any worker count, and a move hands each extra worker one task.  Each
-# step costs O(n_particles * n_rounds) with no (n_particles, n_rounds)
-# temporaries.
+# the move on its own rows before the next block starts: first it builds
+# its residual rows, then it takes its own proposal and acceptance draws,
+# from a generator seeded by the caller, and its own step size, retuned
+# toward 20-50% acceptance after each of its steps.  So a block's moves
+# depend only on its rows, its seed and the shared coordinates, never on
+# another block, and no block needs another's residuals: a move holds no
+# (n_particles, n_rounds) array, only three block buffers per worker.  Each
+# usable core takes one contiguous run of blocks per move, the calling
+# thread the first.  A block's residual product is cut into pieces small
+# enough for BLAS to run each on the calling thread, so BLAS threads never
+# compete with the workers; the rest is ufuncs, einsum with ``out=`` and
+# the generators' fills.  All of these release the GIL.  So the result is
+# bit-identical for any worker count, and a move hands each extra worker
+# one task.  Each step costs O(n_particles * n_rounds).
 # ---------------------------------------------------------------------------
 
 # Most bytes of float64 scratch per block of particle rows in a Metropolis
 # move; small enough for the block to stay resident in a core's cache.
 _KERNEL_BLOCK_BYTES = 512 * 1024
+
+# Most multiply-adds of one piece of a block's residual product.  OpenBLAS
+# runs a GEMM of at most SMP_THRESHOLD_MIN (65536) times
+# GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds on the calling thread alone.
+_KERNEL_PIECE_MULADDS = 1 << 18
 
 
 def _robust_coordinate_scales(samples: np.ndarray, floor: float) -> np.ndarray:
@@ -240,6 +248,18 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _block_residuals(points: np.ndarray, columns: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``y - points @ columns`` written into ``out``, one product of at
+    most ``_KERNEL_PIECE_MULADDS`` multiply-adds per piece of rows."""
+    d, t = columns.shape
+    step = max(1, _KERNEL_PIECE_MULADDS // (d * t))
+    for start in range(0, points.shape[0], step):
+        piece = out[start : start + step]
+        np.matmul(points[start : start + step], columns, out=piece)
+        np.subtract(y, piece, out=piece)
+    return out
 
 
 def _metropolis_coordinate_steps(
@@ -262,10 +282,6 @@ def _metropolis_coordinate_steps(
     phi, y, b = history
     n, d = samples.shape
     t = y.shape[0]
-    # resid = y - samples @ phi.T, built in the product's own array: the
-    # plain expression would hold a second (n, t) array at its peak.
-    resid = samples @ phi.T
-    np.subtract(y, resid, out=resid)
     # y - clip(m, -b, b) == clip(y - m, y - b, y + b) (b >= 0), up to rounding.
     low, high = y - b, y + b
     columns = np.ascontiguousarray(phi.T)
@@ -288,18 +304,18 @@ def _metropolis_coordinate_steps(
     # workers' malloc arenas hold none of it (a worker's arena keeps freed
     # memory of its own, which adds to the peak RSS).
     scratch = [
-        (np.empty((2, rows, t)), np.empty((6, rows)), np.empty((2, rows), dtype=bool)) for _ in range(workers)
+        (np.empty((3, rows, t)), np.empty((6, rows)), np.empty((2, rows), dtype=bool)) for _ in range(workers)
     ]
 
     def move_blocks(worker: int) -> list[float]:
-        (candidate, work), floats, flags = scratch[worker]
+        (residuals, candidate, work), floats, flags = scratch[worker]
         multipliers = []
         for block in range(first[worker], first[worker + 1]):
             block_rng = np.random.default_rng(seeds[block])
             start = block * rows
-            held = resid[start : start + rows]
-            m = held.shape[0]
             points = samples[start : start + rows]
+            m = points.shape[0]
+            held = _block_residuals(points, columns, y, residuals[:m])
             losses = cum_loss[start : start + rows]
             cand, buf = candidate[:m], work[:m]
             uniform, deltas, new_vals, log_alpha, prior_new, new_loss = floats[:, :m]

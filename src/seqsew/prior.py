@@ -134,9 +134,21 @@ def sample(prior: SparsityPrior, rng: np.random.Generator, size: int | None = No
     the magnitude and one for the sign.
     """
     shape = (prior.dim,) if size is None else (int(size), prior.dim)
-    v = rng.random(shape)
-    signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return signs * magnitude_from_uniform(v, prior.tau)
+    # signs * magnitude_from_uniform(v, tau), with signs -1.0 where the
+    # sign uniform is below 0.5, built in v's own array.  The magnitude is
+    # the same arithmetic in the same order, and it is never negative, so
+    # taking the sign of (uniform - 0.5), which is exact and zero only at
+    # 0.5, equals the product bit for bit.  A masked negation is as exact
+    # but several times slower.
+    draw = rng.random(shape)
+    signs = rng.random(shape)
+    np.subtract(1.0, draw, out=draw)
+    np.power(draw, -1.0 / 3.0, out=draw)
+    np.subtract(draw, 1.0, out=draw)
+    np.multiply(draw, prior.tau, out=draw)
+    np.subtract(signs, 0.5, out=signs)
+    np.copysign(draw, signs, out=draw)
+    return draw
 
 
 def s_ln_term(s: float, U: float) -> float:

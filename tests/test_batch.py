@@ -15,7 +15,6 @@ from seqsew.batch import (
     fit_fixed_design,
     fit_random_design,
     fit_remark15,
-    per_round_risks,
     psi_bound,
     risk,
     risk_bound_rhs,
@@ -244,7 +243,10 @@ class TestRisk:
         truth = lambda x: 1.2 * float(np.asarray(x)[0])
         pts = [rng.uniform(-1, 1, size=1) for _ in range(200)]
         averaged = float(np.mean([(truth(x) - p) ** 2 for x, p in zip(pts, est.predict_many(pts))]))
-        per_round = per_round_risks(est, truth, pts)
+        per_round = [
+            np.mean([(truth(x) - c.predict_clipped_mean(est.dictionary.features(x), b)) ** 2 for x in pts])
+            for c, b in est.snapshots
+        ]
         assert averaged <= float(np.mean(per_round)) + 1e-10
 
 
@@ -411,8 +413,6 @@ class TestStoredPassMatchesFullSnapshots:
         tol = dict(rtol=0.0, atol=1e-12)
         np.testing.assert_allclose([est.predict(x) for x in probe], expected_preds, **tol)
         np.testing.assert_allclose(est.predict_many(probe), expected_preds, **tol)
-        ref_round_risks = np.mean([(truth(x) - anchor - round_means(x)) ** 2 for x in probe], axis=0)
-        np.testing.assert_allclose(per_round_risks(est, truth, probe), ref_round_risks, **tol)
 
         sampler = lambda r, n: [r.uniform(-1, 1, size=d) for _ in range(n)]
         if fit is fit_fixed_design:
@@ -474,11 +474,6 @@ class TestEvaluationPoints:
         est = fit(samples, _coord_dict(), QUAD)
         preds = est.predict_many([])
         assert preds.shape == (0,) and preds.dtype == np.float64
-
-    def test_per_round_risks_needs_points(self):
-        est = fit_random_design([(np.array([0.5]), 1.0)], _coord_dict(), QUAD)
-        with pytest.raises(ArgumentError, match="at least one evaluation point"):
-            per_round_risks(est, lambda x: 0.0, [])
 
 
 class TestBlockedAverage:

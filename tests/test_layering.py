@@ -6,9 +6,7 @@ the CLI.  The CLI is the top layer: only the ``python -m seqsew`` entry
 point, ``__main__``, imports it.  No module imports scipy at module level:
 only the quadrature oracles need it, and they import it when called.  A
 ``FrozenCloud`` is built only by ``PosteriorCloud.snapshot`` and
-``FrozenCloud.from_json``, so a live cloud has one way to be frozen.  Only
-``per_round_risks`` reads ``BatchEstimator._round_means``, so the (T, m)
-matrix of per-round means stays off the prediction path."""
+``FrozenCloud.from_json``, so a live cloud has one way to be frozen."""
 
 import ast
 from pathlib import Path
@@ -137,42 +135,3 @@ def test_only_snapshot_and_from_json_build_frozen_clouds(name):
     found = _frozen_cloud_constructions((PACKAGE / f"{name}.py").read_text())
     assert sorted(found) == (["from_json", "snapshot"] if name == "posterior" else [])
 
-
-def _references_to(source: str, name: str) -> list[str | None]:
-    """The function around each use of ``name`` in ``source``, as an
-    attribute, a bare name or a ``getattr`` string (None at module
-    level); its own definition is not a use."""
-    found: list[str | None] = []
-
-    def visit(node: ast.AST, function: str | None) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        elif (
-            (isinstance(node, ast.Attribute) and node.attr == name)
-            or (isinstance(node, ast.Name) and node.id == name)
-            or (isinstance(node, ast.Constant) and node.value == name)
-        ):
-            found.append(function)
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-def test_reference_scan_sees_calls_aliases_and_getattr():
-    source = (
-        "class E:\n    def _round_means(self, xs):\n        return xs\n"
-        "    def a(self, xs):\n        return self._round_means(xs)\n"
-        "def b(est):\n    f = est._round_means\n    return f([])\n"
-        "def c(est):\n    return getattr(est, '_round_means')([])\n"
-        "def d(est):\n    return est._round_means_of([])\n"
-        "top = E()._round_means([])\n"
-    )
-    assert _references_to(source, "_round_means") == ["a", "b", "c", None]
-
-
-@pytest.mark.parametrize("name", MODULES)
-def test_only_per_round_risks_reads_round_means(name):
-    found = _references_to((PACKAGE / f"{name}.py").read_text(), "_round_means")
-    assert found == (["per_round_risks"] if name == "batch" else [])

@@ -540,6 +540,13 @@ class TestMetropolisKernel:
         assert np.array_equal(cum_loss, serial_loss)
         assert multiplier == serial_multiplier
 
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_split_block_products_do_not_depend_on_worker_count(self, monkeypatch, cores):
+        # Each block of 16 rows builds its residuals in pieces of 3 rows,
+        # the last one short.
+        monkeypatch.setattr(posterior, "_KERNEL_PIECE_MULADDS", 3 * self.D * self.T)
+        self.test_result_does_not_depend_on_worker_count(monkeypatch, cores, rows=16)
+
     def test_one_block_starts_no_thread(self, monkeypatch):
         def submit(*args, **kwargs):
             raise AssertionError("started a worker for a single block")
@@ -579,8 +586,12 @@ class TestMetropolisKernel:
         other_samples, _ = run(-y)
         assert np.array_equal(other_samples, samples) == (eta == math.inf)
 
-    def test_peak_memory_is_one_residual_array_plus_block_buffers(self, monkeypatch):
-        n, t, d, steps = 2000, 200, 3, 5
+    # At criterion 4's scale (4000, 450, 30) the full (n, t) residual
+    # matrix, 14.4 MB, is over four times the bound.
+    @pytest.mark.parametrize("n, t, d", [(2000, 200, 3), (4000, 450, 30)])
+    def test_peak_memory_is_three_block_buffers_per_worker(self, monkeypatch, n, t, d):
+        # No term grows with n * t: each worker holds its block's residuals,
+        # candidates and clipped candidates, whatever the horizon.
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 2)
         rng = np.random.default_rng(31)
         phi = rng.uniform(-1, 1, size=(t, d))
@@ -588,21 +599,56 @@ class TestMetropolisKernel:
         b = np.full(t, 1.0)
         samples = rng.standard_normal((n, d))
         cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
-        rows = posterior._KERNEL_BLOCK_BYTES // (8 * t)
-        assert -(-n // rows) >= 2  # both workers get blocks
-        tracemalloc.start()
-        try:
+        n_blocks = -(-n // (posterior._KERNEL_BLOCK_BYTES // (8 * t)))
+        rows = -(-n // n_blocks)
+        assert n_blocks >= 2  # both workers get blocks
+
+        def move():
             posterior._metropolis_coordinate_steps(
                 samples, cum_loss, (phi, y, b), 0.1, SparsityPrior(0.5, d), np.random.default_rng(32),
-                steps, np.full(d, 0.5), 1.0,
+                5, np.full(d, 0.5), 1.0,
             )
+
+        move()  # the first np.median imports numpy.ma, which is no part of a move
+        tracemalloc.start()
+        try:
+            move()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        residuals = 8 * n * t
-        block_buffers = 2 * 2 * 8 * rows * t
-        slack = 32 * 8 * n
-        assert peak < residuals + block_buffers + slack
+        block_buffers = 2 * 3 * 8 * rows * t
+        # The contiguous copy of phi, the clip bounds, each worker's row
+        # vectors, and small change.
+        slack = 8 * d * t + 2 * 8 * t + 2 * 8 * 8 * rows + 256 * 1024
+        assert peak < block_buffers + slack
+
+    @pytest.mark.parametrize("piece_rows", [1, 3, None])
+    def test_block_residuals_come_in_pieces_that_blas_runs_on_one_thread(self, monkeypatch, piece_rows):
+        rows, t, d = 143, 450, 30
+        if piece_rows is not None:
+            monkeypatch.setattr(posterior, "_KERNEL_PIECE_MULADDS", piece_rows * d * t)
+        rng = np.random.default_rng(33)
+        points = rng.standard_normal((rows, d))
+        columns = rng.uniform(-1, 1, size=(d, t))
+        y = rng.standard_normal(t)
+        pieces = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, out):
+            pieces.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(posterior.np, "matmul", recording_matmul)
+        out = np.full((rows, t), np.nan)
+        held = posterior._block_residuals(points, columns, y, out)
+        assert held is out
+        assert sum(pieces) == rows * d * t
+        assert len(pieces) > 1 and max(pieces) <= posterior._KERNEL_PIECE_MULADDS
+        # The one-piece product, to rounding: a float64 error per term of
+        # each sum.
+        one_piece = y - matmul(points, columns)
+        scale = np.abs(y) + np.abs(points) @ np.abs(columns)
+        assert np.all(np.abs(held - one_piece) <= 4 * d * np.finfo(float).eps * scale)
 
     def test_importance_run_does_not_depend_on_worker_count(self, monkeypatch):
         rng = np.random.default_rng(424242)

@@ -2,6 +2,7 @@
 quadrature, exact sampling, and the finite-support duality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,30 @@ class TestSampler:
         b = sample(prior, np.random.default_rng(3), size=10)
         assert a.shape == (10, 3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tau", [3.0, 1e-3, 0.5])
+    @pytest.mark.parametrize("size", [None, 500])
+    def test_draw_is_signs_times_inverse_cdf(self, tau, size):
+        prior = SparsityPrior(tau=tau, dim=4)
+        draws = sample(prior, np.random.default_rng(9), size=size)
+        rng = np.random.default_rng(9)
+        v = rng.random(draws.shape)
+        signs = np.where(rng.random(draws.shape) < 0.5, -1.0, 1.0)
+        expected = signs * magnitude_from_uniform(v, tau)
+        # Compared as bit patterns, so the sign of a zero counts too.
+        assert np.array_equal(draws.view(np.int64), expected.view(np.int64))
+
+    def test_draw_holds_under_two_and_a_half_output_arrays(self):
+        prior = SparsityPrior(tau=1.0, dim=20)
+        rng = np.random.default_rng(5)
+        sample(prior, rng, size=10)
+        tracemalloc.start()
+        try:
+            draws = sample(prior, rng, size=10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * draws.nbytes
 
 
 class TestQuadratureMoments:
