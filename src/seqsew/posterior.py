@@ -55,14 +55,21 @@ The Metropolis step size is calibrated, block by block, to keep acceptance
 between roughly 20% and 50%; a move starts from the median of the last
 move's per-block step sizes.
 
-A round costs one pass over the points.  The weights are normalised once
-per state, on first use, and handed out read-only together with their
-effective sample size; only an update and a move change the state, and
-both drop them.  ``predict`` keeps the clipped margins it averaged, and an
-update with the same features (compared by value) and the same threshold
-adds those to the cumulative losses instead of computing them again.
-Every arithmetic step is the one an uncached round would run, so results
-are bit-identical.
+A round costs one pass over the points.  Every sample set is column-major
+(an F-contiguous (n, d) array: a (d, n) C-array seen through ``.T``), so
+the margin product reads d contiguous columns; prior draws, grid nodes,
+resampled and moved points all keep that layout, and snapshots share it.
+The weights are normalised once per state, on first use, and handed out
+read-only together with their effective sample size ``1 / (w . w)``;
+only an update and a move change the state, and both drop them.
+``predict`` keeps the clipped margins it averaged, and an update with the
+same features (compared by value) and the same threshold adds those to
+the cumulative losses instead of computing them again.  Every arithmetic
+step is the one an uncached round would run, so results are
+bit-identical.  A round allocates only the two n-vectors it keeps: the
+clipped margins are formed in place and become the round's losses and
+then the new cumulative losses, and the log-weights are normalised in
+their own array.
 """
 
 from __future__ import annotations
@@ -172,16 +179,20 @@ class _History:
 
 
 def _normalized_log_weights(log_unnorm: np.ndarray) -> np.ndarray:
+    """The weights of ``log_unnorm``, normalised in its own array (which
+    the caller hands over)."""
     m = float(np.max(log_unnorm))
     if not math.isfinite(m):
         # -inf - -inf is NaN: no finite weight is left to normalise by.
         raise StateError(f"the largest log weight is {m!r}, so the weights are undefined")
-    w = np.exp(log_unnorm - m)
-    return w / np.sum(w)
+    np.subtract(log_unnorm, m, out=log_unnorm)
+    np.exp(log_unnorm, out=log_unnorm)
+    return np.divide(log_unnorm, np.sum(log_unnorm), out=log_unnorm)
 
 
 def _ess_from_weights(weights: np.ndarray) -> float:
-    return float(1.0 / np.sum(weights**2))
+    """Effective sample size 1 / sum_i w_i^2 of normalised weights."""
+    return float(1.0 / np.dot(weights, weights))
 
 
 def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -407,7 +418,7 @@ def _sinh_nodes_and_logmass(
 
 
 def _build_grid(prior: SparsityPrior, config: BackendConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points (k, d) and their log base masses (k,)."""
+    """Grid points (k, d), column-major, and their log base masses (k,)."""
     if prior.dim > 2:
         raise UnsupportedDimensionError(
             f"quadrature backend supports d <= 2, got d = {prior.dim}"
@@ -428,18 +439,25 @@ def _build_grid(prior: SparsityPrior, config: BackendConfig) -> tuple[np.ndarray
         logs = [log_mass for _, log_mass in built]
 
     if prior.dim == 1:
-        points = per_dim[0][:, None]
+        columns = per_dim
         log_base = logs[0]
     else:
         a, b = np.meshgrid(per_dim[0], per_dim[1], indexing="ij")
-        points = np.stack([a.ravel(), b.ravel()], axis=1)
+        columns = [a.ravel(), b.ravel()]
         log_base = (logs[0][:, None] + logs[1][None, :]).ravel()
-    return points, log_base
+    # Column-major, like every sample set.
+    return np.stack(columns).T, log_base
 
 
 # ---------------------------------------------------------------------------
 # The cloud.
 # ---------------------------------------------------------------------------
+
+
+def _clipped_margins(samples: np.ndarray, features: np.ndarray, threshold: float) -> np.ndarray:
+    """clip(samples @ features, -threshold, threshold), in one fresh array."""
+    margins = samples @ features
+    return np.clip(margins, -threshold, threshold, out=margins)
 
 
 @dataclass
@@ -457,11 +475,10 @@ class FrozenCloud:
     backend: str
 
     def weights(self) -> np.ndarray:
-        return _normalized_log_weights(self.log_weights)
+        return _normalized_log_weights(self.log_weights.copy())
 
     def predict_clipped_mean(self, features: np.ndarray, threshold: float) -> float:
-        margins = self.samples @ np.asarray(features, dtype=float)
-        clipped = np.clip(margins, -threshold, threshold)
+        clipped = _clipped_margins(self.samples, np.asarray(features, dtype=float), threshold)
         return float(np.dot(self.weights(), clipped))
 
     def to_json(self) -> str:
@@ -564,12 +581,14 @@ class PosteriorCloud:
     # -- weights ---------------------------------------------------------
 
     def _log_unnormalized(self) -> np.ndarray:
+        """A fresh array of the current log weights, up to a constant."""
         if not math.isfinite(self.eta):
             # eta = +inf is the formal initial value: it is only ever in
             # force while every past loss is constant in u, so the
             # posterior is the prior and the loss term contributes nothing.
-            return self._log_base
-        return self._log_base - self.eta * self.cum_loss
+            return self._log_base.copy()
+        log_unnorm = np.multiply(self.eta, self.cum_loss)
+        return np.subtract(self._log_base, log_unnorm, out=log_unnorm)
 
     def weights(self) -> np.ndarray:
         """Normalised weights of the current state (read-only; computed
@@ -602,8 +621,7 @@ class PosteriorCloud:
             )
         if self.samples.shape[0] == 0:
             raise StateError("posterior cloud has no support points")
-        margins = self.samples @ features
-        clipped = np.clip(margins, -threshold, threshold)
+        clipped = _clipped_margins(self.samples, features, threshold)
         self._predicted = (features.copy(), threshold, clipped)
         value = float(np.dot(self.weights(), clipped))
         # The weighted average of values in [-B, B] can exceed the interval
@@ -634,23 +652,28 @@ class PosteriorCloud:
         if predicted is not None and predicted[1] == threshold_used and np.array_equal(predicted[0], features):
             clipped = predicted[2]
         else:
-            margins = self.samples @ features
-            clipped = np.clip(margins, -threshold_used, threshold_used)
-        self.cum_loss = self.cum_loss + (y - clipped) ** 2
+            clipped = _clipped_margins(self.samples, features, threshold_used)
+        # The clipped margins become this round's losses and then the new
+        # cumulative losses: a fresh array, so a snapshot keeps the old one.
+        np.subtract(y, clipped, out=clipped)
+        np.square(clipped, out=clipped)
+        self.cum_loss = np.add(self.cum_loss, clipped, out=clipped)
         self.history.append(features, y, threshold_used)
         self.eta = float(new_eta)
         self._state_changed()
 
         if self.backend == "chain":
-            self._move(self.samples.copy(), self.cum_loss, self.config.burn_in)
+            self._move(self.samples.copy(order="F"), self.cum_loss, self.config.burn_in)
         elif self.backend == "importance" and math.isfinite(self.eta):
             weights = self.weights()
             self._ess = _ess_from_weights(weights)
             if self._ess < self.config.ess_floor * weights.shape[0]:
                 idx = _systematic_resample(weights, self._rng)
                 self.resample_count += 1
-                # Indexing by idx makes fresh arrays for the move to write.
-                self._move(self.samples[idx], self.cum_loss[idx], self.config.refresh_sweeps * self.prior.dim)
+                # Taking idx makes fresh arrays for the move to write; the
+                # samples stay column-major.
+                samples = np.take(self.samples.T, idx, axis=1).T
+                self._move(samples, self.cum_loss[idx], self.config.refresh_sweeps * self.prior.dim)
 
     def _move(self, samples: np.ndarray, cum_loss: np.ndarray, n_steps: int) -> None:
         """Metropolis-move ``samples`` and their ``cum_loss`` (fresh
@@ -680,7 +703,8 @@ class PosteriorCloud:
         """The current posterior, frozen: the cloud's own ``samples`` and
         ``cum_loss``, marked read-only and shared rather than copied (the
         cloud never writes them again), and fresh read-only log-weights."""
-        log_weights = np.log(np.maximum(self.weights(), 1e-300))
+        log_weights = np.maximum(self.weights(), 1e-300)
+        np.log(log_weights, out=log_weights)
         for array in (self.samples, self.cum_loss, log_weights):
             array.flags.writeable = False
         return FrozenCloud(self.samples, log_weights, self.cum_loss, self.eta, self.backend)

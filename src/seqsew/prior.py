@@ -129,26 +129,38 @@ def coordinate_magnitude_cdf(x: np.ndarray, tau: float) -> np.ndarray:
 def sample(prior: SparsityPrior, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Exact draws from the prior via per-coordinate CDF inversion.
 
-    Returns a (dim,) vector, or an (size, dim) matrix when ``size`` is given.
-    Branch-free and reproducible: each coordinate consumes one uniform for
-    the magnitude and one for the sign.
+    Returns a (dim,) vector, or a (size, dim) matrix when ``size`` is given.
+    The matrix is column-major (F-contiguous: a (dim, size) C-array seen
+    through ``.T``), so each coordinate's values are contiguous; that is
+    the layout of every sample set a posterior cloud holds.  Branch-free
+    and reproducible: each coordinate consumes one uniform for the
+    magnitude and one for the sign, in the row-major order of the (size,
+    dim) matrix, so the values do not depend on the layout.  At most two
+    (size, dim) arrays are alive at once.
     """
-    shape = (prior.dim,) if size is None else (int(size), prior.dim)
+    n = 1 if size is None else int(size)
+    d = prior.dim
     # signs * magnitude_from_uniform(v, tau), with signs -1.0 where the
     # sign uniform is below 0.5, built in v's own array.  The magnitude is
     # the same arithmetic in the same order, and it is never negative, so
     # taking the sign of (uniform - 0.5), which is exact and zero only at
     # 0.5, equals the product bit for bit.  A masked negation is as exact
-    # but several times slower.
-    draw = rng.random(shape)
-    signs = rng.random(shape)
+    # but several times slower.  The sign uniforms are drawn into the
+    # output's own buffer, which then takes the finished draw, transposed.
+    # The output is allocated first, so freeing the magnitudes leaves no
+    # heap hole below the array that is kept.
+    buffer = np.empty(n * d)
+    draw = rng.random((n, d))
     np.subtract(1.0, draw, out=draw)
     np.power(draw, -1.0 / 3.0, out=draw)
     np.subtract(draw, 1.0, out=draw)
     np.multiply(draw, prior.tau, out=draw)
+    signs = rng.random(out=buffer.reshape(n, d))
     np.subtract(signs, 0.5, out=signs)
     np.copysign(draw, signs, out=draw)
-    return draw
+    out = buffer.reshape(d, n).T
+    np.copyto(out, draw)
+    return out[0] if size is None else out
 
 
 def s_ln_term(s: float, U: float) -> float:

@@ -968,3 +968,90 @@ class TestOnePassPerRound:
             f.observe(rng.uniform(-0.1, 0.1))
         assert f.cloud.resample_count == 0
         assert 0 < len(calls) <= T + 1
+
+
+class TestColumnMajorRound:
+    """Every sample set is column-major, and a round allocates only the
+    two n-vectors it keeps: the new cumulative losses and the weights."""
+
+    N, D = 10_000, 20
+
+    @classmethod
+    def _round(cls, cloud, rng):
+        phi = rng.uniform(-0.1, 0.1, cls.D)
+        cloud.predict(phi, 1.0)
+        cloud.update(phi, 0.05, 1.0, 0.01)
+
+    @pytest.mark.parametrize("with_snapshot, bound", [(False, 2.5), (True, 3.5)])
+    def test_round_allocates_only_what_it_keeps(self, with_snapshot, bound):
+        cfg = BackendConfig(backend="importance", n_samples=self.N)
+        cloud = init(SparsityPrior(1.0, self.D), cfg, np.random.default_rng(41))
+        rng = np.random.default_rng(42)
+        self._round(cloud, rng)  # eta turns finite; the weights are cached from here on
+        tracemalloc.start()
+        try:
+            self._round(cloud, rng)
+            if with_snapshot:
+                cloud.snapshot()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cloud.resample_count == 0
+        assert peak <= bound * 8 * self.N
+
+    @staticmethod
+    def _assert_column_major(samples):
+        assert samples.flags.f_contiguous and not samples.flags.c_contiguous
+
+    @pytest.mark.parametrize("backend", ["importance", "chain", "quadrature"])
+    def test_init_is_column_major(self, backend):
+        cfg = BackendConfig(backend=backend, n_samples=300, grid_points_per_dim=65)
+        self._assert_column_major(init(SparsityPrior(0.5, 2), cfg, np.random.default_rng(1)).samples)
+
+    def test_resample_move_keeps_the_layout(self):
+        cloud = init(SparsityPrior(0.5, 2), BackendConfig(backend="importance", n_samples=500), np.random.default_rng(1))
+        phi = np.array([10.0, 10.0])
+        cloud.predict(phi, 64.0)
+        cloud.update(phi, 50.0, 64.0, 1e3)
+        assert cloud.resample_count == 1
+        self._assert_column_major(cloud.samples)
+
+    def test_chain_round_and_snapshot_keep_the_layout(self):
+        cloud = init(SparsityPrior(0.5, 3), BackendConfig(backend="chain", n_samples=300, burn_in=3), np.random.default_rng(2))
+        before = cloud.samples
+        phi = np.array([1.0, -0.5, 2.0])
+        cloud.predict(phi, 2.0)
+        cloud.update(phi, 1.0, 2.0, 0.125)
+        assert cloud.samples is not before
+        self._assert_column_major(cloud.samples)
+        self._assert_column_major(cloud.snapshot().samples)
+
+    def test_row_major_cloud_predicts_through_the_same_path(self):
+        cfg = BackendConfig(backend="importance", n_samples=500, ess_floor=0.9)
+        cloud = init(SparsityPrior(0.2, 3), cfg, np.random.default_rng(5))
+        xs, ys = TestMovePolicies._data(3, T=8)
+        for _ in _adaptive_rounds(cloud, xs, ys):
+            pass
+        snap = cloud.snapshot()
+        restored = FrozenCloud.from_json(snap.to_json())
+        assert restored.samples.flags.c_contiguous and not restored.samples.flags.f_contiguous
+        for phi in np.random.default_rng(6).uniform(-3, 3, size=(4, 3)):
+            live = snap.predict_clipped_mean(phi, 2.0)
+            assert restored.predict_clipped_mean(phi, 2.0) == pytest.approx(live, rel=1e-12, abs=0.0)
+
+
+class TestEffectiveSampleSize:
+    def test_one_hot_weights_are_one_sample(self):
+        weights = np.zeros(1000)
+        weights[17] = 1.0
+        assert posterior._ess_from_weights(weights) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 256, 4096])
+    def test_uniform_weights_are_every_sample(self, n):
+        assert posterior._ess_from_weights(np.full(n, 1.0 / n)) == n
+
+    def test_random_weights_match_the_sum_of_squares(self):
+        raw = np.random.default_rng(7).exponential(size=5000)
+        weights = raw / raw.sum()
+        expected = 1.0 / math.fsum(w * w for w in weights.tolist())
+        assert posterior._ess_from_weights(weights) == pytest.approx(expected, rel=1e-12, abs=0.0)

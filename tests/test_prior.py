@@ -99,6 +99,10 @@ class TestSampler:
         # Compared as bit patterns, so the sign of a zero counts too.
         assert np.array_equal(draws.view(np.int64), expected.view(np.int64))
 
+    def test_matrix_draw_is_column_major(self):
+        draws = sample(SparsityPrior(tau=1.0, dim=7), np.random.default_rng(2), size=500)
+        assert draws.shape == (500, 7) and draws.flags.f_contiguous
+
     def test_draw_holds_under_two_and_a_half_output_arrays(self):
         prior = SparsityPrior(tau=1.0, dim=20)
         rng = np.random.default_rng(5)
