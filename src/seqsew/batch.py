@@ -51,7 +51,7 @@ import numpy as np
 
 from .datagen import NoiseFamily
 from .errors import ArgumentError, DataError
-from .forecasters import SeqSEWAdaptive
+from .forecasters import SeqSEWAdaptive, features_of
 from .posterior import BackendConfig, FrozenCloud
 from .prior import s_ln_term
 
@@ -133,13 +133,12 @@ class BatchEstimator:
         """(m, d) features of the evaluation points, each point and its
         features checked finite; a bad one raises :class:`DataError`
         naming its index."""
-        to_phi = (lambda x: x) if self.dictionary is None else self.dictionary.features
         phi = np.empty((len(xs), self.snapshots[0][0].samples.shape[1]))
         for i, x in enumerate(xs):
             point = np.asarray(x, dtype=float)
             if not np.all(np.isfinite(point)):
                 raise DataError(f"evaluation point {i}: must be finite, got {point.tolist()}")
-            phi[i] = to_phi(x)
+            phi[i] = features_of(x, self.dictionary, "evaluation point", i)
             if not np.all(np.isfinite(phi[i])):
                 raise DataError(f"evaluation point {i}: features must be finite, got {phi[i].tolist()}")
         return phi
@@ -257,9 +256,8 @@ def _online_pass(
     tau = 1.0 / math.sqrt(d * len(rounds))
     forecaster = SeqSEWAdaptive(d, tau, backend or BackendConfig(), seed=seed, clip_center=clip_center)
     snapshots = []
-    for x, y in rounds:
-        phi = dictionary.features(x) if dictionary is not None else np.asarray(x, dtype=float)
-        forecaster.predict(np.asarray(phi, dtype=float))
+    for t, (x, y) in enumerate(rounds, start=1):
+        forecaster.predict(features_of(x, dictionary, "round", t))
         snapshots.append((forecaster.cloud.snapshot(), forecaster.state.B))
         forecaster.observe(float(y))
     return snapshots

@@ -304,7 +304,6 @@ class SeqSEWAuto(_ForecasterBase):
         self.config = backend or BackendConfig()
         self._seedseq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.regime = RegimeState()
-        self._pending_restart = False
         self._instance = self._fresh_instance()
 
     def _fresh_instance(self) -> SeqSEWAdaptive:
@@ -319,17 +318,14 @@ class SeqSEWAuto(_ForecasterBase):
     def _predict(self, features: np.ndarray) -> float:
         self.regime.gram_trace += float(np.sum(features**2))
         self.regime.gamma = math.log1p(math.sqrt(self.regime.gram_trace))
-        if self.regime.gamma > 2.0**self.regime.r and self.regime.r < _REGIME_CAP:
-            self._pending_restart = True
         return self._instance.predict(features)
 
     def _observe(self, features: np.ndarray, y: float) -> None:
-        if self._pending_restart:
+        if self.regime.gamma > 2.0**self.regime.r and self.regime.r < _REGIME_CAP:
             # This round closes the regime; the dying instance never sees y.
             self.regime.regime_ends.append(self.t)
             self.regime.r += 1
             self.regime.regime_starts.append(self.t + 1)
-            self._pending_restart = False
             self._instance = self._fresh_instance()
         else:
             self._instance.observe(y)
@@ -408,6 +404,18 @@ class ProtocolResult:
         return float(np.sum((self.y[:t] - self.predictions[:t]) ** 2))
 
 
+def features_of(x: Any, dictionary: Any | None, label: str, index: int) -> np.ndarray:
+    """The feature vector of input ``x``: ``dictionary.features(x)``, or
+    ``x`` itself when ``dictionary`` is None.  A failing dictionary raises
+    :class:`DataError` naming the input, as ``"{label} {index}"``."""
+    if dictionary is None:
+        return np.asarray(x, dtype=float)
+    try:
+        return np.asarray(dictionary.features(x), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - rewrap with the input's index
+        raise DataError(f"{label} {index}: feature evaluation failed: {exc}") from exc
+
+
 def run_protocol(
     forecaster: _ForecasterBase,
     sequence: Sequence[tuple[Any, float]],
@@ -430,13 +438,7 @@ def run_protocol(
     cumloss = 0.0
 
     for t, (x, y) in enumerate(sequence, start=1):
-        if dictionary is None:
-            features = np.asarray(x, dtype=float)
-        else:
-            try:
-                features = np.asarray(dictionary.features(x), dtype=float)
-            except Exception as exc:  # noqa: BLE001 - rewrap with the round index
-                raise DataError(f"round {t}: feature evaluation failed: {exc}") from exc
+        features = features_of(x, dictionary, "round", t)
         yhat = forecaster.predict(features)
         state = forecaster.state_row()
         forecaster.observe(float(y))

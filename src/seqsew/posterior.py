@@ -143,39 +143,31 @@ class BackendConfig:
 
 class _History:
     """Per-round (features, y, B) needed to re-evaluate cumulative clipped
-    losses at arbitrary points.
-
-    Each field is one array grown by doubling, so handing the history to a
-    move costs no copy.  Rows below the current length are never written
-    again, so a view handed out earlier keeps its rounds."""
+    losses at arbitrary points: plain lists of a copy of each round's
+    features, its y and its B.  A move lays the rounds out its own way, so
+    arrays are built only when asked for."""
 
     def __init__(self, dim: int) -> None:
-        self._phi = np.empty((0, dim))
-        self._y = np.empty(0)
-        self._b = np.empty(0)
-        self._len = 0
+        self._dim = dim
+        self._phi: list[np.ndarray] = []
+        self._y: list[float] = []
+        self._b: list[float] = []
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._y)
 
     def append(self, features: np.ndarray, y: float, b: float) -> None:
-        t = self._len
-        if t == self._y.shape[0]:
-            capacity = max(1, 2 * t)
-            self._phi = np.concatenate([self._phi, np.empty((capacity - t, self._phi.shape[1]))])
-            self._y = np.concatenate([self._y, np.empty(capacity - t)])
-            self._b = np.concatenate([self._b, np.empty(capacity - t)])
-        self._phi[t] = features
-        self._y[t] = y
-        self._b[t] = b
-        self._len = t + 1
+        self._phi.append(np.array(features, dtype=float))
+        self._y.append(float(y))
+        self._b.append(float(b))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only views of the (features, y, B) of the rounds so far."""
-        views = (self._phi[: self._len], self._y[: self._len], self._b[: self._len])
-        for view in views:
-            view.flags.writeable = False
-        return views
+        """Fresh read-only arrays of the (features, y, B) of the rounds so
+        far: (t, d), (t,) and (t,)."""
+        arrays = (np.array(self._phi).reshape(-1, self._dim), np.array(self._y), np.array(self._b))
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
 
 def _normalized_log_weights(log_unnorm: np.ndarray) -> np.ndarray:
@@ -431,21 +423,13 @@ def _build_grid(prior: SparsityPrior, config: BackendConfig) -> tuple[np.ndarray
             raise ArgumentError("grid_nodes must provide one node array per dimension")
         logs = [prior_mod.coordinate_log_density(nodes, prior.tau) for nodes in per_dim]
     else:
-        built = [
-            _sinh_nodes_and_logmass(prior.tau, config.grid_points_per_dim, config.grid_radius_multiplier)
-            for _ in range(prior.dim)
-        ]
-        per_dim = [nodes for nodes, _ in built]
-        logs = [log_mass for _, log_mass in built]
+        # Every coordinate gets the same nodes and log masses.
+        nodes, log_mass = _sinh_nodes_and_logmass(prior.tau, config.grid_points_per_dim, config.grid_radius_multiplier)
+        per_dim, logs = [nodes] * prior.dim, [log_mass] * prior.dim
 
-    if prior.dim == 1:
-        columns = per_dim
-        log_base = logs[0]
-    else:
-        a, b = np.meshgrid(per_dim[0], per_dim[1], indexing="ij")
-        columns = [a.ravel(), b.ravel()]
-        log_base = (logs[0][:, None] + logs[1][None, :]).ravel()
-    # Column-major, like every sample set.
+    # The tensor grid, first coordinate slowest, column-major like every sample set.
+    columns = [axis.ravel() for axis in np.meshgrid(*per_dim, indexing="ij")]
+    log_base = sum(np.ix_(*logs)).ravel()
     return np.stack(columns).T, log_base
 
 
@@ -454,8 +438,19 @@ def _build_grid(prior: SparsityPrior, config: BackendConfig) -> tuple[np.ndarray
 # ---------------------------------------------------------------------------
 
 
+def _checked_features(features: np.ndarray, dim: int) -> np.ndarray:
+    """``features`` as a float vector, which must have shape (dim,)."""
+    features = np.asarray(features, dtype=float)
+    if features.shape != (dim,):
+        raise DimensionMismatchError(f"features have shape {features.shape}, expected ({dim},)")
+    return features
+
+
 def _clipped_margins(samples: np.ndarray, features: np.ndarray, threshold: float) -> np.ndarray:
-    """clip(samples @ features, -threshold, threshold), in one fresh array."""
+    """clip(samples @ features, -threshold, threshold), in one fresh array.
+    The threshold must satisfy 0 <= threshold < inf."""
+    if not 0.0 <= threshold < math.inf:
+        raise ArgumentError(f"the clip threshold must be finite and >= 0, got {threshold!r}")
     margins = samples @ features
     return np.clip(margins, -threshold, threshold, out=margins)
 
@@ -478,7 +473,7 @@ class FrozenCloud:
         return _normalized_log_weights(self.log_weights.copy())
 
     def predict_clipped_mean(self, features: np.ndarray, threshold: float) -> float:
-        clipped = _clipped_margins(self.samples, np.asarray(features, dtype=float), threshold)
+        clipped = _clipped_margins(self.samples, _checked_features(features, self.samples.shape[1]), threshold)
         return float(np.dot(self.weights(), clipped))
 
     def to_json(self) -> str:
@@ -614,11 +609,7 @@ class PosteriorCloud:
 
     def predict(self, features: np.ndarray, threshold: float) -> float:
         """Posterior mean of clip(u . features, threshold)."""
-        features = np.asarray(features, dtype=float)
-        if features.shape != (self.prior.dim,):
-            raise DimensionMismatchError(
-                f"features have shape {features.shape}, expected ({self.prior.dim},)"
-            )
+        features = _checked_features(features, self.prior.dim)
         if self.samples.shape[0] == 0:
             raise StateError("posterior cloud has no support points")
         clipped = _clipped_margins(self.samples, features, threshold)
@@ -638,11 +629,7 @@ class PosteriorCloud:
         """Record one round, reweight, and move the points if this
         backend's policy asks for it.  ``threshold_used`` is the clip
         level that was in force when this round was predicted."""
-        features = np.asarray(features, dtype=float)
-        if features.shape != (self.prior.dim,):
-            raise DimensionMismatchError(
-                f"features have shape {features.shape}, expected ({self.prior.dim},)"
-            )
+        features = _checked_features(features, self.prior.dim)
         if new_eta > self.eta:
             raise ContractViolationError(
                 f"inverse temperature must not increase: {new_eta} > {self.eta}"
@@ -664,16 +651,13 @@ class PosteriorCloud:
 
         if self.backend == "chain":
             self._move(self.samples.copy(order="F"), self.cum_loss, self.config.burn_in)
-        elif self.backend == "importance" and math.isfinite(self.eta):
-            weights = self.weights()
-            self._ess = _ess_from_weights(weights)
-            if self._ess < self.config.ess_floor * weights.shape[0]:
-                idx = _systematic_resample(weights, self._rng)
-                self.resample_count += 1
-                # Taking idx makes fresh arrays for the move to write; the
-                # samples stay column-major.
-                samples = np.take(self.samples.T, idx, axis=1).T
-                self._move(samples, self.cum_loss[idx], self.config.refresh_sweeps * self.prior.dim)
+        elif self.backend == "importance" and self.ess() < self.config.ess_floor * self.samples.shape[0]:
+            idx = _systematic_resample(self.weights(), self._rng)
+            self.resample_count += 1
+            # Taking idx makes fresh arrays for the move to write; the
+            # samples stay column-major.
+            samples = np.take(self.samples.T, idx, axis=1).T
+            self._move(samples, self.cum_loss[idx], self.config.refresh_sweeps * self.prior.dim)
 
     def _move(self, samples: np.ndarray, cum_loss: np.ndarray, n_steps: int) -> None:
         """Metropolis-move ``samples`` and their ``cum_loss`` (fresh

@@ -21,7 +21,7 @@ from seqsew.batch import (
 )
 from seqsew.datagen import Dictionary, DictionarySpec
 from seqsew.errors import ArgumentError, DataError
-from seqsew.forecasters import SeqSEWAdaptive
+from seqsew.forecasters import SeqSEWAdaptive, run_protocol
 from seqsew.posterior import BackendConfig, FrozenCloud
 
 QUAD = BackendConfig(backend="quadrature", grid_points_per_dim=257)
@@ -474,6 +474,40 @@ class TestEvaluationPoints:
         est = fit(samples, _coord_dict(), QUAD)
         preds = est.predict_many([])
         assert preds.shape == (0,) and preds.dtype == np.float64
+
+
+class TestFeatureFailures:
+    """A failing dictionary raises DataError naming the input, in a batch
+    fit and at evaluation points as in the online protocol."""
+
+    @staticmethod
+    def _samples():
+        rng = np.random.default_rng(2)
+        samples = [(rng.uniform(-1, 1, size=2), float(rng.standard_normal())) for _ in range(5)]
+        samples[2] = (np.zeros(3), 1.0)  # the third sample has no R^2 features
+        return samples
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_fit_names_the_round_of_its_pass(self, fit):
+        # The offset variant's pass starts at the second sample.
+        round_ = 2 if fit is fit_remark15 else 3
+        with pytest.raises(DataError, match=rf"^round {round_}: feature evaluation failed: coordinate dictionary"):
+            fit(self._samples(), _coord_dict(d=2), IMP, seed=0)
+
+    def test_fit_fails_like_the_protocol(self):
+        samples, dictionary = self._samples(), _coord_dict(d=2)
+        with pytest.raises(DataError) as online:
+            run_protocol(SeqSEWAdaptive(2, 0.5, IMP, seed=0), samples, dictionary)
+        with pytest.raises(DataError) as batch_fit:
+            fit_random_design(samples, dictionary, IMP, seed=0)
+        assert str(batch_fit.value) == str(online.value)
+
+    def test_predict_many_names_the_point(self):
+        samples = [sample for i, sample in enumerate(self._samples()) if i != 2]
+        est = fit_random_design(samples, _coord_dict(d=2), IMP, seed=0)
+        points = [samples[0][0], samples[1][0], np.zeros(3)]
+        with pytest.raises(DataError, match="^evaluation point 2: feature evaluation failed: coordinate dictionary"):
+            est.predict_many(points)
 
 
 class TestBlockedAverage:

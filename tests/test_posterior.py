@@ -112,6 +112,37 @@ class TestPredict:
             cloud.update(phi, rng.uniform(-2, 2), b, min(0.125, cloud.eta))
 
 
+class TestInputChecks:
+    """The live and the frozen cloud check features and thresholds alike."""
+
+    @staticmethod
+    def _clouds():
+        cloud = init(SparsityPrior(0.5, 2), BackendConfig(backend="importance", n_samples=500), np.random.default_rng(0))
+        cloud.update(np.array([1.0, -0.5]), 0.7, 1.0, 0.125)
+        return cloud, cloud.snapshot()
+
+    def test_frozen_cloud_checks_features_like_the_live_one(self):
+        cloud, snap = self._clouds()
+        bad = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatchError) as live:
+            cloud.predict(bad, 1.0)
+        with pytest.raises(DimensionMismatchError) as frozen:
+            snap.predict_clipped_mean(bad, 1.0)
+        assert str(frozen.value) == str(live.value) == "features have shape (3,), expected (2,)"
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        cloud, snap = self._clouds()
+        phi = np.array([0.3, 0.2])
+        with pytest.raises(ArgumentError, match="clip threshold"):
+            cloud.predict(phi, threshold)
+        with pytest.raises(ArgumentError, match="clip threshold"):
+            cloud.update(phi, 0.5, threshold, 0.125)
+        with pytest.raises(ArgumentError, match="clip threshold"):
+            snap.predict_clipped_mean(phi, threshold)
+        assert len(cloud.history) == 1  # the failed update recorded nothing
+
+
 class TestUpdate:
     def test_zero_threshold_round_leaves_weights_uniform(self):
         cloud = init(_prior_1d(), BackendConfig(backend="importance", n_samples=500), np.random.default_rng(0))
@@ -438,7 +469,7 @@ class TestMovePolicies:
 
 
 class TestHistory:
-    """The per-round history the moves read, grown in place."""
+    """The per-round history the moves read, kept as a plain log."""
 
     def test_views_keep_their_rounds_and_equal_the_stacked_rows(self):
         rng = np.random.default_rng(41)
@@ -449,7 +480,7 @@ class TestHistory:
             history.append(features, y, b)
             views = history.arrays()
             handed_out.append((views, [view.copy() for view in views]))
-        # Nine appends cross every doubling up to a capacity of 16.
+        # Arrays handed out earlier keep their rounds after later appends.
         for views, copies in handed_out:
             assert all(np.array_equal(view, copy) for view, copy in zip(views, copies))
             assert not any(view.flags.writeable for view in views)
