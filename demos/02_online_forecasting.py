@@ -44,8 +44,8 @@ print("each jump doubles B^2 at least once; eta is 1/(8 B^2) throughout.")
 print("\n=== cumulative square loss ===")
 for t in (25, 49, 55, 80):
     print(
-        f"after round {t:3d}: adaptive = {adaptive.records[t - 1].cumloss:10.2f}   "
-        f"ridge = {ridge.records[t - 1].cumloss:10.2f}"
+        f"after round {t:3d}: adaptive = {adaptive.prefix_cumulative_loss(t):10.2f}   "
+        f"ridge = {ridge.prefix_cumulative_loss(t):10.2f}"
     )
 print("\nthe jump at round 50 costs both forecasters, but the adaptive one")
 print("re-tunes its clipping within a couple of rounds and keeps its regret")

@@ -34,7 +34,7 @@ for name, cfg in configs.items():
     print(f"{name:10s}: cumulative loss {runs[name].cumulative_loss:8.3f}   ({time.monotonic() - start:5.2f}s)")
 
 ref = runs["quadrature"].predictions
-tol = 0.05 * np.maximum(np.asarray([r.B for r in runs["quadrature"].records]), 1.0)
+tol = 0.05 * np.maximum(runs["quadrature"].B, 1.0)
 print("\nper-round |prediction - oracle| relative to the 0.05 * max(B, 1) budget:")
 for name in ("importance", "chain"):
     gap = np.abs(runs[name].predictions - ref)

@@ -50,7 +50,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .datagen import NoiseFamily
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, DataError, DimensionMismatchError
 from .forecasters import SeqSEWAdaptive, features_of
 from .posterior import BackendConfig, FrozenCloud
 from .prior import s_ln_term
@@ -130,15 +130,18 @@ class BatchEstimator:
     design_points: list[Any] | None = None
 
     def _features(self, xs: Sequence[Any]) -> np.ndarray:
-        """(m, d) features of the evaluation points, each point and its
-        features checked finite; a bad one raises :class:`DataError`
-        naming its index."""
+        """(m, d) features of the evaluation points: a non-finite point or
+        feature raises :class:`DataError`, and features not of shape (d,)
+        :class:`DimensionMismatchError`, each naming the point's index."""
         phi = np.empty((len(xs), self.snapshots[0][0].samples.shape[1]))
         for i, x in enumerate(xs):
             point = np.asarray(x, dtype=float)
             if not np.all(np.isfinite(point)):
                 raise DataError(f"evaluation point {i}: must be finite, got {point.tolist()}")
-            phi[i] = features_of(x, self.dictionary, "evaluation point", i)
+            features = features_of(x, self.dictionary, "evaluation point", i)
+            if features.shape != phi.shape[1:]:
+                raise DimensionMismatchError(f"evaluation point {i}: features have shape {features.shape}, expected {phi.shape[1:]}")
+            phi[i] = features
             if not np.all(np.isfinite(phi[i])):
                 raise DataError(f"evaluation point {i}: features must be finite, got {phi[i].tolist()}")
         return phi

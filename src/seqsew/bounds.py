@@ -371,7 +371,7 @@ def verify(
     info = result.forecaster_info
     kind = info.get("kind")
     stats = SequenceStats.from_arrays(result.features, result.y)
-    lhs = float(np.sum((result.y - result.predictions) ** 2))
+    lhs = result.cumulative_loss
     max_abs_y = math.sqrt(stats.max_y_sq)
 
     if bound_name == "prop2":

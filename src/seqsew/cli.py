@@ -286,6 +286,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_csv(out / "run.csv", RUN_CSV_SCHEMA, ["t", "y", "yhat", "loss", "cumloss", "B_t", "eta_t", "regime", "ess"], rows)
 
     stats = bounds_mod.SequenceStats.from_arrays(result.features, result.y)
+    starts, ends = result.regime_bounds
     summary = {
         "schema": "seqsew.run-summary.v1",
         "seed": config.seed,
@@ -293,14 +294,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         "cumulative_loss": result.cumulative_loss,
         "forecaster": result.forecaster_info,
         "adaptation": {
-            "B_values": sorted({r.B for r in result.records}),
-            "final_eta": result.records[-1].eta,
+            # NaN != NaN, so one math.nan object stands for every NaN B
+            # (the ridge baseline's) and the set keeps one.
+            "B_values": sorted({b if b == b else math.nan for b in result.B.tolist()}),
+            "final_eta": float(result.eta[-1]),
             "max_y_sq": stats.max_y_sq,
             "gram_trace": stats.gram_trace,
-            "regimes": {
-                "starts": result.regime_bounds[0] if result.regime_bounds else [1],
-                "ends": result.regime_bounds[1] if result.regime_bounds else [],
-            },
+            "regimes": {"starts": starts, "ends": ends},
         },
         "scenario": config.scenario,
     }
@@ -346,7 +346,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     runs = _runs(config)
     result = next(runs)
-    stats = bounds_mod.SequenceStats.from_arrays(result.features, result.y)
 
     # Every report is made before any replay, so a bound that does not
     # apply to this run is refused before the replays are played.
@@ -380,7 +379,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "backend": config.backend.backend,
         "replays": replays,
         "mc_allowance": mc_allowance,
-        "T": stats.T,
+        "T": len(result.y),
         "reports": reports,
     }
     _dump_json(out / "verify.json", payload)
@@ -393,6 +392,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = config.out_dir
     variant = args.variant
+    if variant != "remark15" and args.replications < 1:
+        raise ArgumentError(f"batch {variant} needs replications >= 1, got {args.replications}")
     if variant in ("thm10", "cor12", "thm13", "cor14"):
         payload, reps = _batch_risk(config, variant, args.replications, args.n_eval)
     elif variant == "cor11":
@@ -414,8 +415,6 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
     """Fit and score reseeded draws of the scenario, and compare the mean
     risk with the variant's bound at the true coefficients.  Every
     precondition of the variant is checked before the first fit."""
-    if replications < 1:
-        raise ArgumentError(f"batch risk needs replications >= 1, got {replications}")
     spec = config.spec
     fixed_design = variant in ("thm13", "cor14")
     if fixed_design and spec.design != "fixed_grid":

@@ -197,6 +197,8 @@ class ScenarioSpec:
             raise ArgumentError(f"scenario key 'grid_size' must be >= 1, got {self.grid_size!r}")
         if self.dictionary.d != self.d:
             raise ArgumentError(f"scenario key 'd' is {self.d} but the dictionary's d is {self.dictionary.d}")
+        if not 0 <= self.s <= self.d:
+            raise ArgumentError(f"scenario key 's' must lie in [0, d] = [0, {self.d}], got {self.s!r}")
         # Below 2^1023 the uniform design's width 2 * design_scale is finite.
         if not 0.0 < self.design_scale < 2.0**1023:
             raise ArgumentError(f"scenario key 'design_scale' must lie in (0, 2^1023), got {self.design_scale!r}")

@@ -24,12 +24,12 @@ and ``ridge_baseline`` are these classes under their functional names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, StateError
+from .errors import ArgumentError, DataError, DimensionMismatchError, StateError
 from .posterior import BackendConfig, PosteriorCloud, init as init_cloud
 from .prior import SparsityPrior
 
@@ -110,13 +110,16 @@ class RegimeState:
     r: int = 0
     gram_trace: float = 0.0
     gamma: float = 0.0
-    regime_starts: list[int] = field(default_factory=lambda: [1])
-    regime_ends: list[int] = field(default_factory=list)
 
 
 def regime_prior_scale(r: int) -> float:
     """Prior scale 1 / (exp(2^r) - 1) for regime r (r capped upstream)."""
     return 1.0 / math.expm1(2.0**r)
+
+
+def _closes_regime(gamma: float | np.ndarray, r: int | np.ndarray) -> bool | np.ndarray:
+    """Whether a round at gamma closes regime r, elementwise; NaN never does."""
+    return (gamma > 2.0**r) & (r < _REGIME_CAP)
 
 
 class _ForecasterBase:
@@ -141,7 +144,7 @@ class _ForecasterBase:
         # A copy: the caller may reuse its buffer for the next round.
         features = np.array(features, dtype=float)
         if features.shape != (self.dim,):
-            raise ArgumentError(f"features have shape {features.shape}, expected ({self.dim},)")
+            raise DimensionMismatchError(f"round {self.t + 1}: features have shape {features.shape}, expected ({self.dim},)")
         if not np.isfinite(features).all():
             raise DataError(f"round {self.t + 1}: features must be finite, got {features.tolist()}")
         self.t += 1
@@ -321,11 +324,9 @@ class SeqSEWAuto(_ForecasterBase):
         return self._instance.predict(features)
 
     def _observe(self, features: np.ndarray, y: float) -> None:
-        if self.regime.gamma > 2.0**self.regime.r and self.regime.r < _REGIME_CAP:
+        if _closes_regime(self.regime.gamma, self.regime.r):
             # This round closes the regime; the dying instance never sees y.
-            self.regime.regime_ends.append(self.t)
             self.regime.r += 1
-            self.regime.regime_starts.append(self.t + 1)
             self._instance = self._fresh_instance()
         else:
             self._instance.observe(y)
@@ -383,25 +384,50 @@ ridge_baseline = RidgeBaseline
 
 @dataclass
 class ProtocolResult:
-    """Everything a run produced: per-round records plus the raw arrays
-    needed to evaluate comparators and bounds afterwards."""
+    """A played run, each per-round quantity stored once, as a column: what
+    was played, and the B, eta, regime, ESS and gamma each round was
+    predicted under (NaN where the forecaster has no such notion).  Records,
+    losses and regime bounds are read off the columns, every loss from one
+    running sum; a run that never restarts has ``regime_bounds == ([1], [])``."""
 
-    records: list[RoundRecord]
     features: np.ndarray  # (T, d)
     y: np.ndarray  # (T,)
     predictions: np.ndarray  # (T,)
     forecaster_info: dict[str, Any]
-    gammas: np.ndarray  # (T,), nan when the forecaster has no regime notion
-    regime_bounds: tuple[list[int], list[int]] | None = None
+    B: np.ndarray  # (T,)
+    eta: np.ndarray  # (T,)
+    regimes: np.ndarray  # (T,) ints
+    ess: np.ndarray  # (T,)
+    gammas: np.ndarray  # (T,)
+
+    def _losses(self) -> tuple[np.ndarray, np.ndarray]:
+        loss = (self.y - self.predictions) ** 2
+        return loss, np.cumsum(loss)
+
+    @property
+    def records(self) -> list[RoundRecord]:
+        """One row per round, built afresh from the columns."""
+        loss, cumloss = self._losses()
+        columns = (self.y, self.predictions, loss, cumloss, self.B, self.eta, self.regimes, self.ess)
+        return [RoundRecord(t, *row) for t, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
 
     @property
     def cumulative_loss(self) -> float:
-        return float(self.records[-1].cumloss) if self.records else 0.0
+        return self.prefix_cumulative_loss(len(self.y))
 
     def prefix_cumulative_loss(self, t: int) -> float:
-        """Cumulative forecaster loss after the first t rounds (valid by
-        causality: early predictions do not depend on later data)."""
-        return float(np.sum((self.y[:t] - self.predictions[:t]) ** 2))
+        """Cumulative forecaster loss after the first t rounds, 0 <= t <= T
+        (valid by causality: early predictions do not depend on later data)."""
+        if not 0 <= t <= len(self.y):
+            raise ArgumentError(f"prefix length must lie in [0, {len(self.y)}], got {t}")
+        return float(self._losses()[1][t - 1]) if t else 0.0
+
+    @property
+    def regime_bounds(self) -> tuple[list[int], list[int]]:
+        """(starts, ends): a regime ends at each round that closed it, the
+        last round included, and the next starts one round later."""
+        ends = (np.flatnonzero(_closes_regime(self.gammas, self.regimes)) + 1).tolist()
+        return [1] + [t + 1 for t in ends], ends
 
 
 def features_of(x: Any, dictionary: Any | None, label: str, index: int) -> np.ndarray:
@@ -430,49 +456,17 @@ def run_protocol(
     if len(sequence) == 0:
         raise ArgumentError("sequence must be nonempty")
 
-    records: list[RoundRecord] = []
-    feature_rows: list[np.ndarray] = []
-    ys: list[float] = []
-    yhats: list[float] = []
-    gammas: list[float] = []
-    cumloss = 0.0
-
+    played = []
     for t, (x, y) in enumerate(sequence, start=1):
         features = features_of(x, dictionary, "round", t)
         yhat = forecaster.predict(features)
         state = forecaster.state_row()
-        forecaster.observe(float(y))
+        forecaster.observe(y)
+        played.append((features, float(y), yhat, state))
 
-        loss = (float(y) - yhat) ** 2
-        cumloss += loss
-        records.append(
-            RoundRecord(
-                t=t,
-                y=float(y),
-                yhat=yhat,
-                loss=loss,
-                cumloss=cumloss,
-                B=state["B"],
-                eta=state["eta"],
-                regime=int(state["regime"]),
-                ess=state["ess"],
-            )
-        )
-        feature_rows.append(features)
-        ys.append(float(y))
-        yhats.append(yhat)
-        gammas.append(state.get("gamma", math.nan))
-
-    regime_bounds = None
-    if isinstance(forecaster, SeqSEWAuto):
-        regime_bounds = (list(forecaster.regime.regime_starts), list(forecaster.regime.regime_ends))
-
+    features, ys, yhats, states = zip(*played)
+    column = {key: np.asarray([state.get(key, math.nan) for state in states]) for key in ("B", "eta", "regime", "ess", "gamma")}
     return ProtocolResult(
-        records=records,
-        features=np.vstack(feature_rows),
-        y=np.asarray(ys),
-        predictions=np.asarray(yhats),
-        forecaster_info=forecaster.describe(),
-        gammas=np.asarray(gammas),
-        regime_bounds=regime_bounds,
+        features=np.vstack(features), y=np.asarray(ys), predictions=np.asarray(yhats), forecaster_info=forecaster.describe(),
+        B=column["B"], eta=column["eta"], regimes=column["regime"].astype(int), ess=column["ess"], gammas=column["gamma"],
     )

@@ -20,7 +20,7 @@ from seqsew.batch import (
     risk_bound_rhs,
 )
 from seqsew.datagen import Dictionary, DictionarySpec
-from seqsew.errors import ArgumentError, DataError
+from seqsew.errors import ArgumentError, DataError, DimensionMismatchError
 from seqsew.forecasters import SeqSEWAdaptive, run_protocol
 from seqsew.posterior import BackendConfig, FrozenCloud
 
@@ -508,6 +508,16 @@ class TestFeatureFailures:
         points = [samples[0][0], samples[1][0], np.zeros(3)]
         with pytest.raises(DataError, match="^evaluation point 2: feature evaluation failed: coordinate dictionary"):
             est.predict_many(points)
+
+    @pytest.mark.parametrize("point", [np.array([0.4]), np.array([0.4, 0.1, 0.2])], ids=["short", "long"])
+    def test_wrong_shaped_point_is_named(self, point):
+        # Without a dictionary the point is its feature vector, which must
+        # have the fit's d entries: no broadcasting of a short one.
+        samples = [(np.array([0.5, -0.25]), 1.0), (np.array([0.1, 0.3]), -0.5)]
+        est = fit_random_design(samples, None, IMP, seed=0)
+        message = rf"^evaluation point 1: features have shape \({len(point)},\), expected \(2,\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            est.predict_many([samples[0][0], point])
 
 
 class TestBlockedAverage:

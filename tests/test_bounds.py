@@ -2,6 +2,7 @@
 verification machinery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,11 +352,14 @@ class TestVerify:
     @staticmethod
     def _hand_built(predictions, features=((1.0,), (0.5,))):
         return ProtocolResult(
-            records=[],
             features=np.array(features),
             y=np.array([1.0, 0.5]),
             predictions=np.array(predictions),
             forecaster_info={"kind": "adaptive", "dim": 1, "tau": 0.5, "clip_center": 0.0},
+            B=np.array([0.0, 1.0]),
+            eta=np.array([math.inf, 0.125]),
+            regimes=np.zeros(2, dtype=int),
+            ess=np.full(2, math.nan),
             gammas=np.full(2, math.nan),
         )
 
@@ -386,6 +390,45 @@ class TestVerify:
         base = verify(res, "prop5", comp)
         shifted = verify(res, "prop5", comp, mc_allowance=base.slack + 1.0)
         assert shifted.mc_allowance > 0.0
+
+
+class TestOneLoss:
+    """A run has one cumulative loss: verify's lhs, the records' running
+    sum and every prefix loss are the same floats, not sums that agree
+    to rounding."""
+
+    @staticmethod
+    def _sequence(T=300, d=4, seed=8):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-1.0, 1.0, size=(T, d))
+        ys = xs @ np.array([1.5, 0.0, -0.7, 0.0]) + 0.5 * rng.standard_normal(T)
+        return list(zip(xs, ys))
+
+    @staticmethod
+    def _check(res, report):
+        T = len(res.y)
+        records = res.records
+        assert report.lhs == res.cumulative_loss == records[-1].cumloss == res.prefix_cumulative_loss(T)
+        assert [res.prefix_cumulative_loss(t) for t in range(1, T + 1)] == [r.cumloss for r in records]
+
+    def test_stochastic_automatic_run(self):
+        res = run_protocol(seqsew_auto(4, BackendConfig(backend="importance", n_samples=200), seed=3), self._sequence())
+        comp = best_sparse_comparator(res.features, res.y, 2)
+        self._check(res, verify(res, "thm8", comp))
+
+    def test_ridge_run(self):
+        res = run_protocol(ridge_baseline(4, 1.0), self._sequence())
+        # No bound covers the ridge baseline, so verify is handed the run
+        # under an adaptive label; its lhs reads the losses only.
+        relabelled = replace(res, forecaster_info={"kind": "adaptive", "dim": 4, "tau": 1.0, "clip_center": 0.0})
+        self._check(res, verify(relabelled, "prop5", best_sparse_comparator(res.features, res.y, 2)))
+
+    def test_prefix_outside_the_run_is_refused(self):
+        res = run_protocol(ridge_baseline(1, 1.0), [(np.array([1.0]), 2.0)])
+        assert res.prefix_cumulative_loss(0) == 0.0
+        for t in (-1, 2):
+            with pytest.raises(ArgumentError, match=r"prefix length must lie in \[0, 1\]"):
+                res.prefix_cumulative_loss(t)
 
 
 class TestMcAllowance:

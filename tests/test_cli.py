@@ -355,6 +355,8 @@ class TestConfig:
                 lambda c: {**c, "scenario": {**c["scenario"], "dictionary": {"kind": "fourier", "d": 2}}},
                 "scenario key 'd' is 1 but the dictionary's d is 2",
             ),
+            (lambda c: {**c, "scenario": {"T": 10, "d": 2, "s": 3}}, "scenario key 's' must lie in [0, d] = [0, 2], got 3"),
+            (lambda c: {**c, "scenario": {"T": 10, "d": 2, "s": -1}}, "scenario key 's' must lie in [0, d] = [0, 2], got -1"),
         ],
         ids=[
             "forecaster-int", "backend-int", "scenario-list", "seed-text", "top-level-list",
@@ -368,7 +370,7 @@ class TestConfig:
             "amplitude-factor-nan", "amplitude-script-text", "amplitude-script-short",
             "normalization-nan", "normalization-zero", "grid-nodes-nan", "grid-nodes-duplicate",
             "fixed-B-inf", "noise-sigma-sq-inf", "design-scale-huge", "design-scale-huge-int",
-            "noise-bd-huge", "dictionary-d-mismatch",
+            "noise-bd-huge", "dictionary-d-mismatch", "scenario-s-above-d", "scenario-s-negative",
         ],
     )
     def test_malformed_config_exits_two_and_writes_nothing(self, tmp_path, capsys, command, edit, message):
@@ -801,17 +803,18 @@ class TestBatch:
         assert cli.main(["batch", "--config", str(cfg), "--variant", variant, "--replications", "2"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["thm10", "cor11"])
     @pytest.mark.parametrize("replications", [0, -1])
-    def test_replications_below_one_exit_two_before_any_fit(self, tmp_path, monkeypatch, capsys, replications):
+    def test_replications_below_one_exit_two_before_any_fit(self, tmp_path, monkeypatch, capsys, variant, replications):
         def fit(*args, **kwargs):
             raise AssertionError("fitted a replication")
 
         monkeypatch.setattr(cli.batch_mod, "fit_random_design", fit)
         cfg = _write_config(tmp_path / "cfg.json", scenario=_stochastic_scenario())
-        args = ["batch", "--config", str(cfg), "--variant", "thm10", "--replications", str(replications)]
+        args = ["batch", "--config", str(cfg), "--variant", variant, "--replications", str(replications)]
         assert cli.main(args) == 2
         assert "needs replications >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "batch_thm10.json").exists()
+        assert not (tmp_path / "out" / f"batch_{variant}.json").exists()
 
     @pytest.mark.parametrize("variant", ["thm10", "cor12"])
     @pytest.mark.parametrize("n_eval", [0, -1])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seqsew.batch import fit_random_design
-from seqsew.errors import ArgumentError, DataError, StateError
+from seqsew.errors import ArgumentError, DataError, DimensionMismatchError, StateError
 from seqsew.forecasters import (
     RidgeBaseline,
     dyadic_ceil_pow2,
@@ -192,6 +192,14 @@ class TestAutoForecaster:
         assert starts == [1, 3, 4, 5]
         assert [r.regime for r in res.records] == [0, 0, 1, 2, 3, 3]
 
+    def test_restart_at_the_last_round_is_a_boundary(self):
+        # The regime column cannot step after the last round, but the
+        # restart it triggers still ends the regime there.
+        small = [(np.array([0.2]), 0.1) for _ in range(5)]
+        res = run_protocol(seqsew_auto(1, QUAD, seed=1), small + [(np.array([4.0]), 0.5)])
+        assert res.regime_bounds == ([1, 7], [6])
+        assert [r.regime for r in res.records] == [0] * 6
+
     def test_restarted_instance_sees_only_its_regime(self):
         # Immediately after a restart the inner threshold is back to zero.
         small = [(np.array([0.2]), 3.0) for _ in range(3)]
@@ -364,6 +372,16 @@ class TestInputContract:
         samples = [(np.array([0.5]), 1.0), (np.array([0.2]), math.nan), (np.array([0.1]), 0.0)]
         with pytest.raises(DataError, match="round 2: outcome"):
             fit_random_design(samples, None, QUAD)
+
+    WRONG_SHAPE = [(np.array([0.5, -0.25]), 1.0), (np.array([0.1, 0.3, 0.2]), -0.5), (np.array([0.2, 0.1]), 0.0)]
+
+    def test_wrong_shaped_features_name_their_round(self):
+        with pytest.raises(DimensionMismatchError, match=r"^round 2: features have shape \(3,\), expected \(2,\)$"):
+            run_protocol(ridge_baseline(2, 1.0), self.WRONG_SHAPE)
+
+    def test_batch_fit_names_the_round_of_wrong_shaped_features(self):
+        with pytest.raises(DimensionMismatchError, match=r"^round 2: features have shape \(3,\), expected \(2,\)$"):
+            fit_random_design(self.WRONG_SHAPE, None, self.IMP, seed=0)
 
 
 class TestReusedFeatureBuffer:

@@ -6,7 +6,9 @@ the CLI.  The CLI is the top layer: only the ``python -m seqsew`` entry
 point, ``__main__``, imports it.  No module imports scipy at module level:
 only the quadrature oracles need it, and they import it when called.  A
 ``FrozenCloud`` is built only by ``PosteriorCloud.snapshot`` and
-``FrozenCloud.from_json``, so a live cloud has one way to be frozen."""
+``FrozenCloud.from_json``, so a live cloud has one way to be frozen.  A
+``RoundRecord`` is built only inside ``ProtocolResult``, from its columns,
+so per-round rows are never a second store of a run."""
 
 import ast
 from pathlib import Path
@@ -86,19 +88,19 @@ def test_no_module_imports_scipy_at_module_level(name):
     assert "scipy" not in _module_level_imports((PACKAGE / f"{name}.py").read_text())
 
 
-def _frozen_cloud_constructions(source: str) -> list[str | None]:
-    """The function around each call in ``source`` that builds a
-    ``FrozenCloud``: a call of the class under any name it is imported
-    as, or of ``cls`` in the class's own methods (None at module level)."""
+def _constructions(source: str, cls_name: str) -> list[tuple[str | None, str | None]]:
+    """The (class, function) around each call in ``source`` that builds a
+    ``cls_name``: a call of the class under any name it is imported as,
+    or of ``cls`` in the class's own methods (None at module level)."""
     tree = ast.parse(source)
-    names = {"FrozenCloud"} | {
+    names = {cls_name} | {
         alias.asname
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-        if alias.name == "FrozenCloud" and alias.asname
+        if alias.name == cls_name and alias.asname
     }
-    found: list[str | None] = []
+    found: list[tuple[str | None, str | None]] = []
 
     def visit(node: ast.AST, owner: str | None, function: str | None) -> None:
         if isinstance(node, ast.ClassDef):
@@ -108,8 +110,8 @@ def _frozen_cloud_constructions(source: str) -> list[str | None]:
         elif isinstance(node, ast.Call):
             callee = node.func
             name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-            if name in names or (name == "cls" and owner == "FrozenCloud"):
-                found.append(function)
+            if name in names or (name == "cls" and owner == cls_name):
+                found.append((owner, function))
         for child in ast.iter_child_nodes(node):
             visit(child, owner, function)
 
@@ -127,11 +129,17 @@ def test_construction_scan_sees_aliases_and_cls():
         "def c(cls):\n    return cls()\n"
         "top = FrozenCloud()\n"
     )
-    assert _frozen_cloud_constructions(source) == ["load", "a", "b", None]
+    assert _constructions(source, "FrozenCloud") == [("FrozenCloud", "load"), (None, "a"), (None, "b"), (None, None)]
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_only_snapshot_and_from_json_build_frozen_clouds(name):
-    found = _frozen_cloud_constructions((PACKAGE / f"{name}.py").read_text())
-    assert sorted(found) == (["from_json", "snapshot"] if name == "posterior" else [])
+    found = _constructions((PACKAGE / f"{name}.py").read_text(), "FrozenCloud")
+    assert sorted(function for _, function in found) == (["from_json", "snapshot"] if name == "posterior" else [])
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_protocol_result_builds_round_records(name):
+    found = _constructions((PACKAGE / f"{name}.py").read_text(), "RoundRecord")
+    assert [owner for owner, _ in found] == (["ProtocolResult"] if name == "forecasters" else [])
 
