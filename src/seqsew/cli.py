@@ -20,11 +20,11 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from . import _svg, batch as batch_mod, bounds as bounds_mod
+from . import _svg, batch as batch_mod, bounds as bounds_mod, posterior as posterior_mod
 from .datagen import Dictionary, NoiseFamily, ScenarioSpec, Seed, checked_fields, checked_section, checked_value, design_sampler, gen_individual_sequence, gen_stochastic, scenario_from_dict
 from .errors import ArgumentError, ContractViolationError, DataError, StateError
 from .forecasters import ProtocolResult, ridge_baseline, run_protocol, seqsew_adaptive, seqsew_auto, seqsew_fixed
@@ -262,21 +262,53 @@ def _forecaster(config: _Config, seed_offset: int):
 # ---------------------------------------------------------------------------
 
 
-def _runs(config: _Config) -> Iterator[ProtocolResult]:
-    """Fresh forecasters, seeded 1, 2, ..., played on the scenario's one sequence."""
-    dictionary = Dictionary(config.spec.dictionary)
+def _play(config: _Config, seed_offset: int) -> ProtocolResult:
+    """A fresh forecaster, seeded ``seed_offset``, played on the scenario's one sequence."""
     sequence = gen_individual_sequence(config.spec)
+    return run_protocol(_forecaster(config, seed_offset), sequence, Dictionary(config.spec.dictionary))
+
+
+def _first_run(config: _Config) -> ProtocolResult:
+    """The run seeded 1, which every command reports on.  An overheated
+    fixed tuning is warned about here, once per command."""
     p = config.forecaster
     if config.forecaster_kind == "fixed" and 8.0 * p["eta"] * p["B"] * p["B"] > 1.0 + 1e-12:
         print(f"warning: eta={p['eta']} exceeds 1/(8 B^2)={1.0 / (8 * p['B'] * p['B'])}; "
               "the fixed-forecaster guarantee does not cover this tuning", file=sys.stderr)
-    for seed_offset in itertools.count(1):
-        yield run_protocol(_forecaster(config, seed_offset), sequence, dictionary)
+    return _play(config, 1)
+
+
+def _replay_loss(config: _Config, seed_offset: int) -> float:
+    """The cumulative loss of the replay seeded ``seed_offset``.  At module
+    level, so a worker process can be sent it by name."""
+    return _play(config, seed_offset).cumulative_loss
+
+
+def _replay_losses(config: _Config, seed_offsets: Sequence[int]) -> list[float]:
+    """``_replay_loss`` at each seed offset, in offset order, on one worker
+    process per usable core and replay.
+
+    Processes, since the per-round path holds the interpreter lock.
+    Forked, so a worker starts from the parent's imported modules rather
+    than importing numpy and seqsew again.  With one worker, or where the
+    platform cannot fork, the replays run inline and no process starts.
+    Each loss depends only on its offset, so the list does not depend on
+    the worker count.  ``multiprocessing`` is imported here so that
+    commands without replays do not load it."""
+    workers = min(posterior_mod._usable_cores(), len(seed_offsets))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_replay_loss, itertools.repeat(config), seed_offsets))
+    return [_replay_loss(config, seed_offset) for seed_offset in seed_offsets]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result = next(_runs(config))
+    result = _first_run(config)
     out = config.out_dir
 
     rows = [
@@ -344,8 +376,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.replays < 0:
         raise ArgumentError(f"verify needs replays >= 0, got {args.replays}")
 
-    runs = _runs(config)
-    result = next(runs)
+    result = _first_run(config)
 
     # Every report is made before any replay, so a bound that does not
     # apply to this run is refused before the replays are played.
@@ -368,7 +399,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     replays = args.replays if config.backend.backend != "quadrature" else 0
     mc_allowance = 0.0
     if replays >= 2:
-        losses = [result.cumulative_loss] + [next(runs).cumulative_loss for _ in range(1, replays)]
+        losses = [result.cumulative_loss] + _replay_losses(config, range(2, replays + 1))
         mc_allowance = bounds_mod.mc_allowance_from_replays(losses)
     reports = [{**report.with_allowance(mc_allowance).to_json_dict(), "comparator": cname} for cname, report in verified]
 

@@ -137,7 +137,8 @@ class BackendConfig:
             raise ArgumentError("grid_radius_multiplier must be positive")
         for nodes in self.grid_nodes or ():
             nodes = np.asarray(nodes, dtype=float)
-            if not np.isfinite(nodes).all() or np.unique(nodes).size != nodes.size:
+            ordered = np.sort(nodes, axis=None)
+            if not np.isfinite(ordered).all() or (ordered[1:] == ordered[:-1]).any():
                 raise ArgumentError(f"grid_nodes must be finite and distinct, got {nodes.tolist()!r}")
 
 
@@ -236,12 +237,24 @@ _KERNEL_BLOCK_BYTES = 512 * 1024
 _KERNEL_PIECE_MULADDS = 1 << 18
 
 
+def _median(values: np.ndarray) -> np.ndarray:
+    """The median along the first axis, bit for bit ``np.median(values,
+    axis=0)`` for finite values.  ``np.median`` imports ``numpy.ma``, which
+    then stays loaded for the life of the process."""
+    n = values.shape[0]
+    half = n // 2
+    if n % 2:
+        return np.partition(values, half, axis=0)[half]
+    middle = np.partition(values, (half - 1, half), axis=0)
+    return (middle[half - 1] + middle[half]) / 2.0
+
+
 def _robust_coordinate_scales(samples: np.ndarray, floor: float) -> np.ndarray:
     """Per-coordinate spread of the cloud (median absolute deviation),
     floored away from zero.  Robust against the giant outliers a
     heavy-tailed cloud always contains."""
-    med = np.median(samples, axis=0)
-    mad = np.median(np.abs(samples - med), axis=0) * 1.4826
+    med = _median(samples)
+    mad = _median(np.abs(samples - med)) * 1.4826
     return np.maximum(mad, floor)
 
 
@@ -376,7 +389,7 @@ def _metropolis_coordinate_steps(
         multipliers = move_blocks(0)
         for other in others:
             multipliers += other.result()
-    return float(np.median(multipliers))
+    return float(_median(np.asarray(multipliers)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ and byte-level determinism."""
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seqsew.cli as cli
+from seqsew import posterior
 from seqsew.bounds import BoundReport
-from seqsew.errors import ArgumentError
+from seqsew.errors import ArgumentError, DataError
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -56,6 +58,36 @@ def _stochastic_scenario(**overrides):
     }
     scenario.update(overrides)
     return scenario
+
+
+def _log_runs(monkeypatch, log: Path) -> None:
+    """Make every run the CLI plays append its process id to ``log``, so
+    replays in worker processes are seen too."""
+    play = cli.run_protocol
+
+    def logged(*args, **kwargs):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return play(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", logged)
+
+
+def _stand_in_verify(slack: float):
+    """A stand-in for ``bounds.verify`` that fits any run and reports ``slack``."""
+
+    def verify(result, bound, comparator, **kw):
+        return BoundReport(
+            bound=bound,
+            lhs=1.0,
+            rhs=1.0 + slack,
+            slack=slack,
+            mc_allowance=0.0,
+            witness_u=np.zeros(1),
+            passed=slack >= 0.0,
+        )
+
+    return verify
 
 
 class TestRun:
@@ -176,7 +208,7 @@ class TestRun:
         at_help = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
         for modules in (imported, at_help):
             assert {"numpy", "seqsew.cli", "seqsew.prior"} <= set(modules)
-            assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+            assert [m for m in modules if m.split(".")[0] in ("scipy", "multiprocessing")] == []
 
     @pytest.mark.parametrize("command", [["run"], ["verify", "--bounds", "prop2", "--replays", "0"]])
     def test_overflowing_eta_exits_two_naming_the_round(self, tmp_path, capsys, command):
@@ -663,18 +695,75 @@ class TestVerify:
         ids=["thm8-adaptive", "prop2-overheated"],
     )
     def test_unfit_bound_exits_two_before_any_replay(self, tmp_path, monkeypatch, capsys, forecaster, bound, message):
-        played, play = [], cli.run_protocol
-
-        def counting(*args, **kwargs):
-            played.append(args)
-            return play(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "run_protocol", counting)
+        played = tmp_path / "played.log"
+        _log_runs(monkeypatch, played)
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: 2)
         cfg = _write_config(tmp_path / "cfg.json", forecaster=forecaster, backend={"backend": "importance", "n_samples": 200})
         assert cli.main(["verify", "--config", str(cfg), "--bounds", bound, "--replays", "6"]) == 2
-        assert len(played) == 1
+        assert played.read_text().split() == [str(os.getpid())]
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "backend",
+        [{"backend": "importance", "n_samples": 200}, {"backend": "chain", "n_samples": 200, "burn_in": 2}],
+        ids=["importance", "chain"],
+    )
+    def test_verify_json_does_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, backend):
+        played = tmp_path / "played.log"
+        _log_runs(monkeypatch, played)
+        cfg = _write_config(tmp_path / "cfg.json", backend=backend)
+        outputs = []
+        for workers in (1, 2):
+            played.unlink(missing_ok=True)
+            monkeypatch.setattr(posterior, "_usable_cores", lambda: workers)
+            out = tmp_path / f"workers{workers}"
+            assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop5", "--replays", "4", "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append((out / "verify.json").read_bytes())
+            first, *replays = played.read_text().split()
+            assert first == str(os.getpid()) and len(replays) == 3
+            # One worker plays the replays inline; two play them elsewhere.
+            assert (str(os.getpid()) in replays) == (workers == 1)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["mc_allowance"] > 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_replay_exits_four_and_writes_nothing(self, tmp_path, monkeypatch, capsys, workers):
+        # Each forecaster comes tagged with its seed offset, and the
+        # replay seeded 3 fails.  Forked workers inherit both patches.
+        forecaster, play = cli._forecaster, cli.run_protocol
+
+        def failing(tagged, sequence, dictionary):
+            seed_offset, f = tagged
+            if seed_offset == 3:
+                raise DataError("replay 3: the sequence could not be consumed")
+            return play(f, sequence, dictionary)
+
+        monkeypatch.setattr(cli, "_forecaster", lambda config, seed_offset: (seed_offset, forecaster(config, seed_offset)))
+        monkeypatch.setattr(cli, "run_protocol", failing)
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: workers)
+        cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 200})
+        assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop5", "--replays", "5"]) == 4
+        assert capsys.readouterr().err.splitlines()[-1] == "error: replay 3: the sequence could not be consumed"
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_overheated_fixed_tuning_warns_once_with_replays_played(self, tmp_path, monkeypatch, capfd):
+        # The stand-in report fits the overheated tuning, so the replays
+        # are played; capfd also sees what a worker process writes.
+        monkeypatch.setattr(cli.bounds_mod, "verify", _stand_in_verify(0.0))
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: 2)
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            forecaster={"kind": "fixed", "B": 16.0, "eta": 1.0, "tau": 0.5},
+            backend={"backend": "importance", "n_samples": 200},
+        )
+        assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop2", "--replays", "4"]) == 0
+        assert json.loads((tmp_path / "out" / "verify.json").read_text())["replays"] == 4
+        warnings = [line for line in capfd.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "guarantee" in warnings[0]
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -707,19 +796,7 @@ class TestVerify:
 
     def test_failing_report_exits_three(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path / "cfg.json")
-
-        def always_fail(result, bound, comparator, **kw):
-            return BoundReport(
-                bound=bound,
-                lhs=1.0,
-                rhs=0.0,
-                slack=-1.0,
-                mc_allowance=0.0,
-                witness_u=np.zeros(1),
-                passed=False,
-            )
-
-        monkeypatch.setattr(cli.bounds_mod, "verify", always_fail)
+        monkeypatch.setattr(cli.bounds_mod, "verify", _stand_in_verify(-1.0))
         assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop5"]) == 3
 
 

@@ -4,7 +4,9 @@ The data generators sit below the estimators: ``datagen`` may not import
 the posterior, the forecasters, the batch estimators, the bounds engine or
 the CLI.  The CLI is the top layer: only the ``python -m seqsew`` entry
 point, ``__main__``, imports it.  No module imports scipy at module level:
-only the quadrature oracles need it, and they import it when called.  A
+only the quadrature oracles need it, and they import it when called.  The
+CLI imports ``multiprocessing`` only in the helper that plays replays on
+worker processes, and the usable cores are read in one place.  A
 ``FrozenCloud`` is built only by ``PosteriorCloud.snapshot`` and
 ``FrozenCloud.from_json``, so a live cloud has one way to be frozen.  A
 ``RoundRecord`` is built only inside ``ProtocolResult``, from its columns,
@@ -12,6 +14,7 @@ so per-round rows are never a second store of a run."""
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -57,19 +60,30 @@ def test_no_module_imports_cli(name):
 
 
 
-def _module_level_imports(source: str) -> set[str]:
-    """Top-level names of the packages ``source`` imports when it is
-    imported itself: everywhere but inside function bodies."""
-    found: set[str] = set()
-    pending = list(ast.parse(source).body)
-    while pending:
-        node = pending.pop()
+def _scoped_nodes(
+    node: ast.AST, owner: str | None = None, function: str | None = None
+) -> Iterator[tuple[ast.AST, str | None, str | None]]:
+    """``node`` and every node under it, in source order, with the
+    innermost class and function around each (None at module level)."""
+    yield node, owner, function
+    if isinstance(node, ast.ClassDef):
+        owner = node.name
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped_nodes(child, owner, function)
+
+
+def _imports_by_function(source: str) -> dict[str | None, set[str]]:
+    """Top-level names of the packages ``source`` imports, keyed by the
+    function whose body imports them; None holds those imported when
+    ``source`` is imported itself."""
+    found: dict[str | None, set[str]] = {}
+    for node, _, function in _scoped_nodes(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found.update(alias.name.split(".")[0] for alias in node.names)
+            found.setdefault(function, set()).update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.add((node.module or "").split(".")[0])
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            pending.extend(ast.iter_child_nodes(node))
+            found.setdefault(function, set()).add((node.module or "").split(".")[0])
     return found
 
 
@@ -78,14 +92,33 @@ def test_module_level_scan_skips_function_bodies_only():
         "import numpy.linalg as la\n"
         "try:\n    from scipy import stats\nexcept ImportError:\n    pass\n"
         "class C:\n    import math\n    def f(self):\n        import json\n"
-        "def g():\n    from scipy import integrate\n"
+        "def g():\n    from scipy import integrate\n    from . import sibling\n"
     )
-    assert _module_level_imports(source) == {"numpy", "scipy", "math"}
+    assert _imports_by_function(source) == {None: {"numpy", "scipy", "math"}, "f": {"json"}, "g": {"scipy"}}
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_scipy_at_module_level(name):
-    assert "scipy" not in _module_level_imports((PACKAGE / f"{name}.py").read_text())
+    assert "scipy" not in _imports_by_function((PACKAGE / f"{name}.py").read_text()).get(None, set())
+
+
+def test_cli_imports_process_pools_only_in_the_replay_helper():
+    # Importing multiprocessing costs every command that plays no replay.
+    found = _imports_by_function((PACKAGE / "cli.py").read_text())
+    assert {function for function, names in found.items() if names & {"multiprocessing", "concurrent"}} == {"_replay_losses"}
+
+
+def test_usable_cores_have_one_definition():
+    """The kernel's threads and the CLI's replay workers size themselves
+    from one reading of the CPU affinity."""
+    found = set()
+    for name in MODULES:
+        for node, _, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            # An attribute, a name, an imported alias or a string.
+            spellings = (getattr(node, key, None) for key in ("attr", "id", "name", "value"))
+            if "sched_getaffinity" in spellings:
+                found.add((name, function))
+    assert found == {("posterior", "_usable_cores")}
 
 
 def _constructions(source: str, cls_name: str) -> list[tuple[str | None, str | None]]:
@@ -100,22 +133,13 @@ def _constructions(source: str, cls_name: str) -> list[tuple[str | None, str | N
         for alias in node.names
         if alias.name == cls_name and alias.asname
     }
-    found: list[tuple[str | None, str | None]] = []
-
-    def visit(node: ast.AST, owner: str | None, function: str | None) -> None:
-        if isinstance(node, ast.ClassDef):
-            owner = node.name
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        elif isinstance(node, ast.Call):
+    found = []
+    for node, owner, function in _scoped_nodes(tree):
+        if isinstance(node, ast.Call):
             callee = node.func
             name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
             if name in names or (name == "cls" and owner == cls_name):
                 found.append((owner, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner, function)
-
-    visit(tree, None, None)
     return found
 
 

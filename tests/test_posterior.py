@@ -3,6 +3,8 @@ reweighting, Markov-chain walkers, and their agreement."""
 
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -48,6 +50,30 @@ class TestBackendConfig:
     def test_rejects_non_finite_or_repeated_nodes(self, nodes):
         with pytest.raises(ArgumentError, match="grid_nodes must be finite and distinct"):
             BackendConfig(backend="quadrature", grid_nodes=([0.5], np.asarray(nodes)))
+
+
+def test_resample_move_and_explicit_grid_do_not_load_numpy_ma():
+    # np.median and np.unique import numpy.ma, which then stays loaded for
+    # the life of the process.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from seqsew.posterior import BackendConfig, init\n"
+        "from seqsew.prior import SparsityPrior\n"
+        "prior = SparsityPrior(0.5, 2)\n"
+        "cloud = init(prior, BackendConfig(backend='importance', n_samples=500), np.random.default_rng(1))\n"
+        "phi = np.array([10.0, 10.0])\n"
+        "cloud.predict(phi, 64.0)\n"
+        "cloud.update(phi, 50.0, 64.0, 1e3)\n"
+        "assert cloud.resample_count == 1\n"
+        "grid = init(prior, BackendConfig(backend='quadrature', grid_nodes=([-1.0, 0.0, 2.0], [0.5, -0.5])))\n"
+        "assert grid.samples.shape == (6, 2)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestInitialCloud:
