@@ -263,7 +263,11 @@ def _samples(spec: ScenarioSpec) -> tuple[list[tuple[Any, float]], Dictionary, n
     xs = _dictionary_inputs(spec, rng)
     u = spec.resolved_u_true()
     noise = spec.noise.draw(rng, spec.T) if spec.noise is not None else np.zeros(spec.T)
-    return [(x, float(u @ dictionary.features(x)) + float(noise[t])) for t, x in enumerate(xs)], dictionary, u
+    # An outcome that overflows comes out infinite, without a warning: the
+    # finiteness check of whoever reads the sequence reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = [(x, float(u @ dictionary.features(x)) + float(noise[t])) for t, x in enumerate(xs)]
+    return samples, dictionary, u
 
 
 def gen_individual_sequence(spec: ScenarioSpec) -> list[tuple[Any, float]]:
@@ -271,7 +275,9 @@ def gen_individual_sequence(spec: ScenarioSpec) -> list[tuple[Any, float]]:
     scenario's noise, then scaled by the amplitude script."""
     samples, _, _ = _samples(spec)
     factors = _amplitude_factors(spec)
-    return [(x, factors[t] * y) for t, (x, y) in enumerate(samples)]
+    # As in _samples, an outcome that overflows is left to the reader's check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [(x, factors[t] * y) for t, (x, y) in enumerate(samples)]
 
 
 def gen_stochastic(

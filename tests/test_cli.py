@@ -959,6 +959,14 @@ class TestGenAndPlot:
         assert cli.main(["gen", "--config", str(cfg)]) == 4
         assert "x and y must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        # What a user sees: the input error alone, with no numpy warning
+        # printed before it.
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqsew", "gen", "--config", str(cfg)],
+            env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4
+        assert "x and y must be finite" in proc.stderr and "RuntimeWarning" not in proc.stderr
 
     def test_plot_cumloss_and_staircase(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
