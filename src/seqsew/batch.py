@@ -26,15 +26,18 @@ copy per round.  At T = 1000, n = 10^4 and d = 30 a single epoch costs
 ~0.16 GB where full copies cost ~2.5 GB.  The chain backend moves its
 walkers every round, so it has one epoch per round and gains nothing.
 
-Predictions evaluate only what they average.  Within a group of rounds
-that share a sample set and a threshold, the per-round means are linear
-in the weights, so the uniform average needs one summed weight vector per
-group: O(T n) to sum the weights plus O(groups n m) for m points (the
-margins, d multiply-adds each, are formed once per sample set).  The
-fixed-design average reads each round only at its own design point, so
-each round is evaluated there alone: O(T n d).  Scratch is a few
-cache-sized (rows, n) blocks (``_BLOCK_BYTES``), never the (T, m) matrix
-of per-round means.  Evaluation points must be finite; a bad one raises
+Predictions take one averaging pass in every mode.  A round counts at
+every evaluation point, or in fixed-design mode only at its own design
+point.  Rounds that share a sample set, the points they count at and a
+threshold form a group, and within a group the per-round means are linear
+in the weights.  So each group sums its weights into one vector and
+applies it to its clipped margins, and each point is divided by the number
+of rounds that count at it.  The cost is O(T n) to sum the weights plus
+O(r n d) for the margins, where r counts one row per sample set and point
+it serves: all m points per set in random design, one row per (set,
+design point) in fixed design.  Scratch is two cache-sized (rows, n)
+blocks of margins (``posterior._block_rows``), never the (T, m) matrix of
+per-round means.  Evaluation points must be finite; a bad one raises
 :class:`DataError` naming its index.
 
 The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
@@ -45,14 +48,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .datagen import NoiseFamily
 from .errors import ArgumentError, DataError, DimensionMismatchError
 from .forecasters import SeqSEWAdaptive, features_of
-from .posterior import BackendConfig, FrozenCloud
+from .posterior import BackendConfig, FrozenCloud, _block_rows
 from .prior import s_ln_term
 
 __all__ = [
@@ -108,17 +111,6 @@ def _design_key(x: Any) -> bytes:
     return np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=float))).tobytes()
 
 
-# Most bytes of one float64 scratch block while the averaged regressor is
-# evaluated: a (rows, n_samples) block of margins or weights, small enough
-# to stay resident in a core's cache.
-_BLOCK_BYTES = 512 * 1024
-
-
-def _block_rows(n: int) -> int:
-    """Rows of a (rows, n) float64 scratch block."""
-    return max(1, _BLOCK_BYTES // (8 * n))
-
-
 @dataclass
 class BatchEstimator:
     """Average of per-round clipped posterior-mean regressors."""
@@ -136,91 +128,83 @@ class BatchEstimator:
         phi = np.empty((len(xs), self.snapshots[0][0].samples.shape[1]))
         for i, x in enumerate(xs):
             point = np.asarray(x, dtype=float)
-            if not np.all(np.isfinite(point)):
+            if not np.isfinite(point).all():
                 raise DataError(f"evaluation point {i}: must be finite, got {point.tolist()}")
             features = features_of(x, self.dictionary, "evaluation point", i)
             if features.shape != phi.shape[1:]:
                 raise DimensionMismatchError(f"evaluation point {i}: features have shape {features.shape}, expected {phi.shape[1:]}")
             phi[i] = features
-            if not np.all(np.isfinite(phi[i])):
+            if not np.isfinite(phi[i]).all():
                 raise DataError(f"evaluation point {i}: features must be finite, got {phi[i].tolist()}")
         return phi
-
-    def _groups(self, rounds: Iterable[int]) -> list[tuple[np.ndarray, dict[float, list[int]]]]:
-        """The given rounds by sample set, then by threshold.  Rounds of
-        one epoch share one sample-set object, kept alive by the
-        snapshots, so its id names the set."""
-        groups: dict[int, tuple[np.ndarray, dict[float, list[int]]]] = {}
-        for t in rounds:
-            cloud, b = self.snapshots[t]
-            groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1].setdefault(b, []).append(t)
-        return list(groups.values())
 
     def _deltas(self, xs: Sequence[Any]) -> np.ndarray:
         """Averaged clipped deviation at each point: over all rounds, or in
         fixed-design mode over the rounds that visited the point (0 off
         the design).
 
-        Only what is averaged is evaluated.  Over all rounds, a group's
-        per-round means are linear in its weights, so each (sample set,
-        threshold) group contributes its rounds' summed weights times its
-        clipped margins, one cache-sized block of points at a time.  In
-        fixed-design mode a round is read only at its own design point, so
-        each round is evaluated there alone, a block of rounds at a time.
-        Scratch stays at two (rows, n) blocks either way."""
+        One pass serves every mode.  A round counts at every row, or in
+        fixed-design mode only at the first row equal to its design point,
+        so the rows it counts at are one span.  Rounds are grouped by
+        sample set, then by span, then by threshold.  A group's per-round
+        means are linear in its weights, so it adds its rounds' summed
+        weights times its clipped margins, one cache-sized block of rows
+        at a time.  Each row is then divided by the number of rounds that
+        count at it (0 where none does), and a repeated design point
+        copies its first row.  Scratch stays at two (rows, n) blocks, and
+        one sample set's sums (in fixed-design mode one design point's)
+        are held at a time."""
         if len(xs) == 0:
             return np.zeros(0)
         phi = self._features(xs)
+        rows = phi.shape[0]
+        source = None
+        spans: list[tuple[int, int] | None] = [(0, rows)] * len(self.snapshots)
         if self.mode == "fixed_design_grouped":
-            return self._design_point_deltas(xs, phi)
-        out = np.zeros(phi.shape[0])
-        # One sample set at a time (the chain backend has one per round):
-        # each block of its margins is formed once and clipped per threshold.
-        for samples, by_threshold in self._groups(range(len(self.snapshots))):
-            sums = []
-            for b, rows in by_threshold.items():
-                w = np.zeros(samples.shape[0])
-                for t in rows:
-                    w += self.snapshots[t][0].weights()
-                sums.append((b, w))
-            height = min(_block_rows(samples.shape[0]), phi.shape[0])
-            margins, clipped = np.empty((height, samples.shape[0])), np.empty((height, samples.shape[0]))
-            for start in range(0, phi.shape[0], height):
-                block = phi[start : start + height]
-                m, c = margins[: len(block)], clipped[: len(block)]
-                np.matmul(block, samples.T, out=m)
-                for b, w in sums:
-                    out[start : start + len(block)] += np.clip(m, -b, b, out=c) @ w
-        return out / len(self.snapshots)
-
-    def _design_point_deltas(self, xs: Sequence[Any], phi: np.ndarray) -> np.ndarray:
-        """Fixed-design average at each point: the mean over the rounds
-        that visited it of their clipped posterior means there."""
-        ids: dict[bytes, int] = {}
-        round_ids = [ids.setdefault(_design_key(p), len(ids)) for p in self.design_points]
-        point_ids = np.asarray([ids.get(_design_key(x), -1) for x in xs], dtype=np.intp)
-        # A design point's features are those of the first evaluation point
-        # equal to it; rounds at points not asked for are skipped.
-        row_of: dict[int, int] = {}
-        for i, pid in enumerate(point_ids.tolist()):
-            if pid >= 0:
-                row_of.setdefault(pid, i)
-        sums = np.zeros(len(ids))
-        for samples, by_threshold in self._groups(t for t, pid in enumerate(round_ids) if pid in row_of):
-            height = min(_block_rows(samples.shape[0]), max(len(rows) for rows in by_threshold.values()))
-            margins, w = np.empty((height, samples.shape[0])), np.empty((height, samples.shape[0]))
-            for b, rows in by_threshold.items():
-                for start in range(0, len(rows), height):
-                    block = rows[start : start + height]
-                    block_ids = [round_ids[t] for t in block]
-                    m, wb = margins[: len(block)], w[: len(block)]
-                    np.matmul(phi[[row_of[pid] for pid in block_ids]], samples.T, out=m)
-                    np.clip(m, -b, b, out=m)
-                    for i, t in enumerate(block):
-                        wb[i] = self.snapshots[t][0].weights()
-                    np.add.at(sums, block_ids, np.einsum("rn,rn->r", wb, m))
-        counts = np.bincount(round_ids, minlength=len(ids))
-        return np.where(point_ids >= 0, sums[point_ids] / counts[point_ids], 0.0)
+            first_row: dict[bytes, int] = {}
+            source = np.asarray([first_row.setdefault(_design_key(x), i) for i, x in enumerate(xs)], dtype=np.intp)
+            visited = [first_row.get(_design_key(p)) for p in self.design_points]
+            spans = [None if i is None else (i, i + 1) for i in visited]
+        # Rounds that count at a row: those whose span starts at or before
+        # it, less those whose span ends there or before.
+        ends = np.asarray([span for span in spans if span is not None], dtype=np.intp).reshape(-1, 2)
+        counts = np.cumsum(np.bincount(ends[:, 0], minlength=rows + 1) - np.bincount(ends[:, 1], minlength=rows + 1))[:rows]
+        # Rounds of one epoch share one sample-set object, kept alive by
+        # the snapshots, so its id names the set.
+        groups: dict[int, tuple[np.ndarray, dict[tuple[int, int], dict[float, list[int]]]]] = {}
+        for t, span in enumerate(spans):
+            if span is None:
+                continue
+            cloud, b = self.snapshots[t]
+            by_span = groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1]
+            by_span.setdefault(span, {}).setdefault(b, []).append(t)
+        out = np.zeros(rows)
+        for samples, by_span in groups.values():
+            n = samples.shape[0]
+            # The set counts at rows [first, last).  Its spans are taken in
+            # row order, and a block of its margins, formed once, serves
+            # every span inside it.
+            first, last = min(lo for lo, _ in by_span), max(hi for _, hi in by_span)
+            height = min(_block_rows(n), last - first)
+            margins, clipped = np.empty((height, n)), np.empty((height, n))
+            block = (0, 0)
+            for (lo, hi), by_threshold in sorted(by_span.items()):
+                sums = []
+                for b, ts in by_threshold.items():
+                    w = self.snapshots[ts[0]][0].weights()
+                    for t in ts[1:]:
+                        w += self.snapshots[t][0].weights()
+                    sums.append((b, w))
+                for start in range(lo, hi, height):
+                    stop = min(start + height, hi)
+                    if stop > block[1]:
+                        block = (start, min(start + height, last))
+                        np.matmul(phi[block[0] : block[1]], samples.T, out=margins[: block[1] - block[0]])
+                    m, c = margins[start - block[0] : stop - block[0]], clipped[: stop - start]
+                    for b, w in sums:
+                        out[start:stop] += m.clip(-b, b, out=c) @ w
+        deltas = np.divide(out, counts, out=np.zeros(rows), where=counts > 0)
+        return deltas if source is None else deltas[source]
 
     def predict_components(self, x: Any) -> tuple[float, float]:
         """(anchor, averaged clipped deviation); the prediction is their sum.

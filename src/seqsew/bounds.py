@@ -176,15 +176,9 @@ def cor7_rhs(comparator: Comparator, d: int, stats: SequenceStats) -> float:
 
 
 def thm8_rhs(comparator: Comparator, stats: SequenceStats) -> float:
-    """Guarantee for the fully automatic forecaster."""
-    log_gram = math.log(math.e + math.sqrt(stats.gram_trace))
-    a_t = stats.A_T
-    return (
-        comparator.cumulative_loss
-        + 256.0 * stats.max_y_sq * comparator.l0 * log_gram
-        + 64.0 * stats.max_y_sq * a_t * s_ln_term(comparator.l0, comparator.l1)
-        + (1.0 + 38.0 * stats.max_y_sq) * a_t
-    )
+    """Guarantee for the fully automatic forecaster: the comparator's loss
+    plus the regret cap of :func:`cor9_rhs` at s = l0 and U = l1."""
+    return comparator.cumulative_loss + cor9_rhs(comparator.l0, comparator.l1, stats)
 
 
 def cor9_rhs(s: float, U: float, stats: SequenceStats) -> float:

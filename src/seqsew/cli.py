@@ -621,6 +621,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if not paths:
         raise ArgumentError("plot needs at least one input file")
     kind = args.kind
+    if kind in ("staircase", "margins") and len(paths) > 1:
+        raise ArgumentError(f"plot --kind {kind} takes one input file, got {len(paths)}")
     if kind == "cumloss":
         series = []
         for p in paths:
@@ -675,6 +677,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise ArgumentError(f"unknown plot kind {kind!r}")
 
     out_path = Path(args.out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(svg)
     print(f"wrote {out_path}")
     return _EXIT_OK

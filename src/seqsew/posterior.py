@@ -256,10 +256,11 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # worker one task.  Each step costs O(n_particles * n_rounds).
 # ---------------------------------------------------------------------------
 
-# Most bytes of a block's float64 residual rows in a Metropolis move, which
-# its two float32 candidate buffers hold between them; small enough for
-# the block to stay resident in a core's cache.
-_KERNEL_BLOCK_BYTES = 512 * 1024
+# Most bytes of one float64 scratch block of rows, small enough to stay
+# resident in a core's cache: a block's residual rows in a Metropolis move
+# (which its two float32 candidate buffers hold between them), and a block
+# of margins in a batch estimator's average.
+_BLOCK_BYTES = 512 * 1024
 
 # Most multiply-adds of one piece of a block's residual product.  OpenBLAS
 # runs a GEMM of at most SMP_THRESHOLD_MIN (65536) times
@@ -269,6 +270,11 @@ _KERNEL_PIECE_MULADDS = 1 << 18
 # Largest residual of a block at the start of a move, in the block's units:
 # float32 then leaves a factor of 2^96 for the move to grow it by.
 _KERNEL_RESIDUAL_EXPONENT = 32
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a (rows, width) float64 scratch block."""
+    return max(1, _BLOCK_BYTES // (8 * width))
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -353,7 +359,7 @@ def _metropolis_coordinate_steps(
     # Blocks of equal size (to one row), so none is a short remainder with
     # a noisy acceptance rate, and two cores' runs differ by one block at
     # most.
-    n_blocks = -(-n // max(1, _KERNEL_BLOCK_BYTES // (8 * t)))
+    n_blocks = -(-n // _block_rows(t))
     rows = -(-n // n_blocks)
     seeds = rng.integers(np.iinfo(np.int64).max, size=n_blocks).tolist()
     workers = min(_usable_cores(), n_blocks)

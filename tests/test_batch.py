@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seqsew import batch
+from seqsew import posterior
 from seqsew.batch import (
     NoiseFamily,
     empirical_max_sq,
@@ -552,22 +552,41 @@ class TestBlockedAverage:
     def test_point_blocks(self, monkeypatch, backend_name, fit, excess):
         est, samples, n = self._fit(backend_name, fit)
         height = 5
-        monkeypatch.setattr(batch, "_BLOCK_BYTES", 8 * n * height)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * n * height)
         d = len(samples[0][0])
         rng = np.random.default_rng(30)
         points = [rng.uniform(-2, 2, size=d) for _ in range(height + excess)]
         expected = [self._reference(est, x) for x in points]
         np.testing.assert_allclose(est.predict_many(points), expected, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("excess", [-1, 0, 1])  # rounds just below, at and above one block
+    @pytest.mark.parametrize("excess", [-1, 0, 1])  # blocks just below, at and above the largest group
     @pytest.mark.parametrize("backend_name", ["importance", "chain"])
     def test_round_blocks(self, monkeypatch, backend_name, excess):
         est, samples, n = self._fit(backend_name, fit_fixed_design)
         largest = max(Counter((id(cloud.samples), b) for cloud, b in est.snapshots).values())
         assert largest >= (2 if backend_name == "importance" else 1)
-        monkeypatch.setattr(batch, "_BLOCK_BYTES", 8 * n * max(1, largest - excess))
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * n * max(1, largest - excess))
         d = len(samples[0][0])
         points = [x for x, _ in samples[:10]] + [np.full(d, 0.125)]  # design points and one off it
+        expected = [self._reference(est, x) for x in points]
+        np.testing.assert_allclose(est.predict_many(points), expected, rtol=0.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 64])
+    @pytest.mark.parametrize("backend_name", ["importance", "chain"])
+    def test_scattered_design_rows(self, monkeypatch, backend_name, height):
+        # Design points asked for out of order, twice, and between points
+        # off the design: a set's rows are not contiguous, and a block of
+        # margins holds rows that no round of the set counts at.
+        est, samples, n = self._fit(backend_name, fit_fixed_design)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * n * height)
+        d = len(samples[0][0])
+        design = [x for x, _ in samples]
+        order = np.random.default_rng(31).permutation(len(design))
+        points = []
+        for i in order[:20]:
+            points += [design[i], np.full(d, 0.125 + i)]
+        points += [design[i] for i in order[:5]]
         expected = [self._reference(est, x) for x in points]
         np.testing.assert_allclose(est.predict_many(points), expected, rtol=0.0, atol=1e-12)
 
@@ -593,4 +612,4 @@ class TestPredictionScratch:
             tracemalloc.stop()
         # Two (rows, n) blocks plus O(m d + n) arrays; an (n, m) margin
         # array alone is 3.2 MB here.
-        assert transient <= 3 * batch._BLOCK_BYTES
+        assert transient <= 3 * posterior._BLOCK_BYTES

@@ -1039,6 +1039,34 @@ class TestGenAndPlot:
         assert cli.main(["plot", "--input", str(path), "--kind", kind, "--out", str(tmp_path / "p.svg")]) == 4
         assert f"input.json: {message}" in capsys.readouterr().err
 
+    def test_plot_writes_into_a_new_directory(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json")
+        cli.main(["run", "--config", str(cfg)])
+        out = tmp_path / "new" / "plots" / "cum.svg"
+        assert cli.main(["plot", "--input", str(tmp_path / "out" / "run.csv"), "--kind", "cumloss", "--out", str(out)]) == 0
+        assert out.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "kind, name, text",
+        [
+            ("staircase", "run.csv", "# schema=seqsew.run.v1\nt,y,yhat,loss,cumloss,B_t,eta_t,regime,ess\n1,1,0,1,1,1,1,0,1\n"),
+            ("margins", "verify.json", json.dumps({"reports": [{"bound": "prop5", "slack": 1.0, "mc_allowance": 0.0}]})),
+        ],
+        ids=["staircase", "margins"],
+    )
+    def test_one_input_kinds_refuse_a_second_input(self, tmp_path, capsys, kind, name, text):
+        inputs = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / name).write_text(text)
+            inputs.append(str(tmp_path / sub / name))
+        out = tmp_path / "p.svg"
+        assert cli.main(["plot", "--input", inputs[0], "--kind", kind, "--out", str(out)]) == 0
+        out.unlink()
+        assert cli.main(["plot", "--input", *inputs, "--kind", kind, "--out", str(out)]) == 2
+        assert f"plot --kind {kind} takes one input file, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_is_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
         cli.main(["run", "--config", str(cfg)])

@@ -167,3 +167,43 @@ def test_only_protocol_result_builds_round_records(name):
     found = _constructions((PACKAGE / f"{name}.py").read_text(), "RoundRecord")
     assert [owner for owner, _ in found] == (["ProtocolResult"] if name == "forecasters" else [])
 
+
+
+def test_cache_block_rows_have_one_definition():
+    """The Metropolis kernel's blocks and the batch estimators' blocks of
+    margins are sized by one rule: the rows of a float64 scratch block of
+    ``_BLOCK_BYTES``.  The constant is read, and rows are cut from bytes
+    (a floor division by ``8 * width``), only in ``posterior._block_rows``."""
+    found = set()
+    for name in MODULES:
+        for node, _, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            spellings = (getattr(node, key, None) for key in ("attr", "id", "name"))
+            if any(isinstance(s, str) and s.endswith("BLOCK_BYTES") for s in spellings):
+                found.add((name, function))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+                right = node.right
+                if isinstance(right, ast.BinOp) and isinstance(right.op, ast.Mult):
+                    if any(isinstance(side, ast.Constant) and side.value == 8 for side in (right.left, right.right)):
+                        found.add((name, function))
+    # The definition at module level, and the one reading of it.
+    assert found == {("posterior", None), ("posterior", "_block_rows")}
+
+
+def test_batch_estimators_form_margins_at_one_product_site():
+    """Every batch estimator's average forms its blocks of margins, rows of
+    features against a sample set, at one ``np.matmul`` or ``@``; a second
+    product of that kind would be a second averaging path."""
+    tree = ast.parse((PACKAGE / "batch.py").read_text())
+    found = []
+    for node, owner, function in _scoped_nodes(tree):
+        if owner != "BatchEstimator":
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "matmul":
+            operands = node.args[:2]
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        else:
+            continue
+        if any("samples" in ast.unparse(operand) for operand in operands):
+            found.append((function, ast.unparse(node)))
+    assert len(found) == 1, found

@@ -543,7 +543,7 @@ class TestMetropolisKernel:
         # 250 rows in blocks of 16 (the last one of 10), two workers.
         rows = 16
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * self.T * rows)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * self.T * rows)
         before, samples, cum_loss, _ = self._run(n_steps=20)
         # Shift the points of block 3, so its moves change; every other
         # block, in either worker's run, must move exactly as before.
@@ -577,7 +577,7 @@ class TestMetropolisKernel:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(posterior, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * self.T * rows)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * self.T * rows)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
         _, serial_samples, serial_loss, serial_multiplier = self._run(n_steps=20)
         assert submitted == []
@@ -637,7 +637,7 @@ class TestMetropolisKernel:
 
         monkeypatch.setattr(posterior.ThreadPoolExecutor, "submit", submit)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 4)
-        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * self.T * self.N)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * self.T * self.N)
         self._run(n_steps=5)
 
     @pytest.mark.parametrize("eta", [0.1, math.inf])
@@ -685,7 +685,7 @@ class TestMetropolisKernel:
         b = np.full(t, 1.0)
         samples = rng.standard_normal((n, d))
         cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
-        n_blocks = -(-n // (posterior._KERNEL_BLOCK_BYTES // (8 * t)))
+        n_blocks = -(-n // posterior._block_rows(t))
         rows = -(-n // n_blocks)
         assert n_blocks >= 2  # both workers get blocks
 
@@ -750,7 +750,7 @@ class TestMetropolisKernel:
         seq = list(zip(xs, xs @ u_true + 0.5 * rng.standard_normal(T)))
         cfg = BackendConfig(backend="importance", n_samples=600, ess_floor=0.5, refresh_sweeps=1)
         # Blocks of 2000 / t rows, so any move after round 3 is split.
-        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * T * 50)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * T * 50)
 
         def run(cores):
             monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
@@ -772,7 +772,7 @@ class TestMetropolisKernel:
         cfg = BackendConfig(backend="chain", n_samples=600, burn_in=5)
         # Blocks of at most 1000 / t rows, so every move after round 1 is
         # split.
-        monkeypatch.setattr(posterior, "_KERNEL_BLOCK_BYTES", 8 * 1000)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * 1000)
 
         def run(cores):
             monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
