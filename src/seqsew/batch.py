@@ -211,10 +211,14 @@ class BatchEstimator:
 
         Exposed separately so translation equivariance of the offset
         variant can be checked exactly: shifting all outcomes by c shifts
-        the anchor by c and leaves the deviations bit-identical."""
+        the anchor by c and leaves the deviations bit-identical.  Each call
+        is one full averaging pass over every round's weights, so use
+        :meth:`predict_many` for many points."""
         return self.anchor, float(self._deltas([x])[0])
 
     def predict(self, x: Any) -> float:
+        """The prediction at one point: one full averaging pass over every
+        round's weights, so use :meth:`predict_many` for many points."""
         anchor, delta = self.predict_components(x)
         return anchor + delta
 
@@ -342,6 +346,12 @@ def risk(
 def risk_bound_rhs(variant: str, **kw: Any) -> float:
     """Right-hand side of a named risk guarantee, at a supplied comparator.
 
+    Theorems 10 (random design) and 13 (fixed design) read ``approx_error +
+    64 r s_ln_term(l0, sqrt(d T) l1) + feature term + 32 r`` at r =
+    E[max Y^2] / T.  Each corollary is its theorem at a cap on r: 2 (mean_y^2
+    / T + psi_t) for cor11, 2 (f_inf^2 + 2 sigma_sq ln(2 e T)) / T for cor12
+    and 2 (max_f_sq / T + psi_t) for cor14.
+
     Common keyword arguments: ``approx_error`` (the comparator's own risk),
     ``T``, ``d``, ``l0``, ``l1``.  Variant-specific:
 
@@ -364,19 +374,18 @@ def risk_bound_rhs(variant: str, **kw: Any) -> float:
     approx = value("approx_error")
     ln_term = s_ln_term(l0, math.sqrt(d * T) * l1)
 
-    if variant == "thm10":
-        e_max = value("e_max_y_sq")
-        return approx + 64.0 * (e_max / T) * ln_term + value("sum_feature_l2") / (d * T) + 32.0 * e_max / T
-    if variant == "cor11":
-        amp = value("mean_y") ** 2 / T + value("psi_t")
-        return approx + 128.0 * amp * ln_term + value("sum_feature_l2") / (d * T) + 64.0 * amp
-    if variant == "cor12":
-        amp = value("f_inf") ** 2 + 2.0 * value("sigma_sq") * math.log(2.0 * math.e * T)
-        return approx + 128.0 * (amp / T) * ln_term + value("sum_feature_l2") / (d * T) + 64.0 * amp / T
-    if variant == "thm13":
-        e_max = value("e_max_y_sq")
-        return approx + 64.0 * (e_max / T) * ln_term + value("design_gram_trace") / (d * T**2) + 32.0 * e_max / T
-    if variant == "cor14":
-        amp = value("max_f_sq") / T + value("psi_t")
-        return approx + 128.0 * amp * ln_term + value("design_gram_trace") / (d * T**2) + 64.0 * amp
-    raise ArgumentError(f"unknown risk bound variant {variant!r}")
+    if variant in ("thm10", "thm13"):
+        r = value("e_max_y_sq") / T
+    elif variant == "cor11":
+        r = 2.0 * (value("mean_y") ** 2 / T + value("psi_t"))
+    elif variant == "cor12":
+        r = 2.0 * ((value("f_inf") ** 2 + 2.0 * value("sigma_sq") * math.log(2.0 * math.e * T)) / T)
+    elif variant == "cor14":
+        r = 2.0 * (value("max_f_sq") / T + value("psi_t"))
+    else:
+        raise ArgumentError(f"unknown risk bound variant {variant!r}")
+    if variant in ("thm13", "cor14"):
+        feature_term = value("design_gram_trace") / (d * T**2)
+    else:
+        feature_term = value("sum_feature_l2") / (d * T)
+    return approx + 64.0 * r * ln_term + feature_term + 32.0 * r

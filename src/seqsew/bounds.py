@@ -17,6 +17,11 @@ cor7      adaptive forecaster at tau = 1 / sqrt(d T)
 thm8      fully automatic forecaster
 cor9      fully automatic forecaster, uniform over an (l0 <= s, l1 <= U) ball
 ========  ==================================================================
+
+The five bounds at a fixed prior scale share one shape, the comparator's
+loss plus a coefficient times ``s_ln_term(l0, l1 / tau)`` plus scale
+terms, and each corollary is its proposition at one tuning.  thm8 is the
+comparator's loss plus cor9's regret cap at s = l0 and U = l1.
 """
 
 from __future__ import annotations
@@ -50,7 +55,15 @@ __all__ = [
     "BOUND_NAMES",
 ]
 
-BOUND_NAMES = ("prop2", "cor3", "prop5", "cor6", "cor7", "thm8", "cor9")
+# The forecaster kind each bound is a statement about, and its name in messages.
+_BOUND_KINDS = {
+    **dict.fromkeys(("prop2", "cor3"), "fixed"),
+    **dict.fromkeys(("prop5", "cor6", "cor7"), "adaptive"),
+    **dict.fromkeys(("thm8", "cor9"), "auto"),
+}
+_KIND_WORDS = {"fixed": "fixed", "adaptive": "adaptive", "auto": "automatic"}
+
+BOUND_NAMES = tuple(_BOUND_KINDS)
 
 _MAX_ENUMERATED_SUPPORTS = 200_000
 _REL_TOL = 1e-9
@@ -110,16 +123,21 @@ class Comparator:
         )
 
 
+def _sparsity_rhs(comparator: Comparator, coefficient: float, scale: float, *terms: float) -> float:
+    """The shape every fixed-tau guarantee shares: loss(u) + coefficient *
+    s_ln_term(l0, scale * l1), plus the remaining terms in order."""
+    rhs = comparator.cumulative_loss + coefficient * s_ln_term(comparator.l0, scale * comparator.l1)
+    for term in terms:
+        rhs += term
+    return rhs
+
+
 def prop2_rhs(comparator: Comparator, eta: float, tau: float, stats: SequenceStats) -> float:
     """Guarantee for the fixed forecaster: loss(u) + (4/eta) * sparsity term
     + tau^2 * Gram trace."""
     if not (eta > 0.0 and tau > 0.0):
         raise ArgumentError("eta and tau must be positive")
-    return (
-        comparator.cumulative_loss
-        + (4.0 / eta) * s_ln_term(comparator.l0, (1.0 / tau) * comparator.l1)
-        + tau**2 * stats.gram_trace
-    )
+    return _sparsity_rhs(comparator, 4.0 / eta, 1.0 / tau, tau**2 * stats.gram_trace)
 
 
 def cor3_rhs(comparator: Comparator, B_y: float, B_Phi: float) -> float:
@@ -127,13 +145,7 @@ def cor3_rhs(comparator: Comparator, B_y: float, B_Phi: float) -> float:
     tau = sqrt(16 B_y^2 / B_Phi)."""
     if not (B_y > 0.0 and B_Phi > 0.0):
         raise ArgumentError("B_y and B_Phi must be positive")
-    return (
-        comparator.cumulative_loss
-        + 32.0
-        * B_y**2
-        * s_ln_term(comparator.l0, (math.sqrt(B_Phi) / (4.0 * B_y)) * comparator.l1)
-        + 16.0 * B_y**2
-    )
+    return _sparsity_rhs(comparator, 32.0 * B_y**2, math.sqrt(B_Phi) / (4.0 * B_y), 16.0 * B_y**2)
 
 
 def prop5_rhs(comparator: Comparator, tau: float, stats: SequenceStats) -> float:
@@ -141,12 +153,7 @@ def prop5_rhs(comparator: Comparator, tau: float, stats: SequenceStats) -> float
     if not tau > 0.0:
         raise ArgumentError("tau must be positive")
     b_sq = stats.B_T1_sq
-    return (
-        comparator.cumulative_loss
-        + 32.0 * b_sq * s_ln_term(comparator.l0, (1.0 / tau) * comparator.l1)
-        + tau**2 * stats.gram_trace
-        + 16.0 * b_sq
-    )
+    return _sparsity_rhs(comparator, 32.0 * b_sq, 1.0 / tau, tau**2 * stats.gram_trace, 16.0 * b_sq)
 
 
 def cor6_rhs(comparator: Comparator, B_Phi: float, stats: SequenceStats) -> float:
@@ -154,12 +161,7 @@ def cor6_rhs(comparator: Comparator, B_Phi: float, stats: SequenceStats) -> floa
     if not B_Phi > 0.0:
         raise ArgumentError("B_Phi must be positive")
     b_sq = stats.B_T1_sq
-    return (
-        comparator.cumulative_loss
-        + 32.0 * b_sq * s_ln_term(comparator.l0, math.sqrt(B_Phi) * comparator.l1)
-        + 16.0 * b_sq
-        + 1.0
-    )
+    return _sparsity_rhs(comparator, 32.0 * b_sq, math.sqrt(B_Phi), 16.0 * b_sq, 1.0)
 
 
 def cor7_rhs(comparator: Comparator, d: int, stats: SequenceStats) -> float:
@@ -167,12 +169,7 @@ def cor7_rhs(comparator: Comparator, d: int, stats: SequenceStats) -> float:
     if d < 1:
         raise ArgumentError("d must be a positive integer")
     b_sq = stats.B_T1_sq
-    return (
-        comparator.cumulative_loss
-        + 32.0 * b_sq * s_ln_term(comparator.l0, math.sqrt(d * stats.T) * comparator.l1)
-        + stats.gram_trace / (d * stats.T)
-        + 16.0 * b_sq
-    )
+    return _sparsity_rhs(comparator, 32.0 * b_sq, math.sqrt(d * stats.T), stats.gram_trace / (d * stats.T), 16.0 * b_sq)
 
 
 def thm8_rhs(comparator: Comparator, stats: SequenceStats) -> float:
@@ -367,15 +364,15 @@ def verify(
     stats = SequenceStats.from_arrays(result.features, result.y)
     lhs = result.cumulative_loss
     max_abs_y = math.sqrt(stats.max_y_sq)
+    wanted = _BOUND_KINDS[bound_name]
+    _require(kind == wanted, f"{bound_name} applies to the {_KIND_WORDS[wanted]} forecaster, run used {kind!r}")
 
     if bound_name == "prop2":
-        _require(kind == "fixed", f"prop2 applies to the fixed forecaster, run used {kind!r}")
         B, eta, tau = info["B"], info["eta"], info["tau"]
         _require(max_abs_y <= B * (1.0 + _REL_TOL), "prop2 requires B >= max |y_t| on the run")
         _require(eta <= 1.0 / (8.0 * B**2) * (1.0 + _REL_TOL), "prop2 requires eta <= 1/(8 B^2)")
         rhs = prop2_rhs(comparator, eta, tau, stats)
     elif bound_name == "cor3":
-        _require(kind == "fixed", f"cor3 applies to the fixed forecaster, run used {kind!r}")
         if B_y is None or B_Phi is None:
             raise ArgumentError("cor3 needs B_y and B_Phi")
         _require(_close(info["B"], B_y), "cor3 requires the run tuning B = B_y")
@@ -387,8 +384,7 @@ def verify(
         _require(max_abs_y <= B_y * (1.0 + _REL_TOL), "cor3 requires max |y_t| <= B_y")
         _require(stats.gram_trace <= B_Phi * (1.0 + _REL_TOL), "cor3 requires Gram trace <= B_Phi")
         rhs = cor3_rhs(comparator, B_y, B_Phi)
-    elif bound_name in ("prop5", "cor6", "cor7"):
-        _require(kind == "adaptive", f"{bound_name} applies to the adaptive forecaster, run used {kind!r}")
+    elif wanted == "adaptive":
         _require(
             float(info.get("clip_center", 0.0)) == 0.0,
             f"{bound_name} applies to the plain (uncentred) clipping scheme",
@@ -410,10 +406,8 @@ def verify(
             )
             rhs = cor7_rhs(comparator, d, stats)
     elif bound_name == "thm8":
-        _require(kind == "auto", f"thm8 applies to the automatic forecaster, run used {kind!r}")
         rhs = thm8_rhs(comparator, stats)
     else:  # cor9
-        _require(kind == "auto", f"cor9 applies to the automatic forecaster, run used {kind!r}")
         if s is None or U is None:
             raise ArgumentError("cor9 needs the ball parameters s and U")
         _require(comparator.l0 <= s, "cor9 witness must satisfy ||u||_0 <= s")

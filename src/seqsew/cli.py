@@ -358,13 +358,16 @@ def _comparator_set(result: ProtocolResult, spec: ScenarioSpec, names: Sequence[
 
 
 def _names(flag: str, noun: str, value: str, known: Sequence[str]) -> list[str]:
-    """The comma-separated names in ``value``: at least one, each from ``known``."""
+    """The comma-separated names in ``value``: at least one, each from ``known``
+    and named once."""
     names = [n.strip() for n in value.split(",") if n.strip()]
     if not names:
         raise ArgumentError(f"{flag} names no {noun}; choose from {', '.join(known)}")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in known:
             raise ArgumentError(f"unknown {noun} {name!r}; choose from {', '.join(known)}")
+        if name in names[:i]:
+            raise ArgumentError(f"{flag} names {noun} {name!r} twice")
     return names
 
 

@@ -11,9 +11,9 @@ Variants:
   eta = 1 / (8 B^2), adaptive to the unknown observation range; fixed tau.
 * :class:`SeqSEWFixed` -- the same scheme with the threshold B and the
   inverse temperature eta pinned by the caller.
-* :class:`SeqSEWAuto` -- additionally adapts to the unknown feature mass
-  by restarting the adaptive forecaster with rapidly shrinking tau
-  whenever the cumulative Gram trace crosses a geometric schedule.
+* :class:`SeqSEWAuto` -- additionally adapts to the unknown feature mass:
+  the adaptive scheme itself, restarted in place with rapidly shrinking
+  tau whenever the cumulative Gram trace crosses a geometric schedule.
 * :class:`RidgeBaseline` -- follow-the-regularized-leader least squares,
   for comparison only.
 
@@ -125,7 +125,8 @@ def _closes_regime(gamma: float | np.ndarray, r: int | np.ndarray) -> bool | np.
 class _ForecasterBase:
     """Shared predict/observe alternation guard and input contract.
 
-    ``t`` counts the rounds predicted so far.  Features must be finite,
+    ``t`` counts the rounds predicted so far.  Features must be finite
+    with a finite squared norm, so that their Gram arithmetic stays finite,
     and an outcome must be finite with y^2 <= 2^1020, so that the adaptive
     threshold arithmetic stays finite; anything else raises
     :class:`DataError` naming the round, before the forecaster's state
@@ -145,8 +146,12 @@ class _ForecasterBase:
         features = np.array(features, dtype=float)
         if features.shape != (self.dim,):
             raise DimensionMismatchError(f"round {self.t + 1}: features have shape {features.shape}, expected ({self.dim},)")
-        if not np.isfinite(features).all():
-            raise DataError(f"round {self.t + 1}: features must be finite, got {features.tolist()}")
+        # Non-finite features have a non-finite squared norm too; one that
+        # overflows comes out infinite, without a warning.
+        with np.errstate(over="ignore"):
+            norm_sq = float(features @ features)
+        if not math.isfinite(norm_sq):
+            raise DataError(f"round {self.t + 1}: features must be finite with a finite squared norm, got {features.tolist()}")
         self.t += 1
         yhat = self._predict(features)
         self._last_features = features
@@ -206,9 +211,14 @@ class SeqSEWAdaptive(_ForecasterBase):
         if not tau > 0.0:
             raise ArgumentError(f"tau must be positive, got {tau}")
         self.dim = int(dim)
-        self.tau = float(tau)
         self.config = backend or BackendConfig()
         self.center = float(clip_center)
+        self._restart(tau, seed)
+
+    def _restart(self, tau: float, seed: int | np.random.Generator | np.random.SeedSequence | None) -> None:
+        """Start the scheme afresh at prior scale tau: prior draws from a
+        generator seeded by ``seed``, and no threshold yet."""
+        self.tau = float(tau)
         rng = np.random.default_rng(seed) if self.config.backend != "quadrature" else None
         self.cloud: PosteriorCloud = init_cloud(SparsityPrior(self.tau, self.dim), self.config, rng)
         self.state = AdaptiveState()
@@ -286,14 +296,16 @@ class SeqSEWFixed(SeqSEWAdaptive):
         }
 
 
-class SeqSEWAuto(_ForecasterBase):
-    """Fully automatic forecaster (no parameters at all).
+class SeqSEWAuto(SeqSEWAdaptive):
+    """Fully automatic forecaster (no parameters at all): the adaptive
+    scheme, restarted in place at each regime change.
 
     Rounds are partitioned into regimes; regime r ends at the first round
     where gamma_t = ln(1 + sqrt(cumulative Gram trace)) exceeds 2^r, with
-    the boundary round itself still predicted by the regime-r instance.
-    Each regime runs a fresh adaptive forecaster, restarted on the
-    regime's own data only, with prior scale 1 / (exp(2^r) - 1).
+    the boundary round itself still predicted in regime r and its outcome
+    never observed.  Regime r runs the adaptive scheme at prior scale
+    1 / (exp(2^r) - 1) on its own rounds only, from a fresh cloud whose
+    generator is the next child spawned from ``seed``.
     """
 
     def __init__(
@@ -302,47 +314,27 @@ class SeqSEWAuto(_ForecasterBase):
         backend: BackendConfig | None = None,
         seed: int | np.random.SeedSequence | None = None,
     ) -> None:
-        super().__init__()
-        self.dim = int(dim)
-        self.config = backend or BackendConfig()
         self._seedseq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.regime = RegimeState()
-        self._instance = self._fresh_instance()
-
-    def _fresh_instance(self) -> SeqSEWAdaptive:
-        child = self._seedseq.spawn(1)[0]
-        return SeqSEWAdaptive(
-            self.dim,
-            regime_prior_scale(self.regime.r),
-            self.config,
-            seed=np.random.default_rng(child),
-        )
+        super().__init__(dim, regime_prior_scale(0), backend, self._seedseq.spawn(1)[0])
 
     def _predict(self, features: np.ndarray) -> float:
         self.regime.gram_trace += float(np.sum(features**2))
         self.regime.gamma = math.log1p(math.sqrt(self.regime.gram_trace))
-        return self._instance.predict(features)
+        return super()._predict(features)
 
     def _observe(self, features: np.ndarray, y: float) -> None:
         if _closes_regime(self.regime.gamma, self.regime.r):
-            # This round closes the regime; the dying instance never sees y.
             self.regime.r += 1
-            self._instance = self._fresh_instance()
+            self._restart(regime_prior_scale(self.regime.r), self._seedseq.spawn(1)[0])
         else:
-            self._instance.observe(y)
+            super()._observe(features, y)
 
     def describe(self) -> dict[str, Any]:
         return {"kind": "auto", "dim": self.dim, "backend": self.config.backend}
 
     def state_row(self) -> dict[str, float]:
-        inner = self._instance.state
-        return {
-            "B": inner.B,
-            "eta": inner.eta,
-            "regime": self.regime.r,
-            "ess": self._instance.cloud.ess(),
-            "gamma": self.regime.gamma,
-        }
+        return {**super().state_row(), "regime": self.regime.r, "gamma": self.regime.gamma}
 
 
 class RidgeBaseline(_ForecasterBase):

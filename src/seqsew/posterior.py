@@ -234,7 +234,14 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # scales, so the float32 columns stay finite whatever the features' scale.
 # Powers of two scale exactly, so a move of (s u, s y, s B, s tau, eta /
 # s^2) for s = 2^j is the move of (u, y, B, tau, eta) scaled by s, bit for
-# bit, as it is in double precision.
+# bit, as it is in double precision.  When a block's largest residual
+# dwarfs the clip band by more than about 2^80, no float32 unit holds both:
+# the band's squares would underflow to 0, every loss difference would
+# read 0 and the move would sample the prior.  Such a block runs the same
+# steps in float64 buffers against the float64 columns, in the unit that
+# keeps the band O(1) unless its residuals then come within 2^96 of
+# float64's overflow.  The choice reads only the block's own rows, so it
+# too does not depend on the worker count.
 #
 # The particles are cut into blocks of equal size, small enough for a
 # block's residual rows to stay in cache, and a block runs every step of
@@ -268,8 +275,16 @@ _BLOCK_BYTES = 512 * 1024
 _KERNEL_PIECE_MULADDS = 1 << 18
 
 # Largest residual of a block at the start of a move, in the block's units:
-# float32 then leaves a factor of 2^96 for the move to grow it by.
+# float32 then leaves a factor of 2^96 for the move to grow it by, and
+# float64 the same factor below its own overflow.
 _KERNEL_RESIDUAL_EXPONENT = 32
+_KERNEL_DOUBLE_RESIDUAL_EXPONENT = 1024 - 96
+
+# Most binary orders a float32 block's unit may lie above the clip band's:
+# the band's squares then reach 2^-94 units, so their top 32 orders stay
+# in float32's normal range.  A block whose residuals need a larger unit
+# runs its steps in float64.
+_KERNEL_BAND_SHIFT = 48
 
 
 def _block_rows(width: int) -> int:
@@ -383,10 +398,10 @@ def _metropolis_coordinate_steps(
 
     def move_blocks(worker: int) -> list[float]:
         blocks, bounds, floats, singles, flags = scratch[worker]
-        candidate, work, residuals = blocks
         # The float64 residuals of a block's points, in the memory of its
-        # two candidate buffers.
+        # two float32 candidate buffers.
         exact = blocks[:2].reshape(-1).view(np.float64).reshape(rows, t)
+        doubles = None
         multipliers = []
         for block in range(first[worker], first[worker + 1]):
             block_rng = np.random.default_rng(seeds[block])
@@ -394,20 +409,29 @@ def _metropolis_coordinate_steps(
             points = samples[start : start + rows]
             m = points.shape[0]
             exact_rows = _block_residuals(points, columns, y, exact[:m])
-            # The block's unit 2^k.
+            # The block's unit 2^k and the precision of its steps.
             largest = max(float(np.max(exact_rows)), -float(np.min(exact_rows)))
             k = max(clip_exponent, _exponent(largest) - _KERNEL_RESIDUAL_EXPONENT)
+            if k - clip_exponent <= _KERNEL_BAND_SHIFT:
+                block_buffers, block_bounds, block_singles = blocks, bounds, singles
+                block_columns, delta_exponent = columns_f32, column_exponent - k
+            else:
+                if doubles is None:  # rare, so allocated on first use
+                    doubles = (np.empty((3, rows, t)), np.empty((2, t)), np.empty((3, rows)))
+                block_buffers, block_bounds, block_singles = doubles
+                k = max(clip_exponent, _exponent(largest) - _KERNEL_DOUBLE_RESIDUAL_EXPONENT)
+                block_columns, delta_exponent = columns, -k
+            candidate, work, residuals = block_buffers
             held = np.ldexp(exact_rows, -k, out=residuals[:m])
-            low_f32 = np.ldexp(low, -k, out=bounds[0])
-            high_f32 = np.ldexp(high, -k, out=bounds[1])
+            low_k = np.ldexp(low, -k, out=block_bounds[0])
+            high_k = np.ldexp(high, -k, out=block_bounds[1])
             eta_term = float(np.ldexp(eta, 2 * k)) if math.isfinite(eta) else 0.0
-            delta_exponent = column_exponent - k
             cand, buf = candidate[:m], work[:m]
             uniform, deltas, new_vals, log_alpha, prior_new = floats[:, :m]
-            deltas_f32, new_loss, losses = singles[:, :m]
+            deltas_k, new_loss, losses = block_singles[:, :m]
             long_range, accept = flags[:, :m]
-            np.minimum(held, high_f32, out=buf)
-            np.maximum(buf, low_f32, out=buf)
+            np.minimum(held, high_k, out=buf)
+            np.maximum(buf, low_k, out=buf)
             np.einsum("ij,ij->i", buf, buf, out=losses)
             multiplier = step_multiplier
             for j in coords:
@@ -428,13 +452,13 @@ def _metropolis_coordinate_steps(
                     np.log1p(out, out=out)
                 np.subtract(log_alpha, prior_new, out=log_alpha)
                 np.multiply(log_alpha, 4.0, out=log_alpha)
-                np.ldexp(deltas, delta_exponent, out=deltas_f32)
-                np.einsum("i,j->ij", deltas_f32, columns_f32[j], out=cand)
+                np.ldexp(deltas, delta_exponent, out=deltas_k)
+                np.einsum("i,j->ij", deltas_k, block_columns[j], out=cand)
                 np.subtract(held, cand, out=cand)
                 # min then max is np.clip(cand, low, high), without np.clip's
                 # per-call overhead.
-                np.minimum(cand, high_f32, out=buf)
-                np.maximum(buf, low_f32, out=buf)
+                np.minimum(cand, high_k, out=buf)
+                np.maximum(buf, low_k, out=buf)
                 np.einsum("ij,ij->i", buf, buf, out=new_loss)
                 # Accept where log u < prior ratio - eta (new - old loss).
                 np.subtract(new_loss, losses, out=uniform)

@@ -290,6 +290,28 @@ class TestRiskBoundRhs:
         amp = 4.0 / 10 + psi_bound(fam, 10)
         assert rhs == pytest.approx(10.0 / (1 * 100) + 64.0 * amp, rel=1e-12)
 
+    @pytest.mark.parametrize("T, d, l0, l1", [(10, 1, 0, 0.0), (37, 4, 2, 3.5), (1000, 30, 5, 0.01)])
+    def test_corollaries_are_their_theorems_at_one_amplitude_cap(self, T, d, l0, l1):
+        # Each corollary is Theorem 10 or 13 at e_max_y_sq = T r, with its
+        # own cap r on E[max Y^2] / T.
+        common = dict(T=T, d=d, l0=l0, l1=l1, approx_error=0.75)
+        random, fixed = dict(sum_feature_l2=3.0), dict(design_gram_trace=3.0 * T)
+        mean_y, psi_t, f_inf, sigma_sq, max_f_sq = -1.25, 0.4, 2.0, 0.3, 5.0
+        cases = [
+            ("cor11", dict(mean_y=mean_y, psi_t=psi_t, **random), "thm10", 2.0 * (mean_y**2 / T + psi_t)),
+            (
+                "cor12",
+                dict(f_inf=f_inf, sigma_sq=sigma_sq, **random),
+                "thm10",
+                2.0 * (f_inf**2 + 2.0 * sigma_sq * math.log(2.0 * math.e * T)) / T,
+            ),
+            ("cor14", dict(max_f_sq=max_f_sq, psi_t=psi_t, **fixed), "thm13", 2.0 * (max_f_sq / T + psi_t)),
+        ]
+        for corollary, inputs, theorem, r in cases:
+            theorem_inputs = random if theorem == "thm10" else fixed
+            expected = risk_bound_rhs(theorem, e_max_y_sq=T * r, **theorem_inputs, **common)
+            assert risk_bound_rhs(corollary, **inputs, **common) == pytest.approx(expected, rel=1e-14)
+
     def test_missing_inputs_are_named(self):
         with pytest.raises(ArgumentError, match="missing input"):
             risk_bound_rhs("thm10", T=5, d=1, l0=0, l1=0.0)

@@ -109,6 +109,35 @@ class TestAdaptiveBounds:
         assert hi == pytest.approx(8.0 * lo)
 
 
+class TestCorollariesAreTheirPropositionsAtOneTuning:
+    """Each corollary's right-hand side is its proposition's at the
+    corollary's tuning, to rounding."""
+
+    CASES = [
+        (_comp([0.0, 0.0, 0.0], 2.5), 3, _stats(T=40, max_y_sq=5.0, gram=17.0)),
+        (_comp([1.5, 0.0, -0.25], 11.0), 3, _stats(T=7, max_y_sq=0.3, gram=2.0)),
+        (_comp([3.0, 1e-3, 0.0, 40.0], 1e3), 4, _stats(T=500, max_y_sq=12.0, gram=900.0)),
+    ]
+
+    @pytest.mark.parametrize("comp, d, stats", CASES)
+    def test_cor7_is_prop5_at_tau_one_over_root_dt(self, comp, d, stats):
+        tau = 1.0 / math.sqrt(d * stats.T)
+        assert cor7_rhs(comp, d, stats) == pytest.approx(prop5_rhs(comp, tau, stats), rel=1e-14)
+
+    @pytest.mark.parametrize("comp, d, stats", CASES)
+    def test_cor6_is_prop5_at_tau_one_over_root_b_phi(self, comp, d, stats):
+        B_Phi = stats.gram_trace
+        tau = 1.0 / math.sqrt(B_Phi)
+        assert cor6_rhs(comp, B_Phi, stats) == pytest.approx(prop5_rhs(comp, tau, stats), rel=1e-14)
+
+    @pytest.mark.parametrize("comp, d, stats", CASES)
+    @pytest.mark.parametrize("B_y", [0.5, 1.0, 7.0])
+    def test_cor3_is_prop2_at_the_oracle_tuning(self, comp, d, stats, B_y):
+        B_Phi = stats.gram_trace
+        eta, tau = 1.0 / (8.0 * B_y**2), 4.0 * B_y / math.sqrt(B_Phi)
+        assert cor3_rhs(comp, B_y, B_Phi) == pytest.approx(prop2_rhs(comp, eta, tau, stats), rel=1e-14)
+
+
 class TestAutomaticBounds:
     def test_thm8_zero_comparator(self):
         stats = _stats(max_y_sq=2.0, gram=9.0)

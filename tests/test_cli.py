@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import seqsew.cli as cli
 from seqsew import posterior
@@ -485,6 +485,8 @@ class TestBoundaryProperty:
 
     @settings(max_examples=60, deadline=None)
     @given(path=st.sampled_from(_MUTABLE_PATHS), value=_VALUES)
+    # Features whose squared norm overflows.
+    @example(path=("scenario", "dictionary", "normalization"), value=1e308)
     def test_mutated_readme_config(self, path, value):
         config = json.loads(json.dumps(_SMALL_README))
         node = config
@@ -784,6 +786,27 @@ class TestVerify:
         cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 400})
         assert cli.main(["verify", "--config", str(cfg), *flags]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--bounds", "prop5,prop5"], "--bounds names bound 'prop5' twice"),
+            (["--bounds", "prop5, cor7,prop5"], "--bounds names bound 'prop5' twice"),
+            (["--bounds", "prop5", "--comparators", "zero,zero"], "--comparators names comparator 'zero' twice"),
+        ],
+        ids=["bounds", "bounds-apart", "comparators"],
+    )
+    def test_repeated_name_exits_two_before_any_run(self, tmp_path, monkeypatch, capsys, flags, message):
+        # A repeated bound would write its reports twice, and a repeated
+        # comparator would be dropped without a word.
+        def play(*args, **kwargs):
+            raise AssertionError("played a run")
+
+        monkeypatch.setattr(cli, "run_protocol", play)
+        cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 400})
+        assert cli.main(["verify", "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_bound_is_usage_error(self, tmp_path):

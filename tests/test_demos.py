@@ -1,5 +1,6 @@
 """Smoke test of the demos: each script runs to completion from a clean
-working directory against this checkout's package."""
+working directory against this checkout's package, with RuntimeWarnings
+raised as errors."""
 
 import os
 import subprocess
@@ -19,10 +20,17 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
     # A demo's scratch files go to a temp dir of its own, and it must
-    # leave that dir as empty as it found it.
+    # leave that dir as empty as it found it.  As in the suite, a numpy
+    # overflow or invalid operation is an error, in the demo and in every
+    # process it starts.
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmpdir)}
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(ROOT / "src"),
+        "TMPDIR": str(tmpdir),
+        "PYTHONWARNINGS": "error::RuntimeWarning",
+    }
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600
     )

@@ -209,7 +209,7 @@ class TestAutoForecaster:
             f.predict(x)
             f.observe(y)
         assert f.regime.r == 1
-        assert f._instance.state.B == 0.0  # fresh instance, no data yet
+        assert f.state.B == 0.0  # restarted scheme, no data yet
 
 
 class TestRidgeBaseline:
@@ -323,6 +323,13 @@ class TestInputContract:
     def test_non_finite_feature(self, config, bad):
         with pytest.raises(DataError, match="round 4: features"):
             self._play(seqsew_adaptive(1, 0.5, config, seed=0), 4, x=np.array([bad]))
+
+    @pytest.mark.parametrize("config", [QUAD, IMP], ids=["quadrature", "importance"])
+    @pytest.mark.parametrize("x", [1.4e154, -1e200, 1e308])
+    def test_feature_whose_squared_norm_overflows(self, config, x):
+        # The feature is finite, but its square is not.
+        with pytest.raises(DataError, match="round 4: features must be finite with a finite squared norm"):
+            self._play(seqsew_adaptive(1, 0.5, config, seed=0), 4, x=np.array([x]))
 
     @pytest.mark.parametrize("y", [1e160, -1e155, 1e154])
     def test_outcome_whose_square_overflows_the_threshold(self, y):

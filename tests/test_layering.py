@@ -10,7 +10,11 @@ worker processes, and the usable cores are read in one place.  A
 ``FrozenCloud`` is built only by ``PosteriorCloud.snapshot`` and
 ``FrozenCloud.from_json``, so a live cloud has one way to be frozen.  A
 ``RoundRecord`` is built only inside ``ProtocolResult``, from its columns,
-so per-round rows are never a second store of a run."""
+so per-round rows are never a second store of a run.  No forecaster
+method builds a forecaster: the automatic forecaster restarts the adaptive
+scheme in place.  The regret bounds evaluate the sparsity term at two
+sites, the shape the fixed-tau bounds share and the automatic forecaster's
+cap."""
 
 import ast
 from pathlib import Path
@@ -207,3 +211,40 @@ def test_batch_estimators_form_margins_at_one_product_site():
         if any("samples" in ast.unparse(operand) for operand in operands):
             found.append((function, ast.unparse(node)))
     assert len(found) == 1, found
+
+
+def _forecaster_names(tree: ast.Module) -> set[str]:
+    """The forecaster classes of ``forecasters.py`` and the functional
+    names bound to them at module level."""
+    classes = {
+        node.name for node in tree.body if isinstance(node, ast.ClassDef) and node.name.startswith(("SeqSEW", "Ridge"))
+    }
+    aliases = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in classes
+        for target in node.targets
+    }
+    return classes | aliases
+
+
+def test_no_forecaster_method_builds_a_forecaster():
+    """A forecaster that drove a second, freshly built forecaster would
+    pass every round through two protocol guards."""
+    source = (PACKAGE / "forecasters.py").read_text()
+    names = _forecaster_names(ast.parse(source))
+    assert {"SeqSEWAdaptive", "SeqSEWAuto", "seqsew_adaptive", "ridge_baseline"} <= names
+    found = [(name, owner, function) for name in sorted(names) for owner, function in _constructions(source, name)]
+    assert [entry for entry in found if entry[2] is not None] == []
+
+
+def test_regret_bounds_evaluate_the_sparsity_term_at_two_sites():
+    """The five fixed-tau bounds reach ``s_ln_term`` through one shared
+    shape, and the automatic forecaster's cap has its own."""
+    tree = ast.parse((PACKAGE / "bounds.py").read_text())
+    found = [
+        function
+        for node, _, function in _scoped_nodes(tree)
+        if isinstance(node, ast.Call) and "s_ln_term" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert sorted(found) == ["_sparsity_rhs", "cor9_rhs"]

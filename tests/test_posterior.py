@@ -631,6 +631,36 @@ class TestMetropolisKernel:
         assert np.array_equal(scaled_loss / (s * s), cum_loss)
         assert scaled_multiplier == multiplier
 
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_blocks_that_dwarf_the_clip_band_do_not_depend_on_worker_count(self, monkeypatch, cores):
+        # Round 2's features scaled by 1e40 put every block but block 3,
+        # whose points are 1e-19 times smaller, beyond float32's reach:
+        # those run in float64.
+        def run():
+            rng = np.random.default_rng(61)
+            phi = 5.0 * rng.uniform(-1, 1, size=(self.T, self.D))
+            phi[1] *= 1e40
+            y = rng.standard_normal(self.T)
+            b = np.full(self.T, 1.5)
+            samples = 0.5 * rng.standard_normal((self.N, self.D))
+            samples[48:64] *= 1e-19
+            cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
+            multiplier = posterior._metropolis_coordinate_steps(
+                samples, cum_loss, (phi, y, b), 0.1, SparsityPrior(0.5, self.D), np.random.default_rng(62),
+                20, np.full(self.D, 0.5), 1.0,
+            )
+            return samples, cum_loss, multiplier, phi, y, b
+
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * self.T * 16)
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
+        serial = run()
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
+        samples, cum_loss, multiplier, phi, y, b = run()
+        assert np.array_equal(samples, serial[0])
+        assert np.array_equal(cum_loss, serial[1])
+        assert multiplier == serial[2]
+        np.testing.assert_allclose(cum_loss, np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1), rtol=1e-12)
+
     def test_one_block_starts_no_thread(self, monkeypatch):
         def submit(*args, **kwargs):
             raise AssertionError("started a worker for a single block")
@@ -851,15 +881,17 @@ class TestOracleTrackingAtLargeTau:
         assert imp.cloud.resample_count >= 1
 
 
-def _kernel_quantile_error(d, seed):
+def _kernel_quantile_error(d, seed, scale=1.0):
     """Largest gap, in units of the grid posterior's sd, between the 10/50/90%
     quantiles of each coordinate after one ``100 d``-step move from a 10^4
     point prior draw and those of the quadrature posterior of the same
-    history (T = 30, tau = 1, eta = 0.5, B = 3, criterion 3's design)."""
+    history (T = 30, tau = 1, eta = 0.5, B = 3, criterion 3's design, with
+    round 6's features multiplied by ``scale``)."""
     T, tau, eta, b = 30, 1.0, 0.5, 3.0
     rng = np.random.default_rng(42 + d)
     xs = rng.uniform(-2.0, 2.0, size=(T, d))
     ys = xs @ np.array([1.5, -0.8][:d]) + 0.3 * rng.standard_normal(T)
+    xs[5] *= scale
     prior = SparsityPrior(tau, d)
     grid = init(prior, BackendConfig(backend="quadrature", grid_points_per_dim=1001 if d == 1 else 257))
     for x, y in zip(xs, ys):
@@ -901,6 +933,15 @@ class TestKernelTarget:
     @pytest.mark.parametrize("d, tol", [(1, 0.1), (2, 0.35)])
     def test_one_move_from_the_prior_lands_on_the_grid_posterior(self, d, tol, seed):
         assert _kernel_quantile_error(d, seed) <= tol
+
+    @pytest.mark.parametrize("scale", [1e40, 1e100])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d, tol", [(1, 0.1), (2, 0.35)])
+    def test_a_round_whose_residuals_dwarf_the_clip_band(self, d, tol, seed, scale):
+        # Round 6's residuals are then about 2^130 or 2^330 times the clip
+        # band.  The band's squares must still register, or the move never
+        # leaves its prior draw.
+        assert _kernel_quantile_error(d, seed, scale) <= tol
 
 
 def _criterion_4_predictions(n_samples, refresh_sweeps, seed):
