@@ -15,7 +15,7 @@ from pathlib import Path
 
 
 def run(*args):
-    cmd = [sys.executable, "-m", "seqsew.cli", *args]
+    cmd = [sys.executable, "-m", "seqsew", *args]
     print("$ seqsew " + " ".join(args))
     proc = subprocess.run(cmd, capture_output=True, text=True)
     for line in (proc.stdout + proc.stderr).splitlines():

@@ -235,7 +235,7 @@ def _online_pass(
     rounds: Sequence[tuple[Any, float]],
     dictionary: Any,
     backend: BackendConfig | None,
-    seed: int | np.random.Generator | None,
+    seed: int | np.random.SeedSequence | np.random.Generator | None,
     clip_center: float = 0.0,
 ) -> list[tuple[FrozenCloud, float]]:
     """Play the adaptive forecaster at tau = 1/sqrt(d T) through the T
@@ -258,7 +258,7 @@ def fit_random_design(
     samples: Sequence[tuple[Any, float]],
     dictionary: Any,
     backend: BackendConfig | None = None,
-    seed: int | np.random.Generator | None = None,
+    seed: int | np.random.SeedSequence | np.random.Generator | None = None,
 ) -> BatchEstimator:
     """One online pass at tau = 1/sqrt(d T); uniform average of the
     per-round regressors."""
@@ -275,7 +275,7 @@ def fit_fixed_design(
     samples: Sequence[tuple[Any, float]],
     dictionary: Any,
     backend: BackendConfig | None = None,
-    seed: int | np.random.Generator | None = None,
+    seed: int | np.random.SeedSequence | np.random.Generator | None = None,
 ) -> BatchEstimator:
     """Same online pass; predictions group rounds by exact design point
     (design points are generated values, so equality is exact, with no
@@ -294,7 +294,7 @@ def fit_remark15(
     samples: Sequence[tuple[Any, float]],
     dictionary: Any,
     backend: BackendConfig | None = None,
-    seed: int | np.random.Generator | None = None,
+    seed: int | np.random.SeedSequence | np.random.Generator | None = None,
 ) -> BatchEstimator:
     """Offset-clipped variant: round 1 only provides the anchor Y_1;
     rounds 2..T run at tau = 1/sqrt(d (T-1)) with predictions clipped to

@@ -81,11 +81,13 @@ class SequenceStats:
     def from_arrays(cls, features: np.ndarray, y: np.ndarray) -> "SequenceStats":
         features = np.atleast_2d(np.asarray(features, dtype=float))
         y = np.asarray(y, dtype=float)
-        return cls(
-            T=int(y.shape[0]),
-            max_y_sq=float(np.max(y**2)) if y.size else 0.0,
-            gram_trace=float(np.sum(features**2)),
-        )
+        # A sum that overflows is inf, without a warning (verify then refuses).
+        with np.errstate(over="ignore"):
+            return cls(
+                T=int(y.shape[0]),
+                max_y_sq=float(np.max(y**2)) if y.size else 0.0,
+                gram_trace=float(np.sum(features**2)),
+            )
 
     @property
     def B_T1_sq(self) -> float:
@@ -333,6 +335,11 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=1e-300)
 
 
+def _within_fixed_limit(B: float, eta: float) -> bool:
+    """Whether eta is within Proposition 2's limit 1/(8 B^2), up to _REL_TOL."""
+    return eta <= 1.0 / (8.0 * B * B) * (1.0 + _REL_TOL)  # B * B overflows to inf; B**2 raises
+
+
 def verify(
     result: ProtocolResult,
     bound_name: str,
@@ -350,7 +357,11 @@ def verify(
     apply to the run's forecaster or tuning (every bound is a statement
     about a specific algorithm; checking it elsewhere would be vacuous).
     Any comparator gives a valid right-hand side, so passing at the supplied
-    witness is sound; the report records the witness used.  Raises
+    witness is sound; the report records the witness used.
+
+    cor3 and cor6 read (B_y, B_Phi) = (B, 16 B^2 / tau^2) and B_Phi =
+    1 / tau^2 off the run's tuning unless given; given values are checked
+    against it, and the Gram trace must not exceed B_Phi.  Raises
     :class:`DataError` when either side is not finite, since a NaN would
     fail and an infinite right-hand side would pass without meaning.
     """
@@ -370,11 +381,11 @@ def verify(
     if bound_name == "prop2":
         B, eta, tau = info["B"], info["eta"], info["tau"]
         _require(max_abs_y <= B * (1.0 + _REL_TOL), "prop2 requires B >= max |y_t| on the run")
-        _require(eta <= 1.0 / (8.0 * B**2) * (1.0 + _REL_TOL), "prop2 requires eta <= 1/(8 B^2)")
+        _require(_within_fixed_limit(B, eta), "prop2 requires eta <= 1/(8 B^2)")
         rhs = prop2_rhs(comparator, eta, tau, stats)
     elif bound_name == "cor3":
-        if B_y is None or B_Phi is None:
-            raise ArgumentError("cor3 needs B_y and B_Phi")
+        B_y = info["B"] if B_y is None else B_y
+        B_Phi = 16.0 * info["B"] ** 2 / info["tau"] ** 2 if B_Phi is None else B_Phi
         _require(_close(info["B"], B_y), "cor3 requires the run tuning B = B_y")
         _require(_close(info["eta"], 1.0 / (8.0 * B_y**2)), "cor3 requires eta = 1/(8 B_y^2)")
         _require(
@@ -393,8 +404,7 @@ def verify(
         if bound_name == "prop5":
             rhs = prop5_rhs(comparator, tau, stats)
         elif bound_name == "cor6":
-            if B_Phi is None:
-                raise ArgumentError("cor6 needs B_Phi")
+            B_Phi = 1.0 / tau**2 if B_Phi is None else B_Phi
             _require(_close(tau, 1.0 / math.sqrt(B_Phi)), "cor6 requires tau = 1/sqrt(B_Phi)")
             _require(stats.gram_trace <= B_Phi * (1.0 + _REL_TOL), "cor6 requires Gram trace <= B_Phi")
             rhs = cor6_rhs(comparator, B_Phi, stats)

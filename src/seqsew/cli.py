@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -154,13 +154,14 @@ def _csv_floats(path: Path, *columns: str) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 
 
-# The parameters of each forecaster kind and their defaults (None: required).
-# A forecaster section holds "kind" and its kind's parameters, nothing else.
-_FORECASTER_PARAMS: dict[str, dict[str, float | None]] = {
-    "fixed": {"B": None, "eta": None, "tau": None},
-    "adaptive": {"tau": None},
-    "auto": {},
-    "ridge": {"regularization": 1.0},
+# Each forecaster kind's constructor, and its parameters with their
+# defaults (None: required).  A forecaster section holds "kind" and its
+# kind's parameters, nothing else, and the constructor takes them by name.
+_FORECASTERS: dict[str, tuple[Callable[..., Any], dict[str, float | None]]] = {
+    "fixed": (seqsew_fixed, {"B": None, "eta": None, "tau": None}),
+    "adaptive": (seqsew_adaptive, {"tau": None}),
+    "auto": (seqsew_auto, {}),
+    "ridge": (ridge_baseline, {"regularization": 1.0}),
 }
 
 
@@ -230,11 +231,12 @@ def _load_config(args: argparse.Namespace) -> _Config:
 
     fc = raw.get("forecaster", {"kind": "adaptive", "tau": 1.0})
     kind = fc.get("kind", "adaptive") if isinstance(fc, dict) else "adaptive"
-    if not isinstance(kind, str) or kind not in _FORECASTER_PARAMS:
+    if not isinstance(kind, str) or kind not in _FORECASTERS:
         raise ArgumentError(f"unknown forecaster kind {kind!r}")
-    checked_section("config section 'forecaster'", fc, ("kind", *_FORECASTER_PARAMS[kind]))
+    defaults = _FORECASTERS[kind][1]
+    checked_section("config section 'forecaster'", fc, ("kind", *defaults))
     params = {}
-    for key, default in _FORECASTER_PARAMS[kind].items():
+    for key, default in defaults.items():
         if key not in fc and default is None:
             raise ArgumentError(f"forecaster kind {kind!r} needs {key!r}")
         params[key] = checked_value(f"forecaster {key!r}", fc.get(key, default), float)
@@ -246,15 +248,15 @@ def _load_config(args: argparse.Namespace) -> _Config:
 
 
 def _forecaster(config: _Config, seed_offset: int):
-    p, dim = config.forecaster, config.spec.dictionary.d
-    seed = np.random.SeedSequence([config.seed, seed_offset])
-    if config.forecaster_kind == "fixed":
-        return seqsew_fixed(dim, p["B"], p["eta"], p["tau"], config.backend, seed=np.random.default_rng(seed))
-    if config.forecaster_kind == "adaptive":
-        return seqsew_adaptive(dim, p["tau"], config.backend, seed=np.random.default_rng(seed))
-    if config.forecaster_kind == "auto":
-        return seqsew_auto(dim, config.backend, seed=seed)
-    return ridge_baseline(dim, p["regularization"])
+    """A fresh forecaster of the config's kind seeded ``seed_offset``; ridge draws nothing."""
+    kind = config.forecaster_kind
+    draws = {} if kind == "ridge" else {"backend": config.backend, "seed": _seed(config, seed_offset)}
+    return _FORECASTERS[kind][0](config.spec.dictionary.d, **config.forecaster, **draws)
+
+
+def _seed(config: _Config, offset: int) -> np.random.SeedSequence:
+    """The seed of a command's ``offset``-th stream of draws."""
+    return np.random.SeedSequence([config.seed, offset])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +274,7 @@ def _first_run(config: _Config) -> ProtocolResult:
     """The run seeded 1, which every command reports on.  An overheated
     fixed tuning is warned about here, once per command."""
     p = config.forecaster
-    if config.forecaster_kind == "fixed" and 8.0 * p["eta"] * p["B"] * p["B"] > 1.0 + 1e-12:
+    if config.forecaster_kind == "fixed" and not bounds_mod._within_fixed_limit(p["B"], p["eta"]):
         print(f"warning: eta={p['eta']} exceeds 1/(8 B^2)={1.0 / (8 * p['B'] * p['B'])}; "
               "the fixed-forecaster guarantee does not cover this tuning", file=sys.stderr)
     return _play(config, 1)
@@ -383,21 +385,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # Every report is made before any replay, so a bound that does not
     # apply to this run is refused before the replays are played.
+    # cor3 and cor6 read their tuning off the run; cor9 needs its ball.
     comparators = _comparator_set(result, config.spec, comparator_names)
-    info = result.forecaster_info
     verified = []
     for bound in bound_names:
         for cname, comp in comparators.items():
-            kwargs: dict[str, Any] = {}
-            if bound == "cor3":
-                kwargs["B_y"] = info["B"]
-                kwargs["B_Phi"] = 16.0 * info["B"] ** 2 / info["tau"] ** 2
-            elif bound == "cor6":
-                kwargs["B_Phi"] = 1.0 / info["tau"] ** 2
-            elif bound == "cor9":
-                kwargs["s"] = max(comp.l0, config.spec.s)
-                kwargs["U"] = max(comp.l1, 1.0)
-            verified.append((cname, bounds_mod.verify(result, bound, comp, **kwargs)))
+            ball = {"s": max(comp.l0, config.spec.s), "U": max(comp.l1, 1.0)} if bound == "cor9" else {}
+            verified.append((cname, bounds_mod.verify(result, bound, comp, **ball)))
 
     replays = args.replays if config.backend.backend != "quadrature" else 0
     mc_allowance = 0.0
@@ -432,10 +426,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         payload, reps = _batch_risk(config, variant, args.replications, args.n_eval)
     elif variant == "cor11":
         payload, reps = _batch_family_sweep(config, args.replications)
-    elif variant == "remark15":
+    else:  # remark15, the parser's last choice
         payload, reps = _batch_remark15(config, args.shift)
-    else:
-        raise ArgumentError(f"unknown batch variant {variant!r}")
 
     _dump_json(out / f"batch_{variant}.json", payload)
     if reps is not None:
@@ -472,9 +464,8 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
     for i in range(replications):
         rep_spec = replace(spec, seed=spec.seed + 1000 * (i + 1))
         samples, rep_truth, _ = gen_stochastic(rep_spec)
-        fit_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 50 + i]))
-        est = fit(samples, dictionary, config.backend, seed=fit_rng)
-        rng_eval = np.random.default_rng(np.random.SeedSequence([config.seed, 90 + i]))
+        est = fit(samples, dictionary, config.backend, seed=_seed(config, 50 + i))
+        rng_eval = np.random.default_rng(_seed(config, 90 + i))
         risks.append(batch_mod.risk(est, rep_truth, design_sampler(rep_spec), n_eval=n_eval, rng=rng_eval))
         # Free the estimator's per-round arrays before the next replication
         # allocates: kept alive, they would interleave with its data on the
@@ -534,7 +525,7 @@ def _batch_family_sweep(config: _Config, replications: int):
     reps = max(replications, 100)
     _check_size("--replications", "replications * T", reps * config.spec.T)
     for k, family in enumerate(families):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 300 + k]))
+        rng = np.random.default_rng(_seed(config, 300 + k))
         draws = family.draw(rng, (reps, config.spec.T))
         measured = batch_mod.empirical_max_sq(draws)
         cap = config.spec.T * batch_mod.psi_bound(family, config.spec.T)
@@ -574,10 +565,7 @@ def _batch_remark15(config: _Config, shift: float):
     shifted = [(x, y + shift) for x, y in samples]
 
     est_base, est_shift = (
-        batch_mod.fit_remark15(
-            data, dictionary, config.backend, seed=np.random.default_rng(np.random.SeedSequence([config.seed, 50]))
-        )
-        for data in (samples, shifted)
+        batch_mod.fit_remark15(data, dictionary, config.backend, seed=_seed(config, 50)) for data in (samples, shifted)
     )
     probe = [x for x, _ in samples[: min(16, len(samples))]]
     comps_base = [est_base.predict_components(x) for x in probe]
@@ -658,7 +646,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         labels = [f"{r['bound']}/{r.get('comparator', '?')}" for r in reports]
         values = [_number(p, r, "slack") + _number(p, r, "mc_allowance") for r in reports]
         svg = _svg.bar_chart("bound margins (slack + allowance)", "report", "margin", labels, values)
-    elif kind == "risk":
+    else:  # risk, the parser's last choice
         points = []
         for p in paths:
             payload = _require_keys(p, _read_json(p), ("T", "measured_risk", "rhs"))
@@ -676,8 +664,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 ("bound rhs", ts, [r for _, _, r in points]),
             ],
         )
-    else:
-        raise ArgumentError(f"unknown plot kind {kind!r}")
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -204,7 +204,7 @@ class SeqSEWAdaptive(_ForecasterBase):
         dim: int,
         tau: float,
         backend: BackendConfig | None = None,
-        seed: int | np.random.Generator | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
         clip_center: float = 0.0,
     ) -> None:
         super().__init__()
@@ -273,7 +273,7 @@ class SeqSEWFixed(SeqSEWAdaptive):
         eta: float,
         tau: float,
         backend: BackendConfig | None = None,
-        seed: int | np.random.Generator | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> None:
         if not (B > 0.0 and eta > 0.0 and tau > 0.0):
             raise ArgumentError("B, eta, and tau must all be positive")

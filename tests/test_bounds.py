@@ -2,6 +2,7 @@
 verification machinery."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from seqsew.bounds import (
     Comparator,
     SequenceStats,
+    _within_fixed_limit,
     best_sparse_comparator,
     cor3_rhs,
     cor6_rhs,
@@ -331,6 +333,68 @@ class TestVerify:
             report = verify(res, "cor3", comp, B_y=B_y, B_Phi=B_Phi)
             assert report.passed and report.slack >= 0.0
 
+    @staticmethod
+    def _fixed_run(B=2.5, eta=None, tau=0.5):
+        rng = np.random.default_rng(12)
+        xs = rng.uniform(-2, 2, size=(30, 1))
+        ys = np.clip(1.4 * xs[:, 0] + 0.2 * rng.standard_normal(30), -B, B)
+        eta = 1.0 / (8.0 * B**2) if eta is None else eta
+        return run_protocol(seqsew_fixed(1, B=B, eta=eta, tau=tau, backend=QUAD), list(zip(xs, ys)))
+
+    @pytest.mark.parametrize("bound", ["cor3", "cor6"])
+    def test_corollary_reads_its_tuning_off_the_run(self, bound):
+        # The explicit values are the ones the CLI used to work out itself.
+        if bound == "cor3":
+            res = self._fixed_run()
+            B, tau = res.forecaster_info["B"], res.forecaster_info["tau"]
+            explicit = {"B_y": B, "B_Phi": 16.0 * B**2 / tau**2}
+        else:
+            res = _quad_run(tau=0.1)  # Gram trace about 33, under 1 / tau^2 = 100
+            explicit = {"B_Phi": 1.0 / res.forecaster_info["tau"] ** 2}
+        for comp in (
+            best_sparse_comparator(res.features, res.y, 1),
+            Comparator.from_vector(np.zeros(1), res.features, res.y),
+        ):
+            read, given = verify(res, bound, comp), verify(res, bound, comp, **explicit)
+            assert read.passed and (read.lhs, read.rhs, read.slack) == (given.lhs, given.rhs, given.slack)
+            assert read.to_json_dict() == given.to_json_dict()
+
+    @pytest.mark.parametrize(
+        "bound, tuning, message",
+        [
+            ("cor3", {"eta": 1.0 / (16.0 * 2.5**2)}, "cor3 requires eta = 1/(8 B_y^2)"),
+            ("cor3", {"tau": 20.0}, "cor3 requires Gram trace <= B_Phi"),  # B_Phi = 0.25
+            ("cor6", {"tau": 0.5}, "cor6 requires Gram trace <= B_Phi"),  # B_Phi = 4
+        ],
+        ids=["cor3-eta", "cor3-trace", "cor6-trace"],
+    )
+    def test_tuning_read_off_the_run_is_still_checked(self, bound, tuning, message):
+        res = self._fixed_run(**tuning) if bound == "cor3" else _quad_run(**tuning)
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
+            verify(res, bound, Comparator.from_vector(np.zeros(1), res.features, res.y))
+
+    @pytest.mark.parametrize("excess, covered", [(1e-10, True), (1e-8, False)])
+    def test_prop2_allows_eta_over_its_limit_by_the_relative_tolerance(self, excess, covered):
+        B = 2.0
+        eta = (1.0 + excess) / (8.0 * B * B)
+        assert _within_fixed_limit(B, eta) is covered
+        res = self._fixed_run(B=B, eta=eta)
+        comp = best_sparse_comparator(res.features, res.y, 1)
+        if covered:
+            assert verify(res, "prop2", comp).passed
+        else:
+            with pytest.raises(ContractViolationError, match=re.escape("prop2 requires eta <= 1/(8 B^2)")):
+                verify(res, "prop2", comp)
+
+    def test_gram_trace_that_overflows_is_a_data_error(self):
+        # Each round's squared norm is finite; their sum is not.  Under the
+        # suite's error::RuntimeWarning filter a leaked numpy overflow
+        # warning would surface instead of the DataError.
+        res = run_protocol(seqsew_adaptive(1, 0.5, QUAD), [(np.array([1e154]), 1.0)] * 3)
+        assert SequenceStats.from_arrays(res.features, res.y).gram_trace == math.inf
+        with pytest.raises(DataError, match="prop5: lhs .* and rhs inf must both be finite"):
+            verify(res, "prop5", Comparator.from_vector(np.zeros(1), res.features, res.y))
+
     def test_prop5_holds_at_arbitrary_comparators(self):
         # The guarantee is uniform over u, not just at the oracle witnesses.
         res = _quad_run(T=40, seed=21)
@@ -396,7 +460,6 @@ class TestVerify:
         with pytest.raises(DataError, match="prop5"):
             verify(self._hand_built([0.0, math.nan]), "prop5", _comp([0.0], 1.25))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "features, comparator",
         [

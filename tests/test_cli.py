@@ -150,6 +150,32 @@ class TestRun:
         warnings = [line for line in err if line.startswith("warning:")]
         assert len(warnings) == 1 and "guarantee" in warnings[0]
 
+    @pytest.mark.parametrize("excess, warned, code", [(1e-10, False, 0), (1e-8, True, 2)], ids=["within", "over"])
+    def test_fixed_tuning_warning_and_prop2_share_one_limit(self, tmp_path, capsys, excess, warned, code):
+        # 8 eta B^2 = 1 + excess: the warning fires exactly where prop2's
+        # precondition, eta <= (1 + 1e-9) / (8 B^2), refuses the run.
+        cfg = _write_config(tmp_path / "cfg.json", forecaster={"kind": "fixed", "B": 16.0, "eta": (1.0 + excess) / 2048.0, "tau": 0.5})
+        assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop2"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert [line.startswith("warning:") for line in err] == ([True, False] if warned else [])
+        if warned:
+            assert err[-1] == "error: prop2 requires eta <= 1/(8 B^2)"
+
+    def test_gram_trace_that_overflows(self, tmp_path, capsys):
+        # Each round's squared norm is finite, and their sum is not: run
+        # writes it as "inf", and no bound on it is finite.  Under the
+        # suite's error::RuntimeWarning filter a leaked numpy overflow
+        # warning would surface instead.
+        scenario = _stochastic_scenario(
+            T=10, u_true=[1e-160], dictionary={"kind": "coordinate", "d": 1, "normalization": 1.3e154}
+        )
+        cfg = _write_config(tmp_path / "cfg.json", scenario=scenario, backend={"backend": "quadrature", "grid_points_per_dim": 65})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+        assert summary["adaptation"]["gram_trace"] == "inf"
+        assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop5"]) == 4
+        assert capsys.readouterr().err.splitlines()[-1].endswith("and rhs inf must both be finite")
+
     @pytest.mark.parametrize("samples", [0, 50])
     def test_too_few_samples_flag_is_usage_error(self, tmp_path, capsys, samples):
         cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 400})

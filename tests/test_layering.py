@@ -14,9 +14,12 @@ so per-round rows are never a second store of a run.  No forecaster
 method builds a forecaster: the automatic forecaster restarts the adaptive
 scheme in place.  The regret bounds evaluate the sparsity term at two
 sites, the shape the fixed-tau bounds share and the automatic forecaster's
-cap."""
+cap.  The CLI leaves the corollaries' tunings and the fixed forecaster's
+eta limit to the bounds engine, and builds its forecasters at one call
+site."""
 
 import ast
+import re
 from pathlib import Path
 from typing import Iterator
 
@@ -248,3 +251,50 @@ def test_regret_bounds_evaluate_the_sparsity_term_at_two_sites():
         if isinstance(node, ast.Call) and "s_ln_term" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert sorted(found) == ["_sparsity_rhs", "cor9_rhs"]
+
+
+def test_cli_names_no_corollary_tuning():
+    """``bounds.verify`` reads cor3's and cor6's (B_y, B_Phi) off the run's
+    tuning, so the CLI names neither, as a name, keyword or string."""
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        spellings = [getattr(node, key, None) for key in ("id", "attr", "arg", "value")]
+        if any(isinstance(s, str) and re.search(r"\bB_(y|Phi)\b", s) for s in spellings):
+            found.append(ast.unparse(node))
+    assert found == []
+
+
+def test_cli_builds_forecasters_at_one_call_site():
+    """One kind-to-constructor table builds every forecaster the CLI plays:
+    a call of a forecaster's name, or of a module-level table holding one,
+    appears once."""
+    names = _forecaster_names(ast.parse((PACKAGE / "forecasters.py").read_text()))
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    tables = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        if any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node.value))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    }
+    sites = []
+    for node, _, function in _scoped_nodes(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            while isinstance(callee, ast.Subscript):
+                callee = callee.value
+            if (callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)) in names | tables:
+                sites.append(function)
+    assert sites == ["_forecaster"]
+
+
+def test_fixed_tuning_limit_has_one_definition():
+    """Proposition 2's eta <= 1/(8 B^2), with its tolerance, is stated in
+    ``bounds._within_fixed_limit``; prop2's precondition and the CLI's
+    pre-run warning both call it."""
+    found = set()
+    for name in MODULES:
+        for node, _, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.Call) and "_within_fixed_limit" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.add((name, function))
+    assert found == {("bounds", "verify"), ("cli", "_first_run")}
