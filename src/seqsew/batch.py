@@ -185,7 +185,7 @@ class BatchEstimator:
             # row order, and a block of its margins, formed once, serves
             # every span inside it.
             first, last = min(lo for lo, _ in by_span), max(hi for _, hi in by_span)
-            height = min(_block_rows(n), last - first)
+            height = min(_block_rows(n, 8), last - first)
             margins, clipped = np.empty((height, n)), np.empty((height, n))
             block = (0, 0)
             for (lo, hi), by_threshold in sorted(by_span.items()):

@@ -125,6 +125,23 @@ class Comparator:
         )
 
 
+def _tau_sq_term(tau: float, gram_trace: float) -> float:
+    """tau^2 times the Gram trace.  Squared by a multiplication, which
+    overflows to inf where ``**`` raises; a zero trace gives 0 at any tau,
+    where inf * 0 would give NaN."""
+    return tau * tau * gram_trace if gram_trace else 0.0
+
+
+def _tuned_b_phi(bound_name: str, numerator: float, tau: float) -> float:
+    """The B_Phi = numerator / tau^2 of a run's tuning.  Raises
+    :class:`DataError` when it is not a positive finite float."""
+    tau_sq = tau * tau
+    b_phi = numerator / tau_sq if tau_sq else math.inf
+    if not 0.0 < b_phi < math.inf:
+        raise DataError(f"{bound_name}: B_Phi = {numerator!r} / tau^2 at tau {tau!r} is out of floating-point range")
+    return b_phi
+
+
 def _sparsity_rhs(comparator: Comparator, coefficient: float, scale: float, *terms: float) -> float:
     """The shape every fixed-tau guarantee shares: loss(u) + coefficient *
     s_ln_term(l0, scale * l1), plus the remaining terms in order."""
@@ -139,7 +156,7 @@ def prop2_rhs(comparator: Comparator, eta: float, tau: float, stats: SequenceSta
     + tau^2 * Gram trace."""
     if not (eta > 0.0 and tau > 0.0):
         raise ArgumentError("eta and tau must be positive")
-    return _sparsity_rhs(comparator, 4.0 / eta, 1.0 / tau, tau**2 * stats.gram_trace)
+    return _sparsity_rhs(comparator, 4.0 / eta, 1.0 / tau, _tau_sq_term(tau, stats.gram_trace))
 
 
 def cor3_rhs(comparator: Comparator, B_y: float, B_Phi: float) -> float:
@@ -147,7 +164,7 @@ def cor3_rhs(comparator: Comparator, B_y: float, B_Phi: float) -> float:
     tau = sqrt(16 B_y^2 / B_Phi)."""
     if not (B_y > 0.0 and B_Phi > 0.0):
         raise ArgumentError("B_y and B_Phi must be positive")
-    return _sparsity_rhs(comparator, 32.0 * B_y**2, math.sqrt(B_Phi) / (4.0 * B_y), 16.0 * B_y**2)
+    return _sparsity_rhs(comparator, 32.0 * B_y * B_y, math.sqrt(B_Phi) / (4.0 * B_y), 16.0 * B_y * B_y)
 
 
 def prop5_rhs(comparator: Comparator, tau: float, stats: SequenceStats) -> float:
@@ -155,7 +172,7 @@ def prop5_rhs(comparator: Comparator, tau: float, stats: SequenceStats) -> float
     if not tau > 0.0:
         raise ArgumentError("tau must be positive")
     b_sq = stats.B_T1_sq
-    return _sparsity_rhs(comparator, 32.0 * b_sq, 1.0 / tau, tau**2 * stats.gram_trace, 16.0 * b_sq)
+    return _sparsity_rhs(comparator, 32.0 * b_sq, 1.0 / tau, _tau_sq_term(tau, stats.gram_trace), 16.0 * b_sq)
 
 
 def cor6_rhs(comparator: Comparator, B_Phi: float, stats: SequenceStats) -> float:
@@ -385,11 +402,12 @@ def verify(
         rhs = prop2_rhs(comparator, eta, tau, stats)
     elif bound_name == "cor3":
         B_y = info["B"] if B_y is None else B_y
-        B_Phi = 16.0 * info["B"] ** 2 / info["tau"] ** 2 if B_Phi is None else B_Phi
+        if B_Phi is None:
+            B_Phi = _tuned_b_phi(bound_name, 16.0 * info["B"] * info["B"], info["tau"])
         _require(_close(info["B"], B_y), "cor3 requires the run tuning B = B_y")
-        _require(_close(info["eta"], 1.0 / (8.0 * B_y**2)), "cor3 requires eta = 1/(8 B_y^2)")
+        _require(_close(info["eta"], 1.0 / (8.0 * B_y * B_y)), "cor3 requires eta = 1/(8 B_y^2)")
         _require(
-            _close(info["tau"], math.sqrt(16.0 * B_y**2 / B_Phi)),
+            _close(info["tau"], math.sqrt(16.0 * B_y * B_y / B_Phi)),
             "cor3 requires tau = sqrt(16 B_y^2 / B_Phi)",
         )
         _require(max_abs_y <= B_y * (1.0 + _REL_TOL), "cor3 requires max |y_t| <= B_y")
@@ -404,7 +422,7 @@ def verify(
         if bound_name == "prop5":
             rhs = prop5_rhs(comparator, tau, stats)
         elif bound_name == "cor6":
-            B_Phi = 1.0 / tau**2 if B_Phi is None else B_Phi
+            B_Phi = _tuned_b_phi(bound_name, 1.0, tau) if B_Phi is None else B_Phi
             _require(_close(tau, 1.0 / math.sqrt(B_Phi)), "cor6 requires tau = 1/sqrt(B_Phi)")
             _require(stats.gram_trace <= B_Phi * (1.0 + _REL_TOL), "cor6 requires Gram trace <= B_Phi")
             rhs = cor6_rhs(comparator, B_Phi, stats)

@@ -295,7 +295,9 @@ def _replay_losses(config: _Config, seed_offsets: Sequence[int]) -> list[float]:
     than importing numpy and seqsew again.  With one worker, or where the
     platform cannot fork, the replays run inline and no process starts.
     Each loss depends only on its offset, so the list does not depend on
-    the worker count.  ``multiprocessing`` is imported here so that
+    the worker count.  Each worker runs on a budget of one core, so the
+    Metropolis kernel starts no threads of its own in it: the workers
+    already take every core.  ``multiprocessing`` is imported here so that
     commands without replays do not load it."""
     workers = min(posterior_mod._usable_cores(), len(seed_offsets))
     if workers > 1:
@@ -303,7 +305,12 @@ def _replay_losses(config: _Config, seed_offsets: Sequence[int]) -> list[float]:
         from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=posterior_mod._set_core_budget,
+                initargs=(1,),
+            ) as pool:
                 return list(pool.map(_replay_loss, itertools.repeat(config), seed_offsets))
     return [_replay_loss(config, seed_offset) for seed_offset in seed_offsets]
 

@@ -31,14 +31,18 @@ move targets the posterior to single-precision rounding: on criterion 4's
 moves (seed 1000) the log acceptance ratio was at most 1.5e-5 from the
 exact one, with a median of 6e-7, and the run's predictions moved by at
 most 9e-16.  Everything else, the reweighting included, is exact.
-The points are cut into cache-sized blocks, and each block runs the whole
-move on its own rows, with its own random draws (from a seed the move
-draws) and its own step size, in reused buffers.  A block builds its own
-residual rows just before its steps, so a move never holds an
-(n_points, n_rounds) array: its memory is a few block buffers per core,
-whatever the horizon.  The cores the process may run on each take one
-contiguous run of blocks per move, so a block's result does not depend on
-which core ran it, and results do not depend on the worker count.
+The points are cut into blocks, and each block runs the whole move on its
+own rows, with its own random draws (from a seed the move draws) and its
+own step size, in reused buffers.  A block is as thick as a cache-sized
+buffer of its single-precision cells allows: a step's sweeps over the
+block's (rows, rounds) buffers run without the interpreter lock, while
+its two dozen calls on per-row vectors hold it, so thick blocks let the
+cores run in parallel.  A block builds its own residual rows just before
+its steps, so a move never holds an (n_points, n_rounds) array: its
+memory is three block buffers per core, whatever the horizon.  The cores
+the process may run on each take one contiguous run of blocks per move,
+so a block's result does not depend on which core ran it, and results do
+not depend on the worker count.
 The three backends are three move policies:
 
 ``importance``
@@ -170,8 +174,9 @@ class _History:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fresh read-only arrays of the (features, y, B) of the rounds so
-        far: (t, d), (t,) and (t,)."""
-        arrays = (np.array(self._phi).reshape(-1, self._dim), np.array(self._y), np.array(self._b))
+        far: (t, d), (t,) and (t,).  The features are column-major, so a
+        move reads their columns without copying them."""
+        arrays = (np.array(self._phi, order="F").reshape(-1, self._dim), np.array(self._y), np.array(self._b))
         for array in arrays:
             array.flags.writeable = False
         return arrays
@@ -237,14 +242,17 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # bit, as it is in double precision.  When a block's largest residual
 # dwarfs the clip band by more than about 2^80, no float32 unit holds both:
 # the band's squares would underflow to 0, every loss difference would
-# read 0 and the move would sample the prior.  Such a block runs the same
-# steps in float64 buffers against the float64 columns, in the unit that
-# keeps the band O(1) unless its residuals then come within 2^96 of
-# float64's overflow.  The choice reads only the block's own rows, so it
-# too does not depend on the worker count.
+# read 0 and the move would sample the prior.  So does a block whose
+# proposals, times the columns, would overflow float32 in its unit (points
+# at 0 against a feature of 1e40, so that the residuals leave the unit
+# small).  Such a block runs the same steps in float64 buffers against
+# float64 columns carrying the same power of two, in the unit that keeps
+# the band O(1) unless its residuals, or its proposals times the columns,
+# then come within 2^96 of float64's overflow.  The choice reads only the
+# block's own rows, so it too does not depend on the worker count.
 #
 # The particles are cut into blocks of equal size, small enough for a
-# block's residual rows to stay in cache, and a block runs every step of
+# block's float32 buffers to stay in cache, and a block runs every step of
 # the move on its own rows before the next block starts: first it builds
 # its residual rows, then it takes its own proposal and acceptance draws,
 # from a generator seeded by the caller, and its own step size, retuned
@@ -258,15 +266,22 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # small enough for BLAS to run each on the calling thread, so BLAS threads
 # never compete with the workers; the rest is ufuncs, einsum with ``out=``,
 # a take and an index assignment of the accepted rows, and the generators'
-# fills.  All of these release the GIL.  So the result
+# fills.  Those over a block's (rows, rounds) buffers release the GIL;
+# the two dozen per step over vectors of one entry per row (numpy keeps
+# the lock on short arrays), and the Python between them, hold it.  So a
+# block is as thick as a float32 buffer of _BLOCK_BYTES allows, which
+# puts most of a step's time in the sweeps the workers run in parallel.
+# A block also keeps the prior term log1p(|u| / tau) of each coordinate of
+# its points, so a step computes it only for the proposals.  The result
 # is bit-identical for any worker count, and a move hands each extra
 # worker one task.  Each step costs O(n_particles * n_rounds).
 # ---------------------------------------------------------------------------
 
-# Most bytes of one float64 scratch block of rows, small enough to stay
-# resident in a core's cache: a block's residual rows in a Metropolis move
-# (which its two float32 candidate buffers hold between them), and a block
-# of margins in a batch estimator's average.
+# Most bytes of one scratch block of rows, small enough to stay resident in
+# a core's cache: a block of margins in a batch estimator's average
+# (float64 cells), and each of the three buffers of a Metropolis block
+# (float32 cells, so twice the rows: thick blocks keep the lock-holding
+# per-row calls of a step a small part of it, as above).
 _BLOCK_BYTES = 512 * 1024
 
 # Most multiply-adds of one piece of a block's residual product.  OpenBLAS
@@ -286,10 +301,18 @@ _KERNEL_DOUBLE_RESIDUAL_EXPONENT = 1024 - 96
 # runs its steps in float64.
 _KERNEL_BAND_SHIFT = 48
 
+# Most binary orders, in a float32 block's units, of the move's proposal
+# reach (the larger of tau and its starting step size) times the feature
+# columns' largest entry: float32 then leaves a factor of 2^32 for the
+# normal tails, the long-range factor and the step size's growth.  A block
+# whose points sit far inside that reach (points at 0 against huge
+# features) runs its steps in float64.
+_KERNEL_DELTA_EXPONENT = 96
 
-def _block_rows(width: int) -> int:
-    """Rows of a (rows, width) float64 scratch block."""
-    return max(1, _BLOCK_BYTES // (8 * width))
+
+def _block_rows(width: int, itemsize: int) -> int:
+    """Rows of a (rows, width) scratch block of ``itemsize``-byte cells."""
+    return max(1, _BLOCK_BYTES // (itemsize * width))
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -313,12 +336,25 @@ def _robust_coordinate_scales(samples: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum(mad, floor)
 
 
+# Most cores this process's threads may use, set in a worker process that
+# shares the machine with others (None: no budget).
+_core_budget: int | None = None
+
+
+def _set_core_budget(cores: int) -> None:
+    """Limit :func:`_usable_cores` to ``cores`` in this process."""
+    global _core_budget
+    _core_budget = cores
+
+
 def _usable_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform
-    reports one."""
+    reports one, within the process's core budget."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return cores if _core_budget is None else min(cores, _core_budget)
 
 
 def _exponent(x: float) -> int:
@@ -360,7 +396,7 @@ def _metropolis_coordinate_steps(
     t = y.shape[0]
     # y - clip(m, -b, b) == clip(y - m, y - b, y + b) (b >= 0), up to rounding.
     low, high = y - b, y + b
-    columns = np.ascontiguousarray(phi.T)
+    columns = np.ascontiguousarray(phi.T)  # no copy for a cloud's history
     # The float32 columns, their largest entry in [1/2, 1).  All-zero
     # features leave every loss flat; the tiniest double keeps the deltas
     # finite for them.
@@ -369,12 +405,15 @@ def _metropolis_coordinate_steps(
     # A clipped residual lies in [y - b, y + b], so below 2^(clip_exponent + 1).
     clip_exponent = _exponent(max(float(np.max(np.abs(y))), float(np.max(b))))
     tau = prior.tau
+    # How far a proposal reaches in u: its step size grows only while the
+    # loss is flat, and then no further than the prior's scale.
+    reach_exponent = _exponent(max(tau, float(np.max(coord_scales)) * step_multiplier))
     coords = rng.integers(0, d, size=n_steps).tolist()
     scales = coord_scales.tolist()
     # Blocks of equal size (to one row), so none is a short remainder with
     # a noisy acceptance rate, and two cores' runs differ by one block at
-    # most.
-    n_blocks = -(-n // _block_rows(t))
+    # most.  Their buffers hold float32 cells.
+    n_blocks = -(-n // _block_rows(t, 4))
     rows = -(-n // n_blocks)
     seeds = rng.integers(np.iinfo(np.int64).max, size=n_blocks).tolist()
     workers = min(_usable_cores(), n_blocks)
@@ -390,6 +429,7 @@ def _metropolis_coordinate_steps(
             np.empty((3, rows, t), dtype=np.float32),
             np.empty((2, t), dtype=np.float32),
             np.empty((5, rows)),
+            np.empty((d, rows)),
             np.empty((3, rows), dtype=np.float32),
             np.empty((2, rows), dtype=bool),
         )
@@ -397,7 +437,7 @@ def _metropolis_coordinate_steps(
     ]
 
     def move_blocks(worker: int) -> list[float]:
-        blocks, bounds, floats, singles, flags = scratch[worker]
+        blocks, bounds, floats, prior_terms, singles, flags = scratch[worker]
         # The float64 residuals of a block's points, in the memory of its
         # two float32 candidate buffers.
         exact = blocks[:2].reshape(-1).view(np.float64).reshape(rows, t)
@@ -412,15 +452,29 @@ def _metropolis_coordinate_steps(
             # The block's unit 2^k and the precision of its steps.
             largest = max(float(np.max(exact_rows)), -float(np.min(exact_rows)))
             k = max(clip_exponent, _exponent(largest) - _KERNEL_RESIDUAL_EXPONENT)
-            if k - clip_exponent <= _KERNEL_BAND_SHIFT:
+            if (
+                k - clip_exponent <= _KERNEL_BAND_SHIFT
+                and reach_exponent + column_exponent - k <= _KERNEL_DELTA_EXPONENT
+            ):
                 block_buffers, block_bounds, block_singles = blocks, bounds, singles
-                block_columns, delta_exponent = columns_f32, column_exponent - k
+                block_columns = columns_f32
             else:
                 if doubles is None:  # rare, so allocated on first use
-                    doubles = (np.empty((3, rows, t)), np.empty((2, t)), np.empty((3, rows)))
-                block_buffers, block_bounds, block_singles = doubles
-                k = max(clip_exponent, _exponent(largest) - _KERNEL_DOUBLE_RESIDUAL_EXPONENT)
-                block_columns, delta_exponent = columns, -k
+                    doubles = (
+                        np.empty((3, rows, t)),
+                        np.empty((2, t)),
+                        np.empty((3, rows)),
+                        np.ldexp(columns, -column_exponent),
+                    )
+                block_buffers, block_bounds, block_singles, block_columns = doubles
+                # The residuals, and the proposals' reach times the
+                # columns, 2^96 below float64's overflow at most.
+                k = max(
+                    clip_exponent,
+                    _exponent(largest) - _KERNEL_DOUBLE_RESIDUAL_EXPONENT,
+                    reach_exponent + column_exponent - _KERNEL_DOUBLE_RESIDUAL_EXPONENT,
+                )
+            delta_exponent = column_exponent - k
             candidate, work, residuals = block_buffers
             held = np.ldexp(exact_rows, -k, out=residuals[:m])
             low_k = np.ldexp(low, -k, out=block_bounds[0])
@@ -430,6 +484,12 @@ def _metropolis_coordinate_steps(
             uniform, deltas, new_vals, log_alpha, prior_new = floats[:, :m]
             deltas_k, new_loss, losses = block_singles[:, :m]
             long_range, accept = flags[:, :m]
+            # The prior term log1p(|u| / tau) of each coordinate of each
+            # point, kept up to date as points move.
+            old_terms = prior_terms[:, :m]
+            np.abs(points.T, out=old_terms)
+            np.divide(old_terms, tau, out=old_terms)
+            np.log1p(old_terms, out=old_terms)
             np.minimum(held, high_k, out=buf)
             np.maximum(buf, low_k, out=buf)
             np.einsum("ij,ij->i", buf, buf, out=losses)
@@ -442,15 +502,14 @@ def _metropolis_coordinate_steps(
                 block_rng.standard_normal(out=deltas)
                 np.multiply(deltas, scales[j] * multiplier, out=deltas)
                 np.multiply(deltas, 10.0, out=deltas, where=long_range)
-                old_vals = points[:, j]
+                old_vals, old_term = points[:, j], old_terms[j]
                 np.add(old_vals, deltas, out=new_vals)
                 # The prior's log ratio, -4 (log1p(|new| / tau) -
                 # log1p(|old| / tau)).
-                for values, out in ((old_vals, log_alpha), (new_vals, prior_new)):
-                    np.abs(values, out=out)
-                    np.divide(out, tau, out=out)
-                    np.log1p(out, out=out)
-                np.subtract(log_alpha, prior_new, out=log_alpha)
+                np.abs(new_vals, out=prior_new)
+                np.divide(prior_new, tau, out=prior_new)
+                np.log1p(prior_new, out=prior_new)
+                np.subtract(old_term, prior_new, out=log_alpha)
                 np.multiply(log_alpha, 4.0, out=log_alpha)
                 np.ldexp(deltas, delta_exponent, out=deltas_k)
                 np.einsum("i,j->ij", deltas_k, block_columns[j], out=cand)
@@ -476,6 +535,7 @@ def _metropolis_coordinate_steps(
                 gathered = np.take(cand, taken, axis=0, out=buf[: taken.shape[0]], mode="clip")
                 held[taken] = gathered
                 np.copyto(old_vals, new_vals, where=accept)
+                np.copyto(old_term, prior_new, where=accept)
                 np.copyto(losses, new_loss, where=accept)
                 rate = taken.shape[0] / m
                 if rate < 0.2:

@@ -176,6 +176,25 @@ class TestRun:
         assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop5"]) == 4
         assert capsys.readouterr().err.splitlines()[-1].endswith("and rhs inf must both be finite")
 
+    @pytest.mark.parametrize(
+        "forecaster, bound, message",
+        [
+            ({"kind": "fixed", "B": 64.0, "eta": 1.0 / 32768, "tau": 1e300}, "prop2", "and rhs inf must both be finite"),
+            ({"kind": "fixed", "B": 64.0, "eta": 1.0 / 32768, "tau": 1e300}, "cor3", "is out of floating-point range"),
+            ({"kind": "adaptive", "tau": 1e300}, "prop5", "and rhs inf must both be finite"),
+            ({"kind": "adaptive", "tau": 1e300}, "cor6", "is out of floating-point range"),
+        ],
+        ids=["prop2", "cor3", "prop5", "cor6"],
+    )
+    def test_tau_whose_square_overflows(self, tmp_path, capsys, forecaster, bound, message):
+        # tau = 1e300 passes the config check, and tau^2 is beyond float
+        # range: the bound's scale term, or the B_Phi its tuning implies,
+        # is a data error, not an OverflowError traceback.
+        cfg = _write_config(tmp_path / "cfg.json", forecaster=forecaster)
+        assert cli.main(["verify", "--config", str(cfg), "--bounds", bound, "--comparators", "zero"]) == 4
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"error: {bound}: ") and err.endswith(message)
+
     @pytest.mark.parametrize("samples", [0, 50])
     def test_too_few_samples_flag_is_usage_error(self, tmp_path, capsys, samples):
         cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "importance", "n_samples": 400})
@@ -756,6 +775,36 @@ class TestVerify:
             assert (str(os.getpid()) in replays) == (workers == 1)
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["mc_allowance"] > 0.0
+
+    def test_replay_workers_run_on_one_core_each(self, tmp_path, monkeypatch):
+        # The machine's cores, not a patched _usable_cores, decide: one
+        # core plays the replays inline, two fork two workers, and each
+        # worker's kernel sees a budget of one core.  Chain runs move
+        # their points every round.
+        log = tmp_path / "cores.log"
+        play = cli.run_protocol
+
+        def logged(*args, **kwargs):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {posterior._usable_cores()}\n")
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_protocol", logged)
+        cfg = _write_config(tmp_path / "cfg.json", backend={"backend": "chain", "n_samples": 200, "burn_in": 2})
+        outputs = []
+        for cores in (1, 2):
+            log.unlink(missing_ok=True)
+            monkeypatch.setattr(posterior.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+            out = tmp_path / f"cores{cores}"
+            assert cli.main(["verify", "--config", str(cfg), "--bounds", "prop5", "--replays", "4", "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append((out / "verify.json").read_bytes())
+            (parent, parent_cores), *replays = (line.split() for line in log.read_text().splitlines())
+            assert parent == str(os.getpid()) and parent_cores == str(cores) and len(replays) == 3
+            if cores == 2:
+                assert all(pid != parent and budget == "1" for pid, budget in replays)
+        assert outputs[0] == outputs[1]
+        assert posterior._usable_cores() == 2  # the budget stays in the workers
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_replay_exits_four_and_writes_nothing(self, tmp_path, monkeypatch, capsys, workers):

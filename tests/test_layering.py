@@ -178,9 +178,10 @@ def test_only_protocol_result_builds_round_records(name):
 
 def test_cache_block_rows_have_one_definition():
     """The Metropolis kernel's blocks and the batch estimators' blocks of
-    margins are sized by one rule: the rows of a float64 scratch block of
-    ``_BLOCK_BYTES``.  The constant is read, and rows are cut from bytes
-    (a floor division by ``8 * width``), only in ``posterior._block_rows``."""
+    margins are sized by one rule: the rows of a scratch block of
+    ``_BLOCK_BYTES``, at the caller's cell size.  The constant is read, and
+    rows are cut from bytes (a floor division by a cell size, 8, 4 or
+    ``itemsize``, times the width), only in ``posterior._block_rows``."""
     found = set()
     for name in MODULES:
         for node, _, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
@@ -190,7 +191,12 @@ def test_cache_block_rows_have_one_definition():
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
                 right = node.right
                 if isinstance(right, ast.BinOp) and isinstance(right.op, ast.Mult):
-                    if any(isinstance(side, ast.Constant) and side.value == 8 for side in (right.left, right.right)):
+                    sides = (right.left, right.right)
+                    if any(
+                        (isinstance(side, ast.Constant) and side.value in (4, 8))
+                        or (isinstance(side, ast.Name) and side.id == "itemsize")
+                        for side in sides
+                    ):
                         found.add((name, function))
     # The definition at module level, and the one reading of it.
     assert found == {("posterior", None), ("posterior", "_block_rows")}

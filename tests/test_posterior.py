@@ -543,7 +543,7 @@ class TestMetropolisKernel:
         # 250 rows in blocks of 16 (the last one of 10), two workers.
         rows = 16
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * self.T * rows)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * rows)
         before, samples, cum_loss, _ = self._run(n_steps=20)
         # Shift the points of block 3, so its moves change; every other
         # block, in either worker's run, must move exactly as before.
@@ -577,7 +577,7 @@ class TestMetropolisKernel:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(posterior, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * self.T * rows)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * rows)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
         _, serial_samples, serial_loss, serial_multiplier = self._run(n_steps=20)
         assert submitted == []
@@ -636,6 +636,34 @@ class TestMetropolisKernel:
         # Round 2's features scaled by 1e40 put every block but block 3,
         # whose points are 1e-19 times smaller, beyond float32's reach:
         # those run in float64.
+        self._check_huge_features(monkeypatch, cores, shrink=1e-19)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_points_at_zero_against_huge_features_do_not_depend_on_worker_count(self, monkeypatch, cores):
+        # With block 3's points at 0 its residuals fit float32, but its
+        # proposals times the 1e40 features do not, so it runs in float64
+        # like every other block.  In float32 its deltas would overflow.
+        self._check_huge_features(monkeypatch, cores, shrink=0.0)
+
+    def test_subnormal_band_against_tiny_features_keeps_its_deltas_finite(self):
+        # A subnormal outcome and clip band against features of 1e-107: the
+        # block runs in float64, in the band's unit 2^-1032, where the
+        # proposals alone, not yet times the columns, would overflow.
+        rng = np.random.default_rng(81)
+        phi = 5e-108 * rng.uniform(-1, 1, size=(self.T, self.D))
+        y = np.full(self.T, 2.225073858507e-311)
+        b = np.abs(y)
+        samples = 0.1 * rng.standard_normal((self.N, self.D))
+        before = samples.copy()
+        cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
+        posterior._metropolis_coordinate_steps(
+            samples, cum_loss, (phi, y, b), 1.0, SparsityPrior(0.1, self.D), np.random.default_rng(82),
+            20, np.full(self.D, 0.1), 1.0,
+        )
+        assert np.all(np.isfinite(samples)) and not np.array_equal(samples, before)
+        assert np.array_equal(cum_loss, np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1))
+
+    def _check_huge_features(self, monkeypatch, cores, shrink):
         def run():
             rng = np.random.default_rng(61)
             phi = 5.0 * rng.uniform(-1, 1, size=(self.T, self.D))
@@ -643,7 +671,7 @@ class TestMetropolisKernel:
             y = rng.standard_normal(self.T)
             b = np.full(self.T, 1.5)
             samples = 0.5 * rng.standard_normal((self.N, self.D))
-            samples[48:64] *= 1e-19
+            samples[48:64] *= shrink
             cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
             multiplier = posterior._metropolis_coordinate_steps(
                 samples, cum_loss, (phi, y, b), 0.1, SparsityPrior(0.5, self.D), np.random.default_rng(62),
@@ -651,7 +679,7 @@ class TestMetropolisKernel:
             )
             return samples, cum_loss, multiplier, phi, y, b
 
-        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * self.T * 16)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * 16)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
         serial = run()
         monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
@@ -667,7 +695,7 @@ class TestMetropolisKernel:
 
         monkeypatch.setattr(posterior.ThreadPoolExecutor, "submit", submit)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 4)
-        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * self.T * self.N)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * self.N)
         self._run(n_steps=5)
 
     @pytest.mark.parametrize("eta", [0.1, math.inf])
@@ -701,7 +729,7 @@ class TestMetropolisKernel:
         assert np.array_equal(other_samples, samples) == (eta == math.inf)
 
     # At criterion 4's scale (4000, 450, 30) the full (n, t) residual
-    # matrix, 14.4 MB, is over seven times the bound.
+    # matrix, 14.4 MB, is over four times the bound.
     @pytest.mark.parametrize("n, t, d", [(2000, 200, 3), (4000, 450, 30)])
     def test_peak_memory_is_three_block_buffers_per_worker(self, monkeypatch, n, t, d):
         # No term grows with n * t: each worker holds its block's float32
@@ -715,7 +743,7 @@ class TestMetropolisKernel:
         b = np.full(t, 1.0)
         samples = rng.standard_normal((n, d))
         cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
-        n_blocks = -(-n // posterior._block_rows(t))
+        n_blocks = -(-n // posterior._block_rows(t, 4))
         rows = -(-n // n_blocks)
         assert n_blocks >= 2  # both workers get blocks
 
@@ -734,9 +762,9 @@ class TestMetropolisKernel:
             tracemalloc.stop()
         block_buffers = 2 * 3 * 4 * rows * t
         # The contiguous copy of phi and its float32 copy, the clip bounds,
-        # each worker's float32 clip bounds and row vectors, and small
-        # change.
-        slack = 12 * d * t + 2 * 8 * t + 2 * 2 * 4 * t + 2 * (5 * 8 + 3 * 4 + 2) * rows + 256 * 1024
+        # each worker's float32 clip bounds, row vectors and prior terms of
+        # its block's points, and small change.
+        slack = 12 * d * t + 2 * 8 * t + 2 * 2 * 4 * t + 2 * (5 * 8 + 8 * d + 3 * 4 + 2) * rows + 256 * 1024
         assert peak < block_buffers + slack
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -771,6 +799,36 @@ class TestMetropolisKernel:
         bound = 4 * d * eps * scale if dtype == np.float64 else 2 * eps * scale
         assert np.all(np.abs(held - one_piece) <= bound)
 
+    def test_default_blocks_at_criterion_4_shape_do_not_depend_on_worker_count(self, monkeypatch):
+        # n 4000, d 30 at round 450 under the block rule as it stands: the
+        # blocks are sized by their float32 cells, and the partition must
+        # not depend on the worker count.
+        n, t, d = 4000, 450, 30
+        assert -(-n // posterior._block_rows(t, 4)) >= 2
+        rng = np.random.default_rng(71)
+        phi = rng.uniform(-1.0, 1.0, size=(t, d))
+        u_true = np.zeros(d)
+        u_true[[2, 11, 25]] = [1.5, -2.0, 1.0]
+        y = phi @ u_true + 0.5 * rng.standard_normal(t)
+        b = np.full(t, float(np.max(np.abs(y))))
+        start = 0.3 * rng.standard_normal((n, d))
+
+        def run(cores):
+            monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
+            samples = np.asfortranarray(start)
+            cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
+            multiplier = posterior._metropolis_coordinate_steps(
+                samples, cum_loss, (phi, y, b), 0.05, SparsityPrior(3.0, d), np.random.default_rng(72),
+                6, np.full(d, 0.1), 1.0,
+            )
+            return samples, cum_loss, multiplier
+
+        serial, split = run(1), run(2)
+        assert not np.array_equal(serial[0], start)
+        assert np.array_equal(split[0], serial[0])
+        assert np.array_equal(split[1], serial[1])
+        assert split[2] == serial[2]
+
     def test_importance_run_does_not_depend_on_worker_count(self, monkeypatch):
         rng = np.random.default_rng(424242)
         T, d = 40, 30
@@ -780,7 +838,7 @@ class TestMetropolisKernel:
         seq = list(zip(xs, xs @ u_true + 0.5 * rng.standard_normal(T)))
         cfg = BackendConfig(backend="importance", n_samples=600, ess_floor=0.5, refresh_sweeps=1)
         # Blocks of 2000 / t rows, so any move after round 3 is split.
-        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * T * 50)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * T * 50)
 
         def run(cores):
             monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
@@ -802,7 +860,7 @@ class TestMetropolisKernel:
         cfg = BackendConfig(backend="chain", n_samples=600, burn_in=5)
         # Blocks of at most 1000 / t rows, so every move after round 1 is
         # split.
-        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * 1000)
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * 1000)
 
         def run(cores):
             monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
