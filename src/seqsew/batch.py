@@ -17,14 +17,16 @@ mean of the clipped linear predictor); the batch estimator averages them:
 Snapshots are retained explicitly (not re-simulated) so that predictions
 at new points are deterministic: ``BatchEstimator.snapshots`` is the list
 of each round's ``(FrozenCloud, B)``.  The snapshots of one *epoch* share
-its sample set, since importance particles change only when they are
-rejuvenated and quadrature nodes never change.  Each round keeps the
-cloud's own read-only cumulative losses (the cloud rebinds, never writes,
-them) plus one new array of log-weights, so a fit holds
-O(epochs * n * d + T * n) floats rather than the O(T * n * d) of a full
-copy per round.  At T = 1000, n = 10^4 and d = 30 a single epoch costs
-~0.16 GB where full copies cost ~2.5 GB.  The chain backend moves its
-walkers every round, so it has one epoch per round and gains nothing.
+its sample set and its log base, since importance particles change only
+when they are rejuvenated and quadrature nodes never change.  Each round
+keeps only the cloud's own read-only cumulative losses (the cloud
+rebinds, never writes, them); its snapshot derives its weights from those,
+its eta and the epoch's log base, so freezing a round allocates nothing
+and a fit holds O(epochs * n * (d + 1) + T * n) floats, one n-vector per
+round, rather than the O(T * n * d) of a full copy per round.  At T =
+1000, n = 10^4 and d = 30 a single epoch costs ~0.08 GB where full copies
+cost ~2.5 GB.  The chain backend moves its walkers every round, so it has
+one epoch per round and gains nothing.
 
 Predictions take one averaging pass in every mode.  A round counts at
 every evaluation point, or in fixed-design mode only at its own design
@@ -241,8 +243,8 @@ def _online_pass(
     """Play the adaptive forecaster at tau = 1/sqrt(d T) through the T
     ``rounds`` and keep ``cloud.snapshot()`` of the posterior each round
     was predicted with, together with that round's threshold.  The
-    snapshots share the cloud's read-only sample set and loss array
-    rather than copy them; only the log-weights are new each round."""
+    snapshots share the cloud's read-only sample set, log base and loss
+    array rather than copy them, so no array is new to a snapshot."""
     d = dictionary.d if dictionary is not None else len(np.atleast_1d(rounds[0][0]))
     tau = 1.0 / math.sqrt(d * len(rounds))
     forecaster = SeqSEWAdaptive(d, tau, backend or BackendConfig(), seed=seed, clip_center=clip_center)

@@ -79,7 +79,10 @@ step is the one an uncached round would run, so results are
 bit-identical.  A round allocates only the two n-vectors it keeps: the
 clipped margins are formed in place and become the round's losses and
 then the new cumulative losses, and the log-weights are normalised in
-their own array.
+their own array.  A snapshot allocates nothing: it shares the cloud's
+samples, cumulative losses and log base, and derives its weights from
+them with the live cloud's formula, so they are the live weights bit for
+bit.
 """
 
 from __future__ import annotations
@@ -180,6 +183,19 @@ class _History:
         for array in arrays:
             array.flags.writeable = False
         return arrays
+
+
+def _log_weights(log_base: np.ndarray, eta: float, cum_loss: np.ndarray) -> np.ndarray:
+    """A fresh array of the log weights ``log_base - eta * cum_loss``, up to
+    a constant: the one weight formula of live clouds and their snapshots."""
+    if eta == 0.0 or not math.isfinite(eta):
+        # The loss term contributes nothing, so log-weights given at eta 0
+        # come back as they were.  eta = +inf is the formal initial value:
+        # it is only ever in force while every past loss is constant in u,
+        # so the posterior is the prior.
+        return log_base.copy()
+    log_unnorm = np.multiply(eta, cum_loss)
+    return np.subtract(log_base, log_unnorm, out=log_unnorm)
 
 
 def _normalized_log_weights(log_unnorm: np.ndarray) -> np.ndarray:
@@ -428,7 +444,7 @@ def _metropolis_coordinate_steps(
         (
             np.empty((3, rows, t), dtype=np.float32),
             np.empty((2, t), dtype=np.float32),
-            np.empty((5, rows)),
+            np.empty((4, rows)),
             np.empty((d, rows)),
             np.empty((3, rows), dtype=np.float32),
             np.empty((2, rows), dtype=bool),
@@ -481,7 +497,7 @@ def _metropolis_coordinate_steps(
             high_k = np.ldexp(high, -k, out=block_bounds[1])
             eta_term = float(np.ldexp(eta, 2 * k)) if math.isfinite(eta) else 0.0
             cand, buf = candidate[:m], work[:m]
-            uniform, deltas, new_vals, log_alpha, prior_new = floats[:, :m]
+            uniform, deltas, log_alpha, prior_new = floats[:, :m]
             deltas_k, new_loss, losses = block_singles[:, :m]
             long_range, accept = flags[:, :m]
             # The prior term log1p(|u| / tau) of each coordinate of each
@@ -502,16 +518,17 @@ def _metropolis_coordinate_steps(
                 block_rng.standard_normal(out=deltas)
                 np.multiply(deltas, scales[j] * multiplier, out=deltas)
                 np.multiply(deltas, 10.0, out=deltas, where=long_range)
+                np.ldexp(deltas, delta_exponent, out=deltas_k)
+                # The proposals, written over the deltas.
                 old_vals, old_term = points[:, j], old_terms[j]
-                np.add(old_vals, deltas, out=new_vals)
+                proposals = np.add(old_vals, deltas, out=deltas)
                 # The prior's log ratio, -4 (log1p(|new| / tau) -
                 # log1p(|old| / tau)).
-                np.abs(new_vals, out=prior_new)
+                np.abs(proposals, out=prior_new)
                 np.divide(prior_new, tau, out=prior_new)
                 np.log1p(prior_new, out=prior_new)
                 np.subtract(old_term, prior_new, out=log_alpha)
                 np.multiply(log_alpha, 4.0, out=log_alpha)
-                np.ldexp(deltas, delta_exponent, out=deltas_k)
                 np.einsum("i,j->ij", deltas_k, block_columns[j], out=cand)
                 np.subtract(held, cand, out=cand)
                 # min then max is np.clip(cand, low, high), without np.clip's
@@ -534,7 +551,7 @@ def _metropolis_coordinate_steps(
                 taken = np.flatnonzero(accept)
                 gathered = np.take(cand, taken, axis=0, out=buf[: taken.shape[0]], mode="clip")
                 held[taken] = gathered
-                np.copyto(old_vals, new_vals, where=accept)
+                np.copyto(old_vals, proposals, where=accept)
                 np.copyto(old_term, prior_new, where=accept)
                 np.copyto(losses, new_loss, where=accept)
                 rate = taken.shape[0] / m
@@ -635,22 +652,33 @@ def _clipped_margins(samples: np.ndarray, features: np.ndarray, threshold: float
     return np.clip(margins, -threshold, threshold, out=margins)
 
 
-@dataclass
 class FrozenCloud:
     """Immutable usable snapshot of a posterior: weighted points only.
+
+    Its log-weights are a log base tempered by its cumulative losses,
+    ``log_base - eta * cum_loss`` (:func:`_log_weights`), and are defined
+    up to a constant.  A snapshot shares its cloud's read-only log base
+    and tempers it at the cloud's eta, so it stores no weights of its
+    own; ``log_weights`` builds a fresh read-only array on each read.
+    Log-weights handed to the constructor, or read by :meth:`from_json`,
+    are kept as given: they are a log base tempered at eta 0.
 
     Serialises losslessly to JSON (samples, log-weights, cached losses)
     so batch estimators can be persisted and reloaded.
     """
 
-    samples: np.ndarray
-    log_weights: np.ndarray
-    cum_loss: np.ndarray
-    eta: float
-    backend: str
+    def __init__(self, samples: np.ndarray, log_weights: np.ndarray, cum_loss: np.ndarray, eta: float, backend: str) -> None:
+        self.samples, self.cum_loss, self.eta, self.backend = samples, cum_loss, eta, backend
+        self._log_base, self._base_eta = log_weights, 0.0
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        log_weights = _log_weights(self._log_base, self._base_eta, self.cum_loss)
+        log_weights.flags.writeable = False
+        return log_weights
 
     def weights(self) -> np.ndarray:
-        return _normalized_log_weights(self.log_weights.copy())
+        return _normalized_log_weights(_log_weights(self._log_base, self._base_eta, self.cum_loss))
 
     def predict_clipped_mean(self, features: np.ndarray, threshold: float) -> float:
         clipped = _clipped_margins(self.samples, _checked_features(features, self.samples.shape[1]), threshold)
@@ -719,12 +747,13 @@ class PosteriorCloud:
     :meth:`update` following the online protocol.  The inverse temperature
     passed to ``update`` must never increase.
 
-    Between rounds neither ``samples`` nor ``cum_loss`` is written in
-    place: an update rebinds ``cum_loss`` to a new array, and a move works
-    on fresh arrays and rebinds both to them, so a reference taken between
+    Between rounds neither ``samples``, ``cum_loss`` nor the log base is
+    written in place: an update rebinds ``cum_loss`` to a new array, and a
+    move works on fresh arrays and rebinds the points, their losses and
+    (at a finite eta) the log base to them, so a reference taken between
     rounds keeps that round's values.  :meth:`snapshot` relies on this to
-    share both arrays rather than copy them, and the batch estimators to
-    store each distinct sample set once.
+    share the three arrays rather than copy them, and the batch estimators
+    to store each distinct sample set once.
     """
 
     def __init__(self, prior: SparsityPrior, config: BackendConfig, rng: np.random.Generator | None) -> None:
@@ -757,13 +786,7 @@ class PosteriorCloud:
 
     def _log_unnormalized(self) -> np.ndarray:
         """A fresh array of the current log weights, up to a constant."""
-        if not math.isfinite(self.eta):
-            # eta = +inf is the formal initial value: it is only ever in
-            # force while every past loss is constant in u, so the
-            # posterior is the prior and the loss term contributes nothing.
-            return self._log_base.copy()
-        log_unnorm = np.multiply(self.eta, self.cum_loss)
-        return np.subtract(self._log_base, log_unnorm, out=log_unnorm)
+        return _log_weights(self._log_base, self.eta, self.cum_loss)
 
     def weights(self) -> np.ndarray:
         """Normalised weights of the current state (read-only; computed
@@ -864,14 +887,17 @@ class PosteriorCloud:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> FrozenCloud:
-        """The current posterior, frozen: the cloud's own ``samples`` and
-        ``cum_loss``, marked read-only and shared rather than copied (the
-        cloud never writes them again), and fresh read-only log-weights."""
-        log_weights = np.maximum(self.weights(), 1e-300)
-        np.log(log_weights, out=log_weights)
-        for array in (self.samples, self.cum_loss, log_weights):
+        """The current posterior, frozen: the cloud's own ``samples``,
+        ``cum_loss`` and log base, marked read-only and shared rather than
+        copied (the cloud never writes them again), with its eta.  It
+        allocates nothing, and a state whose weights are undefined raises
+        the :class:`StateError` of :meth:`weights`."""
+        self.weights()
+        for array in (self.samples, self.cum_loss, self._log_base):
             array.flags.writeable = False
-        return FrozenCloud(self.samples, log_weights, self.cum_loss, self.eta, self.backend)
+        frozen = FrozenCloud(self.samples, self._log_base, self.cum_loss, self.eta, self.backend)
+        frozen._base_eta = self.eta
+        return frozen
 
 
 def init(prior: SparsityPrior, config: BackendConfig, rng: np.random.Generator | None = None) -> PosteriorCloud:

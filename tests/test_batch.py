@@ -635,3 +635,25 @@ class TestPredictionScratch:
         # Two (rows, n) blocks plus O(m d + n) arrays; an (n, m) margin
         # array alone is 3.2 MB here.
         assert transient <= 3 * posterior._BLOCK_BYTES
+
+
+class TestStoredFitSize:
+    """A fit keeps one n-vector per round, the cumulative losses its
+    snapshot shares with the cloud, plus each epoch's sample set and log
+    base: no second copy of a round's weights."""
+
+    def test_importance_fit_keeps_one_vector_per_round(self):
+        rng = np.random.default_rng(13)
+        n, d, T = 2000, 4, 100
+        samples = [(x, float(1.5 * x[0] + 0.3 * rng.standard_normal())) for x in rng.uniform(-1, 1, size=(T, d))]
+        dictionary = _coord_dict(d=d, norm=10.0)  # large features collapse the ESS
+        tracemalloc.start()
+        try:
+            est = fit_random_design(samples, dictionary, BackendConfig(backend="importance", n_samples=n), seed=4)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        epochs = len({id(cloud.samples) for cloud, _ in est.snapshots})
+        assert epochs >= 2  # the fit spans a resample-move
+        # Two n-vectors per round would be 2 T n 8 bytes.
+        assert kept <= 1.25 * T * n * 8 + epochs * n * (d + 1) * 8

@@ -8,7 +8,8 @@ only the quadrature oracles need it, and they import it when called.  The
 CLI imports ``multiprocessing`` only in the helper that plays replays on
 worker processes, and the usable cores are read in one place.  A
 ``FrozenCloud`` is built only by ``PosteriorCloud.snapshot`` and
-``FrozenCloud.from_json``, so a live cloud has one way to be frozen.  A
+``FrozenCloud.from_json``, so a live cloud has one way to be frozen, and
+a snapshot's weights come from the live cloud's one weight formula.  A
 ``RoundRecord`` is built only inside ``ProtocolResult``, from its columns,
 so per-round rows are never a second store of a run.  No forecaster
 method builds a forecaster: the automatic forecaster restarts the adaptive
@@ -126,6 +127,45 @@ def test_usable_cores_have_one_definition():
             if "sched_getaffinity" in spellings:
                 found.add((name, function))
     assert found == {("posterior", "_usable_cores")}
+
+
+def _weight_formula_sites(source: str) -> set[str | None]:
+    """The functions of ``source`` (None at module level) that both form a
+    product of an eta and cumulative losses and subtract from a log base,
+    as operators or as numpy calls."""
+    products, subtractions = set(), set()
+    for node, _, function in _scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Sub)):
+            kind, operands = type(node.op).__name__, [node.left, node.right]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("multiply", "subtract"):
+            kind, operands = {"multiply": "Mult", "subtract": "Sub"}[node.func.attr], node.args[:2]
+        else:
+            continue
+        texts = [ast.unparse(operand) for operand in operands]
+        if kind == "Mult" and any("eta" in text for text in texts) and any("cum_loss" in text for text in texts):
+            products.add(function)
+        elif kind == "Sub" and texts and "log_base" in texts[0]:
+            subtractions.add(function)
+    return products & subtractions
+
+
+def test_weight_formula_scan_sees_operators_and_calls():
+    source = (
+        "def inline(c):\n    return c._log_base - c.eta * c.cum_loss\n"
+        "def calls(c):\n    return np.subtract(c._log_base, np.multiply(c._base_eta, c.cum_loss))\n"
+        "def rebase(c):\n    c._log_base = c.eta * c.cum_loss\n"
+        "def other(c):\n    return c._log_base - c.offset\n"
+        "top = log_base - eta * cum_loss\n"
+    )
+    assert _weight_formula_sites(source) == {"inline", "calls", None}
+
+
+def test_weight_formula_has_one_definition():
+    """A cloud's log weights are its log base less eta times its cumulative
+    losses.  The live cloud and its snapshots both call
+    ``posterior._log_weights``, so the formula is written once."""
+    found = {(name, function) for name in MODULES for function in _weight_formula_sites((PACKAGE / f"{name}.py").read_text())}
+    assert found == {("posterior", "_log_weights")}
 
 
 def _constructions(source: str, cls_name: str) -> list[tuple[str | None, str | None]]:
