@@ -77,16 +77,18 @@ def psi_bound(family: NoiseFamily, T: int) -> float:
     """Analytic cap on E[max_{t<=T} Z_t^2] / T for the family.
 
     bd: B^2/T.  sg: 2 sigma^2 ln(2eT)/T.  bem: ln^2((M+e)T)/(alpha^2 T).
-    bm: M^(2/alpha) / T^((alpha-2)/alpha).
+    bm: M^(2/alpha) / T^((alpha-2)/alpha).  Squares are products, which
+    overflow to inf where ``**`` raises.
     """
     if T < 1:
         raise ArgumentError("T must be >= 1")
     if family.kind == "bd":
-        return family.B**2 / T
+        return family.B * family.B / T
     if family.kind == "sg":
         return 2.0 * family.sigma_sq * math.log(2.0 * math.e * T) / T
     if family.kind == "bem":
-        return math.log((family.M + math.e) * T) ** 2 / (family.alpha**2 * T)
+        log = math.log((family.M + math.e) * T)
+        return log * log / (family.alpha * family.alpha * T)
     if family.alpha <= 2.0:
         raise ArgumentError("bm bound needs alpha > 2")
     return family.M ** (2.0 / family.alpha) / T ** ((family.alpha - 2.0) / family.alpha)
@@ -352,7 +354,8 @@ def risk_bound_rhs(variant: str, **kw: Any) -> float:
     64 r s_ln_term(l0, sqrt(d T) l1) + feature term + 32 r`` at r =
     E[max Y^2] / T.  Each corollary is its theorem at a cap on r: 2 (mean_y^2
     / T + psi_t) for cor11, 2 (f_inf^2 + 2 sigma_sq ln(2 e T)) / T for cor12
-    and 2 (max_f_sq / T + psi_t) for cor14.
+    and 2 (max_f_sq / T + psi_t) for cor14.  Squares are products, so a
+    huge input gives inf where ``**`` would raise.
 
     Common keyword arguments: ``approx_error`` (the comparator's own risk),
     ``T``, ``d``, ``l0``, ``l1``.  Variant-specific:
@@ -379,9 +382,11 @@ def risk_bound_rhs(variant: str, **kw: Any) -> float:
     if variant in ("thm10", "thm13"):
         r = value("e_max_y_sq") / T
     elif variant == "cor11":
-        r = 2.0 * (value("mean_y") ** 2 / T + value("psi_t"))
+        mean_y = value("mean_y")
+        r = 2.0 * (mean_y * mean_y / T + value("psi_t"))
     elif variant == "cor12":
-        r = 2.0 * ((value("f_inf") ** 2 + 2.0 * value("sigma_sq") * math.log(2.0 * math.e * T)) / T)
+        f_inf = value("f_inf")
+        r = 2.0 * ((f_inf * f_inf + 2.0 * value("sigma_sq") * math.log(2.0 * math.e * T)) / T)
     elif variant == "cor14":
         r = 2.0 * (value("max_f_sq") / T + value("psi_t"))
     else:

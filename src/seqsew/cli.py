@@ -446,8 +446,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
     """Fit and score reseeded draws of the scenario, and compare the mean
-    risk with the variant's bound at the true coefficients.  Every
-    precondition of the variant is checked before the first fit."""
+    risk with the variant's bound at the truth, which is the witness.  A
+    replication redraws the design and the noise, never the truth.  Every
+    precondition of the variant is checked before the first fit, and a
+    non-finite risk or bound raises :class:`DataError`."""
     spec = config.spec
     fixed_design = variant in ("thm13", "cor14")
     if fixed_design and spec.design != "fixed_grid":
@@ -465,43 +467,41 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
         if closed.get("f_inf") is None:
             raise ArgumentError("cor12 needs a bounded regression function")
 
+    u_true = closed["u_true"]
+    spec = replace(spec, u_true=tuple(u_true))
     dictionary = Dictionary(spec.dictionary)
     fit = batch_mod.fit_fixed_design if fixed_design else batch_mod.fit_random_design
     risks, max_y_sq = [], []
     for i in range(replications):
-        rep_spec = replace(spec, seed=spec.seed + 1000 * (i + 1))
-        samples, rep_truth, _ = gen_stochastic(rep_spec)
+        samples, _, _ = gen_stochastic(replace(spec, seed=spec.seed + 1000 * (i + 1)))
         est = fit(samples, dictionary, config.backend, seed=_seed(config, 50 + i))
         rng_eval = np.random.default_rng(_seed(config, 90 + i))
-        risks.append(batch_mod.risk(est, rep_truth, design_sampler(rep_spec), n_eval=n_eval, rng=rng_eval))
+        risks.append(batch_mod.risk(est, f_truth, design_sampler(spec), n_eval=n_eval, rng=rng_eval))
         # Free the estimator's per-round arrays before the next replication
         # allocates: kept alive, they would interleave with its data on the
         # heap and leave holes too small to reuse once freed.
         del est
         max_y_sq.append(max(y * y for _, y in samples))
-    e_max_y_sq = float(np.mean(max_y_sq))
 
-    u_true = closed["u_true"]
-    l0, l1 = int(np.count_nonzero(u_true)), float(np.sum(np.abs(u_true)))
-    kw: dict[str, Any] = dict(T=spec.T, d=spec.d, l0=l0, l1=l1)
+    # The witness is the truth, so its approximation error is 0.
+    inputs: dict[str, Any] = dict(
+        T=spec.T, d=spec.d, l0=int(np.count_nonzero(u_true)), l1=float(np.sum(np.abs(u_true))), approx_error=0.0,
+        e_max_y_sq=float(np.mean(max_y_sq)), psi_t=batch_mod.psi_bound(spec.noise, spec.T),
+        sigma_sq=spec.noise.sigma_sq, f_inf=closed["f_inf"],
+    )
     if fixed_design:
+        # The truth at each design point as the risk scores it: a matrix
+        # product would round some of them differently.
         features = np.vstack([dictionary.features(x) for x, _ in base_samples])
-        f_vals = np.asarray([f_truth(x) for x, _ in base_samples])
-        kw["approx_error"] = float(np.mean((f_vals - features @ u_true) ** 2))
-        kw["design_gram_trace"] = float(np.sum(features**2))
+        stats = bounds_mod.SequenceStats.from_arrays(features, [f_truth(x) for x, _ in base_samples])
+        inputs.update(design_gram_trace=stats.gram_trace, max_f_sq=stats.max_y_sq)
     else:
-        kw["approx_error"] = closed["approx_error_fn"](u_true) if closed.get("approx_error_fn") else 0.0
-        kw["sum_feature_l2"] = float(np.sum(closed["feature_l2_sq"]))
-    if variant == "cor12":
-        rhs = batch_mod.risk_bound_rhs("cor12", f_inf=closed["f_inf"], sigma_sq=spec.noise.sigma_sq, **kw)
-    elif variant == "cor14":
-        rhs = batch_mod.risk_bound_rhs(
-            "cor14", max_f_sq=float(np.max(f_vals**2)), psi_t=batch_mod.psi_bound(spec.noise, spec.T), **kw
-        )
-    else:
-        rhs = batch_mod.risk_bound_rhs(variant, e_max_y_sq=e_max_y_sq, **kw)
+        inputs["sum_feature_l2"] = float(np.sum(closed["feature_l2_sq"]))
+    rhs = batch_mod.risk_bound_rhs(variant, **inputs)
 
     mean_risk = float(np.mean(risks))
+    if not (math.isfinite(mean_risk) and math.isfinite(rhs)):
+        raise DataError(f"{variant}: measured risk {mean_risk!r} and rhs {rhs!r} must both be finite")
     payload = {
         "schema": "seqsew.batch.v1",
         "variant": variant,

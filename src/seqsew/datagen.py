@@ -222,6 +222,29 @@ class ScenarioSpec:
         return u
 
 
+def _design_law(
+    spec: ScenarioSpec,
+) -> tuple[Callable[[np.random.Generator, int], list[Any]] | None, float | None, float | None]:
+    """The scenario's i.i.d. input law: a sampler of n inputs, each
+    feature's squared L2 norm under it, and a bound on |phi_j|; each is
+    None where the scenario has none.  Fourier inputs are uniform on
+    [0, 1) whatever the design (a fixed grid plays its own points), and
+    random_signs inputs are indices, with no law to sample.  Squares are
+    products, which overflow to inf where ``**`` raises."""
+    norm, scale, d = spec.dictionary.normalization, spec.design_scale, spec.d
+    if spec.dictionary.kind == "fourier":
+        return (lambda rng, n: [float(v) for v in rng.random(n)]), norm * norm, abs(norm) * math.sqrt(2.0)
+    if spec.dictionary.kind == "random_signs":
+        return None, norm * norm, abs(norm)
+    if spec.design == "iid_uniform":
+        uniform = lambda rng, n: [rng.uniform(-scale, scale, size=d) for _ in range(n)]
+        return uniform, (norm * norm) * (scale * scale) / 3.0, abs(norm) * scale
+    if spec.design == "iid_gaussian":
+        gaussian = lambda rng, n: [scale * rng.standard_normal(d) for _ in range(n)]
+        return gaussian, (norm * norm) * (scale * scale), None
+    return None, None, None
+
+
 def _dictionary_inputs(spec: ScenarioSpec, rng: np.random.Generator) -> list[Any]:
     kind = spec.dictionary.kind
     scale = spec.design_scale
@@ -234,9 +257,10 @@ def _dictionary_inputs(spec: ScenarioSpec, rng: np.random.Generator) -> list[Any
             return [float(grid[t % size]) for t in range(spec.T)]
         base = np.linspace(-scale, scale, size)
         return [np.full(spec.d, base[t % size]) for t in range(spec.T)]
-    if kind == "fourier" or spec.design != "adversarial_script":
-        # The i.i.d. designs: the same draws as the risk evaluation's.
-        return design_sampler(spec)(rng, spec.T)
+    sampler = _design_law(spec)[0]
+    if sampler is not None:
+        # The i.i.d. law: the same draws as the risk evaluation's.
+        return sampler(rng, spec.T)
     # adversarial_script on coordinate inputs: deterministic alternating ramp
     out = []
     for t in range(spec.T):
@@ -285,12 +309,17 @@ def gen_stochastic(
 ) -> tuple[list[tuple[Any, float]], Callable[[Any], float], dict[str, Any]]:
     """I.i.d. regression data Y = f(X) + eps with f = u_true . phi.
 
-    Returns (samples, f_truth, closed_forms).  ``closed_forms`` reports
-    per-feature squared L2 norms under the design (exact for the built-in
-    orthonormal pairs, None otherwise), whether the features are
-    orthonormal, a sup-norm bound on f when derivable, and for the
-    orthonormal case a callable giving the exact approximation error
-    ||f - u . phi||_L2^2 of any comparator.
+    Returns (samples, f_truth, closed_forms).  ``closed_forms`` reads the
+    scenario's i.i.d. input law: the per-feature squared L2 norms under it
+    (None without a law: coordinate inputs under ``fixed_grid`` or
+    ``adversarial_script``; inf where a norm overflows), whether the
+    features are orthonormal, the sup-norm bound on f that |phi_j|'s
+    bound gives (None where |phi_j| is unbounded), the u_true used, and
+    for the orthonormal case a callable giving the exact approximation
+    error ||f - u . phi||_L2^2 of any comparator.  Fourier inputs are
+    uniform on [0, 1) under every design but ``fixed_grid``, so they have
+    the closed forms of ``iid_uniform`` under each; random_signs inputs
+    have them under every design.
     """
     if spec.noise is None:
         raise ArgumentError("stochastic generation needs a noise family")
@@ -301,44 +330,20 @@ def gen_stochastic(
     def f_truth(x: Any) -> float:
         return float(u @ dictionary.features(x))
 
-    closed = _closed_forms(spec, dictionary, u)
+    closed = _closed_forms(spec, u)
     return samples, f_truth, closed
 
 
-def _closed_forms(spec: ScenarioSpec, dictionary: Dictionary, u: np.ndarray) -> dict[str, Any]:
-    kind = spec.dictionary.kind
-    norm = spec.dictionary.normalization
-    scale = spec.design_scale
-    feature_l2_sq: list[float] | None = None
-    orthonormal = False
-    f_inf: float | None = None
-
-    if kind == "coordinate" and spec.design == "iid_uniform":
-        per = norm**2 * scale**2 / 3.0
-        feature_l2_sq = [per] * spec.d
-        orthonormal = math.isclose(per, 1.0, rel_tol=1e-12)
-        f_inf = abs(norm) * scale * float(np.sum(np.abs(u)))
-    elif kind == "coordinate" and spec.design == "iid_gaussian":
-        feature_l2_sq = [norm**2 * scale**2] * spec.d
-        orthonormal = math.isclose(norm**2 * scale**2, 1.0, rel_tol=1e-12)
-    elif kind == "fourier" and spec.design in ("iid_uniform", "fixed_grid"):
-        feature_l2_sq = [norm**2] * spec.d
-        orthonormal = math.isclose(norm**2, 1.0, rel_tol=1e-12)
-        f_inf = abs(norm) * math.sqrt(2.0) * float(np.sum(np.abs(u)))
-    elif kind == "random_signs":
-        feature_l2_sq = [norm**2] * spec.d
-        orthonormal = math.isclose(norm**2, 1.0, rel_tol=1e-12)
-        f_inf = abs(norm) * float(np.sum(np.abs(u)))
-
+def _closed_forms(spec: ScenarioSpec, u: np.ndarray) -> dict[str, Any]:
+    _, per, bound = _design_law(spec)
+    orthonormal = per is not None and math.isclose(per, 1.0, rel_tol=1e-12)
     forms: dict[str, Any] = {
-        "feature_l2_sq": feature_l2_sq,
+        "feature_l2_sq": None if per is None else [per] * spec.d,
         "orthonormal": orthonormal,
-        "f_inf": f_inf,
+        "f_inf": None if bound is None else bound * float(np.sum(np.abs(u))),
         "u_true": u.copy(),
     }
     if orthonormal:
-        per = feature_l2_sq[0]
-
         def approx_error(v: np.ndarray) -> float:
             return per * float(np.sum((u - np.asarray(v, dtype=float)) ** 2))
 
@@ -347,22 +352,14 @@ def _closed_forms(spec: ScenarioSpec, dictionary: Dictionary, u: np.ndarray) -> 
 
 
 def design_sampler(spec: ScenarioSpec) -> Callable[[np.random.Generator, int], list[Any]]:
-    """Fresh-draw sampler over the scenario's design distribution, for
-    Monte-Carlo risk evaluation."""
+    """Fresh-draw sampler over the scenario's i.i.d. input law, for
+    Monte-Carlo risk evaluation.  A scenario without one gets a sampler
+    that raises :class:`ArgumentError` when called."""
 
-    def sampler(rng: np.random.Generator, n: int) -> list[Any]:
-        kind = spec.dictionary.kind
-        if kind == "fourier":
-            return [float(v) for v in rng.random(n)]
-        if kind == "random_signs":
-            raise ArgumentError("random_signs has no off-design distribution to sample")
-        if spec.design == "iid_uniform":
-            return [rng.uniform(-spec.design_scale, spec.design_scale, size=spec.d) for _ in range(n)]
-        if spec.design == "iid_gaussian":
-            return [spec.design_scale * rng.standard_normal(spec.d) for _ in range(n)]
-        raise ArgumentError(f"design {spec.design!r} has no sampling distribution")
+    def unsampled(rng: np.random.Generator, n: int) -> list[Any]:
+        raise ArgumentError(f"{spec.dictionary.kind} inputs under design {spec.design!r} have no sampling distribution")
 
-    return sampler
+    return _design_law(spec)[0] or unsampled
 
 
 # ---------------------------------------------------------------------------

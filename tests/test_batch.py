@@ -56,6 +56,12 @@ class TestPsiBound:
         with pytest.raises(ArgumentError):
             psi_bound(NoiseFamily.bounded(1.0), 0)
 
+    def test_huge_parameters_square_to_inf_not_an_error(self):
+        # B^2 and alpha^2 are products: a huge B caps at inf and a huge
+        # alpha sends the cap to 0, where ``**`` raises OverflowError.
+        assert psi_bound(NoiseFamily.bounded(1e200), 10) == math.inf
+        assert psi_bound(NoiseFamily.bounded_exp_moment(alpha=1e200, M=3.0), 10) == 0.0
+
 
 class TestEmpiricalMaxSq:
     def test_zero_draws(self):
@@ -343,6 +349,13 @@ class TestRiskBoundRhs:
     def test_unknown_variant(self):
         with pytest.raises(ArgumentError):
             risk_bound_rhs("thm99", T=5, d=1, l0=0, l1=0.0, approx_error=0.0)
+
+    @pytest.mark.parametrize("variant, key", [("cor12", "f_inf"), ("cor11", "mean_y")])
+    def test_huge_amplitude_squares_to_inf(self, variant, key):
+        inputs = dict(T=10, d=2, l0=1, l1=1.0, approx_error=0.0)
+        inputs.update({k: 1.0 for k in self.VARIANT_INPUTS[variant]})
+        inputs[key] = 1e200
+        assert risk_bound_rhs(variant, **inputs) == math.inf
 
 
 class TestThm10EndToEnd:

@@ -1041,6 +1041,57 @@ class TestBatch:
             == (tmp_path / "b" / "batch_thm10_reps.csv").read_bytes()
         )
 
+    def test_replications_score_against_the_witness(self, tmp_path, monkeypatch):
+        """With u_true unset, every replication keeps the base draw's
+        truth: each fit is scored against the witness's function."""
+        truths, score = [], cli.batch_mod.risk
+
+        def risk(estimator, truth_f, *args, **kwargs):
+            truths.append(truth_f)
+            return score(estimator, truth_f, *args, **kwargs)
+
+        monkeypatch.setattr(cli.batch_mod, "risk", risk)
+        scenario = _stochastic_scenario(T=15, d=6, s=2, u_true=None, dictionary={"kind": "coordinate", "d": 6})
+        cfg = _write_config(tmp_path / "cfg.json", seed=1, scenario=scenario, backend={"backend": "importance", "n_samples": 200})
+        args = ["batch", "--config", str(cfg), "--variant", "thm10", "--replications", "3", "--n-eval", "20"]
+        assert cli.main(args) == 0
+        witness = np.asarray(json.loads((tmp_path / "out" / "batch_thm10.json").read_text())["witness"])
+        assert np.count_nonzero(witness) == 2
+        probes = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 6))
+        assert len(truths) == 3
+        for truth in truths:
+            assert [truth(x) for x in probes] == [float(witness @ x) for x in probes]
+
+    @pytest.mark.parametrize(
+        "variant, scenario, message",
+        [
+            (
+                "thm13",
+                _stochastic_scenario(design="fixed_grid", design_scale=1e154, u_true=[1e-150]),
+                "thm13: measured risk",
+            ),
+            (
+                "thm10",
+                _stochastic_scenario(dictionary={"kind": "coordinate", "d": 1, "normalization": 1e200}),
+                "features must be finite",
+            ),
+        ],
+        ids=["thm13-infinite-gram-trace", "thm10-overflowing-feature-norm"],
+    )
+    def test_unusable_risk_problem_exits_four_and_writes_nothing(self, tmp_path, capsys, variant, scenario, message):
+        cfg = _write_config(tmp_path / "cfg.json", scenario=scenario, backend={"backend": "importance", "n_samples": 200})
+        assert cli.main(["batch", "--config", str(cfg), "--variant", variant, "--replications", "2", "--n-eval", "20"]) == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / f"batch_{variant}.json").exists()
+
+    @pytest.mark.parametrize("design", ["iid_gaussian", "adversarial_script"])
+    def test_thm10_on_fourier_inputs_off_the_grid(self, tmp_path, design):
+        scenario = _stochastic_scenario(d=2, u_true=[1.0, 0.0], design=design, dictionary={"kind": "fourier", "d": 2})
+        cfg = _write_config(tmp_path / "cfg.json", scenario=scenario, backend={"backend": "importance", "n_samples": 200})
+        assert cli.main(["batch", "--config", str(cfg), "--variant", "thm10", "--replications", "2", "--n-eval", "20"]) == 0
+        payload = json.loads((tmp_path / "out" / "batch_thm10.json").read_text())
+        assert math.isfinite(payload["rhs"])
+
 
 class TestGenAndPlot:
     def test_gen_writes_dataset(self, tmp_path):

@@ -219,6 +219,64 @@ class TestStochasticGeneration:
             assert np.array_equal(x, e)
 
 
+class TestDesignLaw:
+    """The closed forms are read off the scenario's i.i.d. input law."""
+
+    @pytest.mark.parametrize(
+        "kind, design, norm, scale, per, orthonormal, f_inf",
+        [
+            ("coordinate", "iid_uniform", math.sqrt(3.0), 1.0, 0.9999999999999999, True, 2.598076211353316),
+            ("coordinate", "iid_uniform", 1.0, 1.7, 0.9633333333333333, False, 2.55),
+            ("coordinate", "iid_gaussian", 0.5, 1.7, 0.7224999999999999, False, None),
+            ("fourier", "iid_uniform", 1.3, 1.0, 1.6900000000000002, False, 2.7577164466275357),
+            ("fourier", "fixed_grid", -0.8, 1.0, 0.6400000000000001, False, 1.6970562748477143),
+            ("random_signs", "iid_uniform", 1.7, 1.0, 2.8899999999999997, False, 2.55),
+            ("random_signs", "adversarial_script", -2.5, 1.0, 6.25, False, 3.75),
+        ],
+    )
+    def test_pinned_closed_forms(self, kind, design, norm, scale, per, orthonormal, f_inf):
+        spec = _spec(
+            design=design,
+            design_scale=scale,
+            noise=NoiseFamily.subgaussian(1.0),
+            dictionary=DictionarySpec(kind=kind, d=2, normalization=norm),
+        )
+        _, _, closed = gen_stochastic(spec)
+        assert closed["feature_l2_sq"] == [per, per]
+        assert closed["orthonormal"] is orthonormal
+        assert closed["f_inf"] == f_inf
+
+    @pytest.mark.parametrize("design", ["iid_gaussian", "adversarial_script"])
+    def test_fourier_inputs_are_uniform_off_the_grid(self, design):
+        def closed_forms(design):
+            dictionary = DictionarySpec(kind="fourier", d=2, normalization=0.7)
+            return gen_stochastic(_spec(design=design, noise=NoiseFamily.subgaussian(1.0), dictionary=dictionary))[2]
+
+        closed, uniform = closed_forms(design), closed_forms("iid_uniform")
+        assert closed["feature_l2_sq"] == uniform["feature_l2_sq"] == [0.7 * 0.7] * 2
+        assert closed["orthonormal"] is uniform["orthonormal"] is False
+        assert closed["f_inf"] == uniform["f_inf"] == 0.7 * math.sqrt(2.0) * 1.5
+
+    @pytest.mark.parametrize(
+        "kind, design",
+        [("coordinate", "iid_uniform"), ("coordinate", "iid_gaussian"), ("fourier", "iid_gaussian"), ("random_signs", "fixed_grid")],
+    )
+    def test_overflowing_norms_are_inf(self, kind, design):
+        dictionary = DictionarySpec(kind=kind, d=2, normalization=1e200)
+        spec = _spec(design=design, noise=NoiseFamily.subgaussian(1.0), dictionary=dictionary)
+        _, _, closed = gen_stochastic(spec)
+        assert closed["feature_l2_sq"] == [math.inf] * 2
+        assert closed["orthonormal"] is False
+
+    @pytest.mark.parametrize("design", ["fixed_grid", "adversarial_script"])
+    def test_coordinate_inputs_without_a_law_have_no_closed_forms(self, design):
+        spec = _spec(design=design, noise=NoiseFamily.subgaussian(1.0))
+        _, _, closed = gen_stochastic(spec)
+        assert closed["feature_l2_sq"] is None and closed["f_inf"] is None
+        with pytest.raises(ArgumentError, match="no sampling distribution"):
+            design_sampler(spec)(np.random.default_rng(0), 1)
+
+
 class TestFixedGrid:
     def test_duplicates_appear_when_grid_smaller_than_horizon(self):
         spec = _spec(

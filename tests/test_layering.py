@@ -16,8 +16,10 @@ method builds a forecaster: the automatic forecaster restarts the adaptive
 scheme in place.  The regret bounds evaluate the sparsity term at two
 sites, the shape the fixed-tau bounds share and the automatic forecaster's
 cap.  The CLI leaves the corollaries' tunings and the fixed forecaster's
-eta limit to the bounds engine, and builds its forecasters at one call
-site."""
+eta limit to the bounds engine, builds its forecasters at one call site
+and evaluates the risk bounds at one.  The scenario's i.i.d. input law
+(its sampler, feature norms and feature bound) is decided in
+``datagen._design_law`` alone."""
 
 import ast
 import re
@@ -344,3 +346,29 @@ def test_fixed_tuning_limit_has_one_definition():
             if isinstance(node, ast.Call) and "_within_fixed_limit" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 found.add((name, function))
     assert found == {("bounds", "verify"), ("cli", "_first_run")}
+
+
+def test_cli_evaluates_risk_bounds_at_one_call_site():
+    """``batch.risk_bound_rhs`` reads only the inputs its variant needs,
+    so one call serves every risk variant of ``seqsew batch``."""
+    sites = [
+        function
+        for node, _, function in _scoped_nodes(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Call) and "risk_bound_rhs" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert sites == ["_batch_risk"]
+
+
+def test_design_law_has_one_owner():
+    """Only ``_design_law`` tells the i.i.d. designs apart (the spec names
+    one as its default and lists every design in its own check), and the
+    sampler, the closed forms and the training inputs each ask it rather
+    than decide for themselves."""
+    named, asks = set(), set()
+    for node, owner, function in _scoped_nodes(ast.parse((PACKAGE / "datagen.py").read_text())):
+        if isinstance(node, ast.Constant) and node.value in ("iid_uniform", "iid_gaussian"):
+            named.add((owner, function))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_design_law":
+            asks.add(function)
+    assert named == {(None, "_design_law"), ("ScenarioSpec", None), ("ScenarioSpec", "__post_init__")}
+    assert asks == {"design_sampler", "_closed_forms", "_dictionary_inputs"}
