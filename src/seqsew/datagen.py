@@ -230,18 +230,23 @@ def _design_law(
     None where the scenario has none.  Fourier inputs are uniform on
     [0, 1) whatever the design (a fixed grid plays its own points), and
     random_signs inputs are indices, with no law to sample.  Squares are
-    products, which overflow to inf where ``**`` raises."""
+    products, which overflow to inf where ``**`` raises; where norm^2
+    overflows while scale^2 underflows, (norm * scale)^2 is formed instead
+    of inf * 0."""
     norm, scale, d = spec.dictionary.normalization, spec.design_scale, spec.d
+    scaled_sq = (norm * norm) * (scale * scale)
+    if math.isnan(scaled_sq):
+        scaled_sq = (norm * scale) * (norm * scale)
     if spec.dictionary.kind == "fourier":
         return (lambda rng, n: [float(v) for v in rng.random(n)]), norm * norm, abs(norm) * math.sqrt(2.0)
     if spec.dictionary.kind == "random_signs":
         return None, norm * norm, abs(norm)
     if spec.design == "iid_uniform":
         uniform = lambda rng, n: [rng.uniform(-scale, scale, size=d) for _ in range(n)]
-        return uniform, (norm * norm) * (scale * scale) / 3.0, abs(norm) * scale
+        return uniform, scaled_sq / 3.0, abs(norm) * scale
     if spec.design == "iid_gaussian":
         gaussian = lambda rng, n: [scale * rng.standard_normal(d) for _ in range(n)]
-        return gaussian, (norm * norm) * (scale * scale), None
+        return gaussian, scaled_sq, None
     return None, None, None
 
 

@@ -223,18 +223,18 @@ class TestDesignLaw:
     """The closed forms are read off the scenario's i.i.d. input law."""
 
     @pytest.mark.parametrize(
-        "kind, design, norm, scale, per, orthonormal, f_inf",
+        "kind, design, norm, scale, per, f_inf",
         [
-            ("coordinate", "iid_uniform", math.sqrt(3.0), 1.0, 0.9999999999999999, True, 2.598076211353316),
-            ("coordinate", "iid_uniform", 1.0, 1.7, 0.9633333333333333, False, 2.55),
-            ("coordinate", "iid_gaussian", 0.5, 1.7, 0.7224999999999999, False, None),
-            ("fourier", "iid_uniform", 1.3, 1.0, 1.6900000000000002, False, 2.7577164466275357),
-            ("fourier", "fixed_grid", -0.8, 1.0, 0.6400000000000001, False, 1.6970562748477143),
-            ("random_signs", "iid_uniform", 1.7, 1.0, 2.8899999999999997, False, 2.55),
-            ("random_signs", "adversarial_script", -2.5, 1.0, 6.25, False, 3.75),
+            ("coordinate", "iid_uniform", math.sqrt(3.0), 1.0, 0.9999999999999999, 2.598076211353316),
+            ("coordinate", "iid_uniform", 1.0, 1.7, 0.9633333333333333, 2.55),
+            ("coordinate", "iid_gaussian", 0.5, 1.7, 0.7224999999999999, None),
+            ("fourier", "iid_uniform", 1.3, 1.0, 1.6900000000000002, 2.7577164466275357),
+            ("fourier", "fixed_grid", -0.8, 1.0, 0.6400000000000001, 1.6970562748477143),
+            ("random_signs", "iid_uniform", 1.7, 1.0, 2.8899999999999997, 2.55),
+            ("random_signs", "adversarial_script", -2.5, 1.0, 6.25, 3.75),
         ],
     )
-    def test_pinned_closed_forms(self, kind, design, norm, scale, per, orthonormal, f_inf):
+    def test_pinned_closed_forms(self, kind, design, norm, scale, per, f_inf):
         spec = _spec(
             design=design,
             design_scale=scale,
@@ -243,7 +243,6 @@ class TestDesignLaw:
         )
         _, _, closed = gen_stochastic(spec)
         assert closed["feature_l2_sq"] == [per, per]
-        assert closed["orthonormal"] is orthonormal
         assert closed["f_inf"] == f_inf
 
     @pytest.mark.parametrize("design", ["iid_gaussian", "adversarial_script"])
@@ -254,7 +253,6 @@ class TestDesignLaw:
 
         closed, uniform = closed_forms(design), closed_forms("iid_uniform")
         assert closed["feature_l2_sq"] == uniform["feature_l2_sq"] == [0.7 * 0.7] * 2
-        assert closed["orthonormal"] is uniform["orthonormal"] is False
         assert closed["f_inf"] == uniform["f_inf"] == 0.7 * math.sqrt(2.0) * 1.5
 
     @pytest.mark.parametrize(
@@ -266,7 +264,17 @@ class TestDesignLaw:
         spec = _spec(design=design, noise=NoiseFamily.subgaussian(1.0), dictionary=dictionary)
         _, _, closed = gen_stochastic(spec)
         assert closed["feature_l2_sq"] == [math.inf] * 2
-        assert closed["orthonormal"] is False
+
+    @pytest.mark.parametrize(
+        "design, norm, scale, per",
+        [("iid_uniform", 1e200, 1e-200, 1.0 / 3.0), ("iid_gaussian", 1e200, 1e-200, 1.0), ("iid_uniform", 1e-200, 1e200, 1.0 / 3.0)],
+    )
+    def test_norm_and_scale_squares_that_overflow_and_underflow_are_not_nan(self, design, norm, scale, per):
+        # norm^2 * scale^2 would be inf * 0, though |phi_j| = norm * scale is ordinary.
+        dictionary = DictionarySpec(kind="coordinate", d=2, normalization=norm)
+        spec = _spec(design=design, design_scale=scale, noise=NoiseFamily.subgaussian(1.0), dictionary=dictionary)
+        _, _, closed = gen_stochastic(spec)
+        assert closed["feature_l2_sq"] == pytest.approx([per, per], rel=1e-14)
 
     @pytest.mark.parametrize("design", ["fixed_grid", "adversarial_script"])
     def test_coordinate_inputs_without_a_law_have_no_closed_forms(self, design):
