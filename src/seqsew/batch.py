@@ -28,19 +28,22 @@ round, rather than the O(T * n * d) of a full copy per round.  At T =
 cost ~2.5 GB.  The chain backend moves its walkers every round, so it has
 one epoch per round and gains nothing.
 
-Predictions take one averaging pass in every mode.  A round counts at
-every evaluation point, or in fixed-design mode only at its own design
-point.  Rounds that share a sample set, the points they count at and a
-threshold form a group, and within a group the per-round means are linear
-in the weights.  So each group sums its weights into one vector and
-applies it to its clipped margins, and each point is divided by the number
-of rounds that count at it.  The cost is O(T n) to sum the weights plus
-O(r n d) for the margins, where r counts one row per sample set and point
-it serves: all m points per set in random design, one row per (set,
-design point) in fixed design.  Scratch is two cache-sized (rows, n)
-blocks of margins (``posterior._block_rows``), never the (T, m) matrix of
-per-round means.  Evaluation points must be finite; a bad one raises
-:class:`DataError` naming its index.
+A fixed-design estimator's value at a design point is the mean of the
+regressors of the rounds that played it, and at its own design point a
+round's regressor is the prediction the online pass made in that round.
+So a fixed-design fit keeps those T predictions, and predicting averages
+them per design point in O(T + m), reading no weights or margins.
+
+Random design and the offset variant count every round at every point and
+take one averaging pass.  Rounds that share a sample set and a threshold
+form a group, and within a group the per-round means are linear in the
+weights.  So each group sums its weights into one vector and applies it to
+its clipped margins, and the total is divided by T.  The cost is O(T n) to
+sum the weights plus O(m n d) per sample set for the margins.  Scratch is
+two cache-sized (rows, n) blocks of margins (``posterior._block_rows``),
+never the (T, m) matrix of per-round means, and one sample set's weight
+sums are held at a time.  Evaluation points must be finite; a bad one
+raises :class:`DataError` naming its index.
 
 The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
 noise families (defined in :mod:`seqsew.datagen`) are also here.
@@ -124,6 +127,7 @@ class BatchEstimator:
     dictionary: Any
     anchor: float = 0.0
     design_points: list[Any] | None = None
+    predictions: np.ndarray | None = None
 
     def _features(self, xs: Sequence[Any]) -> np.ndarray:
         """(m, d) features of the evaluation points: a non-finite point or
@@ -147,82 +151,55 @@ class BatchEstimator:
         fixed-design mode over the rounds that visited the point (0 off
         the design).
 
-        One pass serves every mode.  A round counts at every row, or in
-        fixed-design mode only at the first row equal to its design point,
-        so the rows it counts at are one span.  Rounds are grouped by
-        sample set, then by span, then by threshold.  A group's per-round
-        means are linear in its weights, so it adds its rounds' summed
-        weights times its clipped margins, one cache-sized block of rows
-        at a time.  Each row is then divided by the number of rounds that
-        count at it (0 where none does), and a repeated design point
-        copies its first row.  Scratch stays at two (rows, n) blocks, and
-        one sample set's sums (in fixed-design mode one design point's)
-        are held at a time."""
+        In fixed-design mode that is the mean of the predictions the
+        online pass made at the point.  Otherwise rounds are grouped by
+        sample set, then by threshold; a group's per-round means are linear
+        in its weights, so it adds its rounds' summed weights times its
+        clipped margins, one cache-sized block of rows at a time, and the
+        total is divided by the number of rounds.  Scratch stays at two
+        (rows, n) blocks, and one sample set's sums are held at a time."""
         if len(xs) == 0:
             return np.zeros(0)
         phi = self._features(xs)
-        rows = phi.shape[0]
-        source = None
-        spans: list[tuple[int, int] | None] = [(0, rows)] * len(self.snapshots)
         if self.mode == "fixed_design_grouped":
-            first_row: dict[bytes, int] = {}
-            source = np.asarray([first_row.setdefault(_design_key(x), i) for i, x in enumerate(xs)], dtype=np.intp)
-            visited = [first_row.get(_design_key(p)) for p in self.design_points]
-            spans = [None if i is None else (i, i + 1) for i in visited]
-        # Rounds that count at a row: those whose span starts at or before
-        # it, less those whose span ends there or before.
-        ends = np.asarray([span for span in spans if span is not None], dtype=np.intp).reshape(-1, 2)
-        counts = np.cumsum(np.bincount(ends[:, 0], minlength=rows + 1) - np.bincount(ends[:, 1], minlength=rows + 1))[:rows]
+            visits: dict[bytes, list[float]] = {}
+            for point, prediction in zip(self.design_points, self.predictions):
+                visits.setdefault(_design_key(point), []).append(prediction)
+            means = {key: sum(values) / len(values) for key, values in visits.items()}
+            return np.asarray([means.get(_design_key(x), 0.0) for x in xs])
+        rows = phi.shape[0]
         # Rounds of one epoch share one sample-set object, kept alive by
         # the snapshots, so its id names the set.
-        groups: dict[int, tuple[np.ndarray, dict[tuple[int, int], dict[float, list[int]]]]] = {}
-        for t, span in enumerate(spans):
-            if span is None:
-                continue
-            cloud, b = self.snapshots[t]
-            by_span = groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1]
-            by_span.setdefault(span, {}).setdefault(b, []).append(t)
+        groups: dict[int, tuple[np.ndarray, dict[float, list[FrozenCloud]]]] = {}
+        for cloud, b in self.snapshots:
+            groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1].setdefault(b, []).append(cloud)
         out = np.zeros(rows)
-        for samples, by_span in groups.values():
+        for samples, by_threshold in groups.values():
             n = samples.shape[0]
-            # The set counts at rows [first, last).  Its spans are taken in
-            # row order, and a block of its margins, formed once, serves
-            # every span inside it.
-            first, last = min(lo for lo, _ in by_span), max(hi for _, hi in by_span)
-            height = min(_block_rows(n, 8), last - first)
+            sums = [(b, sum(cloud.weights() for cloud in clouds)) for b, clouds in by_threshold.items()]
+            height = min(_block_rows(n, 8), rows)
             margins, clipped = np.empty((height, n)), np.empty((height, n))
-            block = (0, 0)
-            for (lo, hi), by_threshold in sorted(by_span.items()):
-                sums = []
-                for b, ts in by_threshold.items():
-                    w = self.snapshots[ts[0]][0].weights()
-                    for t in ts[1:]:
-                        w += self.snapshots[t][0].weights()
-                    sums.append((b, w))
-                for start in range(lo, hi, height):
-                    stop = min(start + height, hi)
-                    if stop > block[1]:
-                        block = (start, min(start + height, last))
-                        np.matmul(phi[block[0] : block[1]], samples.T, out=margins[: block[1] - block[0]])
-                    m, c = margins[start - block[0] : stop - block[0]], clipped[: stop - start]
-                    for b, w in sums:
-                        out[start:stop] += m.clip(-b, b, out=c) @ w
-        deltas = np.divide(out, counts, out=np.zeros(rows), where=counts > 0)
-        return deltas if source is None else deltas[source]
+            for start in range(0, rows, height):
+                m = np.matmul(phi[start : start + height], samples.T, out=margins[: min(height, rows - start)])
+                c = clipped[: m.shape[0]]
+                for b, w in sums:
+                    out[start : start + height] += m.clip(-b, b, out=c) @ w
+        return out / len(self.snapshots)
 
     def predict_components(self, x: Any) -> tuple[float, float]:
         """(anchor, averaged clipped deviation); the prediction is their sum.
 
         Exposed separately so translation equivariance of the offset
         variant can be checked exactly: shifting all outcomes by c shifts
-        the anchor by c and leaves the deviations bit-identical.  Each call
-        is one full averaging pass over every round's weights, so use
-        :meth:`predict_many` for many points."""
+        the anchor by c and leaves the deviations bit-identical.  Outside
+        fixed design each call is one full averaging pass over every
+        round's weights, so use :meth:`predict_many` for many points."""
         return self.anchor, float(self._deltas([x])[0])
 
     def predict(self, x: Any) -> float:
-        """The prediction at one point: one full averaging pass over every
-        round's weights, so use :meth:`predict_many` for many points."""
+        """The prediction at one point: outside fixed design one full
+        averaging pass over every round's weights, so use
+        :meth:`predict_many` for many points."""
         anchor, delta = self.predict_components(x)
         return anchor + delta
 
@@ -241,21 +218,22 @@ def _online_pass(
     backend: BackendConfig | None,
     seed: int | np.random.SeedSequence | np.random.Generator | None,
     clip_center: float = 0.0,
-) -> list[tuple[FrozenCloud, float]]:
+) -> tuple[list[tuple[FrozenCloud, float]], np.ndarray]:
     """Play the adaptive forecaster at tau = 1/sqrt(d T) through the T
     ``rounds`` and keep ``cloud.snapshot()`` of the posterior each round
-    was predicted with, together with that round's threshold.  The
-    snapshots share the cloud's read-only sample set, log base and loss
-    array rather than copy them, so no array is new to a snapshot."""
+    was predicted with, together with that round's threshold, and the T
+    predictions.  The snapshots share the cloud's read-only sample set,
+    log base and loss array rather than copy them, so no array is new to
+    a snapshot."""
     d = dictionary.d if dictionary is not None else len(np.atleast_1d(rounds[0][0]))
     tau = 1.0 / math.sqrt(d * len(rounds))
     forecaster = SeqSEWAdaptive(d, tau, backend or BackendConfig(), seed=seed, clip_center=clip_center)
-    snapshots = []
+    snapshots, predictions = [], np.empty(len(rounds))
     for t, (x, y) in enumerate(rounds, start=1):
-        forecaster.predict(features_of(x, dictionary, "round", t))
+        predictions[t - 1] = forecaster.predict(features_of(x, dictionary, "round", t))
         snapshots.append((forecaster.cloud.snapshot(), forecaster.state.B))
         forecaster.observe(float(y))
-    return snapshots
+    return snapshots, predictions
 
 
 def fit_random_design(
@@ -270,7 +248,7 @@ def fit_random_design(
         raise ArgumentError("need at least one sample")
     return BatchEstimator(
         mode="random_design_average",
-        snapshots=_online_pass(samples, dictionary, backend, seed),
+        snapshots=_online_pass(samples, dictionary, backend, seed)[0],
         dictionary=dictionary,
     )
 
@@ -281,16 +259,20 @@ def fit_fixed_design(
     backend: BackendConfig | None = None,
     seed: int | np.random.SeedSequence | np.random.Generator | None = None,
 ) -> BatchEstimator:
-    """Same online pass; predictions group rounds by exact design point
-    (design points are generated values, so equality is exact, with no
-    tolerance matching) and vanish off the design."""
+    """Same online pass, whose T predictions the estimator keeps: at a
+    design point it predicts the mean of the predictions of the rounds
+    that played it, and 0 off the design.  Rounds are grouped by exact
+    design point (design points are generated values, so equality is
+    exact, with no tolerance matching)."""
     if len(samples) < 1:
         raise ArgumentError("need at least one sample")
+    snapshots, predictions = _online_pass(samples, dictionary, backend, seed)
     return BatchEstimator(
         mode="fixed_design_grouped",
-        snapshots=_online_pass(samples, dictionary, backend, seed),
+        snapshots=snapshots,
         dictionary=dictionary,
         design_points=[x for x, _ in samples],
+        predictions=predictions,
     )
 
 
@@ -308,7 +290,7 @@ def fit_remark15(
     anchor = float(samples[0][1])
     return BatchEstimator(
         mode="remark15_offset",
-        snapshots=_online_pass(samples[1:], dictionary, backend, seed, clip_center=anchor),
+        snapshots=_online_pass(samples[1:], dictionary, backend, seed, clip_center=anchor)[0],
         dictionary=dictionary,
         anchor=anchor,
     )

@@ -461,6 +461,9 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
     base_samples, f_truth, closed = gen_stochastic(spec)
     if not fixed_design and not closed["feature_l2_sq"]:
         raise ArgumentError("batch risk bounds need a design with known feature norms")
+    sampler = design_sampler(spec)
+    if not fixed_design:
+        sampler(np.random.default_rng(0), 0)  # a scenario without an input law raises here
     if variant == "cor12":
         if spec.noise.kind != "sg":
             raise ArgumentError("cor12 applies under subgaussian noise")
@@ -476,7 +479,7 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
         samples, _, _ = gen_stochastic(replace(spec, seed=spec.seed + 1000 * (i + 1)))
         est = fit(samples, dictionary, config.backend, seed=_seed(config, 50 + i))
         rng_eval = np.random.default_rng(_seed(config, 90 + i))
-        risks.append(batch_mod.risk(est, f_truth, design_sampler(spec), n_eval=n_eval, rng=rng_eval))
+        risks.append(batch_mod.risk(est, f_truth, sampler, n_eval=n_eval, rng=rng_eval))
         # Free the estimator's per-round arrays before the next replication
         # allocates: kept alive, they would interleave with its data on the
         # heap and leave holes too small to reuse once freed.

@@ -315,16 +315,14 @@ def gen_stochastic(
     """I.i.d. regression data Y = f(X) + eps with f = u_true . phi.
 
     Returns (samples, f_truth, closed_forms).  ``closed_forms`` reads the
-    scenario's i.i.d. input law: the per-feature squared L2 norms under it
-    (None without a law: coordinate inputs under ``fixed_grid`` or
-    ``adversarial_script``; inf where a norm overflows), whether the
-    features are orthonormal, the sup-norm bound on f that |phi_j|'s
-    bound gives (None where |phi_j| is unbounded), the u_true used, and
-    for the orthonormal case a callable giving the exact approximation
-    error ||f - u . phi||_L2^2 of any comparator.  Fourier inputs are
-    uniform on [0, 1) under every design but ``fixed_grid``, so they have
-    the closed forms of ``iid_uniform`` under each; random_signs inputs
-    have them under every design.
+    scenario's i.i.d. input law.  It holds the per-feature squared L2 norms
+    under it as ``feature_l2_sq`` (None without a law: coordinate inputs
+    under ``fixed_grid`` or ``adversarial_script``; inf where a norm
+    overflows), the sup-norm bound on f that |phi_j|'s bound gives as
+    ``f_inf`` (None where |phi_j| is unbounded), and the ``u_true`` used.
+    Fourier inputs are uniform on [0, 1) under every design but
+    ``fixed_grid``, so they have the closed forms of ``iid_uniform`` under
+    each; random_signs inputs have them under every design.
     """
     if spec.noise is None:
         raise ArgumentError("stochastic generation needs a noise family")
@@ -341,19 +339,11 @@ def gen_stochastic(
 
 def _closed_forms(spec: ScenarioSpec, u: np.ndarray) -> dict[str, Any]:
     _, per, bound = _design_law(spec)
-    orthonormal = per is not None and math.isclose(per, 1.0, rel_tol=1e-12)
-    forms: dict[str, Any] = {
+    return {
         "feature_l2_sq": None if per is None else [per] * spec.d,
-        "orthonormal": orthonormal,
         "f_inf": None if bound is None else bound * float(np.sum(np.abs(u))),
         "u_true": u.copy(),
     }
-    if orthonormal:
-        def approx_error(v: np.ndarray) -> float:
-            return per * float(np.sum((u - np.asarray(v, dtype=float)) ** 2))
-
-        forms["approx_error_fn"] = approx_error
-    return forms
 
 
 def design_sampler(spec: ScenarioSpec) -> Callable[[np.random.Generator, int], list[Any]]:

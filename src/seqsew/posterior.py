@@ -596,6 +596,11 @@ def _sinh_nodes_and_logmass(
         m += 1  # keep a node exactly at the origin, where the density kinks
     radius_t = _GRID_RADIUS_TAU_UNITS * radius_multiplier
     stretch = math.asinh(radius_t)
+    # The outer cells' Jacobian tau * stretch * cosh(stretch), where
+    # cosh(stretch) = hypot(1, R), is the largest value the grid forms: past
+    # its outer node tau R, as x cosh x >= sinh x.
+    if not tau * stretch * math.hypot(1.0, radius_t) < math.inf:
+        raise ArgumentError(f"prior scale tau = {tau!r} is too large for a grid of radius {radius_t!r} tau: its cells overflow")
     xi = np.linspace(-1.0, 1.0, m)
     nodes = tau * np.sinh(stretch * xi)  # sinh(stretch) == radius_t
     jacobian = tau * stretch * np.cosh(stretch * xi)
@@ -778,6 +783,9 @@ class PosteriorCloud:
         else:
             if rng is None:
                 raise ArgumentError("stochastic backends need a random generator")
+            # A draw is tau ((1 - v)^(-1/3) - 1) with 1 - v >= 2^-53.
+            if not prior.tau * 2.0 ** (53 / 3) < math.inf:
+                raise ArgumentError(f"prior scale tau = {prior.tau!r} is too large to sample: draws reach tau * 2^(53/3)")
             self.samples = prior_mod.sample(prior, rng, size=config.n_samples)
             self._log_base = np.zeros(config.n_samples)
         self.cum_loss = np.zeros(self.samples.shape[0])

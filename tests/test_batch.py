@@ -21,7 +21,7 @@ from seqsew.batch import (
 )
 from seqsew.datagen import Dictionary, DictionarySpec
 from seqsew.errors import ArgumentError, DataError, DimensionMismatchError
-from seqsew.forecasters import SeqSEWAdaptive, run_protocol
+from seqsew.forecasters import SeqSEWAdaptive, run_protocol, seqsew_adaptive
 from seqsew.posterior import BackendConfig, FrozenCloud
 
 QUAD = BackendConfig(backend="quadrature", grid_points_per_dim=257)
@@ -478,6 +478,45 @@ class TestStoredPassIsAReadOnlyList:
                     array[0] = 0.0
 
 
+
+class TestFixedDesignReadsItsPass:
+    """At a design point the fixed-design estimator is the mean of the
+    predictions its online pass made there, so predicting reads no
+    snapshot's weights."""
+
+    @pytest.mark.parametrize("backend_name", ["quadrature", "importance", "chain"])
+    def test_design_means_of_the_replayed_predictions(self, backend_name):
+        d, backend = TestStoredPassMatchesFullSnapshots.BACKENDS[backend_name]
+        dictionary = _coord_dict(d=d, norm=10.0)
+        samples = TestStoredPassMatchesFullSnapshots._samples(d)
+        est = fit_fixed_design(samples, dictionary, backend, seed=5)
+        tau = 1.0 / math.sqrt(d * len(samples))
+        played = run_protocol(seqsew_adaptive(d, tau, backend, seed=5), samples, dictionary).predictions
+        design = [x for x, _ in samples]
+        expected = []
+        for x in design:
+            visits = [played[t] for t, p in enumerate(design) if np.array_equal(p, x)]
+            expected.append(sum(visits) / len(visits))
+        assert est.predict_many(design).tolist() == expected
+        assert [est.predict(x) for x in design[:8]] == expected[:8]
+
+    def test_prediction_reads_no_weights(self, monkeypatch):
+        d, backend = TestStoredPassMatchesFullSnapshots.BACKENDS["importance"]
+        samples = TestStoredPassMatchesFullSnapshots._samples(d)
+        est = fit_fixed_design(samples, _coord_dict(d=d, norm=10.0), backend, seed=5)
+        points = [x for x, _ in samples[:8]] + [np.full(d, 0.125)]
+        truth = lambda x: 1.5 * float(np.asarray(x)[0])
+        preds, measured = est.predict_many(points), risk(est, truth)
+
+        def weights(self):
+            raise AssertionError("fixed-design prediction read a snapshot's weights")
+
+        monkeypatch.setattr(FrozenCloud, "weights", weights)
+        assert np.array_equal(est.predict_many(points), preds)
+        assert [est.predict(x) for x in points] == preds.tolist()
+        assert risk(est, truth) == measured
+
+
 FITS = [fit_random_design, fit_fixed_design, fit_remark15]
 
 
@@ -556,9 +595,11 @@ class TestFeatureFailures:
 
 
 class TestBlockedAverage:
-    """Predictions sum each group's weights and evaluate one block at a
-    time; block edges must not show.  The reference evaluates every
-    snapshot on its own and averages, as the estimators are defined."""
+    """Random-design and offset predictions sum each group's weights and
+    evaluate one block at a time; block edges must not show.  Fixed-design
+    predictions average the pass's own predictions, so the block size must
+    not matter to them.  The reference evaluates every snapshot on its own
+    and averages, as the estimators are defined."""
 
     @staticmethod
     def _fit(backend_name, fit):
@@ -594,7 +635,7 @@ class TestBlockedAverage:
         expected = [self._reference(est, x) for x in points]
         np.testing.assert_allclose(est.predict_many(points), expected, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("excess", [-1, 0, 1])  # blocks just below, at and above the largest group
+    @pytest.mark.parametrize("excess", [-1, 0, 1])  # block sizes just below, at and above the largest group
     @pytest.mark.parametrize("backend_name", ["importance", "chain"])
     def test_round_blocks(self, monkeypatch, backend_name, excess):
         est, samples, n = self._fit(backend_name, fit_fixed_design)
@@ -611,8 +652,7 @@ class TestBlockedAverage:
     @pytest.mark.parametrize("backend_name", ["importance", "chain"])
     def test_scattered_design_rows(self, monkeypatch, backend_name, height):
         # Design points asked for out of order, twice, and between points
-        # off the design: a set's rows are not contiguous, and a block of
-        # margins holds rows that no round of the set counts at.
+        # off the design, under block sizes that would split them.
         est, samples, n = self._fit(backend_name, fit_fixed_design)
         monkeypatch.setattr(posterior, "_BLOCK_BYTES", 8 * n * height)
         d = len(samples[0][0])

@@ -222,13 +222,25 @@ class TestRun:
             ({"kind": "adaptive", "tau": 1e-313}, "prior scale tau must lie in [2^-1022, 2^1023), got 1e-313"),
             ({"kind": "adaptive", "tau": 1e308}, "prior scale tau must lie in [2^-1022, 2^1023), got 1e+308"),
             ({"kind": "fixed", "B": 1e160, "eta": 0.1, "tau": 0.5}, "B^2 must be finite, got B = 1e+160"),
+            ({"kind": "adaptive", "tau": 1e306}, "prior scale tau = 1e+306 is too large for a grid of radius 100.0 tau"),
         ],
-        ids=["adaptive-tau", "fixed-B", "fixed-eta", "fixed-tau", "adaptive-text-tau", "tau-subnormal", "tau-huge", "fixed-B-huge"],
+        ids=[
+            "adaptive-tau", "fixed-B", "fixed-eta", "fixed-tau", "adaptive-text-tau", "tau-subnormal", "tau-huge", "fixed-B-huge",
+            "tau-overflows-grid",
+        ],
     )
     def test_forecaster_without_a_parameter_is_usage_error(self, tmp_path, capsys, command, forecaster, message):
         cfg = _write_config(tmp_path / "cfg.json", forecaster=forecaster)
         assert cli.main([*command, "--config", str(cfg)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_prior_scale_whose_draws_overflow_is_usage_error(self, tmp_path, capsys):
+        scenario = _stochastic_scenario(d=2, u_true=[1.0, 0.0], dictionary={"kind": "coordinate", "d": 2})
+        backend = {"backend": "importance", "n_samples": 10000}
+        cfg = _write_config(tmp_path / "cfg.json", scenario=scenario, forecaster={"kind": "adaptive", "tau": 8e307}, backend=backend)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "error: prior scale tau = 8e+307 is too large to sample" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_python_dash_m_runs_the_cli(self):
@@ -966,8 +978,18 @@ class TestBatch:
                 ),
                 "known feature norms",
             ),
+            *[
+                (
+                    variant,
+                    _stochastic_scenario(
+                        d=2, u_true=[1.0, 0.0], design="fixed_grid", dictionary={"kind": "random_signs", "d": 2}
+                    ),
+                    "random_signs inputs under design 'fixed_grid' have no sampling distribution",
+                )
+                for variant in ("thm10", "cor12")
+            ],
         ],
-        ids=["cor12-bounded-noise", "thm10-coordinate-fixed-grid"],
+        ids=["cor12-bounded-noise", "thm10-coordinate-fixed-grid", "thm10-random-signs", "cor12-random-signs"],
     )
     def test_unmet_precondition_exits_two_before_any_fit(self, tmp_path, monkeypatch, capsys, variant, scenario, message):
         def fit(*args, **kwargs):
@@ -1040,6 +1062,16 @@ class TestBatch:
             (tmp_path / "a" / "batch_thm10_reps.csv").read_bytes()
             == (tmp_path / "b" / "batch_thm10_reps.csv").read_bytes()
         )
+
+    @pytest.mark.parametrize("variant", ["thm13", "cor14"])
+    def test_fixed_design_reruns_are_byte_identical(self, tmp_path, variant):
+        scenario = _stochastic_scenario(T=20, design="fixed_grid", grid_size=6)
+        cfg = _write_config(tmp_path / "cfg.json", scenario=scenario, backend={"backend": "importance", "n_samples": 300})
+        args = ["batch", "--config", str(cfg), "--variant", variant, "--replications", "3"]
+        assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main([*args, "--out", str(tmp_path / "b")]) == 0
+        for name in (f"batch_{variant}.json", f"batch_{variant}_reps.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_replications_score_against_the_witness(self, tmp_path, monkeypatch):
         """With u_true unset, every replication keeps the base draw's

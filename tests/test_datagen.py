@@ -170,10 +170,7 @@ class TestStochasticGeneration:
             u_true=(1.5, 0.0),
         )
         _, _, closed = gen_stochastic(spec)
-        assert closed["orthonormal"]
         assert closed["feature_l2_sq"] == pytest.approx([1.0, 1.0])
-        assert closed["approx_error_fn"]((1.5, 0.0)) == 0.0
-        assert closed["approx_error_fn"]((0.0, 0.0)) == pytest.approx(1.5**2)
         assert closed["f_inf"] == pytest.approx(math.sqrt(3.0) * 1.5)
 
     def test_requires_noise_family(self):

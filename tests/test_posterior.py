@@ -4,9 +4,11 @@ reweighting, Markov-chain walkers, and their agreement."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,31 @@ class TestInitialCloud:
     def test_stochastic_backend_needs_rng(self):
         with pytest.raises(ArgumentError):
             init(_prior_1d(), BackendConfig(backend="importance", n_samples=500), None)
+
+    @pytest.mark.parametrize(
+        "config, d, tau, largest",
+        [
+            (BackendConfig(backend="importance", n_samples=10000), 2, 8e307, 8.6e302),
+            (BackendConfig(backend="chain", n_samples=200), 1, 8.7e302, 8.6e302),
+            (BackendConfig(backend="quadrature"), 1, 1e306, 3.3e305),
+            (BackendConfig(backend="quadrature", grid_points_per_dim=65), 2, 3.5e305, 3.3e305),
+        ],
+        ids=["importance", "chain", "quadrature-1d", "quadrature-2d"],
+    )
+    def test_prior_scale_that_overflows_is_refused_before_any_draw(self, config, d, tau, largest):
+        # Draws reach tau * 2^(53/3) and the grid's cells tau * 530: a
+        # scale past either is an ArgumentError naming tau, not a NaN
+        # prediction after overflow warnings.
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match=rf"^prior scale tau = {re.escape(repr(tau))} is too large"):
+                SeqSEWAdaptive(d, tau, config, seed=rng)
+            assert rng.bit_generator.state == state
+            forecaster = SeqSEWAdaptive(d, largest, config, seed=rng)
+            assert np.isfinite(forecaster.cloud.samples).all()
+            assert math.isfinite(forecaster.predict(np.ones(d)))
 
 
 class TestPredict:
