@@ -142,7 +142,7 @@ def bar_chart(title: str, xlabel: str, ylabel: str, labels: Sequence[str], value
     canvas = _Canvas(title, xlabel, ylabel)
     finite = [v for v in values if math.isfinite(v)]
     lo, hi = min(finite + [0.0]), max(finite + [0.0])
-    canvas.set_limits(-0.5, len(values) - 0.5, lo, hi if hi > lo else lo + 1.0)
+    canvas.set_limits(-0.5, len(values) - 0.5, lo, hi)
     colors = ["#2ca02c" if v >= 0 else "#d62728" for v in values]
     canvas.bars(labels, values, colors)
     return canvas.render()

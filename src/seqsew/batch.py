@@ -227,7 +227,7 @@ def _online_pass(
     a snapshot."""
     d = dictionary.d if dictionary is not None else len(np.atleast_1d(rounds[0][0]))
     tau = 1.0 / math.sqrt(d * len(rounds))
-    forecaster = SeqSEWAdaptive(d, tau, backend or BackendConfig(), seed=seed, clip_center=clip_center)
+    forecaster = SeqSEWAdaptive(d, tau, backend, seed=seed, clip_center=clip_center)
     snapshots, predictions = [], np.empty(len(rounds))
     for t, (x, y) in enumerate(rounds, start=1):
         predictions[t - 1] = forecaster.predict(features_of(x, dictionary, "round", t))

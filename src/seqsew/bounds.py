@@ -270,7 +270,6 @@ def best_sparse_comparator(
             elif abs(loss - b_loss) <= tol:
                 if l1 < b_l1 - tol or (abs(l1 - b_l1) <= tol and support < b_support):
                     best = (loss, l1, support, u)
-    assert best is not None
     return Comparator.from_vector(best[3], features, y, exact=True)
 
 
@@ -287,8 +286,6 @@ def _greedy_sparse_comparator(features: np.ndarray, y: np.ndarray, s: int) -> Co
             loss = float(np.sum((y - cols @ coef) ** 2))
             if best_loss is None or loss < best_loss:
                 best_j, best_loss = j, loss
-        if best_j is None:
-            break
         support.append(best_j)
     u = np.zeros(d)
     if support:

@@ -661,8 +661,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
         for p in paths:
             payload = _require_keys(p, _read_json(p), ("T", "measured_risk", "rhs"))
             points.append(tuple(_number(p, payload, key) for key in ("T", "measured_risk", "rhs")))
-        if not points:
-            raise ArgumentError("no risk points to plot")
         points.sort()
         ts = [t for t, _, _ in points]
         svg = _svg.line_chart(

@@ -208,19 +208,18 @@ class SeqSEWAdaptive(_ForecasterBase):
         clip_center: float = 0.0,
     ) -> None:
         super().__init__()
-        if not tau > 0.0:
-            raise ArgumentError(f"tau must be positive, got {tau}")
         self.dim = int(dim)
         self.config = backend or BackendConfig()
         self.center = float(clip_center)
-        self._restart(tau, seed)
+        self._rng = np.random.default_rng(seed)
+        self._restart(tau)
 
-    def _restart(self, tau: float, seed: int | np.random.Generator | np.random.SeedSequence | None) -> None:
-        """Start the scheme afresh at prior scale tau: prior draws from a
-        generator seeded by ``seed``, and no threshold yet."""
+    def _restart(self, tau: float) -> None:
+        """Start the scheme afresh at prior scale tau, which the prior
+        checks: a fresh cloud drawing from the forecaster's one generator,
+        and no threshold yet."""
         self.tau = float(tau)
-        rng = np.random.default_rng(seed) if self.config.backend != "quadrature" else None
-        self.cloud: PosteriorCloud = init_cloud(SparsityPrior(self.tau, self.dim), self.config, rng)
+        self.cloud: PosteriorCloud = init_cloud(SparsityPrior(self.tau, self.dim), self.config, self._rng)
         self.state = AdaptiveState()
 
     def _predict(self, features: np.ndarray) -> float:
@@ -275,8 +274,8 @@ class SeqSEWFixed(SeqSEWAdaptive):
         backend: BackendConfig | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> None:
-        if not (B > 0.0 and eta > 0.0 and tau > 0.0):
-            raise ArgumentError("B, eta, and tau must all be positive")
+        if not (B > 0.0 and eta > 0.0):
+            raise ArgumentError("B and eta must both be positive")
         if not B * B < math.inf:
             raise ArgumentError(f"B^2 must be finite, got B = {B!r}")
         super().__init__(dim, tau, backend, seed)
@@ -304,19 +303,19 @@ class SeqSEWAuto(SeqSEWAdaptive):
     where gamma_t = ln(1 + sqrt(cumulative Gram trace)) exceeds 2^r, with
     the boundary round itself still predicted in regime r and its outcome
     never observed.  Regime r runs the adaptive scheme at prior scale
-    1 / (exp(2^r) - 1) on its own rounds only, from a fresh cloud whose
-    generator is the next child spawned from ``seed``.
+    1 / (exp(2^r) - 1) on its own rounds only, from a fresh cloud that
+    draws on from the forecaster's one generator, where the last regime's
+    cloud stopped.
     """
 
     def __init__(
         self,
         dim: int,
         backend: BackendConfig | None = None,
-        seed: int | np.random.SeedSequence | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> None:
-        self._seedseq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.regime = RegimeState()
-        super().__init__(dim, regime_prior_scale(0), backend, self._seedseq.spawn(1)[0])
+        super().__init__(dim, regime_prior_scale(0), backend, seed)
 
     def _predict(self, features: np.ndarray) -> float:
         self.regime.gram_trace += float(np.sum(features**2))
@@ -326,7 +325,7 @@ class SeqSEWAuto(SeqSEWAdaptive):
     def _observe(self, features: np.ndarray, y: float) -> None:
         if _closes_regime(self.regime.gamma, self.regime.r):
             self.regime.r += 1
-            self._restart(regime_prior_scale(self.regime.r), self._seedseq.spawn(1)[0])
+            self._restart(regime_prior_scale(self.regime.r))
         else:
             super()._observe(features, y)
 

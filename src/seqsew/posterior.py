@@ -151,6 +151,8 @@ class BackendConfig:
         for nodes in self.grid_nodes or ():
             nodes = np.asarray(nodes, dtype=float)
             ordered = np.sort(nodes, axis=None)
+            if not ordered.size:
+                raise ArgumentError("each grid_nodes list must be non-empty, got []")
             if not np.isfinite(ordered).all() or (ordered[1:] == ordered[:-1]).any():
                 raise ArgumentError(f"grid_nodes must be finite and distinct, got {nodes.tolist()!r}")
 
@@ -219,8 +221,9 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
     n = weights.shape[0]
     positions = (rng.random() + np.arange(n)) / n
     cumulative = np.cumsum(weights)
+    # No position exceeds 1.0, the pinned last entry, so every index is below n.
     cumulative[-1] = 1.0
-    return np.minimum(np.searchsorted(cumulative, positions), n - 1)
+    return np.searchsorted(cumulative, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +393,19 @@ def _block_residuals(points: np.ndarray, columns: np.ndarray, y: np.ndarray, out
     return out
 
 
+def _block_unit(residuals: np.ndarray, clip_exponent: int, reach_exponent: int) -> tuple[int, bool]:
+    """The exponent k of a block's unit 2^k, and whether its steps run in
+    float32, from its float64 ``residuals`` and the binary orders of the
+    clip band and of the proposals' reach times the columns."""
+    residual_exponent = _exponent(max(float(np.max(residuals)), -float(np.min(residuals))))
+    k = max(clip_exponent, residual_exponent - _KERNEL_RESIDUAL_EXPONENT)
+    if k - clip_exponent <= _KERNEL_BAND_SHIFT and reach_exponent - k <= _KERNEL_DELTA_EXPONENT:
+        return k, True
+    # In float64: the residuals, and the proposals' reach times the
+    # columns, 2^96 below float64's overflow at most.
+    return max(clip_exponent, max(residual_exponent, reach_exponent) - _KERNEL_DOUBLE_RESIDUAL_EXPONENT), False
+
+
 def _metropolis_coordinate_steps(
     samples: np.ndarray,
     cum_loss: np.ndarray,
@@ -421,9 +437,10 @@ def _metropolis_coordinate_steps(
     # A clipped residual lies in [y - b, y + b], so below 2^(clip_exponent + 1).
     clip_exponent = _exponent(max(float(np.max(np.abs(y))), float(np.max(b))))
     tau = prior.tau
-    # How far a proposal reaches in u: its step size grows only while the
-    # loss is flat, and then no further than the prior's scale.
-    reach_exponent = _exponent(max(tau, float(np.max(coord_scales)) * step_multiplier))
+    # How far a proposal reaches in u, times the columns' scale: its step
+    # size grows only while the loss is flat, and then no further than the
+    # prior's scale.
+    reach_exponent = _exponent(max(tau, float(np.max(coord_scales)) * step_multiplier)) + column_exponent
     coords = rng.integers(0, d, size=n_steps).tolist()
     scales = coord_scales.tolist()
     # Blocks of equal size (to one row), so none is a short remainder with
@@ -465,13 +482,8 @@ def _metropolis_coordinate_steps(
             points = samples[start : start + rows]
             m = points.shape[0]
             exact_rows = _block_residuals(points, columns, y, exact[:m])
-            # The block's unit 2^k and the precision of its steps.
-            largest = max(float(np.max(exact_rows)), -float(np.min(exact_rows)))
-            k = max(clip_exponent, _exponent(largest) - _KERNEL_RESIDUAL_EXPONENT)
-            if (
-                k - clip_exponent <= _KERNEL_BAND_SHIFT
-                and reach_exponent + column_exponent - k <= _KERNEL_DELTA_EXPONENT
-            ):
+            k, single = _block_unit(exact_rows, clip_exponent, reach_exponent)
+            if single:
                 block_buffers, block_bounds, block_singles = blocks, bounds, singles
                 block_columns = columns_f32
             else:
@@ -483,13 +495,6 @@ def _metropolis_coordinate_steps(
                         np.ldexp(columns, -column_exponent),
                     )
                 block_buffers, block_bounds, block_singles, block_columns = doubles
-                # The residuals, and the proposals' reach times the
-                # columns, 2^96 below float64's overflow at most.
-                k = max(
-                    clip_exponent,
-                    _exponent(largest) - _KERNEL_DOUBLE_RESIDUAL_EXPONENT,
-                    reach_exponent + column_exponent - _KERNEL_DOUBLE_RESIDUAL_EXPONENT,
-                )
             delta_exponent = column_exponent - k
             candidate, work, residuals = block_buffers
             held = np.ldexp(exact_rows, -k, out=residuals[:m])
@@ -821,8 +826,6 @@ class PosteriorCloud:
     def predict(self, features: np.ndarray, threshold: float) -> float:
         """Posterior mean of clip(u . features, threshold)."""
         features = _checked_features(features, self.prior.dim)
-        if self.samples.shape[0] == 0:
-            raise StateError("posterior cloud has no support points")
         clipped = _clipped_margins(self.samples, features, threshold)
         self._predicted = (features.copy(), threshold, clipped)
         value = float(np.dot(self.weights(), clipped))

@@ -421,6 +421,10 @@ class TestConfig:
                 "grid_nodes must be finite and distinct, got [0.0, 1.0, 0.0]",
             ),
             (
+                lambda c: {**c, "backend": {"backend": "quadrature", "grid_nodes": [[]]}},
+                "each grid_nodes list must be non-empty, got []",
+            ),
+            (
                 lambda c: {**c, "forecaster": {"kind": "fixed", "B": math.inf, "eta": 0.1, "tau": 0.5}},
                 "forecaster 'B' must be a finite number, got inf",
             ),
@@ -457,7 +461,7 @@ class TestConfig:
             "dictionary-seed-negative", "grid-size-negative", "grid-size-zero",
             "design-scale-negative", "design-scale-nan", "design-scale-zero", "u-true-nan",
             "amplitude-factor-nan", "amplitude-script-text", "amplitude-script-short",
-            "normalization-nan", "normalization-zero", "grid-nodes-nan", "grid-nodes-duplicate",
+            "normalization-nan", "normalization-zero", "grid-nodes-nan", "grid-nodes-duplicate", "grid-nodes-empty",
             "fixed-B-inf", "noise-sigma-sq-inf", "design-scale-huge", "design-scale-huge-int",
             "noise-bd-huge", "dictionary-d-mismatch", "scenario-s-above-d", "scenario-s-negative",
         ],

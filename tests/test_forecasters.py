@@ -2,6 +2,7 @@
 restarts, causality, and agreement with a hand-coded recursion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,8 +104,10 @@ class TestAdaptiveSchedule:
             assert len(set(nonzero)) <= 2 + math.log2(max(max_y_sq / first, 1.0))
 
     def test_rejects_bad_tau(self):
-        with pytest.raises(ArgumentError):
-            seqsew_adaptive(1, 0.0, QUAD)
+        # The prior refuses it, naming the range it accepts.
+        for tau in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ArgumentError, match=re.escape("tau must lie in [2^-1022, 2^1023)")):
+                seqsew_adaptive(1, tau, QUAD)
 
 
 class TestFixedForecaster:
@@ -113,9 +116,10 @@ class TestFixedForecaster:
         assert f.predict(np.array([1.0])) == pytest.approx(0.0, abs=1e-10)
 
     def test_rejects_nonpositive_parameters(self):
-        for bad in ({"B": 0.0}, {"eta": 0.0}, {"tau": -1.0}):
+        tau_range = re.escape("tau must lie in [2^-1022, 2^1023)")
+        for bad, message in (({"B": 0.0}, "B and eta"), ({"eta": 0.0}, "B and eta"), ({"tau": -1.0}, tau_range)):
             kwargs = {"B": 1.0, "eta": 0.1, "tau": 1.0, **bad}
-            with pytest.raises(ArgumentError):
+            with pytest.raises(ArgumentError, match=message):
                 seqsew_fixed(1, backend=QUAD, **kwargs)
 
     def test_matches_hand_run_recursion_on_three_point_grid(self):
@@ -199,6 +203,19 @@ class TestAutoForecaster:
         res = run_protocol(seqsew_auto(1, QUAD, seed=1), small + [(np.array([4.0]), 0.5)])
         assert res.regime_bounds == ([1, 7], [6])
         assert [r.regime for r in res.records] == [0] * 6
+
+    @pytest.mark.parametrize("backend", ["importance", "chain"])
+    def test_regimes_draw_in_turn_from_one_generator(self, backend):
+        # A Generator seed is taken like any other; an int seed is the
+        # generator it builds, and every regime's cloud draws on from it.
+        seq = [(np.array([0.2]), 0.1)] * 5 + [(np.array([4.0]), 0.5)] + [(np.array([0.3]), 0.2)] * 4
+        config = BackendConfig(backend=backend, n_samples=200)
+        seeds = (np.random.default_rng(1), np.random.default_rng(1), 1)
+        runs = [run_protocol(seqsew_auto(1, config, seed=seed), seq) for seed in seeds]
+        assert runs[0].regime_bounds == ([1, 7], [6])
+        for run in runs[1:]:
+            assert np.array_equal(run.predictions, runs[0].predictions)
+            assert np.array_equal(run.ess, runs[0].ess)
 
     def test_restarted_instance_sees_only_its_regime(self):
         # Immediately after a restart the inner threshold is back to zero.

@@ -13,7 +13,8 @@ a snapshot's weights come from the live cloud's one weight formula.  A
 ``RoundRecord`` is built only inside ``ProtocolResult``, from its columns,
 so per-round rows are never a second store of a run.  No forecaster
 method builds a forecaster: the automatic forecaster restarts the adaptive
-scheme in place.  The regret bounds evaluate the sparsity term at two
+scheme in place.  The forecasters name no backend: only the posterior
+decides which backends draw from the generator a forecaster hands it.  The regret bounds evaluate the sparsity term at two
 sites, the shape the fixed-tau bounds share and the automatic forecaster's
 cap.  The CLI leaves the corollaries' tunings and the fixed forecaster's
 eta limit to the bounds engine, builds its forecasters at one call site
@@ -287,6 +288,18 @@ def test_no_forecaster_method_builds_a_forecaster():
     assert {"SeqSEWAdaptive", "SeqSEWAuto", "seqsew_adaptive", "ridge_baseline"} <= names
     found = [(name, owner, function) for name in sorted(names) for owner, function in _constructions(source, name)]
     assert [entry for entry in found if entry[2] is not None] == []
+
+
+def test_forecasters_name_no_backend():
+    """A forecaster hands every cloud its one generator; whether a backend
+    draws from it is the posterior's to decide, so no name, attribute or
+    string of ``forecasters.py`` names one."""
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "forecasters.py").read_text())):
+        spellings = [getattr(node, key, None) for key in ("id", "attr", "arg", "value")]
+        if any(isinstance(s, str) and re.search(r"importance|chain|quadrature", s) for s in spellings):
+            found.append(ast.unparse(node))
+    assert found == []
 
 
 def test_regret_bounds_evaluate_the_sparsity_term_at_two_sites():

@@ -54,6 +54,31 @@ class TestBackendConfig:
         with pytest.raises(ArgumentError, match="grid_nodes must be finite and distinct"):
             BackendConfig(backend="quadrature", grid_nodes=([0.5], np.asarray(nodes)))
 
+    @pytest.mark.parametrize("grid_nodes", [((),), ([0.5], [])], ids=["only-axis", "second-axis"])
+    def test_rejects_an_empty_node_list(self, grid_nodes):
+        # Refused here, so no cloud is ever built without support points.
+        with pytest.raises(ArgumentError, match="each grid_nodes list must be non-empty"):
+            BackendConfig(backend="quadrature", grid_nodes=grid_nodes)
+
+
+class _LargestUniform:
+    """A generator stub whose uniform draw is the largest below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 4097])
+def test_systematic_resample_indices_stay_below_n(n):
+    # The largest offset puts the last position at 1.0 after rounding, the
+    # pinned last cumulative weight, and not past it.
+    piled = np.zeros(n)
+    piled[-1] = 1.0
+    for weights in (piled, np.full(n, 1.0 / n)):
+        idx = posterior._systematic_resample(weights, _LargestUniform())
+        assert idx.shape == (n,) and 0 <= idx.min() and idx.max() < n
+    assert np.all(posterior._systematic_resample(piled, _LargestUniform()) == n - 1)
+
 
 def test_resample_move_and_explicit_grid_do_not_load_numpy_ma():
     # np.median and np.unique import numpy.ma, which then stays loaded for
@@ -709,15 +734,18 @@ class TestMetropolisKernel:
     def test_blocks_that_dwarf_the_clip_band_do_not_depend_on_worker_count(self, monkeypatch, cores):
         # Round 2's features scaled by 1e40 put every block but block 3,
         # whose points are 1e-19 times smaller, beyond float32's reach:
-        # those run in float64.
-        self._check_huge_features(monkeypatch, cores, shrink=1e-19)
+        # those run in float64.  The outputs cannot tell the two paths
+        # apart, so the block's own choice is read: a tighter float32
+        # limit (_KERNEL_DELTA_EXPONENT 94) moves block 3 to float64 too.
+        single = self._check_huge_features(monkeypatch, cores, shrink=1e-19)
+        assert single == [block == 3 for block in range(16)]
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_points_at_zero_against_huge_features_do_not_depend_on_worker_count(self, monkeypatch, cores):
         # With block 3's points at 0 its residuals fit float32, but its
         # proposals times the 1e40 features do not, so it runs in float64
         # like every other block.  In float32 its deltas would overflow.
-        self._check_huge_features(monkeypatch, cores, shrink=0.0)
+        assert self._check_huge_features(monkeypatch, cores, shrink=0.0) == [False] * 16
 
     def test_subnormal_band_against_tiny_features_keeps_its_deltas_finite(self):
         # A subnormal outcome and clip band against features of 1e-107: the
@@ -738,6 +766,15 @@ class TestMetropolisKernel:
         assert np.array_equal(cum_loss, np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1))
 
     def _check_huge_features(self, monkeypatch, cores, shrink):
+        """Check that the move does not depend on the worker count, and
+        return whether each block ran in float32, in block order."""
+        block_unit, single = posterior._block_unit, []
+
+        def spy(*args):
+            unit = block_unit(*args)
+            single.append(unit[1])
+            return unit
+
         def run():
             rng = np.random.default_rng(61)
             phi = 5.0 * rng.uniform(-1, 1, size=(self.T, self.D))
@@ -755,13 +792,17 @@ class TestMetropolisKernel:
 
         monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * 16)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
+        # One worker runs the blocks in order.
+        monkeypatch.setattr(posterior, "_block_unit", spy)
         serial = run()
+        monkeypatch.setattr(posterior, "_block_unit", block_unit)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
         samples, cum_loss, multiplier, phi, y, b = run()
         assert np.array_equal(samples, serial[0])
         assert np.array_equal(cum_loss, serial[1])
         assert multiplier == serial[2]
         np.testing.assert_allclose(cum_loss, np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1), rtol=1e-12)
+        return single
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         def submit(*args, **kwargs):
