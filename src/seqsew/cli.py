@@ -18,9 +18,9 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -52,10 +52,6 @@ def _sanitize(obj: Any) -> Any:
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return _sanitize(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -63,9 +59,26 @@ def _sanitize(obj: Any) -> Any:
     return obj
 
 
-def _dump_json(path: Path, payload: dict[str, Any]) -> None:
+def _read_text(path: Path) -> str:
+    """The text of ``path``, read as UTF-8.  A file that is missing,
+    unreadable or not UTF-8 raises a :class:`DataError` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _open_output(path: Path) -> TextIO:
+    """``path`` opened to be written as UTF-8, its directory created.  No
+    newline translation, so every platform writes ``\\n`` line ends.  A CSV
+    streams into it row by row rather than being built whole in memory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=1) + "\n")
+    return path.open("w", encoding="utf-8", newline="")
+
+
+def _dump_json(path: Path, payload: dict[str, Any]) -> None:
+    with _open_output(path) as fh:
+        fh.write(json.dumps(_sanitize(payload), sort_keys=True, indent=1) + "\n")
 
 
 def _cell(v: Any) -> str:
@@ -75,42 +88,16 @@ def _cell(v: Any) -> str:
 
 
 def _write_csv(path: Path, schema: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(f"# schema={schema}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    rows: list[list[str]] = []
-    header: list[str] | None = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line.startswith("#"):
-            continue
-        cells = next(csv.reader([line]))
-        if header is None:
-            header = cells
-            continue
-        if len(cells) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
-        rows.append(cells)
-    if header is None:
-        raise ArgumentError(f"{path}: no data")
-    return header, rows
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _read_json(path: Path) -> Any:
     try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
@@ -133,7 +120,20 @@ def _number(path: Path, entry: dict[str, Any], key: str) -> float:
 
 def _csv_floats(path: Path, *columns: str) -> list[list[float]]:
     """The named columns of one read of the CSV at ``path``, as floats."""
-    header, rows = _read_csv(path)
+    rows: list[list[str]] = []
+    header: list[str] | None = None
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if not line or line.startswith("#"):
+            continue
+        cells = next(csv.reader([line]))
+        if header is None:
+            header = cells
+        elif len(cells) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
+        else:
+            rows.append(cells)
+    if header is None:
+        raise ArgumentError(f"{path}: no data")
     out = []
     for column in columns:
         if column not in header:
@@ -195,11 +195,7 @@ class _Config:
 def _load_config(args: argparse.Namespace) -> _Config:
     path = Path(args.config)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
     checked_section(f"config {path}", raw, ("schema", "seed", "scenario", "forecaster", "backend", "outputs"))
@@ -320,10 +316,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = _first_run(config)
     out = config.out_dir
 
-    rows = [
-        [r.t, r.y, r.yhat, r.loss, r.cumloss, r.B, r.eta, r.regime, r.ess]
-        for r in result.records
-    ]
+    # A round record's fields are the columns, in order.
+    rows = [astuple(r) for r in result.records]
     _write_csv(out / "run.csv", RUN_CSV_SCHEMA, ["t", "y", "yhat", "loss", "cumloss", "B_t", "eta_t", "regime", "ess"], rows)
 
     stats = bounds_mod.SequenceStats.from_arrays(result.features, result.y)
@@ -352,16 +346,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _comparator_set(result: ProtocolResult, spec: ScenarioSpec, names: Sequence[str]) -> dict[str, bounds_mod.Comparator]:
     out: dict[str, bounds_mod.Comparator] = {}
-    d = result.features.shape[1]
     for name in names:
-        if name == "zero":
-            out[name] = bounds_mod.Comparator.from_vector(np.zeros(d), result.features, result.y)
-        elif name == "sparse":
+        if name == "sparse":
             out[name] = bounds_mod.best_sparse_comparator(
                 result.features, result.y, max(spec.s, 1), allow_greedy=True
             )
         else:
-            coef = np.linalg.lstsq(result.features, result.y, rcond=None)[0]
+            if name == "zero":
+                coef = np.zeros(result.features.shape[1])
+            else:
+                coef = np.linalg.lstsq(result.features, result.y, rcond=None)[0]
             out[name] = bounds_mod.Comparator.from_vector(coef, result.features, result.y)
     return out
 
@@ -531,7 +525,6 @@ def _batch_family_sweep(config: _Config, replications: int):
         NoiseFamily.bounded_moment(4.0, 3.0),
     ]
     table = []
-    rows = []
     reps = max(replications, 100)
     _check_size("--replications", "replications * T", reps * config.spec.T)
     for k, family in enumerate(families):
@@ -547,7 +540,6 @@ def _batch_family_sweep(config: _Config, replications: int):
                 "pass": bool(measured <= cap),
             }
         )
-        rows.append([family.kind, measured, cap])
     payload = {
         "schema": "seqsew.batch.v1",
         "variant": "cor11",
@@ -556,7 +548,8 @@ def _batch_family_sweep(config: _Config, replications: int):
         "families": table,
         "pass": bool(all(e["pass"] for e in table)),
     }
-    return payload, (["family", "measured_e_max_sq", "analytic_cap"], rows)
+    columns = ["family", "measured_e_max_sq", "analytic_cap"]
+    return payload, (columns, [[entry[c] for c in columns] for entry in table])
 
 
 def _batch_remark15(config: _Config, shift: float):
@@ -674,8 +667,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         )
 
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(svg)
+    with _open_output(out_path) as fh:
+        fh.write(svg)
     print(f"wrote {out_path}")
     return _EXIT_OK
 

@@ -419,7 +419,8 @@ def _metropolis_coordinate_steps(
 ) -> float:
     """Shared-coordinate Metropolis sweeps targeting the current posterior.
 
-    Moves ``samples`` and their cached ``cum_loss`` in place.  Every block
+    Moves ``samples`` in place and writes the moved points' exact
+    cumulative losses into ``cum_loss``, which it never reads.  Every block
     of rows starts from ``step_multiplier`` and retunes its own after each
     step toward the 20-50% acceptance window; the median of the blocks'
     final multipliers is returned for the next move."""
@@ -864,20 +865,22 @@ class PosteriorCloud:
         self._state_changed()
 
         if self.backend == "chain":
-            self._move(self.samples.copy(order="F"), self.cum_loss, self.config.burn_in)
+            self._move(self.samples.copy(order="F"), self.config.burn_in)
         elif self.backend == "importance" and self.ess() < self.config.ess_floor * self.samples.shape[0]:
             idx = _systematic_resample(self.weights(), self._rng)
             self.resample_count += 1
-            # Taking idx makes fresh arrays for the move to write; the
+            # Taking idx makes a fresh array for the move to write; the
             # samples stay column-major.
             samples = np.take(self.samples.T, idx, axis=1).T
-            self._move(samples, self.cum_loss[idx], self.config.refresh_sweeps * self.prior.dim)
+            self._move(samples, self.config.refresh_sweeps * self.prior.dim)
 
-    def _move(self, samples: np.ndarray, cum_loss: np.ndarray, n_steps: int) -> None:
-        """Metropolis-move ``samples`` and their ``cum_loss`` (fresh
-        arrays, written in place) toward the current posterior and make
-        them the cloud's points.  The moved points stand in for the
-        posterior, so they become the proposal for all later reweighting."""
+    def _move(self, samples: np.ndarray, n_steps: int) -> None:
+        """Metropolis-move ``samples`` (a fresh array, written in place)
+        toward the current posterior and make them the cloud's points, with
+        the exact cumulative losses the move writes for them.  The moved
+        points stand in for the posterior, so they become the proposal for
+        all later reweighting."""
+        cum_loss = np.empty(samples.shape[0])
         scales = self.config.proposal_scale * _robust_coordinate_scales(samples, floor=1e-3 * self.prior.tau)
         self._step_multiplier = _metropolis_coordinate_steps(
             samples,

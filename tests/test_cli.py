@@ -975,6 +975,8 @@ class TestBatch:
         "variant, scenario, message",
         [
             ("cor12", _stochastic_scenario(noise={"kind": "bd", "B": 0.5}), "subgaussian"),
+            # Gaussian inputs leave f = u . x unbounded.
+            ("cor12", _stochastic_scenario(design="iid_gaussian"), "cor12 needs a bounded regression function"),
             (
                 "thm10",
                 _stochastic_scenario(
@@ -993,7 +995,10 @@ class TestBatch:
                 for variant in ("thm10", "cor12")
             ],
         ],
-        ids=["cor12-bounded-noise", "thm10-coordinate-fixed-grid", "thm10-random-signs", "cor12-random-signs"],
+        ids=[
+            "cor12-bounded-noise", "cor12-unbounded-f", "thm10-coordinate-fixed-grid", "thm10-random-signs",
+            "cor12-random-signs",
+        ],
     )
     def test_unmet_precondition_exits_two_before_any_fit(self, tmp_path, monkeypatch, capsys, variant, scenario, message):
         def fit(*args, **kwargs):
@@ -1003,6 +1008,7 @@ class TestBatch:
         cfg = _write_config(tmp_path / "cfg.json", scenario=scenario)
         assert cli.main(["batch", "--config", str(cfg), "--variant", variant, "--replications", "2"]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("variant", ["thm10", "cor11"])
     @pytest.mark.parametrize("replications", [0, -1])
@@ -1167,8 +1173,8 @@ class TestGenAndPlot:
         cfg = _write_config(tmp_path / "cfg.json")
         cli.main(["run", "--config", str(cfg)])
         reads = []
-        read_csv = cli._read_csv
-        monkeypatch.setattr(cli, "_read_csv", lambda path: reads.append(path) or read_csv(path))
+        read_text = cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path) or read_text(path))
         run_csv = str(tmp_path / "out" / "run.csv")
         assert cli.main(["plot", "--input", *[run_csv] * n_inputs, "--kind", kind, "--out", str(tmp_path / "p.svg")]) == 0
         assert len(reads) == n_inputs
@@ -1270,3 +1276,75 @@ class TestGenAndPlot:
         bad.write_text("t,y,yhat,loss,cumloss,B_t,eta_t,regime,ess\n1,2\n")
         assert cli.main(["plot", "--input", str(bad), "--kind", "cumloss", "--out", str(tmp_path / "x.svg")]) == 4
         assert ":2:" in capsys.readouterr().err
+
+
+class TestReaders:
+    """Every file the CLI reads goes through one UTF-8 reader: a file that
+    is missing, unreadable or not UTF-8 exits 4 and names the file, and so
+    does an input that does not parse."""
+
+    RUN_HEADER = "t,y,yhat,loss,cumloss,B_t,eta_t,regime,ess\n"
+
+    @staticmethod
+    def _plot(tmp_path, capsys, path, kind):
+        code = cli.main(["plot", "--input", str(path), "--kind", kind, "--out", str(tmp_path / "p.svg")])
+        assert not (tmp_path / "p.svg").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, kind", [("run.csv", "cumloss"), ("verify.json", "margins")])
+    def test_missing_input_is_io_error(self, tmp_path, capsys, name, kind):
+        path = tmp_path / name
+        code, err = self._plot(tmp_path, capsys, path, kind)
+        assert code == 4 and str(path) in err
+
+    def test_invalid_json_input_is_io_error_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "verify.json"
+        path.write_text('{"reports": [\n  {bound}]}')
+        code, err = self._plot(tmp_path, capsys, path, "margins")
+        assert code == 4 and f"{path}:2: invalid JSON" in err
+
+    def test_input_without_the_kinds_column_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "run.csv"
+        path.write_text("t,cumloss\n1,0.5\n")
+        code, err = self._plot(tmp_path, capsys, path, "staircase")
+        assert code == 4 and f"{path}: missing column 'B_t'" in err
+
+    def test_non_numeric_cell_is_io_error_naming_the_row(self, tmp_path, capsys):
+        path = tmp_path / "run.csv"
+        path.write_text(self.RUN_HEADER + "1,1,0,1,1,1,1,0,1\n2,1,0,1,abc,1,1,0,1\n")
+        code, err = self._plot(tmp_path, capsys, path, "cumloss")
+        assert code == 4 and f"{path}: row 2: bad float in 'cumloss': 'abc'" in err
+
+    def test_input_without_a_header_is_usage_error(self, tmp_path, capsys):
+        # No header, like no rows, is empty input: a usage error.
+        path = tmp_path / "run.csv"
+        path.write_text("# schema=seqsew.run.v1\n")
+        code, err = self._plot(tmp_path, capsys, path, "cumloss")
+        assert code == 2 and f"{path}: no data" in err
+
+    @pytest.mark.parametrize(
+        "name, kind, data",
+        [
+            ("run.csv", "cumloss", ("# schema=seqsew.run.v1\n" + RUN_HEADER).encode() + b"1,1,0,1,\xff,1,1,0,1\n"),
+            ("verify.json", "margins", b'{"reports": [{"bound": "prop5\xe9", "slack": 1.0, "mc_allowance": 0.0}]}'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_input_that_is_not_utf8_is_io_error(self, tmp_path, capsys, name, kind, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, err = self._plot(tmp_path, capsys, path, kind)
+        assert code == 4 and str(path) in err and "utf-8" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["gen"], ["run"], ["verify", "--bounds", "prop5"], ["batch", "--variant", "cor11"]],
+        ids=["gen", "run", "verify", "batch"],
+    )
+    def test_config_that_is_not_utf8_is_io_error_and_writes_nothing(self, tmp_path, capsys, command):
+        cfg = _write_config(tmp_path / "cfg.json")
+        cfg.write_bytes(cfg.read_bytes().replace(b'"adaptive"', b'"adaptive\xff"'))
+        assert cli.main([*command, "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "utf-8" in err
+        assert not (tmp_path / "out").exists()

@@ -252,6 +252,18 @@ class TestRidgeBaseline:
         with pytest.raises(ArgumentError):
             RidgeBaseline(1, 0.0)
 
+    def test_singular_gram_falls_back_to_least_squares(self):
+        # 1 + 1e-300 rounds to 1, so after one round on features (1, 1)
+        # the regularised Gram matrix is exactly singular.
+        f = RidgeBaseline(2, 1e-300)
+        phi = np.array([1.0, 1.0])
+        for y in (1.0, 2.0):
+            f.predict(phi)
+            f.observe(y)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(f._gram, f._xty)
+        assert f.predict(phi) == pytest.approx(1.5, rel=1e-12)
+
 
 class TestRunProtocol:
     def test_rejects_empty_sequence(self):

@@ -18,7 +18,8 @@ decides which backends draw from the generator a forecaster hands it.  The regre
 sites, the shape the fixed-tau bounds share and the automatic forecaster's
 cap.  The CLI leaves the corollaries' tunings and the fixed forecaster's
 eta limit to the bounds engine, builds its forecasters at one call site
-and evaluates the risk bounds at one.  The scenario's i.i.d. input law
+and evaluates the risk bounds at one.  It reads every file through one
+reader and writes every file through one writer.  The scenario's i.i.d. input law
 (its sampler, feature norms and feature bound) is decided in
 ``datagen._design_law`` alone."""
 
@@ -385,3 +386,17 @@ def test_design_law_has_one_owner():
             asks.add(function)
     assert named == {(None, "_design_law"), ("ScenarioSpec", None), ("ScenarioSpec", "__post_init__")}
     assert asks == {"design_sampler", "_closed_forms", "_dictionary_inputs"}
+
+
+def test_cli_reads_and_writes_files_at_one_site_each():
+    """``_read_text`` holds the CLI's only ``read_text`` call and
+    ``_open_output`` its only ``open`` call, so one function decides the
+    encoding and the errors of every file read and one the encoding and
+    line ends of every file written."""
+    found: dict[str, set[str | None]] = {}
+    for node, _, function in _scoped_nodes(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("read_text", "write_text", "read_bytes", "write_bytes", "open"):
+                found.setdefault(name, set()).add(function)
+    assert found == {"read_text": {"_read_text"}, "open": {"_open_output"}}

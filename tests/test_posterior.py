@@ -431,12 +431,14 @@ class TestSnapshots:
             ("log_weights", lambda v: ["-inf"] + v[1:], "'log_weights' must hold lists of finite numbers"),
             ("cum_loss", lambda v: v[:-1] + ["inf"], "'cum_loss' must hold lists of finite numbers"),
             ("eta", "nan", "'eta' must be a number"),
+            ("eta", "abc", "'eta' must be a number, got 'abc'"),
             ("backend", 3, "'backend' must be a string"),
         ],
         ids=[
             "foreign-schema", "no-samples", "no-log-weights", "no-cum-loss", "no-eta", "no-backend",
             "short-log-weights", "long-cum-loss", "ragged-samples", "empty-samples", "samples-not-a-list",
-            "nan-sample", "text-sample", "infinite-log-weight", "infinite-loss", "nan-eta", "backend-not-a-string",
+            "nan-sample", "text-sample", "infinite-log-weight", "infinite-loss", "nan-eta", "text-eta",
+            "backend-not-a-string",
         ],
     )
     def test_rejects_foreign_payload(self, key, value, match):
