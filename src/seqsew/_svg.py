@@ -3,11 +3,16 @@
 Hand-written rather than delegated to a plotting library so that identical
 inputs produce byte-identical files (no embedded timestamps, hashes, or
 font-dependent geometry), which the CLI promises.
+
+Every value handed to a chart is finite; the caller checks that.  An axis
+whose range cannot be scaled, because its span overflows or is too small
+to step through, raises :class:`AxisError`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 _WIDTH, _HEIGHT = 640, 400
@@ -19,22 +24,30 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}".rstrip("0").rstrip(".")
 
 
+class AxisError(ValueError):
+    """An axis range that cannot be scaled."""
+
+
+def _axis(name: str, lo: float, hi: float) -> tuple[float, float]:
+    """The drawn range of an axis whose values run from ``lo`` to ``hi``,
+    one value widened to a unit.  Its span must be a finite normal float,
+    so that the ticks can step through it."""
+    if hi <= lo:
+        hi = lo + 1.0
+    if not sys.float_info.min <= hi - lo < math.inf:
+        raise AxisError(f"the {name} axis from {lo!r} to {hi!r} cannot be scaled")
+    return lo, hi
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
-        return [lo]
+    """Round values of the range lo < hi, at most about ``n`` steps apart."""
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= n:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-12 * span:
-        out.append(v)
-        v += step
-    return out
+    return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-12 * span / step) + 1)]
 
 
 class _Canvas:
@@ -55,16 +68,12 @@ class _Canvas:
         self.y0, self.y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
 
     def set_limits(self, xlo: float, xhi: float, ylo: float, yhi: float) -> None:
-        if xhi <= xlo:
-            xhi = xlo + 1.0
-        if yhi <= ylo:
-            yhi = ylo + 1.0
-        self.xlo, self.xhi, self.ylo, self.yhi = xlo, xhi, ylo, yhi
+        (self.xlo, self.xhi), (self.ylo, self.yhi) = _axis("x", xlo, xhi), _axis("y", ylo, yhi)
         self.parts.append(
             f'<rect x="{self.x0}" y="{self.y1}" width="{self.x1 - self.x0}" '
             f'height="{self.y0 - self.y1}" fill="none" stroke="black"/>'
         )
-        for tx in _ticks(xlo, xhi):
+        for tx in _ticks(self.xlo, self.xhi):
             px = self._px(tx)
             self.parts.append(
                 f'<line x1="{_fmt(px)}" y1="{self.y0}" x2="{_fmt(px)}" y2="{self.y0 + 4}" stroke="black"/>'
@@ -73,7 +82,7 @@ class _Canvas:
                 f'<text x="{_fmt(px)}" y="{self.y0 + 16}" text-anchor="middle" '
                 f'font-family="monospace" font-size="10">{_fmt(tx)}</text>'
             )
-        for ty in _ticks(ylo, yhi):
+        for ty in _ticks(self.ylo, self.yhi):
             py = self._py(ty)
             self.parts.append(
                 f'<line x1="{self.x0 - 4}" y1="{_fmt(py)}" x2="{self.x0}" y2="{_fmt(py)}" stroke="black"/>'
@@ -131,7 +140,7 @@ def line_chart(
 ) -> str:
     canvas = _Canvas(title, xlabel, ylabel)
     all_x = [x for _, xs, _ in series for x in xs]
-    all_y = [y for _, _, ys in series for y in ys if math.isfinite(y)]
+    all_y = [y for _, _, ys in series for y in ys]
     canvas.set_limits(min(all_x), max(all_x), min(all_y + [0.0]), max(all_y))
     for i, (label, xs, ys) in enumerate(series):
         canvas.polyline(xs, ys, _COLORS[i % len(_COLORS)], label or None, i)
@@ -140,9 +149,7 @@ def line_chart(
 
 def bar_chart(title: str, xlabel: str, ylabel: str, labels: Sequence[str], values: Sequence[float]) -> str:
     canvas = _Canvas(title, xlabel, ylabel)
-    finite = [v for v in values if math.isfinite(v)]
-    lo, hi = min(finite + [0.0]), max(finite + [0.0])
-    canvas.set_limits(-0.5, len(values) - 0.5, lo, hi)
+    canvas.set_limits(-0.5, len(values) - 0.5, min(*values, 0.0), max(*values, 0.0))
     colors = ["#2ca02c" if v >= 0 else "#d62728" for v in values]
     canvas.bars(labels, values, colors)
     return canvas.render()

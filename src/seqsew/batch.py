@@ -92,8 +92,6 @@ def psi_bound(family: NoiseFamily, T: int) -> float:
     if family.kind == "bem":
         log = math.log((family.M + math.e) * T)
         return log * log / (family.alpha * family.alpha * T)
-    if family.alpha <= 2.0:
-        raise ArgumentError("bm bound needs alpha > 2")
     return family.M ** (2.0 / family.alpha) / T ** ((family.alpha - 2.0) / family.alpha)
 
 

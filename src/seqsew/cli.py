@@ -34,6 +34,9 @@ CONFIG_SCHEMA = "seqsew.config.v1"
 RUN_CSV_SCHEMA = "seqsew.run.v1"
 DATASET_CSV_SCHEMA = "seqsew.dataset.v1"
 REPS_CSV_SCHEMA = "seqsew.batch-reps.v1"
+RUN_SUMMARY_SCHEMA = "seqsew.run-summary.v1"
+VERIFY_SCHEMA = "seqsew.verify.v1"
+BATCH_SCHEMA = "seqsew.batch.v1"
 
 _EXIT_OK, _EXIT_USAGE, _EXIT_VERIFY, _EXIT_IO = 0, 2, 3, 4
 
@@ -76,9 +79,9 @@ def _open_output(path: Path) -> TextIO:
     return path.open("w", encoding="utf-8", newline="")
 
 
-def _dump_json(path: Path, payload: dict[str, Any]) -> None:
+def _dump_json(path: Path, schema: str, payload: dict[str, Any]) -> None:
     with _open_output(path) as fh:
-        fh.write(json.dumps(_sanitize(payload), sort_keys=True, indent=1) + "\n")
+        fh.write(json.dumps(_sanitize({"schema": schema, **payload}), sort_keys=True, indent=1) + "\n")
 
 
 def _cell(v: Any) -> str:
@@ -118,8 +121,17 @@ def _number(path: Path, entry: dict[str, Any], key: str) -> float:
         raise DataError(f"{path}: key {key!r} is not a number: {entry[key]!r}") from exc
 
 
-def _csv_floats(path: Path, *columns: str) -> list[list[float]]:
-    """The named columns of one read of the CSV at ``path``, as floats."""
+def _finite(path: Path, where: str, value: float) -> float:
+    """``value``, which a chart is to plot.  A value that is not finite
+    raises a :class:`DataError` naming the file and ``where`` in it."""
+    if not math.isfinite(value):
+        raise DataError(f"{path}: {where} is not finite: {value!r}")
+    return value
+
+
+def _csv_floats(path: Path, *columns: str, nonfinite_ok: str | None = None) -> list[list[float]]:
+    """The named columns of one read of the CSV at ``path``, as floats,
+    each finite but those of the column ``nonfinite_ok``."""
     rows: list[list[str]] = []
     header: list[str] | None = None
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
@@ -142,9 +154,10 @@ def _csv_floats(path: Path, *columns: str) -> list[list[float]]:
         values = []
         for lineno, row in enumerate(rows, start=1):
             try:
-                values.append(float(row[idx]))
+                value = float(row[idx])
             except ValueError as exc:
                 raise DataError(f"{path}: row {lineno}: bad float in {column!r}: {row[idx]!r}") from exc
+            values.append(value if column == nonfinite_ok else _finite(path, f"row {lineno}: {column!r}", value))
         out.append(values)
     return out
 
@@ -323,7 +336,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     stats = bounds_mod.SequenceStats.from_arrays(result.features, result.y)
     starts, ends = result.regime_bounds
     summary = {
-        "schema": "seqsew.run-summary.v1",
         "seed": config.seed,
         "T": stats.T,
         "cumulative_loss": result.cumulative_loss,
@@ -339,7 +351,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "scenario": config.scenario,
     }
-    _dump_json(out / "run_summary.json", summary)
+    _dump_json(out / "run_summary.json", RUN_SUMMARY_SCHEMA, summary)
     print(f"wrote {out / 'run.csv'} and {out / 'run_summary.json'}")
     return _EXIT_OK
 
@@ -403,7 +415,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     out = config.out_dir
     payload = {
-        "schema": "seqsew.verify.v1",
         "seed": config.seed,
         "backend": config.backend.backend,
         "replays": replays,
@@ -411,7 +422,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "T": len(result.y),
         "reports": reports,
     }
-    _dump_json(out / "verify.json", payload)
+    _dump_json(out / "verify.json", VERIFY_SCHEMA, payload)
     n_fail = sum(1 for r in reports if not r["pass"])
     print(f"wrote {out / 'verify.json'}: {len(reports) - n_fail}/{len(reports)} reports pass")
     return _EXIT_VERIFY if n_fail else _EXIT_OK
@@ -430,7 +441,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     else:  # remark15, the parser's last choice
         payload, reps = _batch_remark15(config, args.shift)
 
-    _dump_json(out / f"batch_{variant}.json", payload)
+    _dump_json(out / f"batch_{variant}.json", BATCH_SCHEMA, {"variant": variant, "T": config.spec.T, **payload})
     if reps is not None:
         header, rows = reps
         _write_csv(out / f"batch_{variant}_reps.csv", REPS_CSV_SCHEMA, header, rows)
@@ -500,9 +511,6 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
     if not (math.isfinite(mean_risk) and math.isfinite(rhs)):
         raise DataError(f"{variant}: measured risk {mean_risk!r} and rhs {rhs!r} must both be finite")
     payload = {
-        "schema": "seqsew.batch.v1",
-        "variant": variant,
-        "T": spec.T,
         "d": spec.d,
         "family": spec.noise.kind,
         "replications": replications,
@@ -541,9 +549,6 @@ def _batch_family_sweep(config: _Config, replications: int):
             }
         )
     payload = {
-        "schema": "seqsew.batch.v1",
-        "variant": "cor11",
-        "T": config.spec.T,
         "replications": reps,
         "families": table,
         "pass": bool(all(e["pass"] for e in table)),
@@ -579,9 +584,6 @@ def _batch_remark15(config: _Config, shift: float):
         abs((s[0] + s[1]) - (b[0] + b[1] + shift)) for b, s in zip(comps_base, comps_shift)
     )
     payload = {
-        "schema": "seqsew.batch.v1",
-        "variant": "remark15",
-        "T": spec.T,
         "d": spec.d,
         "shift": shift,
         "y_quantum": quantum,
@@ -612,11 +614,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.input]
-    if not paths:
-        raise ArgumentError("plot needs at least one input file")
-    kind = args.kind
-    if kind in ("staircase", "margins") and len(paths) > 1:
-        raise ArgumentError(f"plot --kind {kind} takes one input file, got {len(paths)}")
+    if args.kind in ("staircase", "margins") and len(paths) > 1:
+        raise ArgumentError(f"plot --kind {args.kind} takes one input file, got {len(paths)}")
+    try:
+        svg = _chart(args.kind, paths)
+    except _svg.AxisError as exc:
+        raise DataError(f"{', '.join(map(str, paths))}: {exc}") from None
+    out_path = Path(args.out)
+    with _open_output(out_path) as fh:
+        fh.write(svg)
+    print(f"wrote {out_path}")
+    return _EXIT_OK
+
+
+def _chart(kind: str, paths: Sequence[Path]) -> str:
+    """The SVG of ``kind`` drawn from ``paths``.  Every value it plots is
+    checked finite where it is read."""
     if kind == "cumloss":
         series = []
         for p in paths:
@@ -624,10 +637,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
             if not ts:
                 raise ArgumentError(f"{p}: no rounds to plot")
             series.append((p.stem, ts, cl))
-        svg = _svg.line_chart("cumulative square loss", "round t", "cumulative loss", series)
-    elif kind == "staircase":
+        return _svg.line_chart("cumulative square loss", "round t", "cumulative loss", series)
+    if kind == "staircase":
         p = paths[0]
-        pairs = [(t, b) for t, b in zip(*_csv_floats(p, "t", "B_t")) if math.isfinite(b)]
+        pairs = [(t, b) for t, b in zip(*_csv_floats(p, "t", "B_t", nonfinite_ok="B_t")) if math.isfinite(b)]
         if not pairs:
             raise ArgumentError(f"{p}: no rounds with a finite threshold to plot")
         xs, ys = [], []
@@ -637,8 +650,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 ys.append(ys[-1])
             xs.append(t)
             ys.append(b)
-        svg = _svg.line_chart("clip threshold schedule", "round t", "B_t", [("B_t", xs, ys)])
-    elif kind == "margins":
+        return _svg.line_chart("clip threshold schedule", "round t", "B_t", [("B_t", xs, ys)])
+    if kind == "margins":
         p = paths[0]
         reports = _require_keys(p, _read_json(p), ()).get("reports", [])
         if not isinstance(reports, list):
@@ -647,30 +660,18 @@ def cmd_plot(args: argparse.Namespace) -> int:
             raise ArgumentError(f"{p}: no reports to plot")
         reports = [_require_keys(p, r, ("bound", "slack", "mc_allowance")) for r in reports]
         labels = [f"{r['bound']}/{r.get('comparator', '?')}" for r in reports]
-        values = [_number(p, r, "slack") + _number(p, r, "mc_allowance") for r in reports]
-        svg = _svg.bar_chart("bound margins (slack + allowance)", "report", "margin", labels, values)
-    else:  # risk, the parser's last choice
-        points = []
-        for p in paths:
-            payload = _require_keys(p, _read_json(p), ("T", "measured_risk", "rhs"))
-            points.append(tuple(_number(p, payload, key) for key in ("T", "measured_risk", "rhs")))
-        points.sort()
-        ts = [t for t, _, _ in points]
-        svg = _svg.line_chart(
-            "batch risk vs horizon",
-            "T",
-            "risk",
-            [
-                ("measured", ts, [m for _, m, _ in points]),
-                ("bound rhs", ts, [r for _, _, r in points]),
-            ],
-        )
-
-    out_path = Path(args.out)
-    with _open_output(out_path) as fh:
-        fh.write(svg)
-    print(f"wrote {out_path}")
-    return _EXIT_OK
+        values = [
+            _finite(p, f"report {i}: slack + mc_allowance", _number(p, r, "slack") + _number(p, r, "mc_allowance"))
+            for i, r in enumerate(reports, start=1)
+        ]
+        return _svg.bar_chart("bound margins (slack + allowance)", "report", "margin", labels, values)
+    # risk, the parser's last choice
+    points = []
+    for p in paths:
+        payload = _require_keys(p, _read_json(p), ("T", "measured_risk", "rhs"))
+        points.append(tuple(_finite(p, f"key {key!r}", _number(p, payload, key)) for key in ("T", "measured_risk", "rhs")))
+    ts, measured, rhs = zip(*sorted(points))
+    return _svg.line_chart("batch risk vs horizon", "T", "risk", [("measured", ts, measured), ("bound rhs", ts, rhs)])
 
 
 # ---------------------------------------------------------------------------

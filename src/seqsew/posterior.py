@@ -55,6 +55,7 @@ The three backends are three move policies:
 ``chain``
     Points moved every round for ``burn_in`` steps, so their weights stay
     exactly uniform: unweighted walkers re-targeted at each new posterior.
+    An update sums no losses, since the move writes them all.
 
 ``quadrature``
     Never moved: a deterministic tensor grid (d <= 2 only), sinh-stretched
@@ -654,11 +655,16 @@ def _checked_features(features: np.ndarray, dim: int) -> np.ndarray:
     return features
 
 
+def _checked_threshold(threshold: float) -> None:
+    """Refuse a clip threshold outside 0 <= threshold < inf."""
+    if not 0.0 <= threshold < math.inf:
+        raise ArgumentError(f"the clip threshold must be finite and >= 0, got {threshold!r}")
+
+
 def _clipped_margins(samples: np.ndarray, features: np.ndarray, threshold: float) -> np.ndarray:
     """clip(samples @ features, -threshold, threshold), in one fresh array.
     The threshold must satisfy 0 <= threshold < inf."""
-    if not 0.0 <= threshold < math.inf:
-        raise ArgumentError(f"the clip threshold must be finite and >= 0, got {threshold!r}")
+    _checked_threshold(threshold)
     margins = samples @ features
     return np.clip(margins, -threshold, threshold, out=margins)
 
@@ -850,16 +856,22 @@ class PosteriorCloud:
                 f"inverse temperature must not increase: {new_eta} > {self.eta}"
             )
 
-        predicted, self._predicted = self._predicted, None
-        if predicted is not None and predicted[1] == threshold_used and np.array_equal(predicted[0], features):
-            clipped = predicted[2]
+        if self.backend == "chain":
+            # The move writes every point's exact cumulative loss, so this
+            # round's losses are not summed, and its margins are let go.
+            self._predicted = None
+            _checked_threshold(threshold_used)
         else:
-            clipped = _clipped_margins(self.samples, features, threshold_used)
-        # The clipped margins become this round's losses and then the new
-        # cumulative losses: a fresh array, so a snapshot keeps the old one.
-        np.subtract(y, clipped, out=clipped)
-        np.square(clipped, out=clipped)
-        self.cum_loss = np.add(self.cum_loss, clipped, out=clipped)
+            predicted, self._predicted = self._predicted, None
+            if predicted is not None and predicted[1] == threshold_used and np.array_equal(predicted[0], features):
+                clipped = predicted[2]
+            else:
+                clipped = _clipped_margins(self.samples, features, threshold_used)
+            # The clipped margins become this round's losses and then the new
+            # cumulative losses: a fresh array, so a snapshot keeps the old one.
+            np.subtract(y, clipped, out=clipped)
+            np.square(clipped, out=clipped)
+            self.cum_loss = np.add(self.cum_loss, clipped, out=clipped)
         self.history.append(features, y, threshold_used)
         self.eta = float(new_eta)
         self._state_changed()
@@ -880,7 +892,8 @@ class PosteriorCloud:
         the exact cumulative losses the move writes for them.  The moved
         points stand in for the posterior, so they become the proposal for
         all later reweighting."""
-        cum_loss = np.empty(samples.shape[0])
+        # The old losses are let go before the kernel runs.
+        self.cum_loss = cum_loss = np.empty(samples.shape[0])
         scales = self.config.proposal_scale * _robust_coordinate_scales(samples, floor=1e-3 * self.prior.tau)
         self._step_multiplier = _metropolis_coordinate_steps(
             samples,
@@ -893,7 +906,7 @@ class PosteriorCloud:
             scales,
             self._step_multiplier,
         )
-        self.samples, self.cum_loss = samples, cum_loss
+        self.samples = samples
         if math.isfinite(self.eta):
             self._log_base = self.eta * cum_loss
         self._state_changed()

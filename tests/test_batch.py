@@ -183,6 +183,11 @@ class TestOffsetVariant:
         with pytest.raises(ArgumentError):
             fit_remark15([(np.array([0.1]), 1.0)], _coord_dict(), QUAD)
 
+    @pytest.mark.parametrize("fit", [fit_random_design, fit_fixed_design])
+    def test_other_fits_need_a_sample(self, fit):
+        with pytest.raises(ArgumentError, match="^need at least one sample$"):
+            fit([], _coord_dict(), QUAD)
+
     def test_translation_equivariance_is_bitwise_on_dyadic_data(self):
         # Outcomes on the 2^-20 grid with a zero anchor: the shifted run's
         # residuals are bit-identical, so predictions shift by exactly c.

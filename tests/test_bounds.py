@@ -222,6 +222,29 @@ class TestMonotonicity:
             assert math.isfinite(val)
 
 
+class TestArgumentRefusals:
+    @pytest.mark.parametrize(
+        "evaluate, message",
+        [
+            (lambda c: prop2_rhs(c, 0.0, 0.7, _stats()), "eta and tau must be positive"),
+            (lambda c: cor3_rhs(c, 2.0, -9.0), "B_y and B_Phi must be positive"),
+            (lambda c: prop5_rhs(c, 0.0, _stats()), "tau must be positive"),
+            (lambda c: cor6_rhs(c, 0.0, _stats()), "B_Phi must be positive"),
+            (lambda c: cor7_rhs(c, 0, _stats()), "d must be a positive integer"),
+            (lambda c: cor9_rhs(-1.0, 1.0, _stats()), "s and U must be nonnegative"),
+            (lambda c: verify(_quad_run(), "prop5", None), "a comparator witness is required"),
+            (
+                lambda c: verify(run_protocol(seqsew_auto(1, QUAD, seed=0), [(np.array([1.0]), 1.0)] * 3), "cor9", c),
+                "cor9 needs the ball parameters s and U",
+            ),
+        ],
+        ids=["prop2", "cor3", "prop5", "cor6", "cor7", "cor9-rhs", "verify-no-witness", "verify-cor9-no-ball"],
+    )
+    def test_out_of_range_argument_is_refused(self, evaluate, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            evaluate(_comp([1.0], 2.0))
+
+
 class TestBestSparseComparator:
     def test_exact_fit_recovers_support(self):
         rng = np.random.default_rng(0)

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -450,6 +451,9 @@ class TestConfig:
             ),
             (lambda c: {**c, "scenario": {"T": 10, "d": 2, "s": 3}}, "scenario key 's' must lie in [0, d] = [0, 2], got 3"),
             (lambda c: {**c, "scenario": {"T": 10, "d": 2, "s": -1}}, "scenario key 's' must lie in [0, d] = [0, 2], got -1"),
+            (lambda c: {k: v for k, v in c.items() if k != "scenario"}, "config needs a 'scenario' section"),
+            (lambda c: {**c, "forecaster": {"kind": "magic"}}, "unknown forecaster kind 'magic'"),
+            (lambda c: {**c, "outputs": {"dir": 5}}, "config section 'outputs' key 'dir' must be a string, got 5"),
         ],
         ids=[
             "forecaster-int", "backend-int", "scenario-list", "seed-text", "top-level-list",
@@ -464,6 +468,7 @@ class TestConfig:
             "normalization-nan", "normalization-zero", "grid-nodes-nan", "grid-nodes-duplicate", "grid-nodes-empty",
             "fixed-B-inf", "noise-sigma-sq-inf", "design-scale-huge", "design-scale-huge-int",
             "noise-bd-huge", "dictionary-d-mismatch", "scenario-s-above-d", "scenario-s-negative",
+            "scenario-missing", "forecaster-kind-unknown", "outputs-dir-int",
         ],
     )
     def test_malformed_config_exits_two_and_writes_nothing(self, tmp_path, capsys, command, edit, message):
@@ -1348,3 +1353,136 @@ class TestReaders:
         err = capsys.readouterr().err
         assert str(cfg) in err and "utf-8" in err
         assert not (tmp_path / "out").exists()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _plot_inputs(directory: Path, kind: str, data) -> list[str]:
+    """Write ``data`` as the input files of a ``kind`` plot in ``directory``:
+    (t, value) rows per CSV for cumloss and staircase, (slack,
+    mc_allowance) reports for margins, and (T, measured_risk, rhs) per
+    batch JSON for risk."""
+    paths = []
+    if kind in ("cumloss", "staircase"):
+        column = "cumloss" if kind == "cumloss" else "B_t"
+        for i, rows in enumerate(data):
+            paths.append(directory / f"run{i}.csv")
+            paths[-1].write_text(f"t,{column}\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows))
+    elif kind == "margins":
+        paths.append(directory / "verify.json")
+        reports = [{"bound": f"b{i}", "slack": s, "mc_allowance": a} for i, (s, a) in enumerate(data)]
+        paths[0].write_text(json.dumps({"reports": reports}))
+    else:
+        for i, (T, measured, rhs) in enumerate(data):
+            paths.append(directory / f"batch{i}.json")
+            paths[-1].write_text(json.dumps({"T": T, "measured_risk": measured, "rhs": rhs}))
+    return [str(p) for p in paths]
+
+
+def _check_drawing(svg: str) -> None:
+    """Every numeric attribute and polyline coordinate of ``svg`` is finite,
+    and each axis has between one and twelve ticks."""
+    numbers = [float(v) for v in re.findall(r'\b(?:x|y|x1|y1|x2|y2|width|height)="([^"]*)"', svg)]
+    for points in re.findall(r'points="([^"]*)"', svg):
+        numbers += [float(c) for pair in points.split() for c in pair.split(",")]
+    assert numbers and all(map(math.isfinite, numbers))
+    x_ticks = re.findall(r'<line x1="[^"]*" y1="350" x2="[^"]*" y2="354"', svg)
+    y_ticks = re.findall(r'<line x1="56" ', svg)
+    assert 1 <= len(x_ticks) <= 12 and 1 <= len(y_ticks) <= 12
+
+
+class TestPlotValues:
+    """``seqsew plot`` checks every value it plots where it reads it: a
+    value that is not finite, or an axis range the chart cannot scale,
+    exits 4 naming the input and writes no SVG.  Finite input that can be
+    scaled draws only finite coordinates."""
+
+    @pytest.mark.parametrize(
+        "kind, data, message",
+        [
+            ("cumloss", [[(1.0, math.nan)]], "run0.csv: row 1: 'cumloss' is not finite: nan"),
+            ("cumloss", [[(1.0, 1.0), (2.0, math.inf)]], "run0.csv: row 2: 'cumloss' is not finite: inf"),
+            ("cumloss", [[(1.0, 1.0)], [(math.nan, 1.0)]], "run1.csv: row 1: 't' is not finite: nan"),
+            ("staircase", [[(1.0, 1.0), (math.inf, 2.0)]], "run0.csv: row 2: 't' is not finite: inf"),
+            ("margins", [(1.0, 0.0), (math.nan, 0.0)], "verify.json: report 2: slack + mc_allowance is not finite: nan"),
+            ("margins", [(1e308, 1e308)], "verify.json: report 1: slack + mc_allowance is not finite: inf"),
+            ("risk", [(50.0, 0.1, 1.0), (100.0, 0.2, math.inf)], "batch1.json: key 'rhs' is not finite: inf"),
+            ("cumloss", [[(-1e308, 1.0), (1e308, 2.0)]], "run0.csv: the x axis from -1e+308 to 1e+308 cannot be scaled"),
+            ("cumloss", [[(0.0, 1.0), (5e-324, 2.0)]], "run0.csv: the x axis from 0.0 to 5e-324 cannot be scaled"),
+            ("cumloss", [[(1.0, 5e-324)]], "run0.csv: the y axis from 0.0 to 5e-324 cannot be scaled"),
+            ("risk", [(1e16, 0.1, 1.0)], "batch0.json: the x axis from 1e+16 to 1e+16 cannot be scaled"),
+        ],
+        ids=[
+            "cumloss-nan", "cumloss-inf", "second-file-t-nan", "staircase-t-inf", "margin-nan", "margin-overflows",
+            "rhs-inf", "x-span-overflows", "x-span-subnormal", "y-span-subnormal", "one-point-beyond-2^53",
+        ],
+    )
+    def test_unplottable_value_exits_four_naming_the_input(self, tmp_path, capsys, kind, data, message):
+        out = tmp_path / "p.svg"
+        assert cli.main(["plot", "--input", *_plot_inputs(tmp_path, kind, data), "--kind", kind, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {tmp_path}{os.sep}{message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, name, text, message",
+        [
+            ("staircase", "run.csv", "t,B_t\n1,nan\n2,nan\n", "no rounds with a finite threshold to plot"),
+            ("margins", "verify.json", json.dumps({"reports": []}), "no reports to plot"),
+        ],
+        ids=["staircase-without-thresholds", "margins-without-reports"],
+    )
+    def test_nothing_to_plot_is_usage_error(self, tmp_path, capsys, kind, name, text, message):
+        (tmp_path / name).write_text(text)
+        out = tmp_path / "p.svg"
+        assert cli.main(["plot", "--input", str(tmp_path / name), "--kind", kind, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
+        assert not out.exists()
+
+    def test_staircase_of_a_ridge_run_is_usage_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json", forecaster={"kind": "ridge"})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        run_csv = tmp_path / "out" / "run.csv"
+        assert cli.main(["plot", "--input", str(run_csv), "--kind", "staircase", "--out", str(tmp_path / "p.svg")]) == 2
+        assert f"{run_csv}: no rounds with a finite threshold to plot" in capsys.readouterr().err
+
+    def test_horizons_one_ulp_apart_draw_in_bounded_time_and_memory(self, tmp_path):
+        # 1e16 + 0.5 == 1e16: ticks stepped by adding 0.5 to a float never
+        # pass the axis's end.  The plot runs in a child process under an
+        # address-space limit, so such a loop fails rather than hangs.
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        inputs = _plot_inputs(tmp_path, "risk", [(1e16, 0.1, 1.0), (1e16 + 2.0, 0.2, 2.0)])
+        out = tmp_path / "risk.svg"
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqsew", "plot", "--input", *inputs, "--kind", "risk", "--out", str(out)],
+            env=_src_env(), capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _check_drawing(out.read_text())
+
+    @pytest.mark.parametrize(
+        "kind, inputs",
+        [
+            ("cumloss", st.lists(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=6), min_size=1, max_size=2)),
+            ("staircase", st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=6).map(lambda rows: [rows])),
+            ("margins", st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=5)),
+            ("risk", st.lists(st.tuples(_FINITE, _FINITE, _FINITE), min_size=1, max_size=3)),
+        ],
+        ids=["cumloss", "staircase", "margins", "risk"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_finite_input_draws_finite_coordinates_or_exits_four(self, kind, inputs, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "p.svg"
+            paths = _plot_inputs(Path(tmp), kind, data.draw(inputs))
+            code = cli.main(["plot", "--input", *paths, "--kind", kind, "--out", str(out)])
+            assert code in (0, 4)
+            if code == 0:
+                _check_drawing(out.read_text())
+            else:
+                assert not out.exists()

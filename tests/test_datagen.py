@@ -329,8 +329,19 @@ class TestSpecRanges:
             (lambda: NoiseFamily(kind="bm", alpha=3.0, M=0.0), "bm needs 2 < alpha <= 256 and M > 0, got 3.0 and 0.0"),
             (lambda: NoiseFamily(kind="bm", alpha=257.0, M=3.0), "bm needs 2 < alpha <= 256 and M > 0, got 257.0 and 3.0"),
             (lambda: NoiseFamily(kind="zz"), "unknown noise kind 'zz'"),
+            (lambda: DictionarySpec(kind="wavelet"), "unknown dictionary kind 'wavelet'"),
+            (lambda: DictionarySpec(d=0), "dictionary needs d >= 1"),
+            (lambda: _spec(T=0), "scenario needs T >= 1"),
+            (lambda: _spec(u_true=(1.5,)), "u_true must have length d"),
+            (
+                lambda: gen_stochastic(_spec(noise=NoiseFamily.subgaussian(1.0), amplitude_script=((5, 2.0),))),
+                "amplitude scripts apply to individual sequences only",
+            ),
         ],
-        ids=["design-scale-zero", "design-scale-nan", "d-mismatch", "normalization-zero", "sg", "bd-missing-B", "bem", "bm", "bm-huge-alpha", "kind"],
+        ids=[
+            "design-scale-zero", "design-scale-nan", "d-mismatch", "normalization-zero", "sg", "bd-missing-B", "bem", "bm",
+            "bm-huge-alpha", "kind", "dictionary-kind", "dictionary-d-zero", "T-zero", "u-true-short", "stochastic-amplitude-script",
+        ],
     )
     def test_out_of_range_spec_is_refused(self, build, message):
         with pytest.raises(ArgumentError, match=re.escape(message)):

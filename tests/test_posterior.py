@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,23 @@ class TestBackendConfig:
     def test_rejects_coarse_grids(self):
         with pytest.raises(ArgumentError):
             BackendConfig(backend="quadrature", grid_points_per_dim=10)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BackendConfig(ess_floor=1.0), "ess_floor must lie in (0, 1)"),
+            (lambda: BackendConfig(proposal_scale=0.0), "proposal_scale must be positive"),
+            (lambda: BackendConfig(backend="quadrature", grid_radius_multiplier=-1.0), "grid_radius_multiplier must be positive"),
+            (
+                lambda: init(SparsityPrior(tau=1.0, dim=2), BackendConfig(backend="quadrature", grid_nodes=([0.0],))),
+                "grid_nodes must provide one node array per dimension",
+            ),
+        ],
+        ids=["ess-floor", "proposal-scale", "grid-radius", "grid-nodes-count"],
+    )
+    def test_rejects_out_of_range_knobs(self, build, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            build()
 
     def test_explicit_nodes_bypass_grid_size_check(self):
         BackendConfig(backend="quadrature", grid_points_per_dim=3, grid_nodes=([0.0],))
@@ -1361,6 +1379,26 @@ class TestColumnMajorRound:
             tracemalloc.stop()
         assert cloud.resample_count == 0
         assert peak <= bound * 8 * self.N
+
+    def test_chain_move_starts_holding_no_old_losses(self, monkeypatch):
+        # The move writes every point's exact cumulative loss, so neither
+        # the old losses nor the predicted margins outlive the update into
+        # it: this round's losses are never summed.
+        cfg = BackendConfig(backend="chain", n_samples=self.N, burn_in=1)
+        cloud = init(SparsityPrior(1.0, self.D), cfg, np.random.default_rng(41))
+        rng = np.random.default_rng(42)
+        self._round(cloud, rng)
+        phi = rng.uniform(-0.1, 0.1, self.D)
+        cloud.predict(phi, 1.0)
+        old = (weakref.ref(cloud.cum_loss), weakref.ref(cloud._predicted[2]))
+        alive = []
+        kernel = posterior._metropolis_coordinate_steps
+        monkeypatch.setattr(
+            posterior, "_metropolis_coordinate_steps",
+            lambda *args: alive.append([ref() is not None for ref in old]) or kernel(*args),
+        )
+        cloud.update(phi, 0.05, 1.0, 0.01)
+        assert alive == [[False, False]]
 
     @staticmethod
     def _assert_column_major(samples):

@@ -2,6 +2,7 @@
 quadrature, exact sampling, and the finite-support duality."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from seqsew.prior import (
     log_density,
     magnitude_from_uniform,
     refined_sparsity_term,
+    s_ln_term,
     sample,
     translated_loss_identity_check,
 )
@@ -207,6 +209,32 @@ class TestTranslatedLossIdentity:
     def test_rejects_empty_or_bad_mc(self):
         with pytest.raises(ArgumentError):
             translated_loss_identity_check([0.0], 1.0, np.zeros((1, 1)), np.zeros(1), 0, np.random.default_rng(0))
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: s_ln_term(1.0, -1.0), ArgumentError, "s and U must be nonnegative"),
+            (lambda: kl_upper_bound([1.0], 0.0), ArgumentError, "tau must be positive, got 0.0"),
+            (lambda: refined_sparsity_term([1.0], -1.0), ArgumentError, "tau must be positive, got -1.0"),
+            (
+                lambda: translated_loss_identity_check([0.0], 1.0, np.zeros((2, 1)), np.zeros(3), 10, np.random.default_rng(0)),
+                ArgumentError,
+                "features and y must be nonempty with matching round counts",
+            ),
+            (
+                lambda: translated_loss_identity_check([0.0, 1.0], 1.0, np.zeros((2, 1)), np.zeros(2), 10, np.random.default_rng(0)),
+                DimensionMismatchError,
+                "u_star has shape (2,), expected (1,)",
+            ),
+            (lambda: kl_duality_check([0.5, 0.5], [0.0]), ArgumentError, "weights_pi and h must be 1-d arrays of equal positive length"),
+        ],
+        ids=["s-ln-term", "kl-upper-bound", "refined-sparsity-term", "identity-rounds", "identity-witness", "kl-duality-shapes"],
+    )
+    def test_out_of_range_argument_is_refused(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()
 
 
 class TestKLDuality:
