@@ -21,7 +21,7 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.4f}".rstrip("0").rstrip(".")
+    return _strip(f"{v:.4f}")
 
 
 class AxisError(ValueError):
@@ -39,15 +39,52 @@ def _axis(name: str, lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    """Round values of the range lo < hi, at most about ``n`` steps apart."""
+def _ticks(lo: float, hi: float, n: int = 5) -> list[tuple[float, str]]:
+    """Round values of the range lo < hi, at most about ``n`` steps apart,
+    each float once, with their labels."""
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / n))
+    place = math.floor(math.log10(span / n))
+    step = 10 ** place
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= n:
             step *= mult
             break
-    return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-12 * span / step) + 1)]
+    # Far from 0, steps of a fraction of the floats' spacing round several
+    # ticks to one float.
+    ticks = list(dict.fromkeys(k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-12 * span / step) + 1)))
+    return list(zip(ticks, _tick_labels(ticks, place + (mult == 10))))
+
+
+def _tick_labels(ticks: list[float], place: int) -> list[str]:
+    """Labels of the ascending, distinct ``ticks``, to the decimal ``place``
+    of their step, or to as many more places as adjacent labels need to
+    differ.  In fixed notation, as pixel coordinates are, for steps of at
+    least 1e-4 and ticks below 1e15; in scientific notation beyond, where
+    17 significant digits tell any two floats apart."""
+    largest = max(abs(v) for v in ticks)
+    while True:
+        if place >= -4 and largest < 1e15:
+            labels = [_strip(f"{v:.{max(0, -place)}f}") for v in ticks]
+        else:
+            labels = [_scientific(v, place) for v in ticks]
+        if len(set(labels)) == len(labels):
+            return labels
+        place -= 1
+
+
+def _scientific(v: float, place: int) -> str:
+    """``v`` in scientific notation to the decimal ``place``, within 17
+    significant digits."""
+    if v == 0:
+        return "0"
+    digits = min(16, max(0, math.floor(math.log10(abs(v))) - place))
+    mantissa, exponent = f"{v:.{digits}e}".split("e")
+    return f"{_strip(mantissa)}e{int(exponent)}"
+
+
+def _strip(number: str) -> str:
+    """``number`` without the trailing zeros of its fraction."""
+    return number.rstrip("0").rstrip(".") if "." in number else number
 
 
 class _Canvas:
@@ -73,23 +110,23 @@ class _Canvas:
             f'<rect x="{self.x0}" y="{self.y1}" width="{self.x1 - self.x0}" '
             f'height="{self.y0 - self.y1}" fill="none" stroke="black"/>'
         )
-        for tx in _ticks(self.xlo, self.xhi):
+        for tx, label in _ticks(self.xlo, self.xhi):
             px = self._px(tx)
             self.parts.append(
                 f'<line x1="{_fmt(px)}" y1="{self.y0}" x2="{_fmt(px)}" y2="{self.y0 + 4}" stroke="black"/>'
             )
             self.parts.append(
                 f'<text x="{_fmt(px)}" y="{self.y0 + 16}" text-anchor="middle" '
-                f'font-family="monospace" font-size="10">{_fmt(tx)}</text>'
+                f'font-family="monospace" font-size="10">{label}</text>'
             )
-        for ty in _ticks(self.ylo, self.yhi):
+        for ty, label in _ticks(self.ylo, self.yhi):
             py = self._py(ty)
             self.parts.append(
                 f'<line x1="{self.x0 - 4}" y1="{_fmt(py)}" x2="{self.x0}" y2="{_fmt(py)}" stroke="black"/>'
             )
             self.parts.append(
                 f'<text x="{self.x0 - 6}" y="{_fmt(py + 3)}" text-anchor="end" '
-                f'font-family="monospace" font-size="10">{_fmt(ty)}</text>'
+                f'font-family="monospace" font-size="10">{label}</text>'
             )
 
     def _px(self, x: float) -> float:

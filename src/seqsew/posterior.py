@@ -37,7 +37,9 @@ own step size, in reused buffers.  A block is as thick as a cache-sized
 buffer of its single-precision cells allows: a step's sweeps over the
 block's (rows, rounds) buffers run without the interpreter lock, while
 its two dozen calls on per-row vectors hold it, so thick blocks let the
-cores run in parallel.  A block builds its own residual rows just before
+cores run in parallel.  None of those calls is masked, and the two clip
+sweeps read a block's buffers as rows of about 2048 cells against bounds
+repeated to match.  A block builds its own residual rows just before
 its steps, so a move never holds an (n_points, n_rounds) array: its
 memory is three block buffers per core, whatever the horizon.  The cores
 the process may run on each take one contiguous run of blocks per move,
@@ -239,6 +241,14 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # loss is the row sum of squares of its clipped residuals.  A block is
 # swept six times per step: two passes form the candidates, two clip them,
 # one takes the row sums of squares and one copies the accepted rows back.
+# The clip sweeps read the block's buffers as wide rows of `tile` rows
+# each, about _KERNEL_CLIP_WIDTH cells, against the bounds repeated `tile`
+# times.  numpy loops over a broadcast one row at a time, through its
+# buffers, so (t,) bounds cost a loop call per t cells: at short horizons
+# several times the cost per cell of a wide row.  So a block's buffers are
+# rounded up to a whole number of wide rows; their pad rows hold 0, are
+# clipped like any residual and are never summed.  Clipping is
+# elementwise, so the result is the narrow sweep's, bit for bit.
 #
 # Those sweeps run in single precision.  The points, the proposal deltas,
 # the prior's log ratio and the accept draws stay in double precision; the
@@ -285,8 +295,10 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # calling thread the first.  A block's residual product is cut into pieces
 # small enough for BLAS to run each on the calling thread, so BLAS threads
 # never compete with the workers; the rest is ufuncs, einsum with ``out=``,
-# a take and an index assignment of the accepted rows, and the generators'
-# fills.  Those over a block's (rows, rounds) buffers release the GIL;
+# a take and index assignments of the accepted rows, and the generators'
+# fills, none of them masked (a ``where=`` mask or ``np.copyto`` costs two
+# to three times an index assignment of the 20-50% of rows a step
+# accepts).  Those over a block's (rows, rounds) buffers release the GIL;
 # the two dozen per step over vectors of one entry per row (numpy keeps
 # the lock on short arrays), and the Python between them, hold it.  So a
 # block is as thick as a float32 buffer of _BLOCK_BYTES allows, which
@@ -308,6 +320,11 @@ _BLOCK_BYTES = 512 * 1024
 # runs a GEMM of at most SMP_THRESHOLD_MIN (65536) times
 # GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds on the calling thread alone.
 _KERNEL_PIECE_MULADDS = 1 << 18
+
+# Cells of one row of a Metropolis block's clip sweeps, which read its
+# (rows, rounds) buffers as rows of about this many cells: a broadcast
+# against a short row of bounds costs far more per cell than a long one.
+_KERNEL_CLIP_WIDTH = 2048
 
 # Largest residual of a block at the start of a move, in the block's units:
 # float32 then leaves a factor of 2^96 for the move to grow it by, and
@@ -394,6 +411,12 @@ def _block_residuals(points: np.ndarray, columns: np.ndarray, y: np.ndarray, out
     return out
 
 
+def _opaque_rows(block: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous 2-d ``block`` as a vector of opaque
+    items, one per row, so that taking or putting rows copies whole rows."""
+    return block.view(np.dtype((np.void, block.shape[1] * block.itemsize)))[:, 0]
+
+
 def _block_unit(residuals: np.ndarray, clip_exponent: int, reach_exponent: int) -> tuple[int, bool]:
     """The exponent k of a block's unit 2^k, and whether its steps run in
     float32, from its float64 ``residuals`` and the binary orders of the
@@ -450,6 +473,10 @@ def _metropolis_coordinate_steps(
     # most.  Their buffers hold float32 cells.
     n_blocks = -(-n // _block_rows(t, 4))
     rows = -(-n // n_blocks)
+    # The clip sweeps' wide rows hold `tile` rows each, and the block
+    # buffers a whole number of wide rows.
+    tile = max(1, _KERNEL_CLIP_WIDTH // t)
+    padded = -(-rows // tile) * tile
     seeds = rng.integers(np.iinfo(np.int64).max, size=n_blocks).tolist()
     workers = min(_usable_cores(), n_blocks)
     # Worker k moves blocks first[k]:first[k + 1], a contiguous run.
@@ -461,10 +488,10 @@ def _metropolis_coordinate_steps(
     # memory of its own, which adds to the peak RSS).
     scratch = [
         (
-            np.empty((3, rows, t), dtype=np.float32),
-            np.empty((2, t), dtype=np.float32),
+            np.empty((3, padded, t), dtype=np.float32),
+            np.empty((2, tile, t), dtype=np.float32),
             np.empty((4, rows)),
-            np.empty((d, rows)),
+            np.empty(d * rows),
             np.empty((3, rows), dtype=np.float32),
             np.empty((2, rows), dtype=bool),
         )
@@ -475,7 +502,7 @@ def _metropolis_coordinate_steps(
         blocks, bounds, floats, prior_terms, singles, flags = scratch[worker]
         # The float64 residuals of a block's points, in the memory of its
         # two float32 candidate buffers.
-        exact = blocks[:2].reshape(-1).view(np.float64).reshape(rows, t)
+        exact = blocks[:2].reshape(-1).view(np.float64).reshape(padded, t)
         doubles = None
         multipliers = []
         for block in range(first[worker], first[worker + 1]):
@@ -491,8 +518,8 @@ def _metropolis_coordinate_steps(
             else:
                 if doubles is None:  # rare, so allocated on first use
                     doubles = (
-                        np.empty((3, rows, t)),
-                        np.empty((2, t)),
+                        np.empty((3, padded, t)),
+                        np.empty((2, tile, t)),
                         np.empty((3, rows)),
                         np.ldexp(columns, -column_exponent),
                     )
@@ -500,21 +527,29 @@ def _metropolis_coordinate_steps(
             delta_exponent = column_exponent - k
             candidate, work, residuals = block_buffers
             held = np.ldexp(exact_rows, -k, out=residuals[:m])
-            low_k = np.ldexp(low, -k, out=block_bounds[0])
-            high_k = np.ldexp(high, -k, out=block_bounds[1])
+            # The block's rows in whole wide rows, the pad rows 0.
+            span = -(-m // tile) * tile
+            block_buffers[:, m:span] = 0.0
+            low_k = np.ldexp(low, -k, out=block_bounds[0]).reshape(-1)
+            high_k = np.ldexp(high, -k, out=block_bounds[1]).reshape(-1)
             eta_term = float(np.ldexp(eta, 2 * k)) if math.isfinite(eta) else 0.0
             cand, buf = candidate[:m], work[:m]
+            wide_cand, wide_buf, wide_held = (buffer[:span].reshape(-1, tile * t) for buffer in block_buffers)
+            cand_rows, buf_rows, held_rows = (_opaque_rows(buffer[:m]) for buffer in block_buffers)
             uniform, deltas, log_alpha, prior_new = floats[:, :m]
             deltas_k, new_loss, losses = block_singles[:, :m]
             long_range, accept = flags[:, :m]
             # The prior term log1p(|u| / tau) of each coordinate of each
-            # point, kept up to date as points move.
-            old_terms = prior_terms[:, :m]
-            np.abs(points.T, out=old_terms)
+            # point, kept up to date as points move.  The terms are
+            # contiguous and filled by a copy, so that none of these ufuncs
+            # runs through numpy's buffers: 64 kB each, per worker.
+            old_terms = prior_terms[: d * m].reshape(d, m)
+            old_terms[...] = points.T
+            np.abs(old_terms, out=old_terms)
             np.divide(old_terms, tau, out=old_terms)
             np.log1p(old_terms, out=old_terms)
-            np.minimum(held, high_k, out=buf)
-            np.maximum(buf, low_k, out=buf)
+            np.minimum(wide_held, high_k, out=wide_buf)
+            np.maximum(wide_buf, low_k, out=wide_buf)
             np.einsum("ij,ij->i", buf, buf, out=losses)
             multiplier = step_multiplier
             for j in coords:
@@ -522,9 +557,13 @@ def _metropolis_coordinate_steps(
                 # tails reachable without wrecking the acceptance rate.
                 block_rng.random(out=uniform)
                 np.less(uniform, 0.2, out=long_range)
+                # The long-range factor, 1 or 10, in the memory of the
+                # prior ratio, formed later.
+                factor = np.multiply(long_range, 9.0, out=log_alpha)
+                np.add(factor, 1.0, out=factor)
                 block_rng.standard_normal(out=deltas)
                 np.multiply(deltas, scales[j] * multiplier, out=deltas)
-                np.multiply(deltas, 10.0, out=deltas, where=long_range)
+                np.multiply(deltas, factor, out=deltas)
                 np.ldexp(deltas, delta_exponent, out=deltas_k)
                 # The proposals, written over the deltas.
                 old_vals, old_term = points[:, j], old_terms[j]
@@ -540,8 +579,8 @@ def _metropolis_coordinate_steps(
                 np.subtract(held, cand, out=cand)
                 # min then max is np.clip(cand, low, high), without np.clip's
                 # per-call overhead.
-                np.minimum(cand, high_k, out=buf)
-                np.maximum(buf, low_k, out=buf)
+                np.minimum(wide_cand, high_k, out=wide_buf)
+                np.maximum(wide_buf, low_k, out=wide_buf)
                 np.einsum("ij,ij->i", buf, buf, out=new_loss)
                 # Accept where log u < prior ratio - eta (new - old loss).
                 np.subtract(new_loss, losses, out=uniform)
@@ -553,14 +592,14 @@ def _metropolis_coordinate_steps(
                 # Accepted rows take the candidate itself, so the cached
                 # residuals are exactly the ones their cached losses came
                 # from.  They are gathered into the clipped buffer, free by
-                # now, and scattered back: two or three times faster than a
-                # masked copy of the block at 20-50% acceptance.
+                # now, and put back, each row one opaque item: two or three
+                # times faster than a masked copy of the block at 20-50%
+                # acceptance, and than indexing rows of a few rounds.
                 taken = np.flatnonzero(accept)
-                gathered = np.take(cand, taken, axis=0, out=buf[: taken.shape[0]], mode="clip")
-                held[taken] = gathered
-                np.copyto(old_vals, proposals, where=accept)
-                np.copyto(old_term, prior_new, where=accept)
-                np.copyto(losses, new_loss, where=accept)
+                np.put(held_rows, taken, np.take(cand_rows, taken, out=buf_rows[: taken.shape[0]], mode="clip"))
+                old_vals[taken] = proposals[taken]
+                old_term[taken] = prior_new[taken]
+                losses[taken] = new_loss[taken]
                 rate = taken.shape[0] / m
                 if rate < 0.2:
                     multiplier *= 0.7

@@ -1446,6 +1446,28 @@ class TestPlotValues:
         assert cli.main(["plot", "--input", str(run_csv), "--kind", "staircase", "--out", str(tmp_path / "p.svg")]) == 2
         assert f"{run_csv}: no rounds with a finite threshold to plot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, data, axis, labels",
+        [
+            ("cumloss", [[(1.0, 1e-5), (2.0, 3e-5)]], "y", ["0", "1e-5", "2e-5", "3e-5"]),
+            ("cumloss", [[(1.0, 1e300), (2.0, 2e300)]], "y", ["0", "5e299", "1e300", "1.5e300", "2e300"]),
+            # Steps of 0.5 from 1e16, where floats are 2 apart: five ticks
+            # round to two floats.
+            ("risk", [(1e16, 0.1, 1.0), (1e16 + 2.0, 0.2, 2.0)], "x", ["1e16", "1.0000000000000002e16"]),
+        ],
+        ids=["tiny-losses", "huge-losses", "horizons-one-ulp-apart"],
+    )
+    def test_adjacent_ticks_read_apart(self, tmp_path, kind, data, axis, labels):
+        out = tmp_path / "p.svg"
+        assert cli.main(["plot", "--input", *_plot_inputs(tmp_path, kind, data), "--kind", kind, "--out", str(out)]) == 0
+        svg = out.read_text()
+        label, line = {
+            "x": ('y="366" text-anchor="middle"', r'<line x1="[^"]*" y1="350" x2="[^"]*" y2="354"'),
+            "y": ('text-anchor="end"', '<line x1="56" '),
+        }[axis]
+        assert re.findall(label + ' font-family="monospace" font-size="10">([^<]*)<', svg) == labels
+        assert len(re.findall(line, svg)) == len(labels)
+
     def test_horizons_one_ulp_apart_draw_in_bounded_time_and_memory(self, tmp_path):
         # 1e16 + 0.5 == 1e16: ticks stepped by adding 0.5 to a float never
         # pass the axis's end.  The plot runs in a child process under an

@@ -21,7 +21,8 @@ eta limit to the bounds engine, builds its forecasters at one call site
 and evaluates the risk bounds at one.  It reads every file through one
 reader and writes every file through one writer.  The scenario's i.i.d. input law
 (its sampler, feature norms and feature bound) is decided in
-``datagen._design_law`` alone."""
+``datagen._design_law`` alone.  The Metropolis step updates its accepted
+rows by index, never through a mask."""
 
 import ast
 import re
@@ -400,3 +401,17 @@ def test_cli_reads_and_writes_files_at_one_site_each():
             if name in ("read_text", "write_text", "read_bytes", "write_bytes", "open"):
                 found.setdefault(name, set()).add(function)
     assert found == {"read_text": {"_read_text"}, "open": {"_open_output"}}
+
+
+def test_metropolis_step_updates_rows_by_index():
+    """``_metropolis_coordinate_steps`` and the workers it defines pass no
+    ``where=`` mask to a ufunc and call no ``np.copyto``: the accepted rows
+    are written by index and the long-range moves scaled by a factor
+    vector, each far cheaper than a masked sweep."""
+    tree = ast.parse((PACKAGE / "posterior.py").read_text())
+    (kernel,) = [node for node in tree.body if getattr(node, "name", None) == "_metropolis_coordinate_steps"]
+    calls = [node for node in ast.walk(kernel) if isinstance(node, ast.Call)]
+    names = {getattr(call.func, "attr", None) for call in calls}
+    assert {"minimum", "maximum", "einsum", "take"} <= names  # the scan sees the step's calls
+    assert "copyto" not in names
+    assert [ast.unparse(call) for call in calls if any(k.arg == "where" for k in call.keywords)] == []

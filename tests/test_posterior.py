@@ -785,6 +785,24 @@ class TestMetropolisKernel:
         assert np.all(np.isfinite(samples)) and not np.array_equal(samples, before)
         assert np.array_equal(cum_loss, np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1))
 
+    def _huge_features_move(self, shrink):
+        """A move against round 2's features scaled by 1e40, with block 3's
+        points (in blocks of 16) scaled by ``shrink``: its samples, cached
+        losses, multiplier and history."""
+        rng = np.random.default_rng(61)
+        phi = 5.0 * rng.uniform(-1, 1, size=(self.T, self.D))
+        phi[1] *= 1e40
+        y = rng.standard_normal(self.T)
+        b = np.full(self.T, 1.5)
+        samples = 0.5 * rng.standard_normal((self.N, self.D))
+        samples[48:64] *= shrink
+        cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
+        multiplier = posterior._metropolis_coordinate_steps(
+            samples, cum_loss, (phi, y, b), 0.1, SparsityPrior(0.5, self.D), np.random.default_rng(62),
+            20, np.full(self.D, 0.5), 1.0,
+        )
+        return samples, cum_loss, multiplier, phi, y, b
+
     def _check_huge_features(self, monkeypatch, cores, shrink):
         """Check that the move does not depend on the worker count, and
         return whether each block ran in float32, in block order."""
@@ -795,34 +813,53 @@ class TestMetropolisKernel:
             single.append(unit[1])
             return unit
 
-        def run():
-            rng = np.random.default_rng(61)
-            phi = 5.0 * rng.uniform(-1, 1, size=(self.T, self.D))
-            phi[1] *= 1e40
-            y = rng.standard_normal(self.T)
-            b = np.full(self.T, 1.5)
-            samples = 0.5 * rng.standard_normal((self.N, self.D))
-            samples[48:64] *= shrink
-            cum_loss = np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1)
-            multiplier = posterior._metropolis_coordinate_steps(
-                samples, cum_loss, (phi, y, b), 0.1, SparsityPrior(0.5, self.D), np.random.default_rng(62),
-                20, np.full(self.D, 0.5), 1.0,
-            )
-            return samples, cum_loss, multiplier, phi, y, b
-
         monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * 16)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
         # One worker runs the blocks in order.
         monkeypatch.setattr(posterior, "_block_unit", spy)
-        serial = run()
+        serial = self._huge_features_move(shrink)
         monkeypatch.setattr(posterior, "_block_unit", block_unit)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
-        samples, cum_loss, multiplier, phi, y, b = run()
+        samples, cum_loss, multiplier, phi, y, b = self._huge_features_move(shrink)
         assert np.array_equal(samples, serial[0])
         assert np.array_equal(cum_loss, serial[1])
         assert multiplier == serial[2]
         np.testing.assert_allclose(cum_loss, np.sum((y - np.clip(samples @ phi.T, -b, b)) ** 2, axis=1), rtol=1e-12)
         return single
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("width", [T, 3 * T, posterior._KERNEL_CLIP_WIDTH], ids=["tile-1", "tile-3", "default"])
+    def test_result_does_not_depend_on_the_clip_width(self, monkeypatch, cores, width):
+        # Blocks of 16 rows, the last one of 10.  Tile 1 clips row by row,
+        # as a narrow sweep would; tile 3 pads each block's buffers to 18
+        # rows and clips the last block in 12, 2 of them pad; the default
+        # clips each block as one wide row, mostly pad.
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * 16)
+        monkeypatch.setattr(posterior, "_KERNEL_CLIP_WIDTH", self.T)
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
+        _, narrow_samples, narrow_loss, narrow_multiplier = self._run(n_steps=20)
+        monkeypatch.setattr(posterior, "_KERNEL_CLIP_WIDTH", width)
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: cores)
+        before, samples, cum_loss, multiplier = self._run(n_steps=20)
+        assert not np.array_equal(samples, before)
+        assert np.array_equal(samples, narrow_samples)
+        assert np.array_equal(cum_loss, narrow_loss)
+        assert multiplier == narrow_multiplier
+
+    def test_float64_blocks_do_not_depend_on_the_clip_width(self, monkeypatch):
+        # Every block but block 3 runs in float64 (see
+        # test_blocks_that_dwarf_the_clip_band_do_not_depend_on_worker_count),
+        # here in buffers padded to whole wide rows of tile 3.
+        monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * 16)
+        monkeypatch.setattr(posterior, "_KERNEL_CLIP_WIDTH", self.T)
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
+        narrow = self._huge_features_move(shrink=1e-19)
+        monkeypatch.setattr(posterior, "_KERNEL_CLIP_WIDTH", 3 * self.T)
+        monkeypatch.setattr(posterior, "_usable_cores", lambda: 2)
+        samples, cum_loss, multiplier, *_ = self._huge_features_move(shrink=1e-19)
+        assert np.array_equal(samples, narrow[0])
+        assert np.array_equal(cum_loss, narrow[1])
+        assert multiplier == narrow[2]
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         def submit(*args, **kwargs):
