@@ -42,8 +42,10 @@ its clipped margins, and the total is divided by T.  The cost is O(T n) to
 sum the weights plus O(m n d) per sample set for the margins.  Scratch is
 two cache-sized (rows, n) blocks of margins (``posterior._block_rows``),
 never the (T, m) matrix of per-round means, and one sample set's weight
-sums are held at a time.  Evaluation points must be finite; a bad one
-raises :class:`DataError` naming its index.
+sums are held at a time.  A block's margin product is also small enough
+for OpenBLAS to run on the calling thread (``posterior._piece_rows``), so
+predictions do not depend on OpenBLAS's thread count.  Evaluation points
+must be finite; a bad one raises :class:`DataError` naming its index.
 
 The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
 noise families (defined in :mod:`seqsew.datagen`) are also here.
@@ -60,7 +62,7 @@ import numpy as np
 from .datagen import NoiseFamily
 from .errors import ArgumentError, DataError, DimensionMismatchError
 from .forecasters import SeqSEWAdaptive, features_of
-from .posterior import BackendConfig, FrozenCloud, _block_rows
+from .posterior import BackendConfig, FrozenCloud, _block_rows, _piece_rows
 from .prior import s_ln_term
 
 __all__ = [
@@ -153,9 +155,12 @@ class BatchEstimator:
         online pass made at the point.  Otherwise rounds are grouped by
         sample set, then by threshold; a group's per-round means are linear
         in its weights, so it adds its rounds' summed weights times its
-        clipped margins, one cache-sized block of rows at a time, and the
-        total is divided by the number of rounds.  Scratch stays at two
-        (rows, n) blocks, and one sample set's sums are held at a time."""
+        clipped margins, one block of rows at a time, and the total is
+        divided by the number of rounds.  A block is cache-sized and small
+        enough for OpenBLAS to form its margins on the calling thread
+        (``posterior._piece_rows``), so the result does not depend on
+        OpenBLAS's thread count.  Scratch stays at two (rows, n) blocks,
+        and one sample set's sums are held at a time."""
         if len(xs) == 0:
             return np.zeros(0)
         phi = self._features(xs)
@@ -173,9 +178,9 @@ class BatchEstimator:
             groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1].setdefault(b, []).append(cloud)
         out = np.zeros(rows)
         for samples, by_threshold in groups.values():
-            n = samples.shape[0]
+            n, d = samples.shape
             sums = [(b, sum(cloud.weights() for cloud in clouds)) for b, clouds in by_threshold.items()]
-            height = min(_block_rows(n, 8), rows)
+            height = min(_block_rows(n, 8), _piece_rows(d, n), rows)
             margins, clipped = np.empty((height, n)), np.empty((height, n))
             for start in range(0, rows, height):
                 m = np.matmul(phi[start : start + height], samples.T, out=margins[: min(height, rows - start)])

@@ -200,9 +200,8 @@ def thm8_rhs(comparator: Comparator, stats: SequenceStats) -> float:
 def cor9_rhs(s: float, U: float, stats: SequenceStats) -> float:
     """Regret cap of the automatic forecaster, uniform over the ball
     {l0 <= s, l1 <= U}.  Add the ball's best cumulative loss to compare
-    against a measured run."""
-    if s < 0.0 or U < 0.0:
-        raise ArgumentError("s and U must be nonnegative")
+    against a measured run.  A negative s or U raises ``ArgumentError``
+    from :func:`~seqsew.prior.s_ln_term`."""
     log_gram = math.log(math.e + math.sqrt(stats.gram_trace))
     a_t = stats.A_T
     return (

@@ -177,7 +177,8 @@ class _ForecasterBase:
         raise NotImplementedError
 
     def state_row(self) -> dict[str, float]:
-        """Adaptation state for the round about to be predicted."""
+        """Adaptation state the round just predicted was predicted under:
+        :func:`run_protocol` reads it between ``predict`` and ``observe``."""
         return {"B": math.nan, "eta": math.nan, "regime": 0, "ess": math.nan, "gamma": math.nan}
 
 

@@ -21,12 +21,11 @@ posterior as they are.  Each step changes one random coordinate, shared
 by every point.  The step carries each point's residuals against the
 history rather than its margins, so a candidate's loss is the sum of
 squares of its residuals clipped to ``[y - B, y + B]``: six sweeps of a
-block per step, against eight for the margin form.  Clipping the residual
-equals clipping the margin only up to rounding, so sampled values differ
-in the last bits from the margin form's, while a fixed seed still
-reproduces them byte for byte.  The sweeps run in single precision, in
-units of a power of two that keeps them scale-exact, and a move recomputes
-its points' cumulative losses in double precision when it ends.  So the
+block per step.  Clipping the residual equals clipping the margin only up
+to rounding; a fixed seed reproduces the sampled values byte for byte.
+The sweeps run in single precision, in units of a power of two that
+keeps them scale-exact, and a move recomputes its points' cumulative
+losses in double precision when it ends.  So the
 move targets the posterior to single-precision rounding: on criterion 4's
 moves (seed 1000) the log acceptance ratio was at most 1.5e-5 from the
 exact one, with a median of 6e-7, and the run's predictions moved by at
@@ -68,13 +67,30 @@ The Metropolis step size is calibrated, block by block, to keep acceptance
 between roughly 20% and 50%; a move starts from the median of the last
 move's per-block step sizes.
 
+Outputs do not depend on OpenBLAS's thread count.  OpenBLAS splits a dot
+product of more than 10 000 entries, or a large enough matrix product,
+between its threads, and the rounding then depends on their count.  So
+the weighted means of the live and the frozen cloud and the effective
+sample size are all taken on the calling thread by :func:`_particle_sum`,
+as one dot product up to ``_DOT_PIECE`` particles and as pieces of that
+size added in order beyond it.  The kernel's and the batch average's
+matrix products are cut into pieces of at most ``_KERNEL_PIECE_MULADDS``
+multiply-adds (:func:`_piece_rows`), which run on the calling thread too.
+The matrix-vector products (a round's margins ``samples @ features``,
+and the batch average's weighting of its clipped margins) may run on
+several threads, and read the same bits at one and at two in every run
+measured.  All of this is tested at one and two threads; other BLAS
+builds are unverified.
+
 A round costs one pass over the points.  Every sample set is column-major
 (an F-contiguous (n, d) array: a (d, n) C-array seen through ``.T``), so
 the margin product reads d contiguous columns; prior draws, grid nodes,
 resampled and moved points all keep that layout, and snapshots share it.
 The weights are normalised once per state, on first use, and handed out
 read-only together with their effective sample size ``1 / (w . w)``;
-only an update and a move change the state, and both drop them.
+only an update and a move change the state, and both drop them.  The
+live cloud and its snapshots form their means by one function,
+:func:`_clipped_mean`, which clamps the weighted mean into [-B, B].
 ``predict`` keeps the clipped margins it averaged, and an update with the
 same features (compared by value) and the same threshold adds those to
 the cumulative losses instead of computing them again.  Every arithmetic
@@ -215,9 +231,34 @@ def _normalized_log_weights(log_unnorm: np.ndarray) -> np.ndarray:
     return np.divide(log_unnorm, np.sum(log_unnorm), out=log_unnorm)
 
 
+# Most particles of one dot product.  OpenBLAS takes a dot product of at
+# most 10 000 entries on the calling thread alone and splits a longer one
+# between its threads, whose partial sums then depend on their count.
+_DOT_PIECE = 10_000
+
+
+def _particle_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` over a cloud's particles, on the calling thread: one dot
+    product of at most ``_DOT_PIECE`` particles, or the dot products of
+    such pieces added in order."""
+    if a.size <= _DOT_PIECE:
+        return float(np.dot(a, b))
+    total = 0.0
+    for start in range(0, a.size, _DOT_PIECE):
+        total += float(np.dot(a[start : start + _DOT_PIECE], b[start : start + _DOT_PIECE]))
+    return total
+
+
+def _clipped_mean(weights: np.ndarray, clipped: np.ndarray, threshold: float) -> float:
+    """The ``weights``-mean of margins ``clipped`` at ``threshold``, clamped
+    into [-threshold, threshold]: the weighted average of values in that
+    interval can leave it by a rounding ulp, and a prediction never does."""
+    return float(min(max(_particle_sum(weights, clipped), -threshold), threshold))
+
+
 def _ess_from_weights(weights: np.ndarray) -> float:
     """Effective sample size 1 / sum_i w_i^2 of normalised weights."""
-    return float(1.0 / np.dot(weights, weights))
+    return 1.0 / _particle_sum(weights, weights)
 
 
 def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -293,8 +334,11 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # worker, two of which hold the block's float64 residuals at its start and
 # end.  Each usable core takes one contiguous run of blocks per move, the
 # calling thread the first.  A block's residual product is cut into pieces
-# small enough for BLAS to run each on the calling thread, so BLAS threads
-# never compete with the workers; the rest is ufuncs, einsum with ``out=``,
+# of _piece_rows rows, small enough for OpenBLAS to run each on the
+# calling thread, so BLAS threads never compete with the workers and the
+# residuals do not depend on OpenBLAS's thread count (tested at one and
+# two threads); the batch average cuts its margin products by the same
+# rule.  The rest is ufuncs, einsum with ``out=``,
 # a take and index assignments of the accepted rows, and the generators'
 # fills, none of them masked (a ``where=`` mask or ``np.copyto`` costs two
 # to three times an index assignment of the 20-50% of rows a step
@@ -316,9 +360,11 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 # per-row calls of a step a small part of it, as above).
 _BLOCK_BYTES = 512 * 1024
 
-# Most multiply-adds of one piece of a block's residual product.  OpenBLAS
-# runs a GEMM of at most SMP_THRESHOLD_MIN (65536) times
-# GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds on the calling thread alone.
+# Most multiply-adds of one piece of a product over a cloud's particles:
+# a Metropolis block's residual product, and a batch average's block of
+# margins (_piece_rows).  OpenBLAS runs a GEMM of at most SMP_THRESHOLD_MIN
+# (65536) times GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds on the
+# calling thread alone.
 _KERNEL_PIECE_MULADDS = 1 << 18
 
 # Cells of one row of a Metropolis block's clip sweeps, which read its
@@ -350,6 +396,13 @@ _KERNEL_DELTA_EXPONENT = 96
 def _block_rows(width: int, itemsize: int) -> int:
     """Rows of a (rows, width) scratch block of ``itemsize``-byte cells."""
     return max(1, _BLOCK_BYTES // (itemsize * width))
+
+
+def _piece_rows(inner: int, width: int) -> int:
+    """Rows of one piece of a product against an (inner, width) matrix
+    that OpenBLAS runs on the calling thread alone: at most
+    ``_KERNEL_PIECE_MULADDS`` multiply-adds, and at least one row."""
+    return max(1, _KERNEL_PIECE_MULADDS // (inner * width))
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -402,8 +455,7 @@ def _exponent(x: float) -> int:
 def _block_residuals(points: np.ndarray, columns: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``y - points @ columns`` written into ``out``, one product of at
     most ``_KERNEL_PIECE_MULADDS`` multiply-adds per piece of rows."""
-    d, t = columns.shape
-    step = max(1, _KERNEL_PIECE_MULADDS // (d * t))
+    step = _piece_rows(*columns.shape)
     for start in range(0, points.shape[0], step):
         piece = out[start : start + step]
         np.matmul(points[start : start + step], columns, out=piece)
@@ -719,8 +771,10 @@ class FrozenCloud:
     Log-weights handed to the constructor, or read by :meth:`from_json`,
     are kept as given: they are a log base tempered at eta 0.
 
-    Serialises losslessly to JSON (samples, log-weights, cached losses)
-    so batch estimators can be persisted and reloaded.
+    Serialises losslessly to JSON (samples, log-weights, cached losses):
+    ``from_json(to_json(x))`` predicts as ``x`` does, bit for bit.  Its
+    mean is the live cloud's: :func:`_clipped_mean` of the same weights
+    and margins, so a snapshot predicts the round it was taken in.
     """
 
     def __init__(self, samples: np.ndarray, log_weights: np.ndarray, cum_loss: np.ndarray, eta: float, backend: str) -> None:
@@ -738,7 +792,7 @@ class FrozenCloud:
 
     def predict_clipped_mean(self, features: np.ndarray, threshold: float) -> float:
         clipped = _clipped_margins(self.samples, _checked_features(features, self.samples.shape[1]), threshold)
-        return float(np.dot(self.weights(), clipped))
+        return _clipped_mean(self.weights(), clipped, threshold)
 
     def to_json(self) -> str:
         payload = {
@@ -843,16 +897,12 @@ class PosteriorCloud:
 
     # -- weights ---------------------------------------------------------
 
-    def _log_unnormalized(self) -> np.ndarray:
-        """A fresh array of the current log weights, up to a constant."""
-        return _log_weights(self._log_base, self.eta, self.cum_loss)
-
     def weights(self) -> np.ndarray:
         """Normalised weights of the current state (read-only; computed
         once per state)."""
         if self._weights is None:
             try:
-                weights = _normalized_log_weights(self._log_unnormalized())
+                weights = _normalized_log_weights(_log_weights(self._log_base, self.eta, self.cum_loss))
             except StateError as exc:
                 raise StateError(f"posterior after round {len(self.history)}: {exc}") from None
             weights.flags.writeable = False
@@ -874,10 +924,7 @@ class PosteriorCloud:
         features = _checked_features(features, self.prior.dim)
         clipped = _clipped_margins(self.samples, features, threshold)
         self._predicted = (features.copy(), threshold, clipped)
-        value = float(np.dot(self.weights(), clipped))
-        # The weighted average of values in [-B, B] can exceed the interval
-        # by a rounding ulp; the protocol promises |prediction| <= B exactly.
-        return min(max(value, -threshold), threshold)
+        return _clipped_mean(self.weights(), clipped, threshold)
 
     def update(
         self,

@@ -505,6 +505,18 @@ class TestFixedDesignReadsItsPass:
         assert est.predict_many(design).tolist() == expected
         assert [est.predict(x) for x in design[:8]] == expected[:8]
 
+    @pytest.mark.parametrize("backend_name", ["quadrature", "importance", "chain"])
+    def test_every_snapshot_predicts_its_own_round(self, backend_name):
+        # A round's snapshot and the live cloud that predicted the round
+        # form their means by one function of one state, so the fit's
+        # predictions are its snapshots' means bit for bit.
+        d, backend = TestStoredPassMatchesFullSnapshots.BACKENDS[backend_name]
+        dictionary = _coord_dict(d=d, norm=10.0)
+        samples = TestStoredPassMatchesFullSnapshots._samples(d)
+        est = fit_fixed_design(samples, dictionary, backend, seed=5)
+        means = [cloud.predict_clipped_mean(dictionary.features(x), b) for (cloud, b), (x, _) in zip(est.snapshots, samples)]
+        assert means == est.predictions.tolist()
+
     def test_prediction_reads_no_weights(self, monkeypatch):
         d, backend = TestStoredPassMatchesFullSnapshots.BACKENDS["importance"]
         samples = TestStoredPassMatchesFullSnapshots._samples(d)

@@ -22,7 +22,9 @@ and evaluates the risk bounds at one.  It reads every file through one
 reader and writes every file through one writer.  The scenario's i.i.d. input law
 (its sampler, feature norms and feature bound) is decided in
 ``datagen._design_law`` alone.  The Metropolis step updates its accepted
-rows by index, never through a mask."""
+rows by index, never through a mask.  Every dot product over a cloud's
+particles is taken at one site, and the kernel's and the batch average's
+products are cut into single-thread pieces by one rule."""
 
 import ast
 import re
@@ -245,6 +247,41 @@ def test_cache_block_rows_have_one_definition():
                         found.add((name, function))
     # The definition at module level, and the one reading of it.
     assert found == {("posterior", None), ("posterior", "_block_rows")}
+
+
+def test_particle_sums_run_at_one_site():
+    """Every dot product over a cloud's particles (the live and the frozen
+    cloud's means, and the ESS) is taken by ``posterior._particle_sum``,
+    which cuts a long one into pieces that OpenBLAS runs on the calling
+    thread.  No other function calls ``np.dot``, and the posterior's only
+    other products are the margin product and the kernel's pieces."""
+    dots, products = set(), set()
+    for name in MODULES:
+        for node, _, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            called = getattr(node.func, "attr", None) if isinstance(node, ast.Call) else None
+            if called in ("dot", "vdot", "inner"):
+                dots.add((name, function))
+            elif called == "matmul" or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+                products.add((name, function))
+    assert dots == {("posterior", "_particle_sum")}
+    assert {function for name, function in products if name == "posterior"} == {"_clipped_margins", "_block_residuals"}
+
+
+def test_products_are_cut_by_one_rule():
+    """The Metropolis kernel's residual products and the batch average's
+    margin products are cut into pieces that OpenBLAS runs on the calling
+    thread by one rule, ``posterior._piece_rows``: the constant is read
+    only there, and both products ask it for their rows."""
+    readers, callers = set(), set()
+    for name in MODULES:
+        for node, owner, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.Name) and node.id == "_KERNEL_PIECE_MULADDS":
+                readers.add((name, function))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_piece_rows":
+                callers.add((name, owner, function))
+    # The definition at module level, and the one reading of it.
+    assert readers == {("posterior", None), ("posterior", "_piece_rows")}
+    assert callers == {("posterior", None, "_block_residuals"), ("batch", "BatchEstimator", "_deltas")}
 
 
 def test_batch_estimators_form_margins_at_one_product_site():

@@ -239,6 +239,17 @@ class TestInputChecks:
             snap.predict_clipped_mean(phi, threshold)
         assert len(cloud.history) == 1  # the failed update recorded nothing
 
+    def test_frozen_mean_stays_within_the_threshold(self):
+        # Every margin clips at B, so the mean is B times a sum of weights
+        # that rounds above 1 about one time in six; the live and the
+        # frozen cloud clamp it into [-B, B] alike.
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            n = int(rng.integers(2, 50))
+            snap = FrozenCloud(np.full((n, 1), 3.0), rng.standard_normal(n), np.zeros(n), 0.0, "importance")
+            assert snap.predict_clipped_mean(np.array([1.0]), 1.0) <= 1.0
+            assert snap.predict_clipped_mean(np.array([-1.0]), 1.0) >= -1.0
+
 
 class TestUpdate:
     def test_zero_threshold_round_leaves_weights_uniform(self):
@@ -516,7 +527,7 @@ class TestSnapshots:
         def check(kind):
             snap = cloud.snapshot()
             assert snap.weights().tobytes() == cloud.weights().tobytes()
-            assert snap.log_weights.tobytes() == cloud._log_unnormalized().tobytes()
+            assert snap.log_weights.tobytes() == posterior._log_weights(cloud._log_base, cloud.eta, cloud.cum_loss).tobytes()
             checked.append(kind)
 
         check("inf")
@@ -1303,7 +1314,7 @@ class TestOnePassPerRound:
         cloud = _cache_cloud(backend)
 
         def assert_fresh():
-            fresh = posterior._normalized_log_weights(cloud._log_unnormalized())
+            fresh = posterior._normalized_log_weights(posterior._log_weights(cloud._log_base, cloud.eta, cloud.cum_loss))
             assert np.array_equal(cloud.weights(), fresh)
             assert cloud.ess() == posterior._ess_from_weights(fresh)
 
