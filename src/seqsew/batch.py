@@ -42,10 +42,12 @@ its clipped margins, and the total is divided by T.  The cost is O(T n) to
 sum the weights plus O(m n d) per sample set for the margins.  Scratch is
 two cache-sized (rows, n) blocks of margins (``posterior._block_rows``),
 never the (T, m) matrix of per-round means, and one sample set's weight
-sums are held at a time.  A block's margin product is also small enough
-for OpenBLAS to run on the calling thread (``posterior._piece_rows``), so
-predictions do not depend on OpenBLAS's thread count.  Evaluation points
-must be finite; a bad one raises :class:`DataError` naming its index.
+sums are held at a time.  A block's margins are formed in pieces of
+particles small enough for OpenBLAS to run on the calling thread
+(``posterior._piece_rows``), and weighted by ``posterior._particle_sum``,
+so predictions do not depend on OpenBLAS's thread count (tested at one
+and two threads).  Evaluation points must be finite; a bad one raises
+:class:`DataError` naming its index.
 
 The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
 noise families (defined in :mod:`seqsew.datagen`) are also here.
@@ -62,7 +64,7 @@ import numpy as np
 from .datagen import NoiseFamily
 from .errors import ArgumentError, DataError, DimensionMismatchError
 from .forecasters import SeqSEWAdaptive, features_of
-from .posterior import BackendConfig, FrozenCloud, _block_rows, _piece_rows
+from .posterior import BackendConfig, FrozenCloud, _block_rows, _particle_sum, _piece_rows
 from .prior import s_ln_term
 
 __all__ = [
@@ -155,10 +157,11 @@ class BatchEstimator:
         online pass made at the point.  Otherwise rounds are grouped by
         sample set, then by threshold; a group's per-round means are linear
         in its weights, so it adds its rounds' summed weights times its
-        clipped margins, one block of rows at a time, and the total is
-        divided by the number of rounds.  A block is cache-sized and small
-        enough for OpenBLAS to form its margins on the calling thread
-        (``posterior._piece_rows``), so the result does not depend on
+        clipped margins, one cache-sized block of rows at a time, and the
+        total is divided by the number of rounds.  A block's margins are
+        formed in pieces of particles that OpenBLAS runs on the calling
+        thread (``posterior._piece_rows``) and weighted by
+        ``posterior._particle_sum``, so the result does not depend on
         OpenBLAS's thread count.  Scratch stays at two (rows, n) blocks,
         and one sample set's sums are held at a time."""
         if len(xs) == 0:
@@ -180,13 +183,16 @@ class BatchEstimator:
         for samples, by_threshold in groups.values():
             n, d = samples.shape
             sums = [(b, sum(cloud.weights() for cloud in clouds)) for b, clouds in by_threshold.items()]
-            height = min(_block_rows(n, 8), _piece_rows(d, n), rows)
+            height = min(_block_rows(n, 8), rows)
             margins, clipped = np.empty((height, n)), np.empty((height, n))
             for start in range(0, rows, height):
-                m = np.matmul(phi[start : start + height], samples.T, out=margins[: min(height, rows - start)])
-                c = clipped[: m.shape[0]]
+                block = phi[start : start + height]
+                m, c = margins[: block.shape[0]], clipped[: block.shape[0]]
+                step = _piece_rows(d, block.shape[0])
+                for first in range(0, n, step):
+                    np.matmul(block, samples[first : first + step].T, out=m[:, first : first + step])
                 for b, w in sums:
-                    out[start : start + height] += m.clip(-b, b, out=c) @ w
+                    out[start : start + height] += _particle_sum(m.clip(-b, b, out=c), w)
         return out / len(self.snapshots)
 
     def predict_components(self, x: Any) -> tuple[float, float]:

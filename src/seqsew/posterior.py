@@ -70,17 +70,18 @@ move's per-block step sizes.
 Outputs do not depend on OpenBLAS's thread count.  OpenBLAS splits a dot
 product of more than 10 000 entries, or a large enough matrix product,
 between its threads, and the rounding then depends on their count.  So
-the weighted means of the live and the frozen cloud and the effective
-sample size are all taken on the calling thread by :func:`_particle_sum`,
-as one dot product up to ``_DOT_PIECE`` particles and as pieces of that
-size added in order beyond it.  The kernel's and the batch average's
-matrix products are cut into pieces of at most ``_KERNEL_PIECE_MULADDS``
-multiply-adds (:func:`_piece_rows`), which run on the calling thread too.
-The matrix-vector products (a round's margins ``samples @ features``,
-and the batch average's weighting of its clipped margins) may run on
-several threads, and read the same bits at one and at two in every run
-measured.  All of this is tested at one and two threads; other BLAS
-builds are unverified.
+every sum over a cloud's particles (the weighted means of the live and
+the frozen cloud, the effective sample size, and the batch average's
+weighting of its clipped margins) is taken on the calling thread by
+:func:`_particle_sum`, one dot product per row up to ``_DOT_PIECE``
+particles and pieces of that size added in order beyond it.  The
+kernel's and the batch average's matrix products are cut into pieces of
+at most ``_KERNEL_PIECE_MULADDS`` multiply-adds (:func:`_piece_rows`),
+which run on the calling thread too.  A round's margins ``samples @
+features`` form one matrix-vector product, which may run on several
+threads; each margin is one thread's dot over the d coordinates, and it
+read the same bits at one and at two in every run measured.  All of this
+is tested at one and two threads; other BLAS builds are unverified.
 
 A round costs one pass over the points.  Every sample set is column-major
 (an F-contiguous (n, d) array: a (d, n) C-array seen through ``.T``), so
@@ -237,15 +238,14 @@ def _normalized_log_weights(log_unnorm: np.ndarray) -> np.ndarray:
 _DOT_PIECE = 10_000
 
 
-def _particle_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """``a . b`` over a cloud's particles, on the calling thread: one dot
-    product of at most ``_DOT_PIECE`` particles, or the dot products of
-    such pieces added in order."""
-    if a.size <= _DOT_PIECE:
-        return float(np.dot(a, b))
-    total = 0.0
-    for start in range(0, a.size, _DOT_PIECE):
-        total += float(np.dot(a[start : start + _DOT_PIECE], b[start : start + _DOT_PIECE]))
+def _particle_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray | np.float64:
+    """``a . b`` over a cloud's particles, the last axis of ``a``, for each
+    of its rows, on the calling thread: one dot product per row of at most
+    ``_DOT_PIECE`` particles, and beyond that the dot products of such
+    pieces added in order."""
+    total = np.vecdot(a[..., :_DOT_PIECE], b[:_DOT_PIECE])
+    for start in range(_DOT_PIECE, a.shape[-1], _DOT_PIECE):
+        total += np.vecdot(a[..., start : start + _DOT_PIECE], b[start : start + _DOT_PIECE])
     return total
 
 
@@ -258,7 +258,7 @@ def _clipped_mean(weights: np.ndarray, clipped: np.ndarray, threshold: float) ->
 
 def _ess_from_weights(weights: np.ndarray) -> float:
     """Effective sample size 1 / sum_i w_i^2 of normalised weights."""
-    return 1.0 / _particle_sum(weights, weights)
+    return 1.0 / float(_particle_sum(weights, weights))
 
 
 def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -101,17 +101,27 @@ def test_importance_run_does_not_depend_on_the_thread_count():
     assert np.array_equal(e1, e2)
 
 
-def test_random_design_predictions_do_not_depend_on_the_thread_count():
-    # The batch shape of the CLI tour's automatic config: T 500, d 20,
-    # importance n 500, and 200 evaluation points.
+@pytest.mark.parametrize(
+    "T, d, n_samples, n_points",
+    [
+        # The batch shape of the CLI tour's automatic config.
+        (500, 20, 500, 200),
+        # 20 000 particles: each point's weighted sum runs past one
+        # single-thread dot product, and a block holds only three points.
+        (200, 8, 20_000, 100),
+    ],
+)
+def test_random_design_predictions_do_not_depend_on_the_thread_count(T, d, n_samples, n_points):
     rng = np.random.default_rng(11)
-    T, d = 500, 20
     u = np.zeros(d)
     u[:3] = (1.0, -0.5, 0.8)
     xs = rng.uniform(-1.0, 1.0, size=(T, d))
     ys = xs @ u + 0.5 * rng.standard_normal(T)
     dictionary = Dictionary(DictionarySpec(kind="coordinate", d=d))
-    est = fit_random_design(list(zip(xs, ys.tolist())), dictionary, BackendConfig(backend="importance", n_samples=500), seed=12)
-    points = list(rng.uniform(-1.0, 1.0, size=(200, d)))
-    one, two = _at_one_and_two_threads(lambda count: est.predict_many(points))
-    assert np.array_equal(one, two)
+    config = BackendConfig(backend="importance", n_samples=n_samples)
+    est = fit_random_design(list(zip(xs, ys.tolist())), dictionary, config, seed=12)
+    points = list(rng.uniform(-1.0, 1.0, size=(n_points, d)))
+    # predict_many averages blocks of points; predict averages one point.
+    one, two = _at_one_and_two_threads(lambda count: (est.predict_many(points), [est.predict(x) for x in points[:5]]))
+    assert np.array_equal(one[0], two[0])
+    assert one[1] == two[1]

@@ -251,20 +251,28 @@ def test_cache_block_rows_have_one_definition():
 
 def test_particle_sums_run_at_one_site():
     """Every dot product over a cloud's particles (the live and the frozen
-    cloud's means, and the ESS) is taken by ``posterior._particle_sum``,
-    which cuts a long one into pieces that OpenBLAS runs on the calling
-    thread.  No other function calls ``np.dot``, and the posterior's only
-    other products are the margin product and the kernel's pieces."""
-    dots, products = set(), set()
+    cloud's means, the ESS, and the batch average's weighting of its
+    clipped margins) is taken by ``posterior._particle_sum``, which cuts a
+    long one into pieces that OpenBLAS runs on the calling thread.  No
+    other function calls a dot product, and the only other products over
+    particles are the margin products and the kernel's pieces."""
+    dots, products, callers = set(), set(), set()
     for name in MODULES:
         for node, _, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
-            called = getattr(node.func, "attr", None) if isinstance(node, ast.Call) else None
-            if called in ("dot", "vdot", "inner"):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+            if called in ("dot", "vdot", "vecdot", "inner", "matvec", "vecmat"):
                 dots.add((name, function))
+            elif called == "_particle_sum":
+                callers.add((name, function))
             elif called == "matmul" or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
                 products.add((name, function))
     assert dots == {("posterior", "_particle_sum")}
-    assert {function for name, function in products if name == "posterior"} == {"_clipped_margins", "_block_residuals"}
+    assert callers == {("posterior", "_clipped_mean"), ("posterior", "_ess_from_weights"), ("batch", "_deltas")}
+    assert {function for name, function in products if name in ("posterior", "batch")} == {
+        "_clipped_margins",
+        "_block_residuals",
+        "_deltas",
+    }
 
 
 def test_products_are_cut_by_one_rule():
