@@ -19,11 +19,11 @@ at new points are deterministic: ``BatchEstimator.snapshots`` is the list
 of each round's ``(FrozenCloud, B)``.  The snapshots of one *epoch* share
 its sample set and its log base, since importance particles change only
 when they are rejuvenated and quadrature nodes never change.  Each round
-keeps only the cloud's own read-only cumulative losses (the cloud
-rebinds, never writes, them); its snapshot derives its weights from those,
-its eta and the epoch's log base, so freezing a round allocates nothing
-and a fit holds O(epochs * n * (d + 1) + T * n) floats, one n-vector per
-round, rather than the O(T * n * d) of a full copy per round.  At T =
+keeps only its cumulative losses, one row of a (T, n) array that the
+online pass fills with a copy of the cloud's; its snapshot derives its
+weights from those, its eta and the epoch's log base, so a fit holds
+O(epochs * n * (d + 1) + T * n) floats, one n-vector per round, in one
+array rather than T, against the O(T * n * d) of a full copy per round.  At T =
 1000, n = 10^4 and d = 30 a single epoch costs ~0.08 GB where full copies
 cost ~2.5 GB.  The chain backend moves its walkers every round, so it has
 one epoch per round and gains nothing.
@@ -231,16 +231,26 @@ def _online_pass(
     """Play the adaptive forecaster at tau = 1/sqrt(d T) through the T
     ``rounds`` and keep ``cloud.snapshot()`` of the posterior each round
     was predicted with, together with that round's threshold, and the T
-    predictions.  The snapshots share the cloud's read-only sample set,
-    log base and loss array rather than copy them, so no array is new to
-    a snapshot."""
+    predictions.  The snapshots share the cloud's read-only sample set
+    and log base rather than copy them.  Each round's cumulative losses
+    are copied into row t of one (T, n) array, which the snapshot reads
+    instead of the cloud's.  One array, allocated and freed whole, keeps
+    the next fit's page faults the same from run to run; whether the C
+    allocator keeps or returns T separate n-vectors freed together
+    depends on incidental heap layout."""
     d = dictionary.d if dictionary is not None else len(np.atleast_1d(rounds[0][0]))
     tau = 1.0 / math.sqrt(d * len(rounds))
     forecaster = SeqSEWAdaptive(d, tau, backend, seed=seed, clip_center=clip_center)
-    snapshots, predictions = [], np.empty(len(rounds))
+    snapshots, predictions, losses = [], np.empty(len(rounds)), None
     for t, (x, y) in enumerate(rounds, start=1):
         predictions[t - 1] = forecaster.predict(features_of(x, dictionary, "round", t))
-        snapshots.append((forecaster.cloud.snapshot(), forecaster.state.B))
+        frozen = forecaster.cloud.snapshot()
+        if losses is None:
+            losses = np.empty((len(rounds), frozen.cum_loss.shape[0]))
+        frozen.cum_loss = row = losses[t - 1]
+        np.copyto(row, forecaster.cloud.cum_loss)
+        row.flags.writeable = False
+        snapshots.append((frozen, forecaster.state.B))
         forecaster.observe(float(y))
     return snapshots, predictions
 

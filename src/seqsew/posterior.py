@@ -67,7 +67,8 @@ The Metropolis step size is calibrated, block by block, to keep acceptance
 between roughly 20% and 50%; a move starts from the median of the last
 move's per-block step sizes.
 
-Outputs do not depend on OpenBLAS's thread count.  OpenBLAS splits a dot
+Outputs do not depend on OpenBLAS's thread count at the shapes tested.
+OpenBLAS splits a dot
 product of more than 10 000 entries, or a large enough matrix product,
 between its threads, and the rounding then depends on their count.  So
 every sum over a cloud's particles (the weighted means of the live and
@@ -79,9 +80,11 @@ kernel's and the batch average's matrix products are cut into pieces of
 at most ``_KERNEL_PIECE_MULADDS`` multiply-adds (:func:`_piece_rows`),
 which run on the calling thread too.  A round's margins ``samples @
 features`` form one matrix-vector product, which may run on several
-threads; each margin is one thread's dot over the d coordinates, and it
-read the same bits at one and at two in every run measured.  All of this
-is tested at one and two threads; other BLAS builds are unverified.
+threads; each margin is one thread's dot over the d coordinates.  It
+read the same bits at one and at two threads at n 4000 to 20 000 and on
+the 257^2 grid at d 2, but one or two margins differed at n 20 001,
+d 30 and at n 66 049, d 20.  All of this is tested at one and two
+threads; other BLAS builds are unverified.
 
 A round costs one pass over the points.  Every sample set is column-major
 (an F-contiguous (n, d) array: a (d, n) C-array seen through ``.T``), so
