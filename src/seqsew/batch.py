@@ -1,10 +1,10 @@
 """Online-to-batch conversion and risk evaluation.
 
 A batch estimator is built by running the adaptive forecaster once through
-an i.i.d. (or fixed-design) sample and retaining, for every round, a
-snapshot of the posterior together with the clip threshold in force at
-that round.  Each snapshot defines a per-round regressor (the posterior
-mean of the clipped linear predictor); the batch estimator averages them:
+an i.i.d. (or fixed-design) sample.  Each round's posterior, with the clip
+threshold in force at that round, defines a per-round regressor (the
+posterior mean of the clipped linear predictor); the batch estimator
+averages them:
 
 * random design: the plain uniform average over rounds,
 * fixed design: the average restricted, at each seen design point, to the
@@ -14,40 +14,48 @@ mean of the clipped linear predictor); the batch estimator averages them:
   this removes the mean-of-Y bias terms and makes the whole scheme
   translation equivariant.
 
-Snapshots are retained explicitly (not re-simulated) so that predictions
-at new points are deterministic: ``BatchEstimator.snapshots`` is the list
-of each round's ``(FrozenCloud, B)``.  The snapshots of one *epoch* share
-its sample set and its log base, since importance particles change only
-when they are rejuvenated and quadrature nodes never change.  Each round
-keeps only its cumulative losses, one row of a (T, n) array that the
-online pass fills with a copy of the cloud's; its snapshot derives its
-weights from those, its eta and the epoch's log base, so a fit holds
-O(epochs * n * (d + 1) + T * n) floats, one n-vector per round, in one
-array rather than T, against the O(T * n * d) of a full copy per round.  At T =
-1000, n = 10^4 and d = 30 a single epoch costs ~0.08 GB where full copies
-cost ~2.5 GB.  The chain backend moves its walkers every round, so it has
-one epoch per round and gains nothing.
+A fit keeps what makes predictions at new points deterministic, with no
+re-simulation.  The rounds of one *epoch* share its sample set and its log
+base, since importance particles change only when they are rejuvenated and
+quadrature nodes never change.  Per epoch a fit keeps the
+``cloud.snapshot()`` of its first round (sample set, log base and
+cumulative losses, shared with the cloud) and, per threshold, one sum of
+its rounds' normalised weights.  Per round it keeps d + 4 floats: the
+cloud's round log (features, y and threshold), as three arrays rather than
+T small objects, and the round's eta and prediction.  That is
+O(epochs * n * (d + 2) + groups * n + T * d) floats, where a group is the
+rounds of one epoch at one threshold, against the O(T * n) of one loss
+vector per round: at T = 10^4, n = 257 and d = 1 a fit kept 0.5 MB where
+per-round losses took 23 MB.  The chain backend moves its walkers every
+round, so it has one epoch per round and keeps O(T * n * d).
+
+``BatchEstimator.snapshots``, the list of each round's ``(FrozenCloud,
+B)``, is derived on each read: each epoch's rounds are replayed from its
+first snapshot, adding each round's losses by the step the live cloud's
+update takes (``posterior._replay_snapshots``), so each entry is the
+snapshot the cloud would have taken in that round, bit for bit.  A read
+costs O(T * n * d) time and allocates O(T * n) for the list it returns;
+predictions never read it.
 
 A fixed-design estimator's value at a design point is the mean of the
 regressors of the rounds that played it, and at its own design point a
 round's regressor is the prediction the online pass made in that round.
-So a fixed-design fit keeps those T predictions, and predicting averages
+So a fixed-design fit reads those T predictions, and predicting averages
 them per design point in O(T + m), reading no weights or margins.
 
-Random design and the offset variant count every round at every point and
-take one averaging pass.  Rounds that share a sample set and a threshold
-form a group, and within a group the per-round means are linear in the
-weights.  So each group sums its weights into one vector and applies it to
-its clipped margins, and the total is divided by T.  The cost is O(T n) to
-sum the weights plus O(m n d) per sample set for the margins.  Scratch is
-two cache-sized (rows, n) blocks of margins (``posterior._block_rows``),
-never the (T, m) matrix of per-round means, and one sample set's weight
-sums are held at a time.  A block's margins are formed in pieces of
-particles small enough for OpenBLAS to run on the calling thread
-(``posterior._piece_rows``), and weighted by ``posterior._particle_sum``,
-so predictions do not depend on OpenBLAS's thread count (tested at one
-and two threads).  Evaluation points must be finite; a bad one raises
-:class:`DataError` naming its index.
+Random design and the offset variant count every round at every point.
+Within a group the per-round means are linear in the weights, so the
+online pass adds each round's weights, the live cloud's of its
+prediction, into its group's sum in round order, and predicting applies
+each sum to its clipped margins and divides the total by T: O(m n d) per
+sample set for the margins, and no round's weights read again.  Scratch
+is two cache-sized (rows, n) blocks of margins (``posterior._block_rows``),
+never the (T, m) matrix of per-round means.  A block's margins are formed
+in pieces of particles small enough for OpenBLAS to run on the calling
+thread (``posterior._piece_rows``), and weighted by
+``posterior._particle_sum``, so predictions do not depend on OpenBLAS's
+thread count (tested at one and two threads).  Evaluation points must be
+finite; a bad one raises :class:`DataError` naming its index.
 
 The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
 noise families (defined in :mod:`seqsew.datagen`) are also here.
@@ -56,15 +64,15 @@ noise families (defined in :mod:`seqsew.datagen`) are also here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .datagen import NoiseFamily
 from .errors import ArgumentError, DataError, DimensionMismatchError
 from .forecasters import SeqSEWAdaptive, features_of
-from .posterior import BackendConfig, FrozenCloud, _block_rows, _particle_sum, _piece_rows
+from .posterior import BackendConfig, FrozenCloud, _block_rows, _particle_sum, _piece_rows, _replay_snapshots
 from .prior import s_ln_term
 
 __all__ = [
@@ -120,22 +128,58 @@ def _design_key(x: Any) -> bytes:
     return np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=float))).tobytes()
 
 
+class _Epoch(NamedTuple):
+    """The rounds of a fit, from round ``start`` (from 0), that share one
+    sample set and log base: the snapshot the cloud took in the first of
+    them, and each threshold's sum of its rounds' normalised weights."""
+
+    first: FrozenCloud
+    start: int
+    sums: dict[float, np.ndarray]
+
+
+@dataclass
+class _Pass:
+    """What a fit keeps of its online pass: its epochs, the cloud's round
+    log (``_History.arrays``: round t's features, y and threshold are
+    row t), and each round's eta and prediction."""
+
+    epochs: list[_Epoch]
+    log: tuple[np.ndarray, np.ndarray, np.ndarray]
+    etas: np.ndarray
+    predictions: np.ndarray
+
+
 @dataclass
 class BatchEstimator:
     """Average of per-round clipped posterior-mean regressors."""
 
     mode: str
-    snapshots: list[tuple[FrozenCloud, float]]
     dictionary: Any
+    _online: _Pass = field(repr=False)
     anchor: float = 0.0
     design_points: list[Any] | None = None
     predictions: np.ndarray | None = None
+
+    @property
+    def snapshots(self) -> list[tuple[FrozenCloud, float]]:
+        """Each round's ``(FrozenCloud, B)``, in a fresh list on each read:
+        each epoch's rounds replayed from its first snapshot
+        (``posterior._replay_snapshots``), O(T n d) time and O(T n) memory
+        for the losses of the list returned.  Predictions never read it."""
+        online, snapshots = self._online, []
+        _, _, thresholds = online.log
+        stops = [epoch.start for epoch in online.epochs[1:]] + [len(online.etas)]
+        for epoch, stop in zip(online.epochs, stops):
+            clouds = _replay_snapshots(epoch.first, online.log, epoch.start, online.etas[epoch.start : stop])
+            snapshots += zip(clouds, thresholds[epoch.start : stop].tolist())
+        return snapshots
 
     def _features(self, xs: Sequence[Any]) -> np.ndarray:
         """(m, d) features of the evaluation points: a non-finite point or
         feature raises :class:`DataError`, and features not of shape (d,)
         :class:`DimensionMismatchError`, each naming the point's index."""
-        phi = np.empty((len(xs), self.snapshots[0][0].samples.shape[1]))
+        phi = np.empty((len(xs), self._online.epochs[0].first.samples.shape[1]))
         for i, x in enumerate(xs):
             point = np.asarray(x, dtype=float)
             if not np.isfinite(point).all():
@@ -154,16 +198,18 @@ class BatchEstimator:
         the design).
 
         In fixed-design mode that is the mean of the predictions the
-        online pass made at the point.  Otherwise rounds are grouped by
-        sample set, then by threshold; a group's per-round means are linear
-        in its weights, so it adds its rounds' summed weights times its
-        clipped margins, one cache-sized block of rows at a time, and the
-        total is divided by the number of rounds.  A block's margins are
-        formed in pieces of particles that OpenBLAS runs on the calling
-        thread (``posterior._piece_rows``) and weighted by
-        ``posterior._particle_sum``, so the result does not depend on
-        OpenBLAS's thread count.  Scratch stays at two (rows, n) blocks,
-        and one sample set's sums are held at a time."""
+        online pass made at the point.  Otherwise each epoch's rounds are
+        grouped by threshold; a group's per-round means are linear in its
+        weights, so it adds the weight sum its pass kept times its clipped
+        margins, one cache-sized block of rows at a time, and the total is
+        divided by the number of rounds.  No round's weights are read
+        again.  A block's margins are formed in pieces of particles that
+        OpenBLAS runs on the calling thread (``posterior._piece_rows``)
+        and weighted by ``posterior._particle_sum``, so the result does
+        not depend on OpenBLAS's thread count.  Scratch stays at two
+        (rows, n) blocks.  The fit keeps O(epochs n (d + 2) + groups n +
+        T d) floats, and only a read of :attr:`snapshots` replays the
+        rounds, at O(T n d) time and O(T n) memory."""
         if len(xs) == 0:
             return np.zeros(0)
         phi = self._features(xs)
@@ -174,15 +220,10 @@ class BatchEstimator:
             means = {key: sum(values) / len(values) for key, values in visits.items()}
             return np.asarray([means.get(_design_key(x), 0.0) for x in xs])
         rows = phi.shape[0]
-        # Rounds of one epoch share one sample-set object, kept alive by
-        # the snapshots, so its id names the set.
-        groups: dict[int, tuple[np.ndarray, dict[float, list[FrozenCloud]]]] = {}
-        for cloud, b in self.snapshots:
-            groups.setdefault(id(cloud.samples), (cloud.samples, {}))[1].setdefault(b, []).append(cloud)
         out = np.zeros(rows)
-        for samples, by_threshold in groups.values():
+        for epoch in self._online.epochs:
+            samples = epoch.first.samples
             n, d = samples.shape
-            sums = [(b, sum(cloud.weights() for cloud in clouds)) for b, clouds in by_threshold.items()]
             height = min(_block_rows(n, 8), rows)
             margins, clipped = np.empty((height, n)), np.empty((height, n))
             for start in range(0, rows, height):
@@ -191,9 +232,9 @@ class BatchEstimator:
                 step = _piece_rows(d, block.shape[0])
                 for first in range(0, n, step):
                     np.matmul(block, samples[first : first + step].T, out=m[:, first : first + step])
-                for b, w in sums:
+                for b, w in epoch.sums.items():
                     out[start : start + height] += _particle_sum(m.clip(-b, b, out=c), w)
-        return out / len(self.snapshots)
+        return out / len(self._online.etas)
 
     def predict_components(self, x: Any) -> tuple[float, float]:
         """(anchor, averaged clipped deviation); the prediction is their sum.
@@ -201,14 +242,16 @@ class BatchEstimator:
         Exposed separately so translation equivariance of the offset
         variant can be checked exactly: shifting all outcomes by c shifts
         the anchor by c and leaves the deviations bit-identical.  Outside
-        fixed design each call is one full averaging pass over every
-        round's weights, so use :meth:`predict_many` for many points."""
+        fixed design a call costs O(groups n d), the margins of the kept
+        weight sums at one point, not a replay of the rounds: the fit keeps
+        O(epochs n (d + 2) + groups n + T d) floats, and only a read of
+        :attr:`snapshots` replays them (O(T n d) time, O(T n) memory)."""
         return self.anchor, float(self._deltas([x])[0])
 
     def predict(self, x: Any) -> float:
-        """The prediction at one point: outside fixed design one full
-        averaging pass over every round's weights, so use
-        :meth:`predict_many` for many points."""
+        """The prediction at one point: outside fixed design O(groups n d),
+        the margins of the kept weight sums at that point, as in
+        :meth:`predict_components`; no round is replayed."""
         anchor, delta = self.predict_components(x)
         return anchor + delta
 
@@ -218,7 +261,8 @@ class BatchEstimator:
 
     @property
     def max_threshold(self) -> float:
-        return max((b for _, b in self.snapshots), default=0.0)
+        _, _, thresholds = self._online.log
+        return float(np.max(thresholds))
 
 
 def _online_pass(
@@ -227,32 +271,39 @@ def _online_pass(
     backend: BackendConfig | None,
     seed: int | np.random.SeedSequence | np.random.Generator | None,
     clip_center: float = 0.0,
-) -> tuple[list[tuple[FrozenCloud, float]], np.ndarray]:
+) -> _Pass:
     """Play the adaptive forecaster at tau = 1/sqrt(d T) through the T
-    ``rounds`` and keep ``cloud.snapshot()`` of the posterior each round
-    was predicted with, together with that round's threshold, and the T
-    predictions.  The snapshots share the cloud's read-only sample set
-    and log base rather than copy them.  Each round's cumulative losses
-    are copied into row t of one (T, n) array, which the snapshot reads
-    instead of the cloud's.  One array, allocated and freed whole, keeps
-    the next fit's page faults the same from run to run; whether the C
-    allocator keeps or returns T separate n-vectors freed together
-    depends on incidental heap layout."""
+    ``rounds`` and keep what averaging and the snapshots need: the
+    cloud's round log (each round's features, y and threshold), each
+    round's eta and prediction, and per epoch (rounds that share a sample
+    set and log base) the ``cloud.snapshot()`` of its first round and one
+    sum of normalised weights per threshold.  A round adds the weights its
+    prediction used (the live cloud's, computed once per state) into its
+    group's sum in round order, so the sums hold the bits of summing every
+    round's snapshot weights, and the pass keeps no per-round n-vector:
+    O(epochs n (d + 2) + groups n + T d) floats in all.  Reading
+    ``BatchEstimator.snapshots`` replays the rounds from this, at
+    O(T n d) time and O(T n) memory for the list returned."""
     d = dictionary.d if dictionary is not None else len(np.atleast_1d(rounds[0][0]))
     tau = 1.0 / math.sqrt(d * len(rounds))
     forecaster = SeqSEWAdaptive(d, tau, backend, seed=seed, clip_center=clip_center)
-    snapshots, predictions, losses = [], np.empty(len(rounds)), None
-    for t, (x, y) in enumerate(rounds, start=1):
-        predictions[t - 1] = forecaster.predict(features_of(x, dictionary, "round", t))
-        frozen = forecaster.cloud.snapshot()
-        if losses is None:
-            losses = np.empty((len(rounds), frozen.cum_loss.shape[0]))
-        frozen.cum_loss = row = losses[t - 1]
-        np.copyto(row, forecaster.cloud.cum_loss)
-        row.flags.writeable = False
-        snapshots.append((frozen, forecaster.state.B))
+    cloud, epochs = forecaster.cloud, []
+    etas, predictions = np.empty(len(rounds)), np.empty(len(rounds))
+    for t, (x, y) in enumerate(rounds):
+        predictions[t] = forecaster.predict(features_of(x, dictionary, "round", t + 1))
+        b = forecaster.state.B
+        if not epochs or cloud.samples is not epochs[-1].first.samples:
+            epochs.append(_Epoch(cloud.snapshot(), t, {}))
+        etas[t] = cloud.eta
+        sums = epochs[-1].sums
+        if b in sums:
+            np.add(sums[b], cloud.weights(), out=sums[b])
+        else:
+            sums[b] = cloud.weights().copy()
         forecaster.observe(float(y))
-    return snapshots, predictions
+    # The log as three arrays, not T per-round objects that would outlive
+    # the pass scattered over the heap.
+    return _Pass(epochs, cloud.history.arrays(), etas, predictions)
 
 
 def fit_random_design(
@@ -267,8 +318,8 @@ def fit_random_design(
         raise ArgumentError("need at least one sample")
     return BatchEstimator(
         mode="random_design_average",
-        snapshots=_online_pass(samples, dictionary, backend, seed)[0],
         dictionary=dictionary,
+        _online=_online_pass(samples, dictionary, backend, seed),
     )
 
 
@@ -285,13 +336,13 @@ def fit_fixed_design(
     exact, with no tolerance matching)."""
     if len(samples) < 1:
         raise ArgumentError("need at least one sample")
-    snapshots, predictions = _online_pass(samples, dictionary, backend, seed)
+    online = _online_pass(samples, dictionary, backend, seed)
     return BatchEstimator(
         mode="fixed_design_grouped",
-        snapshots=snapshots,
         dictionary=dictionary,
+        _online=online,
         design_points=[x for x, _ in samples],
-        predictions=predictions,
+        predictions=online.predictions,
     )
 
 
@@ -309,8 +360,8 @@ def fit_remark15(
     anchor = float(samples[0][1])
     return BatchEstimator(
         mode="remark15_offset",
-        snapshots=_online_pass(samples[1:], dictionary, backend, seed, clip_center=anchor)[0],
         dictionary=dictionary,
+        _online=_online_pass(samples[1:], dictionary, backend, seed, clip_center=anchor),
         anchor=anchor,
     )
 

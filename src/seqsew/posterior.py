@@ -99,8 +99,12 @@ live cloud and its snapshots form their means by one function,
 same features (compared by value) and the same threshold adds those to
 the cumulative losses instead of computing them again.  Every arithmetic
 step is the one an uncached round would run, so results are
-bit-identical.  A round allocates only the two n-vectors it keeps: the
-clipped margins are formed in place and become the round's losses and
+bit-identical.  That step, a round's squared losses added to the
+cumulative ones, is :func:`_add_round_losses`, and
+:func:`_replay_snapshots` takes it too when it rebuilds a batch fit's
+snapshots from an epoch's first, so they are the live cloud's bit for
+bit.  A round allocates only the two n-vectors it keeps: the clipped
+margins are formed in place and become the round's losses and
 then the new cumulative losses, and the log-weights are normalised in
 their own array.  A snapshot allocates nothing: it shares the cloud's
 samples, cumulative losses and log base, and derives its weights from
@@ -110,6 +114,7 @@ bit.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -763,6 +768,17 @@ def _clipped_margins(samples: np.ndarray, features: np.ndarray, threshold: float
     return np.clip(margins, -threshold, threshold, out=margins)
 
 
+def _add_round_losses(cum_loss: np.ndarray, clipped: np.ndarray, y: float) -> np.ndarray:
+    """``cum_loss + (y - clipped)^2``, one round's losses added to the
+    cumulative ones, formed in the round's clipped margins ``clipped``
+    (which the caller hands over): a fresh array, so a snapshot keeps the
+    old one.  The one site of this step: the live cloud's update and the
+    replay of a fit's rounds (:func:`_replay_snapshots`) both call it."""
+    np.subtract(y, clipped, out=clipped)
+    np.square(clipped, out=clipped)
+    return np.add(cum_loss, clipped, out=clipped)
+
+
 class FrozenCloud:
     """Immutable usable snapshot of a posterior: weighted points only.
 
@@ -851,6 +867,37 @@ class FrozenCloud:
         if not isinstance(payload["backend"], str):
             raise ArgumentError(f"posterior snapshot key 'backend' must be a string, got {payload['backend']!r}")
         return cls(samples, log_weights, cum_loss, eta, payload["backend"])
+
+
+def _replay_snapshots(
+    first: FrozenCloud, log: tuple[np.ndarray, np.ndarray, np.ndarray], start: int, etas: np.ndarray
+) -> list[FrozenCloud]:
+    """The snapshots of ``len(etas)`` consecutive rounds of one epoch (one
+    sample set and log base), at those rounds' inverse temperatures
+    ``etas``: ``first``, the snapshot the live cloud took before round
+    ``start`` of its round log ``log`` (:meth:`_History.arrays`) was
+    recorded, and one for each later round.  A later round's cumulative
+    losses are its predecessor's plus the losses of the round between,
+    added by :func:`_add_round_losses` from that round's features, y and B,
+    as the live cloud's update added them; so each is the snapshot the
+    live cloud would have taken, bit for bit.  Each is a copy of ``first``
+    with its own eta and read-only losses, and only the first shares its
+    losses with ``first``."""
+    features, ys, bs = log
+    snapshots, cum_loss = [], first.cum_loss
+    for j, eta in enumerate(etas):
+        if j:
+            s = start + j - 1
+            # The margin product reads a fresh contiguous copy of the
+            # round's features, as the live cloud's did, not the log's
+            # strided row.
+            clipped = _clipped_margins(first.samples, np.array(features[s]), bs[s])
+            cum_loss = _add_round_losses(cum_loss, clipped, ys[s])
+            cum_loss.flags.writeable = False
+        frozen = copy.copy(first)
+        frozen.cum_loss, frozen.eta, frozen._base_eta = cum_loss, float(eta), float(eta)
+        snapshots.append(frozen)
+    return snapshots
 
 
 class PosteriorCloud:
@@ -956,11 +1003,7 @@ class PosteriorCloud:
                 clipped = predicted[2]
             else:
                 clipped = _clipped_margins(self.samples, features, threshold_used)
-            # The clipped margins become this round's losses and then the new
-            # cumulative losses: a fresh array, so a snapshot keeps the old one.
-            np.subtract(y, clipped, out=clipped)
-            np.square(clipped, out=clipped)
-            self.cum_loss = np.add(self.cum_loss, clipped, out=clipped)
+            self.cum_loss = _add_round_losses(self.cum_loss, clipped, y)
         self.history.append(features, y, threshold_used)
         self.eta = float(new_eta)
         self._state_changed()

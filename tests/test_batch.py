@@ -431,6 +431,12 @@ class TestStoredPassMatchesFullSnapshots:
             assert cloud.eta == ref_cloud.eta and cloud.backend == ref_cloud.backend
             for field in ("samples", "log_weights", "cum_loss"):
                 assert np.array_equal(getattr(cloud, field), getattr(ref_cloud, field))
+            assert cloud.to_json() == ref_cloud.to_json()
+        # Each read replays the pass afresh, to the same values.
+        for (cloud, b), (again, b_again) in zip(est.snapshots, est.snapshots):
+            assert b == b_again and cloud.eta == again.eta
+            for field in ("samples", "log_weights", "cum_loss"):
+                assert np.array_equal(getattr(cloud, field), getattr(again, field))
         distinct = len({id(cloud.samples) for cloud, _ in est.snapshots})
         expected = {"quadrature": 1, "importance": 1 + resamples, "chain": len(ref)}[backend_name]
         assert distinct == expected
@@ -532,6 +538,29 @@ class TestFixedDesignReadsItsPass:
         assert np.array_equal(est.predict_many(points), preds)
         assert [est.predict(x) for x in points] == preds.tolist()
         assert risk(est, truth) == measured
+
+
+class TestAveragedPredictionReadsNoRoundWeights:
+    """Random-design and offset predictions read the weight sums their
+    pass kept, one per group, and never a round's weights."""
+
+    @pytest.mark.parametrize("fit", [fit_random_design, fit_remark15])
+    @pytest.mark.parametrize("backend_name", ["quadrature", "importance", "chain"])
+    def test_predictions_without_snapshot_weights(self, monkeypatch, backend_name, fit):
+        d, backend = TestStoredPassMatchesFullSnapshots.BACKENDS[backend_name]
+        samples = TestStoredPassMatchesFullSnapshots._samples(d)
+        est = fit(samples, _coord_dict(d=d, norm=10.0), backend, seed=5)
+        points = [x for x, _ in samples[:8]] + list(np.random.default_rng(8).uniform(-2, 2, size=(4, d)))
+        preds = est.predict_many(points)
+        singles = [est.predict(x) for x in points]
+
+        def weights(self):
+            raise AssertionError("an averaged prediction read a snapshot's weights")
+
+        monkeypatch.setattr(FrozenCloud, "weights", weights)
+        monkeypatch.setattr(FrozenCloud, "log_weights", property(weights))
+        assert est.predict_many(points).tobytes() == preds.tobytes()
+        assert [est.predict(x) for x in points] == singles
 
 
 FITS = [fit_random_design, fit_fixed_design, fit_remark15]
@@ -708,9 +737,10 @@ class TestPredictionScratch:
 
 
 class TestStoredFitSize:
-    """A fit keeps one n-vector per round, the cumulative losses its
-    snapshot shares with the cloud, plus each epoch's sample set and log
-    base: no second copy of a round's weights."""
+    """A fit keeps at most one n-vector per round, plus each epoch's
+    sample set and log base: no second copy of a round's weights.  (It
+    keeps one weight sum per group and replays the losses on demand;
+    ``TestStoredFitGrowth`` bounds its growth with T.)"""
 
     def test_importance_fit_keeps_one_vector_per_round(self):
         rng = np.random.default_rng(13)
@@ -727,3 +757,49 @@ class TestStoredFitSize:
         assert epochs >= 2  # the fit spans a resample-move
         # Two n-vectors per round would be 2 T n 8 bytes.
         assert kept <= 1.25 * T * n * 8 + epochs * n * (d + 1) * 8
+
+
+class TestStoredFitGrowth:
+    """A fit keeps O(T d + groups n) floats beyond its epochs: d + 4 per
+    round (its features, y, threshold, eta and prediction) and one weight
+    sum per (sample set, threshold) group, never an n-vector per round."""
+
+    @staticmethod
+    def _kept(T, backend, d=1):
+        rng = np.random.default_rng(14)
+        samples = [(x, float(1.5 * x[0] + 0.3 * rng.standard_normal())) for x in rng.uniform(-1, 1, size=(T, d))]
+        dictionary = _coord_dict(d=d)
+        fit_random_design(samples[:5], dictionary, backend, seed=4)  # first-call allocations are not the fit's
+        tracemalloc.start()
+        try:
+            est = fit_random_design(samples, dictionary, backend, seed=4)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return kept, est
+
+    @pytest.mark.parametrize(
+        "backend",
+        [BackendConfig(backend="quadrature"), BackendConfig(backend="importance", n_samples=2000, ess_floor=0.01)],
+        ids=["quadrature", "importance"],
+    )
+    def test_growth_is_not_n_per_round(self, backend):
+        T, d = 250, 1
+        kept, _ = self._kept(T, backend, d)
+        kept_4t, est = self._kept(4 * T, backend, d)
+        snapshots = est.snapshots
+        n = snapshots[0][0].samples.shape[0]
+        assert len({id(cloud.samples) for cloud, _ in snapshots}) == 1  # no resample
+        groups = len({b for _, b in snapshots})
+        # Twice the 3 T (d + 4) floats, and the new groups' sums; keeping
+        # every round's losses would grow by 3 T n floats.
+        assert kept_4t - kept <= 2 * 3 * T * (d + 4) * 8 + groups * n * 8
+
+    def test_long_default_grid_fit_keeps_a_few_mb(self):
+        # d 1, T 10^4 on the default 257-node grid, a shape whose risk gate
+        # binds: per-round losses alone would be T n 8 = 20.6 MB.
+        T, d, n = 10**4, 1, 257
+        kept, _ = self._kept(T, BackendConfig(backend="quadrature"), d)
+        # Twice the rounds' T (d + 4) floats, and the grid's epoch with its
+        # groups' sums within 64 n-vectors: about 0.9 MB.
+        assert kept <= 2 * T * (d + 4) * 8 + 64 * n * 8

@@ -10,6 +10,8 @@ worker processes, and the usable cores are read in one place.  A
 ``FrozenCloud`` is built only by ``PosteriorCloud.snapshot`` and
 ``FrozenCloud.from_json``, so a live cloud has one way to be frozen, and
 a snapshot's weights come from the live cloud's one weight formula.  A
+round's losses are added to the cumulative ones at one site, which the
+live cloud and the replay of a batch fit's snapshots share.  A
 ``RoundRecord`` is built only inside ``ProtocolResult``, from its columns,
 so per-round rows are never a second store of a run.  No forecaster
 method builds a forecaster: the automatic forecaster restarts the adaptive
@@ -173,6 +175,55 @@ def test_weight_formula_has_one_definition():
     ``posterior._log_weights``, so the formula is written once."""
     found = {(name, function) for name in MODULES for function in _weight_formula_sites((PACKAGE / f"{name}.py").read_text())}
     assert found == {("posterior", "_log_weights")}
+
+
+def _loss_step_sites(source: str) -> set[str | None]:
+    """The functions of ``source`` (None at module level) that both square
+    something and add to cumulative losses, as operators or as numpy
+    calls: a round's loss step."""
+    squares, additions = set(), set()
+    for node, _, function in _scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "square":
+            squares.add(function)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and ast.unparse(node.right) == "2":
+            squares.add(function)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            operands = [node.target]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add":
+            operands = node.args[:2]
+        else:
+            continue
+        if any("cum_loss" in ast.unparse(operand) for operand in operands):
+            additions.add(function)
+    return squares & additions
+
+
+def test_loss_step_scan_sees_operators_and_calls():
+    source = (
+        "def inline(c, m, y):\n    c.cum_loss = c.cum_loss + (y - m) ** 2\n"
+        "def augmented(c, m, y):\n    c.cum_loss += np.square(y - m)\n"
+        "def calls(cum_loss, m, y):\n    np.square(np.subtract(y, m, out=m), out=m)\n    return np.add(cum_loss, m, out=m)\n"
+        "def other(c, m):\n    return c.cum_loss + m\n"
+        "top = cum_loss + (y - m) ** 2\n"
+    )
+    assert _loss_step_sites(source) == {"inline", "augmented", "calls", None}
+
+
+def test_round_loss_step_has_one_definition():
+    """A round adds its clipped squared losses to the cumulative ones in
+    ``posterior._add_round_losses`` alone, and both the live cloud's update
+    and the replay of a batch fit's snapshots call it, so a replayed
+    snapshot cannot drift from the cloud that played the round."""
+    found = {(name, function) for name in MODULES for function in _loss_step_sites((PACKAGE / f"{name}.py").read_text())}
+    assert found == {("posterior", "_add_round_losses")}
+    callers = set()
+    for name in MODULES:
+        for node, owner, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_add_round_losses":
+                callers.add((name, owner, function))
+    assert callers == {("posterior", "PosteriorCloud", "update"), ("posterior", None, "_replay_snapshots")}
 
 
 def _constructions(source: str, cls_name: str) -> list[tuple[str | None, str | None]]:
