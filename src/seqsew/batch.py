@@ -14,20 +14,25 @@ averages them:
   this removes the mean-of-Y bias terms and makes the whole scheme
   translation equivariant.
 
-A fit keeps what makes predictions at new points deterministic, with no
-re-simulation.  The rounds of one *epoch* share its sample set and its log
-base, since importance particles change only when they are rejuvenated and
+The pass is :func:`~seqsew.forecasters.run_protocol`, the package's one
+protocol loop, played over the adaptive forecaster, and a fit keeps what
+makes predictions at new points deterministic, with no re-simulation.
+The rounds of one *epoch* share its sample set and its log base, since
+importance particles change only when they are rejuvenated and
 quadrature nodes never change.  Per epoch a fit keeps the
 ``cloud.snapshot()`` of its first round (sample set, log base and
 cumulative losses, shared with the cloud) and, per threshold, one sum of
-its rounds' normalised weights.  Per round it keeps d + 4 floats: the
-cloud's round log (features, y and threshold), as three arrays rather than
-T small objects, and the round's eta and prediction.  That is
-O(epochs * n * (d + 2) + groups * n + T * d) floats, where a group is the
-rounds of one epoch at one threshold, against the O(T * n) of one loss
-vector per round: at T = 10^4, n = 257 and d = 1 a fit kept 0.5 MB where
-per-round losses took 23 MB.  The chain backend moves its walkers every
-round, so it has one epoch per round and keeps O(T * n * d).
+its rounds' normalised weights.  Per round it keeps the pass's
+``ProtocolResult``, d + 7 floats in columns: the round's features, y,
+prediction, threshold and eta, and its ess, gamma and regime.  The
+cloud saw the residuals y - anchor, the anchor being the clip center of
+every fit.  That is O(epochs * n * (d + 2) + groups * n + T * d) floats,
+where a group is the rounds of one epoch at one threshold, against the
+O(T * n) of one loss vector per round: at T = 10^4, n = 257 and d = 1 a
+fit keeps 0.66 MB where per-round losses took 23 MB, and at T = 10^5 it
+keeps 6.4 MB and peaks at 11.2 MB under ``tracemalloc``.  The chain
+backend moves its walkers every round, so it has one epoch per round and
+keeps O(T * n * d).
 
 ``BatchEstimator.snapshots``, the list of each round's ``(FrozenCloud,
 B)``, is derived on each read: each epoch's rounds are replayed from its
@@ -71,7 +76,7 @@ import numpy as np
 
 from .datagen import NoiseFamily
 from .errors import ArgumentError, DataError, DimensionMismatchError
-from .forecasters import SeqSEWAdaptive, features_of
+from .forecasters import ProtocolResult, SeqSEWAdaptive, features_of, run_protocol
 from .posterior import BackendConfig, FrozenCloud, _block_rows, _particle_sum, _piece_rows, _replay_snapshots
 from .prior import s_ln_term
 
@@ -139,24 +144,13 @@ class _Epoch(NamedTuple):
 
 
 @dataclass
-class _Pass:
-    """What a fit keeps of its online pass: its epochs, the cloud's round
-    log (``_History.arrays``: round t's features, y and threshold are
-    row t), and each round's eta and prediction."""
-
-    epochs: list[_Epoch]
-    log: tuple[np.ndarray, np.ndarray, np.ndarray]
-    etas: np.ndarray
-    predictions: np.ndarray
-
-
-@dataclass
 class BatchEstimator:
     """Average of per-round clipped posterior-mean regressors."""
 
     mode: str
     dictionary: Any
-    _online: _Pass = field(repr=False)
+    _run: ProtocolResult = field(repr=False)
+    _epochs: list[_Epoch] = field(repr=False)
     anchor: float = 0.0
     design_points: list[Any] | None = None
     predictions: np.ndarray | None = None
@@ -166,20 +160,22 @@ class BatchEstimator:
         """Each round's ``(FrozenCloud, B)``, in a fresh list on each read:
         each epoch's rounds replayed from its first snapshot
         (``posterior._replay_snapshots``), O(T n d) time and O(T n) memory
-        for the losses of the list returned.  Predictions never read it."""
-        online, snapshots = self._online, []
-        _, _, thresholds = online.log
-        stops = [epoch.start for epoch in online.epochs[1:]] + [len(online.etas)]
-        for epoch, stop in zip(online.epochs, stops):
-            clouds = _replay_snapshots(epoch.first, online.log, epoch.start, online.etas[epoch.start : stop])
-            snapshots += zip(clouds, thresholds[epoch.start : stop].tolist())
+        for the losses of the list returned.  Predictions never read it.
+        The cloud saw the residuals ``y - anchor``, as the anchor is the
+        clip center of every fit."""
+        run, snapshots = self._run, []
+        log = (run.features, run.y - self.anchor, run.B)
+        stops = [epoch.start for epoch in self._epochs[1:]] + [len(run.y)]
+        for epoch, stop in zip(self._epochs, stops):
+            clouds = _replay_snapshots(epoch.first, log, epoch.start, run.eta[epoch.start : stop])
+            snapshots += zip(clouds, run.B[epoch.start : stop].tolist())
         return snapshots
 
     def _features(self, xs: Sequence[Any]) -> np.ndarray:
         """(m, d) features of the evaluation points: a non-finite point or
         feature raises :class:`DataError`, and features not of shape (d,)
         :class:`DimensionMismatchError`, each naming the point's index."""
-        phi = np.empty((len(xs), self._online.epochs[0].first.samples.shape[1]))
+        phi = np.empty((len(xs), self._run.features.shape[1]))
         for i, x in enumerate(xs):
             point = np.asarray(x, dtype=float)
             if not np.isfinite(point).all():
@@ -221,7 +217,7 @@ class BatchEstimator:
             return np.asarray([means.get(_design_key(x), 0.0) for x in xs])
         rows = phi.shape[0]
         out = np.zeros(rows)
-        for epoch in self._online.epochs:
+        for epoch in self._epochs:
             samples = epoch.first.samples
             n, d = samples.shape
             height = min(_block_rows(n, 8), rows)
@@ -234,7 +230,7 @@ class BatchEstimator:
                     np.matmul(block, samples[first : first + step].T, out=m[:, first : first + step])
                 for b, w in epoch.sums.items():
                     out[start : start + height] += _particle_sum(m.clip(-b, b, out=c), w)
-        return out / len(self._online.etas)
+        return out / len(self._run.y)
 
     def predict_components(self, x: Any) -> tuple[float, float]:
         """(anchor, averaged clipped deviation); the prediction is their sum.
@@ -261,8 +257,30 @@ class BatchEstimator:
 
     @property
     def max_threshold(self) -> float:
-        _, _, thresholds = self._online.log
-        return float(np.max(thresholds))
+        return float(np.max(self._run.B))
+
+
+class _AveragingPass(SeqSEWAdaptive):
+    """The adaptive forecaster, which also adds the weights each prediction
+    used into its group's sum: per epoch (rounds that share a sample set
+    and log base) the ``cloud.snapshot()`` of its first round and one sum
+    of normalised weights per threshold."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.epochs: list[_Epoch] = []
+
+    def _predict(self, features: np.ndarray) -> float:
+        yhat = super()._predict(features)
+        cloud, b = self.cloud, self.state.B
+        if not self.epochs or cloud.samples is not self.epochs[-1].first.samples:
+            self.epochs.append(_Epoch(cloud.snapshot(), self.t - 1, {}))
+        sums = self.epochs[-1].sums
+        if b in sums:
+            np.add(sums[b], cloud.weights(), out=sums[b])
+        else:
+            sums[b] = cloud.weights().copy()
+        return yhat
 
 
 def _online_pass(
@@ -271,39 +289,21 @@ def _online_pass(
     backend: BackendConfig | None,
     seed: int | np.random.SeedSequence | np.random.Generator | None,
     clip_center: float = 0.0,
-) -> _Pass:
+) -> tuple[ProtocolResult, list[_Epoch]]:
     """Play the adaptive forecaster at tau = 1/sqrt(d T) through the T
-    ``rounds`` and keep what averaging and the snapshots need: the
-    cloud's round log (each round's features, y and threshold), each
-    round's eta and prediction, and per epoch (rounds that share a sample
-    set and log base) the ``cloud.snapshot()`` of its first round and one
-    sum of normalised weights per threshold.  A round adds the weights its
-    prediction used (the live cloud's, computed once per state) into its
-    group's sum in round order, so the sums hold the bits of summing every
-    round's snapshot weights, and the pass keeps no per-round n-vector:
-    O(epochs n (d + 2) + groups n + T d) floats in all.  Reading
-    ``BatchEstimator.snapshots`` replays the rounds from this, at
-    O(T n d) time and O(T n) memory for the list returned."""
+    ``rounds`` with :func:`run_protocol`, and return its run and epochs.
+    The run is the round log averaging and the snapshots need, d + 7
+    floats a round: each round's features, y, threshold, eta and
+    prediction, and its ess, gamma and regime columns.  A round adds the
+    weights its prediction used (the live cloud's, computed once per
+    state) into its group's sum in round order, so the sums hold the bits
+    of summing every round's snapshot weights, and the pass keeps no
+    per-round n-vector: O(epochs n (d + 2) + groups n + T d) floats in
+    all.  Reading ``BatchEstimator.snapshots`` replays the rounds from
+    this, at O(T n d) time and O(T n) memory for the list returned."""
     d = dictionary.d if dictionary is not None else len(np.atleast_1d(rounds[0][0]))
-    tau = 1.0 / math.sqrt(d * len(rounds))
-    forecaster = SeqSEWAdaptive(d, tau, backend, seed=seed, clip_center=clip_center)
-    cloud, epochs = forecaster.cloud, []
-    etas, predictions = np.empty(len(rounds)), np.empty(len(rounds))
-    for t, (x, y) in enumerate(rounds):
-        predictions[t] = forecaster.predict(features_of(x, dictionary, "round", t + 1))
-        b = forecaster.state.B
-        if not epochs or cloud.samples is not epochs[-1].first.samples:
-            epochs.append(_Epoch(cloud.snapshot(), t, {}))
-        etas[t] = cloud.eta
-        sums = epochs[-1].sums
-        if b in sums:
-            np.add(sums[b], cloud.weights(), out=sums[b])
-        else:
-            sums[b] = cloud.weights().copy()
-        forecaster.observe(float(y))
-    # The log as three arrays, not T per-round objects that would outlive
-    # the pass scattered over the heap.
-    return _Pass(epochs, cloud.history.arrays(), etas, predictions)
+    forecaster = _AveragingPass(d, 1.0 / math.sqrt(d * len(rounds)), backend, seed=seed, clip_center=clip_center)
+    return run_protocol(forecaster, rounds, dictionary), forecaster.epochs
 
 
 def fit_random_design(
@@ -316,11 +316,7 @@ def fit_random_design(
     per-round regressors."""
     if len(samples) < 1:
         raise ArgumentError("need at least one sample")
-    return BatchEstimator(
-        mode="random_design_average",
-        dictionary=dictionary,
-        _online=_online_pass(samples, dictionary, backend, seed),
-    )
+    return BatchEstimator("random_design_average", dictionary, *_online_pass(samples, dictionary, backend, seed))
 
 
 def fit_fixed_design(
@@ -336,13 +332,9 @@ def fit_fixed_design(
     exact, with no tolerance matching)."""
     if len(samples) < 1:
         raise ArgumentError("need at least one sample")
-    online = _online_pass(samples, dictionary, backend, seed)
+    run, epochs = _online_pass(samples, dictionary, backend, seed)
     return BatchEstimator(
-        mode="fixed_design_grouped",
-        dictionary=dictionary,
-        _online=online,
-        design_points=[x for x, _ in samples],
-        predictions=online.predictions,
+        "fixed_design_grouped", dictionary, run, epochs, design_points=[x for x, _ in samples], predictions=run.predictions
     )
 
 
@@ -358,12 +350,8 @@ def fit_remark15(
     if len(samples) < 2:
         raise ArgumentError("the offset variant needs T >= 2 samples")
     anchor = float(samples[0][1])
-    return BatchEstimator(
-        mode="remark15_offset",
-        dictionary=dictionary,
-        _online=_online_pass(samples[1:], dictionary, backend, seed, clip_center=anchor),
-        anchor=anchor,
-    )
+    run, epochs = _online_pass(samples[1:], dictionary, backend, seed, clip_center=anchor)
+    return BatchEstimator("remark15_offset", dictionary, run, epochs, anchor=anchor)
 
 
 def risk(

@@ -443,22 +443,30 @@ def run_protocol(
 
     ``dictionary`` maps inputs to feature vectors; pass None when the x
     values already are feature vectors.  The forecaster is only ever shown
-    x before predicting and y after, so causality is structural.
+    x before predicting and y after, so causality is structural.  Each
+    round is written into the run's preallocated columns as it is played,
+    d + 7 floats in all (its features, y, prediction and the five entries
+    of the forecaster's ``state_row``), and no round is kept as a Python
+    object.  This is the package's one protocol loop: the batch fits play
+    it too.
     """
-    if len(sequence) == 0:
+    T = len(sequence)
+    if T == 0:
         raise ArgumentError("sequence must be nonempty")
 
-    played = []
-    for t, (x, y) in enumerate(sequence, start=1):
-        features = features_of(x, dictionary, "round", t)
-        yhat = forecaster.predict(features)
+    features, ys, yhats = np.empty((T, forecaster.dim)), np.empty(T), np.empty(T)
+    columns = {key: np.empty(T) for key in ("B", "eta", "regime", "ess", "gamma")}
+    for t, (x, y) in enumerate(sequence):
+        row = features_of(x, dictionary, "round", t + 1)
+        yhats[t] = forecaster.predict(row)
+        features[t] = row
         state = forecaster.state_row()
+        for key, column in columns.items():
+            column[t] = state.get(key, math.nan)
         forecaster.observe(y)
-        played.append((features, float(y), yhat, state))
+        ys[t] = float(y)
 
-    features, ys, yhats, states = zip(*played)
-    column = {key: np.asarray([state.get(key, math.nan) for state in states]) for key in ("B", "eta", "regime", "ess", "gamma")}
     return ProtocolResult(
-        features=np.vstack(features), y=np.asarray(ys), predictions=np.asarray(yhats), forecaster_info=forecaster.describe(),
-        B=column["B"], eta=column["eta"], regimes=column["regime"].astype(int), ess=column["ess"], gammas=column["gamma"],
+        features=features, y=ys, predictions=yhats, forecaster_info=forecaster.describe(),
+        B=columns["B"], eta=columns["eta"], regimes=columns["regime"].astype(int), ess=columns["ess"], gammas=columns["gamma"],
     )

@@ -187,32 +187,37 @@ class BackendConfig:
 
 class _History:
     """Per-round (features, y, B) needed to re-evaluate cumulative clipped
-    losses at arbitrary points: plain lists of a copy of each round's
-    features, its y and its B.  A move lays the rounds out its own way, so
-    arrays are built only when asked for."""
+    losses at arbitrary points, as the columns of one (d + 2, capacity)
+    array that doubles when full: rows 0..d-1 hold the features, row d
+    y and row d + 1 B.  A round is written once and never again, and a
+    full array is copied into a new one, so views handed out earlier keep
+    their rounds."""
 
     def __init__(self, dim: int) -> None:
-        self._dim = dim
-        self._phi: list[np.ndarray] = []
-        self._y: list[float] = []
-        self._b: list[float] = []
+        self._t, self._rounds = 0, np.empty((dim + 2, 16))
 
     def __len__(self) -> int:
-        return len(self._y)
+        return self._t
 
     def append(self, features: np.ndarray, y: float, b: float) -> None:
-        self._phi.append(np.array(features, dtype=float))
-        self._y.append(float(y))
-        self._b.append(float(b))
+        t = self._t
+        if t == self._rounds.shape[1]:
+            grown = np.empty((self._rounds.shape[0], 2 * t))
+            grown[:, :t] = self._rounds
+            self._rounds = grown
+        self._rounds[:-2, t], self._rounds[-2:, t] = features, (y, b)
+        self._t = t + 1
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fresh read-only arrays of the (features, y, B) of the rounds so
-        far: (t, d), (t,) and (t,).  The features are column-major, so a
-        move reads their columns without copying them."""
-        arrays = (np.array(self._phi, order="F").reshape(-1, self._dim), np.array(self._y), np.array(self._b))
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
+        """Read-only views of the (features, y, B) of the rounds so far:
+        (t, d), (t,) and (t,).  Each coordinate's features are contiguous,
+        so a move reads their columns without a copy at d = 1, and with
+        one copy of t d floats otherwise."""
+        rounds = self._rounds[:, : self._t]
+        views = (rounds[:-2].T, rounds[-2], rounds[-1])
+        for view in views:
+            view.flags.writeable = False
+        return views
 
 
 def _log_weights(log_base: np.ndarray, eta: float, cum_loss: np.ndarray) -> np.ndarray:
@@ -513,7 +518,7 @@ def _metropolis_coordinate_steps(
     t = y.shape[0]
     # y - clip(m, -b, b) == clip(y - m, y - b, y + b) (b >= 0), up to rounding.
     low, high = y - b, y + b
-    columns = np.ascontiguousarray(phi.T)  # no copy for a cloud's history
+    columns = np.ascontiguousarray(phi.T)  # no copy for a cloud's history at d = 1
     # The float32 columns, their largest entry in [1/2, 1).  All-zero
     # features leave every loss flat; the tiniest double keeps the deltas
     # finite for them.
@@ -875,8 +880,9 @@ def _replay_snapshots(
     """The snapshots of ``len(etas)`` consecutive rounds of one epoch (one
     sample set and log base), at those rounds' inverse temperatures
     ``etas``: ``first``, the snapshot the live cloud took before round
-    ``start`` of its round log ``log`` (:meth:`_History.arrays`) was
-    recorded, and one for each later round.  A later round's cumulative
+    ``start`` of the round log ``log`` was recorded (each round's
+    features, y and B, as :meth:`_History.arrays` lays them out), and one
+    for each later round.  A later round's cumulative
     losses are its predecessor's plus the losses of the round between,
     added by :func:`_add_round_losses` from that round's features, y and B,
     as the live cloud's update added them; so each is the snapshot the
@@ -888,9 +894,8 @@ def _replay_snapshots(
     for j, eta in enumerate(etas):
         if j:
             s = start + j - 1
-            # The margin product reads a fresh contiguous copy of the
-            # round's features, as the live cloud's did, not the log's
-            # strided row.
+            # The margin product reads a fresh copy of the round's
+            # features, as the live cloud's did, not a view into the log.
             clipped = _clipped_margins(first.samples, np.array(features[s]), bs[s])
             cum_loss = _add_round_losses(cum_loss, clipped, ys[s])
             cum_loss.flags.writeable = False

@@ -3,6 +3,7 @@ restarts, causality, and agreement with a hand-coded recursion."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,26 @@ class TestRunProtocol:
         assert [r.t for r in res.records] == list(range(1, 13))
         cum = np.cumsum([(r.y - r.yhat) ** 2 for r in res.records])
         assert np.allclose(cum, [r.cumloss for r in res.records], atol=1e-12)
+
+    @staticmethod
+    def _peak(T, d=1):
+        sequence = _simple_sequence(T=T, d=d, seed=8)
+        run_protocol(seqsew_adaptive(d, 0.1, BackendConfig(backend="quadrature")), sequence[:5])  # first-call allocations
+        forecaster = seqsew_adaptive(d, 0.1, BackendConfig(backend="quadrature"))
+        tracemalloc.start()
+        try:
+            run_protocol(forecaster, sequence)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_by_a_few_floats_per_round(self):
+        # Each round is written into the run's d + 7 columns as it is
+        # played, and the cloud's history keeps d + 2 floats a round in an
+        # array that doubles when full: about 100 bytes a round at d 1.
+        # Keeping a tuple and a state_row dict per round takes about 720.
+        T, d = 2000, 1
+        assert self._peak(2 * T, d) - self._peak(T, d) <= 2 * (d + 8) * 8 * T
 
 
 class TestCausality:

@@ -13,7 +13,9 @@ a snapshot's weights come from the live cloud's one weight formula.  A
 round's losses are added to the cumulative ones at one site, which the
 live cloud and the replay of a batch fit's snapshots share.  A
 ``RoundRecord`` is built only inside ``ProtocolResult``, from its columns,
-so per-round rows are never a second store of a run.  No forecaster
+so per-round rows are never a second store of a run, and only
+``run_protocol`` calls a forecaster's ``observe``, so a batch fit's pass
+is a played run too.  No forecaster
 method builds a forecaster: the automatic forecaster restarts the adaptive
 scheme in place.  The forecasters name no backend: only the posterior
 decides which backends draw from the generator a forecaster hands it.  The regret bounds evaluate the sparsity term at two
@@ -386,6 +388,18 @@ def test_no_forecaster_method_builds_a_forecaster():
     assert {"SeqSEWAdaptive", "SeqSEWAuto", "seqsew_adaptive", "ridge_baseline"} <= names
     found = [(name, owner, function) for name in sorted(names) for owner, function in _constructions(source, name)]
     assert [entry for entry in found if entry[2] is not None] == []
+
+
+def test_run_protocol_is_the_one_protocol_loop():
+    """Only ``run_protocol`` shows a forecaster an outcome, so every played
+    run, a batch fit's pass included, is one ``ProtocolResult`` and no
+    second loop keeps its own log of the rounds."""
+    callers = set()
+    for name in MODULES:
+        for node, owner, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "observe":
+                callers.add((name, owner, function))
+    assert callers == {("forecasters", None, "run_protocol")}
 
 
 def test_forecasters_name_no_backend():

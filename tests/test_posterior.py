@@ -626,26 +626,39 @@ class TestMovePolicies:
 
 
 class TestHistory:
-    """The per-round history the moves read, kept as a plain log."""
+    """The per-round history the moves read, kept in one array that
+    doubles when full."""
 
     def test_views_keep_their_rounds_and_equal_the_stacked_rows(self):
         rng = np.random.default_rng(41)
-        rounds = [(rng.standard_normal(2), rng.standard_normal(), rng.uniform()) for _ in range(9)]
+        rounds = [(rng.standard_normal(2), rng.standard_normal(), rng.uniform()) for _ in range(40)]
         history = posterior._History(2)
         handed_out = []
         for features, y, b in rounds:
             history.append(features, y, b)
             views = history.arrays()
             handed_out.append((views, [view.copy() for view in views]))
-        # Arrays handed out earlier keep their rounds after later appends.
+        # Arrays handed out earlier keep their rounds after later appends,
+        # and after the arrays grew (at 16 and 32 rounds): the first view
+        # no longer shares the arrays' memory.
+        assert not np.shares_memory(handed_out[0][0][0], history.arrays()[0])
         for views, copies in handed_out:
             assert all(np.array_equal(view, copy) for view, copy in zip(views, copies))
             assert not any(view.flags.writeable for view in views)
         phi, y, b = history.arrays()
-        assert len(history) == 9
+        assert len(history) == 40
         assert np.array_equal(phi, np.vstack([features for features, _, _ in rounds]))
         assert np.array_equal(y, [y for _, y, _ in rounds])
         assert np.array_equal(b, [b for _, _, b in rounds])
+
+    def test_arrays_are_views_not_copies(self):
+        history = posterior._History(3)
+        for t in range(5):
+            history.append(np.full(3, float(t)), float(t), 1.0)
+        first, second = history.arrays(), history.arrays()
+        assert all(np.shares_memory(a, b) for a, b in zip(first, second))
+        # A move reads each coordinate's features as one contiguous row.
+        assert all(column.flags.c_contiguous for column in first[0].T)
 
 
 class TestMetropolisKernel:
