@@ -23,16 +23,15 @@ quadrature nodes never change.  Per epoch a fit keeps the
 ``cloud.snapshot()`` of its first round (sample set, log base and
 cumulative losses, shared with the cloud) and, per threshold, one sum of
 its rounds' normalised weights.  Per round it keeps the pass's
-``ProtocolResult``, d + 7 floats in columns: the round's features, y,
+``ProtocolResult``, d + 7 numbers in columns: the round's features, y,
 prediction, threshold and eta, and its ess, gamma and regime.  The
 cloud saw the residuals y - anchor, the anchor being the clip center of
 every fit.  That is O(epochs * n * (d + 2) + groups * n + T * d) floats,
-where a group is the rounds of one epoch at one threshold, against the
-O(T * n) of one loss vector per round: at T = 10^4, n = 257 and d = 1 a
-fit keeps 0.66 MB where per-round losses took 23 MB, and at T = 10^5 it
-keeps 6.4 MB and peaks at 11.2 MB under ``tracemalloc``.  The chain
-backend moves its walkers every round, so it has one epoch per round and
-keeps O(T * n * d).
+where a group is the rounds of one epoch at one threshold: at T = 10^4,
+n = 257 and d = 1 a fit keeps 0.66 MB, and at T = 10^5 it keeps 6.4 MB
+and peaks at 11.2 MB under ``tracemalloc``.  The chain backend moves its
+walkers every round, so it has one epoch per round and keeps
+O(T * n * d).
 
 ``BatchEstimator.snapshots``, the list of each round's ``(FrozenCloud,
 B)``, is derived on each read: each epoch's rounds are replayed from its
@@ -119,6 +118,8 @@ def empirical_max_sq(draws: np.ndarray) -> float:
     at least 100 replications are required for the estimate to mean much.
     """
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
+    if draws.ndim != 2 or draws.shape[1] == 0:
+        raise ArgumentError(f"draws must be a (replications, T) matrix with T >= 1, got shape {draws.shape}")
     if draws.shape[0] < 100:
         raise ArgumentError("need at least 100 replications")
     return float(np.mean(np.max(draws**2, axis=1)))
@@ -130,7 +131,9 @@ def empirical_max_sq(draws: np.ndarray) -> float:
 
 
 def _design_key(x: Any) -> bytes:
-    return np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=float))).tobytes()
+    """The bytes of a design point, with -0.0 read as 0.0 (adding 0.0 maps
+    it there and changes no other float), so equal points share a key."""
+    return (np.atleast_1d(np.asarray(x, dtype=float)) + 0.0).tobytes()
 
 
 class _Epoch(NamedTuple):
@@ -159,10 +162,8 @@ class BatchEstimator:
     def snapshots(self) -> list[tuple[FrozenCloud, float]]:
         """Each round's ``(FrozenCloud, B)``, in a fresh list on each read:
         each epoch's rounds replayed from its first snapshot
-        (``posterior._replay_snapshots``), O(T n d) time and O(T n) memory
-        for the losses of the list returned.  Predictions never read it.
-        The cloud saw the residuals ``y - anchor``, as the anchor is the
-        clip center of every fit."""
+        (``posterior._replay_snapshots``) from the residuals
+        ``y - anchor`` the cloud saw.  Predictions never read it."""
         run, snapshots = self._run, []
         log = (run.features, run.y - self.anchor, run.B)
         stops = [epoch.start for epoch in self._epochs[1:]] + [len(run.y)]
@@ -202,10 +203,7 @@ class BatchEstimator:
         again.  A block's margins are formed in pieces of particles that
         OpenBLAS runs on the calling thread (``posterior._piece_rows``)
         and weighted by ``posterior._particle_sum``, so the result does
-        not depend on OpenBLAS's thread count.  Scratch stays at two
-        (rows, n) blocks.  The fit keeps O(epochs n (d + 2) + groups n +
-        T d) floats, and only a read of :attr:`snapshots` replays the
-        rounds, at O(T n d) time and O(T n) memory."""
+        not depend on OpenBLAS's thread count."""
         if len(xs) == 0:
             return np.zeros(0)
         phi = self._features(xs)
@@ -237,17 +235,11 @@ class BatchEstimator:
 
         Exposed separately so translation equivariance of the offset
         variant can be checked exactly: shifting all outcomes by c shifts
-        the anchor by c and leaves the deviations bit-identical.  Outside
-        fixed design a call costs O(groups n d), the margins of the kept
-        weight sums at one point, not a replay of the rounds: the fit keeps
-        O(epochs n (d + 2) + groups n + T d) floats, and only a read of
-        :attr:`snapshots` replays them (O(T n d) time, O(T n) memory)."""
+        the anchor by c and leaves the deviations bit-identical."""
         return self.anchor, float(self._deltas([x])[0])
 
     def predict(self, x: Any) -> float:
-        """The prediction at one point: outside fixed design O(groups n d),
-        the margins of the kept weight sums at that point, as in
-        :meth:`predict_components`; no round is replayed."""
+        """The prediction at one point, as in :meth:`predict_components`."""
         anchor, delta = self.predict_components(x)
         return anchor + delta
 
@@ -292,15 +284,11 @@ def _online_pass(
 ) -> tuple[ProtocolResult, list[_Epoch]]:
     """Play the adaptive forecaster at tau = 1/sqrt(d T) through the T
     ``rounds`` with :func:`run_protocol`, and return its run and epochs.
-    The run is the round log averaging and the snapshots need, d + 7
-    floats a round: each round's features, y, threshold, eta and
-    prediction, and its ess, gamma and regime columns.  A round adds the
-    weights its prediction used (the live cloud's, computed once per
-    state) into its group's sum in round order, so the sums hold the bits
-    of summing every round's snapshot weights, and the pass keeps no
-    per-round n-vector: O(epochs n (d + 2) + groups n + T d) floats in
-    all.  Reading ``BatchEstimator.snapshots`` replays the rounds from
-    this, at O(T n d) time and O(T n) memory for the list returned."""
+    The run is the round log averaging and the snapshots need.  A round
+    adds the weights its prediction used (the live cloud's, computed once
+    per state) into its group's sum in round order, so the sums hold the
+    bits of summing every round's snapshot weights, and the pass keeps no
+    per-round n-vector."""
     d = dictionary.d if dictionary is not None else len(np.atleast_1d(rounds[0][0]))
     forecaster = _AveragingPass(d, 1.0 / math.sqrt(d * len(rounds)), backend, seed=seed, clip_center=clip_center)
     return run_protocol(forecaster, rounds, dictionary), forecaster.epochs
@@ -329,7 +317,7 @@ def fit_fixed_design(
     design point it predicts the mean of the predictions of the rounds
     that played it, and 0 off the design.  Rounds are grouped by exact
     design point (design points are generated values, so equality is
-    exact, with no tolerance matching)."""
+    exact, with no tolerance matching; -0.0 equals 0.0)."""
     if len(samples) < 1:
         raise ArgumentError("need at least one sample")
     run, epochs = _online_pass(samples, dictionary, backend, seed)
@@ -350,6 +338,8 @@ def fit_remark15(
     if len(samples) < 2:
         raise ArgumentError("the offset variant needs T >= 2 samples")
     anchor = float(samples[0][1])
+    if not math.isfinite(anchor):
+        raise DataError(f"sample 1: the anchor outcome must be finite, got {anchor!r}")
     run, epochs = _online_pass(samples[1:], dictionary, backend, seed, clip_center=anchor)
     return BatchEstimator("remark15_offset", dictionary, run, epochs, anchor=anchor)
 

@@ -336,6 +336,8 @@ def mc_allowance_from_replays(replay_losses: Sequence[float]) -> float:
     losses = np.asarray(list(replay_losses), dtype=float)
     if losses.size < 2:
         raise ArgumentError("need at least two replays to size an allowance")
+    if not np.isfinite(losses).all():
+        raise DataError(f"replay losses must be finite, got {losses.tolist()}")
     return 3.0 * float(np.std(losses, ddof=1))
 
 
@@ -370,7 +372,9 @@ def verify(
     apply to the run's forecaster or tuning (every bound is a statement
     about a specific algorithm; checking it elsewhere would be vacuous).
     Any comparator gives a valid right-hand side, so passing at the supplied
-    witness is sound; the report records the witness used.
+    witness is sound; the report records the witness used.  Only the
+    witness's vector u is trusted: its loss and norms are re-derived on the
+    run, and a u whose shape is not (d,) raises :class:`ArgumentError`.
 
     cor3 and cor6 read (B_y, B_Phi) = (B, 16 B^2 / tau^2) and B_Phi =
     1 / tau^2 off the run's tuning unless given; given values are checked
@@ -382,6 +386,11 @@ def verify(
         raise ArgumentError(f"unknown bound {bound_name!r}; expected one of {BOUND_NAMES}")
     if comparator is None:
         raise ArgumentError("a comparator witness is required")
+    u = np.asarray(comparator.u, dtype=float)
+    if u.shape != result.features.shape[1:]:
+        raise ArgumentError(f"witness u has shape {u.shape}, expected ({result.features.shape[1]},)")
+    with np.errstate(over="ignore", invalid="ignore"):  # a loss that overflows reaches the finite check below
+        comparator = Comparator.from_vector(u, result.features, result.y, comparator.exact)
 
     info = result.forecaster_info
     kind = info.get("kind")

@@ -176,10 +176,12 @@ class _ForecasterBase:
     def describe(self) -> dict[str, Any]:
         raise NotImplementedError
 
-    def state_row(self) -> dict[str, float]:
-        """Adaptation state the round just predicted was predicted under:
-        :func:`run_protocol` reads it between ``predict`` and ``observe``."""
-        return {"B": math.nan, "eta": math.nan, "regime": 0, "ess": math.nan, "gamma": math.nan}
+    def state_row(self) -> tuple[float, float, int, float, float]:
+        """Adaptation state the round just predicted was predicted under, as
+        the tuple ``(B, eta, regime, ess, gamma)``, NaN (regime 0) where the
+        forecaster has no such notion: :func:`run_protocol` reads it between
+        ``predict`` and ``observe``."""
+        return math.nan, math.nan, 0, math.nan, math.nan
 
 
 class SeqSEWAdaptive(_ForecasterBase):
@@ -212,6 +214,8 @@ class SeqSEWAdaptive(_ForecasterBase):
         self.dim = int(dim)
         self.config = backend or BackendConfig()
         self.center = float(clip_center)
+        if not math.isfinite(self.center):
+            raise ArgumentError(f"clip_center must be finite, got {clip_center!r}")
         self._rng = np.random.default_rng(seed)
         self._restart(tau)
 
@@ -247,14 +251,8 @@ class SeqSEWAdaptive(_ForecasterBase):
             "backend": self.config.backend,
         }
 
-    def state_row(self) -> dict[str, float]:
-        return {
-            "B": self.state.B,
-            "eta": self.state.eta,
-            "regime": 0,
-            "ess": self.cloud.ess(),
-            "gamma": math.nan,
-        }
+    def state_row(self) -> tuple[float, float, int, float, float]:
+        return self.state.B, self.state.eta, 0, self.cloud.ess(), math.nan
 
 
 class SeqSEWFixed(SeqSEWAdaptive):
@@ -333,8 +331,9 @@ class SeqSEWAuto(SeqSEWAdaptive):
     def describe(self) -> dict[str, Any]:
         return {"kind": "auto", "dim": self.dim, "backend": self.config.backend}
 
-    def state_row(self) -> dict[str, float]:
-        return {**super().state_row(), "regime": self.regime.r, "gamma": self.regime.gamma}
+    def state_row(self) -> tuple[float, float, int, float, float]:
+        B, eta, _, ess, _ = super().state_row()
+        return B, eta, self.regime.r, ess, self.regime.gamma
 
 
 class RidgeBaseline(_ForecasterBase):
@@ -408,10 +407,11 @@ class ProtocolResult:
         return self.prefix_cumulative_loss(len(self.y))
 
     def prefix_cumulative_loss(self, t: int) -> float:
-        """Cumulative forecaster loss after the first t rounds, 0 <= t <= T
-        (valid by causality: early predictions do not depend on later data)."""
-        if not 0 <= t <= len(self.y):
-            raise ArgumentError(f"prefix length must lie in [0, {len(self.y)}], got {t}")
+        """Cumulative forecaster loss after the first t rounds, t an integer
+        in [0, T] (valid by causality: early predictions do not depend on
+        later data)."""
+        if not (isinstance(t, (int, np.integer)) and 0 <= t <= len(self.y)):
+            raise ArgumentError(f"prefix length must lie in [0, {len(self.y)}] and be an integer, got {t!r}")
         return float(self._losses()[1][t - 1]) if t else 0.0
 
     @property
@@ -445,8 +445,8 @@ def run_protocol(
     values already are feature vectors.  The forecaster is only ever shown
     x before predicting and y after, so causality is structural.  Each
     round is written into the run's preallocated columns as it is played,
-    d + 7 floats in all (its features, y, prediction and the five entries
-    of the forecaster's ``state_row``), and no round is kept as a Python
+    d + 7 numbers in all (its features, y, prediction and the five entries
+    of the forecaster's ``state_row`` tuple), and no round is kept as a Python
     object.  This is the package's one protocol loop: the batch fits play
     it too.
     """
@@ -455,18 +455,13 @@ def run_protocol(
         raise ArgumentError("sequence must be nonempty")
 
     features, ys, yhats = np.empty((T, forecaster.dim)), np.empty(T), np.empty(T)
-    columns = {key: np.empty(T) for key in ("B", "eta", "regime", "ess", "gamma")}
+    B, eta, regimes, ess, gammas = np.empty(T), np.empty(T), np.empty(T, dtype=int), np.empty(T), np.empty(T)
     for t, (x, y) in enumerate(sequence):
         row = features_of(x, dictionary, "round", t + 1)
         yhats[t] = forecaster.predict(row)
         features[t] = row
-        state = forecaster.state_row()
-        for key, column in columns.items():
-            column[t] = state.get(key, math.nan)
+        B[t], eta[t], regimes[t], ess[t], gammas[t] = forecaster.state_row()
         forecaster.observe(y)
         ys[t] = float(y)
 
-    return ProtocolResult(
-        features=features, y=ys, predictions=yhats, forecaster_info=forecaster.describe(),
-        B=columns["B"], eta=columns["eta"], regimes=columns["regime"].astype(int), ess=columns["ess"], gammas=columns["gamma"],
-    )
+    return ProtocolResult(features, ys, yhats, forecaster.describe(), B, eta, regimes, ess, gammas)

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seqsew import posterior
+from seqsew import batch as batch_mod, posterior
 from seqsew.batch import (
     NoiseFamily,
     empirical_max_sq,
@@ -83,6 +83,11 @@ class TestEmpiricalMaxSq:
         with pytest.raises(ArgumentError):
             empirical_max_sq(np.zeros((10, 5)))
 
+    @pytest.mark.parametrize("shape", [(100, 0), (100, 5, 2)])
+    def test_demands_a_matrix_with_draws(self, shape):
+        with pytest.raises(ArgumentError, match=r"\(replications, T\) matrix"):
+            empirical_max_sq(np.zeros(shape))
+
     @pytest.mark.parametrize(
         "family",
         [
@@ -156,6 +161,18 @@ class TestFixedDesignFit:
         by_hand = 0.5 * (c1.predict_clipped_mean(a, b1) + c3.predict_clipped_mean(a, b3))
         assert est.predict(a) == pytest.approx(by_hand, abs=1e-14)
 
+    def test_signed_zero_is_the_design_point_zero(self):
+        # -0.0 == 0.0, so both read the rounds played at 0.0; the Fourier
+        # cosines are nonzero there, so the fit's value is too.
+        fourier = Dictionary(DictionarySpec(kind="fourier", d=2))
+        samples = [(0.0, 1.0), (0.25, -0.5), (0.0, 0.75)]
+        est = fit_fixed_design(samples, fourier, QUAD)
+        at_zero = est.predict(0.0)
+        assert at_zero != 0.0
+        assert est.predict(-0.0) == at_zero
+        assert est.predict(np.array([-0.0])) == at_zero
+        assert np.array_equal(est.predict_many([-0.0, 0.0, 0.5]), [at_zero, at_zero, 0.0])
+
     def test_exact_design_risk(self):
         samples = [(np.array([v]), 0.0) for v in (0.2, -0.4, 1.0)]  # estimator stays 0
         est = fit_fixed_design(samples, _coord_dict(), QUAD)
@@ -182,6 +199,13 @@ class TestOffsetVariant:
     def test_needs_two_samples(self):
         with pytest.raises(ArgumentError):
             fit_remark15([(np.array([0.1]), 1.0)], _coord_dict(), QUAD)
+
+    @pytest.mark.parametrize("anchor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_anchor_is_refused_before_the_pass(self, anchor, monkeypatch):
+        monkeypatch.setattr(batch_mod, "run_protocol", lambda *args: pytest.fail("the pass was played"))
+        samples = [(np.array([0.1]), anchor), (np.array([0.2]), 1.0)]
+        with pytest.raises(DataError, match="^sample 1: the anchor outcome must be finite"):
+            fit_remark15(samples, _coord_dict(), QUAD)
 
     @pytest.mark.parametrize("fit", [fit_random_design, fit_fixed_design])
     def test_other_fits_need_a_sample(self, fit):

@@ -507,13 +507,26 @@ class TestVerify:
         "features, comparator",
         [
             (((1e200,), (1.0,)), _comp([1.0], 1.0)),  # the Gram trace overflows
-            (((1.0,), (0.5,)), _comp([1.0], math.inf)),
+            (((1.0,), (0.5,)), _comp([1e200], 0.0)),  # the witness's loss on the run overflows
         ],
         ids=["gram", "comparator"],
     )
     def test_infinite_rhs_is_a_data_error(self, features, comparator):
         with pytest.raises(DataError, match="rhs inf"):
             verify(self._hand_built([0.0, 0.0], features), "prop5", comparator)
+
+    @pytest.mark.parametrize("u", [[0.0, 0.0, 0.0], [], [[0.0]]], ids=["R^3", "empty", "matrix"])
+    def test_witness_of_another_dimension_is_refused(self, u):
+        with pytest.raises(ArgumentError, match=r"witness u has shape .*, expected \(1,\)"):
+            verify(self._hand_built([0.0, 0.0]), "prop5", _comp(u, 0.0))
+
+    def test_witness_loss_and_norms_are_read_off_the_run(self):
+        # Only u is trusted: a cached loss, l0 or l1 that disagrees with
+        # the run gives the report of the witness built on the run.
+        res = _quad_run()
+        honest = Comparator.from_vector(np.array([1.3]), res.features, res.y)
+        forged = replace(honest, cumulative_loss=1e9, l0=0, l1=0.0)
+        assert verify(res, "prop5", forged).to_json_dict() == verify(res, "prop5", honest).to_json_dict()
 
     def test_hand_built_finite_run_still_verifies(self):
         report = verify(self._hand_built([0.0, 0.0]), "prop5", _comp([0.0], 1.25))
@@ -561,7 +574,7 @@ class TestOneLoss:
     def test_prefix_outside_the_run_is_refused(self):
         res = run_protocol(ridge_baseline(1, 1.0), [(np.array([1.0]), 2.0)])
         assert res.prefix_cumulative_loss(0) == 0.0
-        for t in (-1, 2):
+        for t in (-1, 2, 0.5, 1.0, math.nan):
             with pytest.raises(ArgumentError, match=r"prefix length must lie in \[0, 1\]"):
                 res.prefix_cumulative_loss(t)
 
@@ -574,6 +587,11 @@ class TestMcAllowance:
     def test_needs_at_least_two(self):
         with pytest.raises(ArgumentError):
             mc_allowance_from_replays([1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_loss_is_a_data_error(self, bad):
+        with pytest.raises(DataError, match="replay losses must be finite"):
+            mc_allowance_from_replays([1.0, bad])
 
 
 class TestCor7GateThatBinds:

@@ -290,6 +290,37 @@ class TestRunProtocol:
         with pytest.raises(DataError, match="round 3"):
             run_protocol(ridge_baseline(1, 1.0), seq, Fragile())
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: seqsew_fixed(1, 8.0, 1.0 / 512.0, 0.5, BackendConfig(backend="chain", n_samples=200), seed=3),
+            lambda: seqsew_adaptive(1, 0.5, BackendConfig(backend="importance", n_samples=300), seed=3),
+            lambda: seqsew_auto(1, BackendConfig(backend="importance", n_samples=300), seed=3),
+            lambda: ridge_baseline(1, 1.0),
+        ],
+        ids=["fixed", "adaptive", "auto", "ridge"],
+    )
+    def test_state_row_is_the_row_of_the_run(self, make):
+        # state_row read between predict and observe is the five-tuple
+        # that run_protocol stores as row t of its state columns.
+        sequence = _simple_sequence(T=40, seed=5, scale=3.0)
+        forecaster, rows = make(), []
+        for x, y in sequence:
+            forecaster.predict(x)
+            rows.append(forecaster.state_row())
+            forecaster.observe(y)
+        assert all(type(row) is tuple and len(row) == 5 for row in rows)
+        res = run_protocol(make(), sequence)
+        assert res.regimes.dtype.kind == "i"
+        for column, played in zip((res.B, res.eta, res.regimes, res.ess, res.gammas), zip(*rows)):
+            np.testing.assert_array_equal(column, np.array(played))
+
+    def test_base_state_row_has_no_adaptation_state(self):
+        f = ridge_baseline(1, 1.0)
+        f.predict(np.array([1.0]))
+        B, eta, regime, ess, gamma = f.state_row()
+        assert regime == 0 and all(math.isnan(v) for v in (B, eta, ess, gamma))
+
     def test_protocol_shape_is_enforced(self):
         f = ridge_baseline(1, 1.0)
         with pytest.raises(StateError):
@@ -320,7 +351,7 @@ class TestRunProtocol:
         # Each round is written into the run's d + 7 columns as it is
         # played, and the cloud's history keeps d + 2 floats a round in an
         # array that doubles when full: about 100 bytes a round at d 1.
-        # Keeping a tuple and a state_row dict per round takes about 720.
+        # A tuple and a dict kept per round would take about 720.
         T, d = 2000, 1
         assert self._peak(2 * T, d) - self._peak(T, d) <= 2 * (d + 8) * 8 * T
 
@@ -395,6 +426,11 @@ class TestInputContract:
             f.observe(y)
         assert f.state.B_sq == 2.0**1020 and f.state.eta > 0.0
         assert np.all(np.isfinite(preds))
+
+    @pytest.mark.parametrize("center", [math.inf, -math.inf, math.nan])
+    def test_non_finite_clip_center_is_refused(self, center):
+        with pytest.raises(ArgumentError, match="clip_center must be finite"):
+            seqsew_adaptive(1, 0.5, QUAD, clip_center=center)
 
     def test_overflowing_residual_under_a_clip_center(self):
         f = seqsew_adaptive(1, 0.5, QUAD, clip_center=3e153)

@@ -15,7 +15,9 @@ live cloud and the replay of a batch fit's snapshots share.  A
 ``RoundRecord`` is built only inside ``ProtocolResult``, from its columns,
 so per-round rows are never a second store of a run, and only
 ``run_protocol`` calls a forecaster's ``observe``, so a batch fit's pass
-is a played run too.  No forecaster
+is a played run too.  A forecaster's ``state_row`` returns a fixed
+tuple and ``run_protocol`` builds no dict, so a round's state has no
+second, string-keyed form.  No forecaster
 method builds a forecaster: the automatic forecaster restarts the adaptive
 scheme in place.  The forecasters name no backend: only the posterior
 decides which backends draw from the generator a forecaster hands it.  The regret bounds evaluate the sparsity term at two
@@ -400,6 +402,45 @@ def test_run_protocol_is_the_one_protocol_loop():
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "observe":
                 callers.add((name, owner, function))
     assert callers == {("forecasters", None, "run_protocol")}
+
+
+def _dict_builds(node: ast.AST) -> list[str]:
+    """The dict displays, dict comprehensions and ``dict(...)`` calls
+    under ``node``, as source text."""
+    return [
+        ast.unparse(child)
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Dict, ast.DictComp))
+        or (isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "dict")
+    ]
+
+
+def test_dict_scan_sees_displays_comprehensions_and_calls():
+    tree = ast.parse("def f(k):\n    a = {'B': 1}\n    b = {x: 0 for x in k}\n    return dict(a, **b), {**a}, (1, 2)\n")
+    assert _dict_builds(tree) == ["{'B': 1}", "{x: 0 for x in k}", "dict(a, **b)", "{**a}"]
+
+
+def test_run_protocol_builds_no_dict():
+    """``run_protocol`` writes each round's state straight into its five
+    columns: no dict keyed by column name stands between the forecaster
+    and the run."""
+    tree = ast.parse((PACKAGE / "forecasters.py").read_text())
+    (loop,) = [node for node in tree.body if getattr(node, "name", None) == "run_protocol"]
+    assert _dict_builds(loop) == []
+
+
+def test_every_state_row_returns_a_fixed_tuple():
+    """Each ``state_row`` in the package returns the five-tuple
+    ``(B, eta, regime, ess, gamma)`` itself, never a dict of it."""
+    returns = []
+    for name in MODULES:
+        for node, owner, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if function == "state_row" and isinstance(node, ast.Return):
+                returns.append((owner, node.value))
+    assert {owner for owner, _ in returns} == {"_ForecasterBase", "SeqSEWAdaptive", "SeqSEWAuto"}
+    for owner, value in returns:
+        assert _dict_builds(value) == [], owner
+        assert isinstance(value, ast.Tuple) and len(value.elts) == 5, (owner, ast.unparse(value))
 
 
 def test_forecasters_name_no_backend():
