@@ -59,7 +59,8 @@ in pieces of particles small enough for OpenBLAS to run on the calling
 thread (``posterior._piece_rows``), and weighted by
 ``posterior._particle_sum``, so predictions do not depend on OpenBLAS's
 thread count (tested at one and two threads).  Evaluation points must be
-finite; a bad one raises :class:`DataError` naming its index.
+finite, and their features are checked as a round's are
+(``posterior._checked_features``); a bad one raises naming its index.
 
 The maximal-inequality caps ``psi_bound`` on E[max_t Z_t^2] / T of the
 noise families (defined in :mod:`seqsew.datagen`) are also here.
@@ -74,9 +75,9 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .datagen import NoiseFamily
-from .errors import ArgumentError, DataError, DimensionMismatchError
+from .errors import ArgumentError, DataError
 from .forecasters import ProtocolResult, SeqSEWAdaptive, features_of, run_protocol
-from .posterior import BackendConfig, FrozenCloud, _block_rows, _particle_sum, _piece_rows, _replay_snapshots
+from .posterior import BackendConfig, FrozenCloud, _block_rows, _checked_features, _particle_sum, _piece_rows, _replay_snapshots
 from .prior import s_ln_term
 
 __all__ = [
@@ -173,8 +174,10 @@ class BatchEstimator:
         return snapshots
 
     def _features(self, xs: Sequence[Any]) -> np.ndarray:
-        """(m, d) features of the evaluation points: a non-finite point or
-        feature raises :class:`DataError`, and features not of shape (d,)
+        """(m, d) features of the evaluation points, each checked as a
+        round's are (``posterior._checked_features``): a non-finite point,
+        or features that are not finite or whose squared norm overflows,
+        raise :class:`DataError`, and features not of shape (d,)
         :class:`DimensionMismatchError`, each naming the point's index."""
         phi = np.empty((len(xs), self._run.features.shape[1]))
         for i, x in enumerate(xs):
@@ -182,11 +185,7 @@ class BatchEstimator:
             if not np.isfinite(point).all():
                 raise DataError(f"evaluation point {i}: must be finite, got {point.tolist()}")
             features = features_of(x, self.dictionary, "evaluation point", i)
-            if features.shape != phi.shape[1:]:
-                raise DimensionMismatchError(f"evaluation point {i}: features have shape {features.shape}, expected {phi.shape[1:]}")
-            phi[i] = features
-            if not np.isfinite(phi[i]).all():
-                raise DataError(f"evaluation point {i}: features must be finite, got {phi[i].tolist()}")
+            phi[i] = _checked_features(features, phi.shape[1], f"evaluation point {i}: ")
         return phi
 
     def _deltas(self, xs: Sequence[Any]) -> np.ndarray:

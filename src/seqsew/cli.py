@@ -18,9 +18,9 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def _cell(v: Any) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, schema: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def _write_csv(path: Path, schema: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     with _open_output(path) as fh:
         fh.write(f"# schema={schema}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -234,9 +234,14 @@ def _load_config(args: argparse.Namespace) -> _Config:
     if backend_config.backend != "quadrature":
         name = "--samples" if args.samples is not None else "config section 'backend' key 'n_samples'"
         _check_size(name, "n_samples * d", backend_config.n_samples * spec.d)
-    elif backend_config.grid_nodes is None and spec.d <= 2:  # no grid is built beyond d = 2
-        grid = backend_config.grid_points_per_dim**spec.d
-        _check_size("config section 'backend' key 'grid_points_per_dim'", "grid_points_per_dim^d", grid)
+    elif backend_config.grid_nodes is not None:
+        grid = math.prod(map(len, backend_config.grid_nodes))
+        _check_size("config section 'backend' key 'grid_nodes'", "the product of its lengths", grid)
+    elif spec.d <= 2:  # no grid is built beyond d = 2
+        # The grid keeps a node at the origin, so an even count gains one.
+        points = posterior_mod._grid_axis_points(backend_config.grid_points_per_dim)
+        formula = "grid_points_per_dim^d" if points == backend_config.grid_points_per_dim else "(grid_points_per_dim + 1)^d"
+        _check_size("config section 'backend' key 'grid_points_per_dim'", formula, points**spec.d)
 
     fc = raw.get("forecaster", {"kind": "adaptive", "tau": 1.0})
     kind = fc.get("kind", "adaptive") if isinstance(fc, dict) else "adaptive"
@@ -329,9 +334,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = _first_run(config)
     out = config.out_dir
 
-    # A round record's fields are the columns, in order.
-    rows = [astuple(r) for r in result.records]
-    _write_csv(out / "run.csv", RUN_CSV_SCHEMA, ["t", "y", "yhat", "loss", "cumloss", "B_t", "eta_t", "regime", "ess"], rows)
+    # The file's header and columns, in order, written row by row.
+    loss, cumloss = result._losses()
+    columns = {
+        "t": np.arange(1, len(result.y) + 1), "y": result.y, "yhat": result.predictions, "loss": loss, "cumloss": cumloss,
+        "B_t": result.B, "eta_t": result.eta, "regime": result.regimes, "ess": result.ess,
+    }
+    _write_csv(out / "run.csv", RUN_CSV_SCHEMA, list(columns), zip(*(c.tolist() for c in columns.values())))
 
     stats = bounds_mod.SequenceStats.from_arrays(result.features, result.y)
     starts, ends = result.regime_bounds

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, NewType, Union, get_args, get_origin
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, _checked_integer
 
 __all__ = [
     "NoiseFamily",
@@ -131,6 +131,7 @@ class DictionarySpec:
     seed: Seed = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", _checked_integer("dictionary key 'd'", self.d))
         if self.kind not in ("coordinate", "fourier", "random_signs"):
             raise ArgumentError(f"unknown dictionary kind {self.kind!r}")
         if self.d < 1:
@@ -161,7 +162,7 @@ class Dictionary:
                 angle = 2.0 * math.pi * k * t
                 out[j] = math.sin(angle) if j % 2 == 0 else math.cos(angle)
             return self.spec.normalization * math.sqrt(2.0) * out
-        idx = int(x)
+        idx = _checked_integer("random_signs dictionary input", x)
         row_rng = np.random.default_rng(np.random.SeedSequence([self.spec.seed, idx]))
         signs = np.where(row_rng.random(self.d) < 0.5, -1.0, 1.0)
         return self.spec.normalization * signs
@@ -189,6 +190,9 @@ class ScenarioSpec:
     grid_size: int | None = None
 
     def __post_init__(self) -> None:
+        for key in ("T", "d", "s", "grid_size"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _checked_integer(f"scenario key {key!r}", getattr(self, key)))
         if self.T < 1:
             raise ArgumentError("scenario needs T >= 1")
         if self.design not in ("iid_uniform", "iid_gaussian", "fixed_grid", "adversarial_script"):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that
+an integer parameter is integral."""
 
 
 class ArgumentError(ValueError):
@@ -24,3 +25,16 @@ class ContractViolationError(RuntimeError):
 
 class DataError(RuntimeError):
     """A data sequence could not be consumed (names the failing round)."""
+
+
+def _checked_integer(label: str, value: object) -> int:
+    """``value`` as an int: an integral float or a numpy integer passes,
+    and anything else raises :class:`ArgumentError` starting with
+    ``label``, rather than being truncated."""
+    try:
+        integer = int(value)
+    except (TypeError, ValueError, OverflowError):
+        integer = None
+    if integer is None or integer != value:
+        raise ArgumentError(f"{label} must be an integer, got {value!r}")
+    return integer

@@ -29,8 +29,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, DimensionMismatchError, StateError
-from .posterior import BackendConfig, PosteriorCloud, init as init_cloud
+from .errors import ArgumentError, DataError, StateError, _checked_integer
+from .posterior import BackendConfig, PosteriorCloud, _checked_features, init as init_cloud
 from .prior import SparsityPrior
 
 __all__ = [
@@ -126,11 +126,11 @@ class _ForecasterBase:
     """Shared predict/observe alternation guard and input contract.
 
     ``t`` counts the rounds predicted so far.  Features must be finite
-    with a finite squared norm, so that their Gram arithmetic stays finite,
-    and an outcome must be finite with y^2 <= 2^1020, so that the adaptive
-    threshold arithmetic stays finite; anything else raises
-    :class:`DataError` naming the round, before the forecaster's state
-    changes."""
+    with a finite squared norm, so that their Gram arithmetic stays finite
+    (the posterior's one feature-row check), and an outcome must be finite
+    with y^2 <= 2^1020, so that the adaptive threshold arithmetic stays
+    finite; anything else raises :class:`DataError` naming the round,
+    before the forecaster's state changes."""
 
     dim: int
 
@@ -143,15 +143,7 @@ class _ForecasterBase:
         if self._awaiting_y:
             raise StateError("predict called twice without an observation in between")
         # A copy: the caller may reuse its buffer for the next round.
-        features = np.array(features, dtype=float)
-        if features.shape != (self.dim,):
-            raise DimensionMismatchError(f"round {self.t + 1}: features have shape {features.shape}, expected ({self.dim},)")
-        # Non-finite features have a non-finite squared norm too; one that
-        # overflows comes out infinite, without a warning.
-        with np.errstate(over="ignore"):
-            norm_sq = float(features @ features)
-        if not math.isfinite(norm_sq):
-            raise DataError(f"round {self.t + 1}: features must be finite with a finite squared norm, got {features.tolist()}")
+        features = _checked_features(np.array(features, dtype=float), self.dim, f"round {self.t + 1}: ")
         self.t += 1
         yhat = self._predict(features)
         self._last_features = features
@@ -211,7 +203,7 @@ class SeqSEWAdaptive(_ForecasterBase):
         clip_center: float = 0.0,
     ) -> None:
         super().__init__()
-        self.dim = int(dim)
+        self.dim = _checked_integer("dim", dim)
         self.config = backend or BackendConfig()
         self.center = float(clip_center)
         if not math.isfinite(self.center):
@@ -347,7 +339,7 @@ class RidgeBaseline(_ForecasterBase):
         super().__init__()
         if not regularization > 0.0:
             raise ArgumentError(f"regularization must be positive, got {regularization}")
-        self.dim = int(dim)
+        self.dim = _checked_integer("dim", dim)
         self.regularization = float(regularization)
         self._gram = regularization * np.eye(self.dim)
         self._xty = np.zeros(self.dim)

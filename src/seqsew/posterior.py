@@ -127,9 +127,11 @@ from . import prior as prior_mod
 from .errors import (
     ArgumentError,
     ContractViolationError,
+    DataError,
     DimensionMismatchError,
     StateError,
     UnsupportedDimensionError,
+    _checked_integer,
 )
 from .prior import SparsityPrior
 
@@ -148,7 +150,8 @@ _GRID_RADIUS_TAU_UNITS = 100.0
 @dataclass(frozen=True)
 class BackendConfig:
     """Knobs for the posterior backends.  Only the fields of the chosen
-    backend matter; the rest are ignored."""
+    backend matter; the rest are ignored.  The counts must be integral,
+    and an integral float or numpy integer is kept as its int."""
 
     backend: str = "importance"
     n_samples: int = 10_000
@@ -161,6 +164,8 @@ class BackendConfig:
     grid_nodes: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
+        for key in ("n_samples", "burn_in", "refresh_sweeps", "grid_points_per_dim"):
+            object.__setattr__(self, key, _checked_integer(key, getattr(self, key)))
         if self.backend not in ("importance", "chain", "quadrature"):
             raise ArgumentError(f"unknown backend {self.backend!r}")
         if self.backend in ("importance", "chain") and self.n_samples < 100:
@@ -692,6 +697,13 @@ def _metropolis_coordinate_steps(
 # ---------------------------------------------------------------------------
 
 
+def _grid_axis_points(n_points: int) -> int:
+    """Nodes per axis of the default grid: ``n_points``, an even count
+    rounded up to odd to keep a node exactly at the origin, where the
+    density kinks."""
+    return n_points | 1
+
+
 def _sinh_nodes_and_logmass(
     tau: float, n_points: int, radius_multiplier: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -702,9 +714,7 @@ def _sinh_nodes_and_logmass(
     them geometrically into the tails.  Cell masses combine the trapezoid
     weight, the stretch Jacobian, and the prior density.
     """
-    m = int(n_points)
-    if m % 2 == 0:
-        m += 1  # keep a node exactly at the origin, where the density kinks
+    m = _grid_axis_points(n_points)
     radius_t = _GRID_RADIUS_TAU_UNITS * radius_multiplier
     stretch = math.asinh(radius_t)
     # The outer cells' Jacobian tau * stretch * cosh(stretch), where
@@ -751,11 +761,19 @@ def _build_grid(prior: SparsityPrior, config: BackendConfig) -> tuple[np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _checked_features(features: np.ndarray, dim: int) -> np.ndarray:
-    """``features`` as a float vector, which must have shape (dim,)."""
+def _checked_features(features: np.ndarray, dim: int, where: str = "") -> np.ndarray:
+    """``features`` as a float vector of shape (dim,) with a finite squared
+    norm: the package's one feature-row check.  A wrong shape raises
+    :class:`DimensionMismatchError`, and a non-finite entry or a squared
+    norm that overflows :class:`DataError`, each message led by ``where``
+    (a round or a point)."""
     features = np.asarray(features, dtype=float)
     if features.shape != (dim,):
-        raise DimensionMismatchError(f"features have shape {features.shape}, expected ({dim},)")
+        raise DimensionMismatchError(f"{where}features have shape {features.shape}, expected ({dim},)")
+    # A Python sum of squares: a non-finite entry or an overflow makes it
+    # inf or NaN, without a numpy warning.
+    if not sum(v * v for v in features.tolist()) < math.inf:
+        raise DataError(f"{where}features must be finite with a finite squared norm, got {features.tolist()}")
     return features
 
 
@@ -815,6 +833,8 @@ class FrozenCloud:
         return _normalized_log_weights(_log_weights(self._log_base, self._base_eta, self.cum_loss))
 
     def predict_clipped_mean(self, features: np.ndarray, threshold: float) -> float:
+        """The weighted mean of clip(u . features, threshold), as the live
+        cloud predicts it: features and threshold are checked as there."""
         clipped = _clipped_margins(self.samples, _checked_features(features, self.samples.shape[1]), threshold)
         return _clipped_mean(self.weights(), clipped, threshold)
 
@@ -975,7 +995,10 @@ class PosteriorCloud:
     # -- protocol --------------------------------------------------------
 
     def predict(self, features: np.ndarray, threshold: float) -> float:
-        """Posterior mean of clip(u . features, threshold)."""
+        """Posterior mean of clip(u . features, threshold).  Features not of
+        shape (d,) raise :class:`DimensionMismatchError`, features that are
+        not finite or whose squared norm overflows :class:`DataError`, and
+        a threshold outside [0, inf) :class:`ArgumentError`."""
         features = _checked_features(features, self.prior.dim)
         clipped = _clipped_margins(self.samples, features, threshold)
         self._predicted = (features.copy(), threshold, clipped)
@@ -990,18 +1013,31 @@ class PosteriorCloud:
     ) -> None:
         """Record one round, reweight, and move the points if this
         backend's policy asks for it.  ``threshold_used`` is the clip
-        level that was in force when this round was predicted."""
+        level that was in force when this round was predicted.
+
+        Bad input is refused before any state changes.  Features and the
+        threshold are checked as in :meth:`predict`.  A NaN or negative
+        ``new_eta`` raises :class:`ArgumentError`, and one above the
+        current eta :class:`ContractViolationError`.  An outcome that is
+        not finite, or whose loss bound (|y| + threshold)^2 overflows,
+        raises :class:`DataError` naming the round."""
         features = _checked_features(features, self.prior.dim)
+        _checked_threshold(threshold_used)
+        if not new_eta >= 0.0:
+            raise ArgumentError(f"the inverse temperature must be >= 0, got {new_eta!r}")
         if new_eta > self.eta:
             raise ContractViolationError(
                 f"inverse temperature must not increase: {new_eta} > {self.eta}"
             )
+        # Python floats, so an overflow gives inf without a numpy warning.
+        bound = abs(float(y)) + float(threshold_used)
+        if not bound * bound < math.inf:
+            raise DataError(f"round {len(self.history) + 1}: outcome must be finite with a finite loss bound (|y| + B)^2, got {y!r}")
 
         if self.backend == "chain":
             # The move writes every point's exact cumulative loss, so this
             # round's losses are not summed, and its margins are let go.
             self._predicted = None
-            _checked_threshold(threshold_used)
         else:
             predicted, self._predicted = self._predicted, None
             if predicted is not None and predicted[1] == threshold_used and np.array_equal(predicted[0], features):

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionMismatchError
+from .errors import ArgumentError, DimensionMismatchError, _checked_integer
 
 __all__ = [
     "SparsityPrior",
@@ -72,7 +72,8 @@ class SparsityPrior:
         # positive float.
         if not 2.0**-1022 <= self.tau < 2.0**1023:
             raise ArgumentError(f"prior scale tau must lie in [2^-1022, 2^1023), got {self.tau}")
-        if self.dim < 1 or int(self.dim) != self.dim:
+        object.__setattr__(self, "dim", _checked_integer("dimension", self.dim))
+        if self.dim < 1:
             raise ArgumentError(f"dimension must be a positive integer, got {self.dim}")
 
 

@@ -2,6 +2,7 @@
 inequalities, and the risk-bound evaluators."""
 
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -669,6 +670,15 @@ class TestEvaluationPoints:
         est = fit_random_design([(np.array([0.5]), 1.0)], _coord_dict(norm=10.0), QUAD)
         with np.errstate(over="ignore"), pytest.raises(DataError, match="evaluation point 1: features must be finite"):
             est.predict_many([np.array([0.5]), np.array([1e308])])
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_features_whose_squared_norm_overflows_are_named(self, fit):
+        # Finite features, refused as a training round's would be.
+        samples = [(np.array([0.5, -0.25]), 1.0), (np.array([0.1, 0.3]), -0.5)]
+        est = fit(samples, None, IMP, seed=0)
+        message = re.escape("evaluation point 1: features must be finite with a finite squared norm, got [1e+200, 1e+200]")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            est.predict_many([samples[0][0], np.array([1e200, 1e200])])
 
     @pytest.mark.parametrize("fit", FITS)
     def test_no_points_predict_nothing(self, fit):

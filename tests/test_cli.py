@@ -657,17 +657,40 @@ class TestSizeBudget:
         [
             dict(scenario=_stochastic_scenario(T=2**24)),
             dict(scenario=_stochastic_scenario(**_D2), backend={"backend": "importance", "n_samples": 2**23}),
-            dict(scenario=_stochastic_scenario(**_D2), backend={"backend": "quadrature", "grid_points_per_dim": 2**12}),
+            # 4095 is odd, so the grid has 4095^2 points; 4096 would have 4097^2.
+            dict(scenario=_stochastic_scenario(**_D2), backend={"backend": "quadrature", "grid_points_per_dim": 2**12 - 1}),
+            dict(scenario=_stochastic_scenario(**_D2), backend={"backend": "quadrature", "grid_nodes": [[0.0], list(range(2**12))]}),
             # No grid is built beyond d = 2, so only the dimension is refused, later.
             dict(
                 scenario=_stochastic_scenario(d=3, u_true=[1.0, 0.0, 0.0], dictionary={"kind": "coordinate", "d": 3}),
                 backend={"backend": "quadrature", "grid_points_per_dim": 2**12},
             ),
         ],
-        ids=["T", "n_samples", "grid", "grid-d3"],
+        ids=["T", "n_samples", "grid", "grid-nodes", "grid-d3"],
     )
     def test_counts_at_the_budget_load(self, tmp_path, overrides):
         self._load(tmp_path, **overrides)
+
+    @pytest.mark.parametrize(
+        "backend, message",
+        [
+            (
+                {"grid_nodes": [list(range(2**12 + 1))] * 2},
+                "config section 'backend' key 'grid_nodes' is too large: the product of its lengths = 16785409",
+            ),
+            (
+                # An even count gains a node at the origin: 4097^2 points.
+                {"grid_points_per_dim": 2**12},
+                "config section 'backend' key 'grid_points_per_dim' is too large: (grid_points_per_dim + 1)^d = 16785409",
+            ),
+        ],
+        ids=["grid-nodes", "even-grid-points"],
+    )
+    def test_gen_counts_the_grid_that_would_be_built(self, tmp_path, capsys, backend, message):
+        cfg = _write_config(tmp_path / "cfg.json", scenario=_stochastic_scenario(**_D2), backend={"backend": "quadrature", **backend})
+        assert cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message} exceeds the size budget of 2^24 elements"
+        assert not (tmp_path / "out").exists()
 
     def test_gen_refuses_before_generating(self, tmp_path, monkeypatch, capsys):
         def generate(*args, **kwargs):

@@ -73,6 +73,39 @@ class TestScenarioValidation:
         assert int(np.count_nonzero(u)) == 3
 
 
+class TestIntegerKeys:
+    """Counts and indices are integers: a non-integral one is refused
+    rather than truncated, and an integral float or numpy integer passes."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: _spec(T=3.5), "scenario key 'T' must be an integer, got 3.5"),
+            (lambda: _spec(s=0.5, u_true=None), "scenario key 's' must be an integer, got 0.5"),
+            (lambda: _spec(design="fixed_grid", grid_size=2.5), "scenario key 'grid_size' must be an integer, got 2.5"),
+            (lambda: DictionarySpec(d=1.5), "dictionary key 'd' must be an integer, got 1.5"),
+            (
+                lambda: Dictionary(DictionarySpec(kind="random_signs", d=3)).features(1.7),
+                "random_signs dictionary input must be an integer, got 1.7",
+            ),
+        ],
+        ids=["T", "s", "grid_size", "dictionary-d", "random-signs-input"],
+    )
+    def test_non_integral_value_is_refused(self, build, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            build()
+
+    def test_integral_values_pass(self):
+        spec = _spec(T=30.0, d=np.int64(2), s=1.0, design="fixed_grid", grid_size=np.float64(4.0))
+        assert (spec.T, spec.d, spec.s, spec.grid_size) == (30, 2, 1, 4)
+        assert all(type(v) is int for v in (spec.T, spec.d, spec.s, spec.grid_size))
+        played, expected = gen_individual_sequence(spec), gen_individual_sequence(_spec(design="fixed_grid", grid_size=4))
+        assert len(played) == len(expected) == 30
+        assert all(np.array_equal(x, x0) and y == y0 for (x, y), (x0, y0) in zip(played, expected))
+        dictionary = Dictionary(DictionarySpec(kind="random_signs", d=3.0))
+        assert dictionary.d == 3 and np.array_equal(dictionary.features(2.0), dictionary.features(np.int64(2)))
+
+
 class TestAmplitudeScript:
     def test_jump_forces_threshold_increase(self):
         spec = _spec(T=40, amplitude_script=((25, 6.0),), noise=None)

@@ -477,6 +477,27 @@ class TestInputContract:
             fit_random_design(self.WRONG_SHAPE, None, self.IMP, seed=0)
 
 
+class TestIntegerDimension:
+    """A forecaster's dimension is an integer: a non-integral one is refused
+    rather than truncated, and an integral float or numpy integer passes."""
+
+    @pytest.mark.parametrize(
+        "make, dim",
+        [
+            (lambda d: seqsew_adaptive(d, 0.5, QUAD), 1.5),
+            (lambda d: seqsew_fixed(d, 2.0, 1.0 / 32.0, 0.5, QUAD), 1.5),
+            (lambda d: seqsew_auto(d, QUAD), 2.5),
+            (lambda d: ridge_baseline(d, 1.0), 2.9),
+        ],
+        ids=["adaptive", "fixed", "auto", "ridge"],
+    )
+    def test_non_integral_dimension_is_refused(self, make, dim):
+        with pytest.raises(ArgumentError, match=re.escape(f"dim must be an integer, got {dim!r}")):
+            make(dim)
+        assert make(2.0).dim == make(np.int64(2)).dim == 2
+        assert type(make(2.0).dim) is int
+
+
 class TestReusedFeatureBuffer:
     """A caller may fill one features buffer anew every round: the
     forecaster and the posterior history keep copies, so the run equals

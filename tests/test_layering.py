@@ -30,7 +30,10 @@ reader and writes every file through one writer.  The scenario's i.i.d. input la
 ``datagen._design_law`` alone.  The Metropolis step updates its accepted
 rows by index, never through a mask.  Every dot product over a cloud's
 particles is taken at one site, and the kernel's and the batch average's
-products are cut into single-thread pieces by one rule."""
+products are cut into single-thread pieces by one rule.  One function
+checks every feature row, so the forecasters, the live and the frozen
+cloud and the batch evaluation points refuse the same rows in the same
+words."""
 
 import ast
 import re
@@ -566,3 +569,46 @@ def test_metropolis_step_updates_rows_by_index():
     assert {"minimum", "maximum", "einsum", "take"} <= names  # the scan sees the step's calls
     assert "copyto" not in names
     assert [ast.unparse(call) for call in calls if any(k.arg == "where" for k in call.keywords)] == []
+
+
+def _feature_refusal_sites(source: str) -> set[tuple[str | None, str | None]]:
+    """The (class, function) around each string of ``source``, plain or
+    formatted, that words a refusal of a feature row."""
+    found = set()
+    for node, owner, function in _scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.search(r"features (have shape|must be finite)", node.value):
+                found.add((owner, function))
+    return found
+
+
+def test_feature_refusal_scan_sees_plain_and_formatted_strings():
+    source = (
+        "def a(f):\n    raise E(f'{where}features have shape {f.shape}')\n"
+        "class C:\n    def b(self):\n        raise E('round 1: features must be finite')\n"
+        "def c():\n    raise E('evaluation point 0: must be finite')\n"
+    )
+    assert _feature_refusal_sites(source) == {(None, "a"), ("C", "b")}
+
+
+def test_feature_rows_are_checked_at_one_site():
+    """``posterior._checked_features`` is the package's only feature-row
+    check: the forecasters, the live and the frozen cloud and the batch
+    evaluation points all call it, so none of them words a refusal of its
+    own, and the forecasters keep no ``np.errstate`` of a norm test."""
+    found = {(name, *site) for name in MODULES for site in _feature_refusal_sites((PACKAGE / f"{name}.py").read_text())}
+    assert found == {("posterior", None, "_checked_features")}
+    forecasters = ast.parse((PACKAGE / "forecasters.py").read_text())
+    assert [ast.unparse(node) for node in ast.walk(forecasters) if getattr(node, "attr", None) == "errstate"] == []
+    callers = set()
+    for name in MODULES:
+        for node, owner, function in _scoped_nodes(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_checked_features":
+                callers.add((name, owner, function))
+    assert callers == {
+        ("forecasters", "_ForecasterBase", "predict"),
+        ("posterior", "PosteriorCloud", "predict"),
+        ("posterior", "PosteriorCloud", "update"),
+        ("posterior", "FrozenCloud", "predict_clipped_mean"),
+        ("batch", "BatchEstimator", "_features"),
+    }

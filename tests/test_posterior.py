@@ -21,6 +21,7 @@ from seqsew import prior as prior_mod
 from seqsew.errors import (
     ArgumentError,
     ContractViolationError,
+    DataError,
     DimensionMismatchError,
     StateError,
     UnsupportedDimensionError,
@@ -63,6 +64,20 @@ class TestBackendConfig:
     def test_rejects_out_of_range_knobs(self, build, message):
         with pytest.raises(ArgumentError, match=re.escape(message)):
             build()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_samples", 150.7), ("burn_in", 2.5), ("refresh_sweeps", 1.5), ("grid_points_per_dim", 100.5), ("n_samples", "200")],
+    )
+    def test_counts_must_be_integers(self, key, value):
+        with pytest.raises(ArgumentError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+            BackendConfig(**{key: value})
+
+    def test_integral_counts_are_kept_as_ints(self):
+        config = BackendConfig(n_samples=200.0, burn_in=np.int64(3), refresh_sweeps=2.0, grid_points_per_dim=np.float64(129.0))
+        counts = (config.n_samples, config.burn_in, config.refresh_sweeps, config.grid_points_per_dim)
+        assert counts == (200, 3, 2, 129) and all(type(v) is int for v in counts)
+        assert config == BackendConfig(n_samples=200, burn_in=3, refresh_sweeps=2, grid_points_per_dim=129)
 
     def test_explicit_nodes_bypass_grid_size_check(self):
         BackendConfig(backend="quadrature", grid_points_per_dim=3, grid_nodes=([0.0],))
@@ -227,6 +242,27 @@ class TestInputChecks:
             snap.predict_clipped_mean(bad, 1.0)
         assert str(frozen.value) == str(live.value) == "features have shape (3,), expected (2,)"
 
+    @pytest.mark.parametrize("backend", ["quadrature", "importance", "chain"])
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 1.0], [1e200, 1e200]], ids=["nan", "inf", "norm-overflows"])
+    def test_features_must_be_finite_with_a_finite_squared_norm(self, backend, bad):
+        # Every entry point refuses them, rather than predicting NaN, and
+        # without a numpy warning.
+        cfg = BackendConfig(backend=backend, n_samples=200, burn_in=2, grid_points_per_dim=65)
+        cloud = init(SparsityPrior(0.5, 2), cfg, np.random.default_rng(0))
+        cloud.update(np.array([1.0, -0.5]), 0.7, 1.0, 0.125)
+        snap, samples, cum_loss = cloud.snapshot(), cloud.samples, cloud.cum_loss
+        message = re.escape(f"features must be finite with a finite squared norm, got {bad}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: cloud.predict(np.array(bad), 1.0),
+                lambda: cloud.update(np.array(bad), 0.5, 1.0, 0.125),
+                lambda: snap.predict_clipped_mean(np.array(bad), 1.0),
+            ):
+                with pytest.raises(DataError, match=f"^{message}$"):
+                    call()
+        assert len(cloud.history) == 1 and cloud.samples is samples and cloud.cum_loss is cum_loss
+
     @pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf])
     def test_threshold_must_be_finite_and_nonnegative(self, threshold):
         cloud, snap = self._clouds()
@@ -263,11 +299,52 @@ class TestUpdate:
         cloud.update(np.array([1.0]), 2.0, 1.0, 0.0)
         assert cloud.predict(np.array([1.0]), 5.0) == pytest.approx(base, abs=1e-14)
 
-    def test_rejects_increasing_eta(self):
-        cloud = init(_prior_1d(), BackendConfig(backend="quadrature", grid_points_per_dim=65))
-        cloud.update(np.array([1.0]), 1.0, 1.0, 0.125)
-        with pytest.raises(ContractViolationError):
-            cloud.update(np.array([1.0]), 1.0, 1.0, 0.25)
+    @staticmethod
+    def _played(backend):
+        cfg = BackendConfig(backend=backend, n_samples=200, burn_in=2, grid_points_per_dim=65)
+        cloud = init(SparsityPrior(0.5, 2), cfg, np.random.default_rng(0))
+        cloud.predict(np.array([1.0, -0.5]), 1.0)
+        cloud.update(np.array([1.0, -0.5]), 0.7, 1.0, 0.125)
+        return cloud
+
+    @staticmethod
+    def _state(cloud):
+        return len(cloud.history), cloud.eta, cloud.resample_count, cloud.samples, cloud.cum_loss, cloud._log_base
+
+    @classmethod
+    def _unchanged(cls, cloud, before):
+        after = cls._state(cloud)
+        return after[:3] == before[:3] and all(a is b for a, b in zip(after[3:], before[3:]))
+
+    @pytest.mark.parametrize("backend", ["quadrature", "importance", "chain"])
+    @pytest.mark.parametrize("eta", [math.nan, -1.0, -math.inf])
+    def test_rejects_a_nan_or_negative_eta_before_any_state_changes(self, backend, eta):
+        cloud = self._played(backend)
+        before, prediction = self._state(cloud), cloud.predict(np.array([0.3, 0.2]), 1.0)
+        with pytest.raises(ArgumentError, match=re.escape(f"the inverse temperature must be >= 0, got {eta!r}")):
+            cloud.update(np.array([0.3, 0.2]), 0.5, 1.0, eta)
+        assert self._unchanged(cloud, before)
+        assert cloud.predict(np.array([0.3, 0.2]), 1.0) == prediction
+
+    @pytest.mark.parametrize("backend", ["quadrature", "importance", "chain"])
+    def test_rejects_increasing_eta(self, backend):
+        cloud = self._played(backend)
+        with pytest.raises(ContractViolationError, match="must not increase"):
+            cloud.update(np.array([0.3, 0.2]), 0.5, 1.0, 0.25)
+        assert len(cloud.history) == 1
+
+    @pytest.mark.parametrize("backend", ["quadrature", "importance", "chain"])
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, 1e300, -1.5e154])
+    def test_rejects_an_outcome_whose_loss_bound_overflows(self, backend, y):
+        # (|y| + B)^2 is not finite, so the round's losses could not be.
+        cloud = self._played(backend)
+        before, prediction = self._state(cloud), cloud.predict(np.array([0.3, 0.2]), 1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(f"round 2: outcome must be finite with a finite loss bound (|y| + B)^2, got {y!r}")):
+                cloud.update(np.array([0.3, 0.2]), y, 1e154, 0.125)
+        assert self._unchanged(cloud, before)
+        assert cloud.predict(np.array([0.3, 0.2]), 1e154) == prediction
 
     def test_single_update_matches_manual_reweighting(self):
         cloud = init(_prior_1d(), BackendConfig(backend="quadrature", grid_points_per_dim=1001))
