@@ -75,7 +75,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .datagen import NoiseFamily
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, DataError, _checked_integer
 from .forecasters import ProtocolResult, SeqSEWAdaptive, features_of, run_protocol
 from .posterior import BackendConfig, FrozenCloud, _block_rows, _checked_features, _particle_sum, _piece_rows, _replay_snapshots
 from .prior import s_ln_term
@@ -100,6 +100,7 @@ def psi_bound(family: NoiseFamily, T: int) -> float:
     bm: M^(2/alpha) / T^((alpha-2)/alpha).  Squares are products, which
     overflow to inf where ``**`` raises.
     """
+    T = _checked_integer("T", T)
     if T < 1:
         raise ArgumentError("T must be >= 1")
     if family.kind == "bd":
@@ -359,6 +360,7 @@ def risk(
     if estimator.mode == "fixed_design_grouped":
         xs = estimator.design_points
     else:
+        n_eval = _checked_integer("n_eval", n_eval)
         if n_eval < 1:
             raise ArgumentError("random-design risk needs n_eval >= 1")
         if design_sampler is None or rng is None:
@@ -387,7 +389,8 @@ def risk_bound_rhs(variant: str, **kw: Any) -> float:
     huge input gives inf where ``**`` would raise.
 
     Common keyword arguments: ``approx_error`` (the comparator's own risk),
-    ``T``, ``d``, ``l0``, ``l1``.  Variant-specific:
+    ``T``, ``d``, ``l0``, ``l1``; the counts ``T``, ``d`` (both at least
+    1) and ``l0`` must be integers.  Variant-specific:
 
     - ``thm10``: ``e_max_y_sq`` (measured or analytic E[max Y^2]),
       ``sum_feature_l2`` (sum over features of the squared L2 norm).
@@ -396,14 +399,16 @@ def risk_bound_rhs(variant: str, **kw: Any) -> float:
     - ``thm13``: ``e_max_y_sq``, ``design_gram_trace``.
     - ``cor14``: ``max_f_sq``, ``psi_t``, ``design_gram_trace``.
     """
-    def value(key: str, kind: type = float) -> Any:
+    def value(key: str, integral: bool = False) -> Any:
         if key not in kw:
             raise ArgumentError(f"risk_bound_rhs missing input {key!r}")
-        return kind(kw[key])
+        if integral:
+            return _checked_integer(f"risk_bound_rhs input {key!r}", kw[key])
+        return float(kw[key])
 
-    T = value("T", int)
-    d = value("d", int)
-    l0 = value("l0", int)
+    T, d, l0 = (value(key, integral=True) for key in ("T", "d", "l0"))
+    if T < 1 or d < 1:
+        raise ArgumentError(f"risk_bound_rhs needs T >= 1 and d >= 1, got T = {T}, d = {d}")
     l1 = value("l1")
     approx = value("approx_error")
     ln_term = s_ln_term(l0, math.sqrt(d * T) * l1)

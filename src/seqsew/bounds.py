@@ -33,7 +33,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, ContractViolationError, DataError
+from .errors import ArgumentError, ContractViolationError, DataError, _checked_integer
 from .forecasters import ProtocolResult, dyadic_ceil_pow2
 from .prior import s_ln_term
 
@@ -185,6 +185,7 @@ def cor6_rhs(comparator: Comparator, B_Phi: float, stats: SequenceStats) -> floa
 
 def cor7_rhs(comparator: Comparator, d: int, stats: SequenceStats) -> float:
     """Adaptive forecaster at tau = 1 / sqrt(d T)."""
+    d = _checked_integer("d", d)
     if d < 1:
         raise ArgumentError("d must be a positive integer")
     b_sq = stats.B_T1_sq
@@ -237,6 +238,7 @@ def best_sparse_comparator(
     features = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(y, dtype=float)
     T, d = features.shape
+    s = _checked_integer("s", s)
     if s < 0 or s > d:
         raise ArgumentError(f"s must lie in [0, d]; got s={s}, d={d}")
 

@@ -494,9 +494,8 @@ def _batch_risk(config: _Config, variant: str, replications: int, n_eval: int):
         est = fit(samples, dictionary, config.backend, seed=_seed(config, 50 + i))
         rng_eval = np.random.default_rng(_seed(config, 90 + i))
         risks.append(batch_mod.risk(est, f_truth, sampler, n_eval=n_eval, rng=rng_eval))
-        # Free the estimator's per-round arrays before the next replication
-        # allocates: kept alive, they would interleave with its data on the
-        # heap and leave holes too small to reuse once freed.
+        # Let the fit go before the next replication's fit allocates: it
+        # keeps each epoch's first snapshot and each group's weight sum.
         del est
         max_y_sq.append(max(y * y for _, y in samples))
 

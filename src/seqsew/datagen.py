@@ -132,12 +132,22 @@ class DictionarySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", _checked_integer("dictionary key 'd'", self.d))
+        object.__setattr__(self, "seed", _checked_seed("dictionary key 'seed'", self.seed))
         if self.kind not in ("coordinate", "fourier", "random_signs"):
             raise ArgumentError(f"unknown dictionary kind {self.kind!r}")
         if self.d < 1:
             raise ArgumentError("dictionary needs d >= 1")
         if self.normalization == 0.0:
             raise ArgumentError(f"dictionary key 'normalization' must be nonzero, got {self.normalization!r}")
+
+
+def _checked_seed(label: str, value: object) -> int:
+    """``value`` as a Seed: an integer (an integral float passes) that is
+    not negative, else an ArgumentError that starts with ``label``."""
+    seed = _checked_integer(label, value)
+    if seed < 0:
+        raise ArgumentError(f"{label} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 class Dictionary:
@@ -193,6 +203,9 @@ class ScenarioSpec:
         for key in ("T", "d", "s", "grid_size"):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, _checked_integer(f"scenario key {key!r}", getattr(self, key)))
+        object.__setattr__(self, "seed", _checked_seed("scenario key 'seed'", self.seed))
+        script = tuple((_checked_integer("amplitude script round", start), factor) for start, factor in self.amplitude_script)
+        object.__setattr__(self, "amplitude_script", script)
         if self.T < 1:
             raise ArgumentError("scenario needs T >= 1")
         if self.design not in ("iid_uniform", "iid_gaussian", "fixed_grid", "adversarial_script"):

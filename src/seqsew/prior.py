@@ -139,7 +139,7 @@ def sample(prior: SparsityPrior, rng: np.random.Generator, size: int | None = No
     dim) matrix, so the values do not depend on the layout.  At most two
     (size, dim) arrays are alive at once.
     """
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _checked_integer("size", size)
     d = prior.dim
     # signs * magnitude_from_uniform(v, tau), with signs -1.0 where the
     # sign uniform is below 0.5, built in v's own array.  The magnitude is

@@ -388,6 +388,51 @@ class TestRiskBoundRhs:
         assert risk_bound_rhs(variant, **inputs) == math.inf
 
 
+class TestCountArguments:
+    """The counts of the batch API are integers: a non-integral one raises
+    ArgumentError rather than being truncated or failing inside numpy,
+    and an integral float or numpy integer gives the int's result."""
+
+    RHS_INPUTS = dict(T=10, d=2, l0=1, l1=1.0, approx_error=0.0, f_inf=1.0, sigma_sq=1.0, sum_feature_l2=1.0)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("T", 2.5, "risk_bound_rhs input 'T' must be an integer, got 2.5"),
+            ("d", 1.5, "risk_bound_rhs input 'd' must be an integer, got 1.5"),
+            ("l0", 0.5, "risk_bound_rhs input 'l0' must be an integer, got 0.5"),
+            ("T", 0, "risk_bound_rhs needs T >= 1 and d >= 1, got T = 0, d = 2"),
+            ("d", 0, "risk_bound_rhs needs T >= 1 and d >= 1, got T = 10, d = 0"),
+        ],
+        ids=["T", "d", "l0", "T-zero", "d-zero"],
+    )
+    def test_risk_bound_rhs_refuses_a_bad_count(self, key, value, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            risk_bound_rhs("cor12", **{**self.RHS_INPUTS, key: value})
+
+    def test_risk_bound_rhs_takes_integral_counts(self):
+        expected = risk_bound_rhs("cor12", **self.RHS_INPUTS)
+        assert risk_bound_rhs("cor12", **{**self.RHS_INPUTS, "T": 10.0, "d": np.int64(2), "l0": 1.0}) == expected
+
+    def test_psi_bound_refuses_a_non_integral_horizon(self):
+        with pytest.raises(ArgumentError, match=re.escape("T must be an integer, got 2.5")):
+            psi_bound(NoiseFamily.subgaussian(1.0), 2.5)
+        assert psi_bound(NoiseFamily.subgaussian(1.0), 2.0) == psi_bound(NoiseFamily.subgaussian(1.0), 2)
+
+    @staticmethod
+    def _risk(n_eval):
+        est = fit_random_design([(np.array([0.5]), 1.0), (np.array([-0.5]), 0.0)], _coord_dict(), QUAD)
+        sampler = lambda rng, n: [rng.uniform(-1, 1, size=1) for _ in range(n)]
+        return risk(est, lambda x: 0.0, sampler, n_eval=n_eval, rng=np.random.default_rng(0))
+
+    def test_risk_refuses_a_non_integral_n_eval(self):
+        with pytest.raises(ArgumentError, match=re.escape("n_eval must be an integer, got 2.5")):
+            self._risk(2.5)
+
+    def test_risk_takes_an_integral_float_n_eval(self):
+        assert self._risk(3.0) == self._risk(3)
+
+
 class TestThm10EndToEnd:
     def test_quadrature_risk_bounded_by_rhs(self):
         # d=1, orthonormal features, known truth: measured risk must sit

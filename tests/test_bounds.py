@@ -231,6 +231,8 @@ class TestArgumentRefusals:
             (lambda c: prop5_rhs(c, 0.0, _stats()), "tau must be positive"),
             (lambda c: cor6_rhs(c, 0.0, _stats()), "B_Phi must be positive"),
             (lambda c: cor7_rhs(c, 0, _stats()), "d must be a positive integer"),
+            (lambda c: cor7_rhs(c, 1.5, _stats()), "d must be an integer, got 1.5"),
+            (lambda c: best_sparse_comparator(np.eye(3), np.ones(3), 1.5), "s must be an integer, got 1.5"),
             (lambda c: cor9_rhs(-1.0, 1.0, _stats()), "s and U must be nonnegative"),
             (lambda c: verify(_quad_run(), "prop5", None), "a comparator witness is required"),
             (
@@ -238,11 +240,22 @@ class TestArgumentRefusals:
                 "cor9 needs the ball parameters s and U",
             ),
         ],
-        ids=["prop2", "cor3", "prop5", "cor6", "cor7", "cor9-rhs", "verify-no-witness", "verify-cor9-no-ball"],
+        ids=[
+            "prop2", "cor3", "prop5", "cor6", "cor7", "cor7-fractional-d", "comparator-fractional-s", "cor9-rhs",
+            "verify-no-witness", "verify-cor9-no-ball",
+        ],
     )
     def test_out_of_range_argument_is_refused(self, evaluate, message):
         with pytest.raises(ArgumentError, match=re.escape(message)):
             evaluate(_comp([1.0], 2.0))
+
+    def test_integral_float_counts_give_the_int_results(self):
+        comp = _comp([1.0, 0.0, 0.0], 2.0)
+        assert cor7_rhs(comp, 3.0, _stats(gram=1.0)) == cor7_rhs(comp, 3, _stats(gram=1.0))
+        features = np.random.default_rng(3).uniform(-1, 1, size=(12, 3))
+        y = features @ [1.0, -2.0, 0.0]
+        by_float, by_int = best_sparse_comparator(features, y, 1.0), best_sparse_comparator(features, y, 1)
+        assert np.array_equal(by_float.u, by_int.u) and by_float.cumulative_loss == by_int.cumulative_loss
 
 
 class TestBestSparseComparator:

@@ -88,8 +88,16 @@ class TestIntegerKeys:
                 lambda: Dictionary(DictionarySpec(kind="random_signs", d=3)).features(1.7),
                 "random_signs dictionary input must be an integer, got 1.7",
             ),
+            (lambda: _spec(seed=1.5), "scenario key 'seed' must be an integer, got 1.5"),
+            (lambda: _spec(seed=-1), "scenario key 'seed' must be a non-negative integer, got -1"),
+            (lambda: DictionarySpec(seed=1.5), "dictionary key 'seed' must be an integer, got 1.5"),
+            (lambda: DictionarySpec(seed=-2), "dictionary key 'seed' must be a non-negative integer, got -2"),
+            (lambda: _spec(amplitude_script=((1.5, 2.0),)), "amplitude script round must be an integer, got 1.5"),
         ],
-        ids=["T", "s", "grid_size", "dictionary-d", "random-signs-input"],
+        ids=[
+            "T", "s", "grid_size", "dictionary-d", "random-signs-input", "seed", "negative-seed", "dictionary-seed",
+            "negative-dictionary-seed", "amplitude-round",
+        ],
     )
     def test_non_integral_value_is_refused(self, build, message):
         with pytest.raises(ArgumentError, match=re.escape(message)):
@@ -104,6 +112,14 @@ class TestIntegerKeys:
         assert all(np.array_equal(x, x0) and y == y0 for (x, y), (x0, y0) in zip(played, expected))
         dictionary = Dictionary(DictionarySpec(kind="random_signs", d=3.0))
         assert dictionary.d == 3 and np.array_equal(dictionary.features(2.0), dictionary.features(np.int64(2)))
+
+    def test_integral_seeds_and_script_rounds_pass(self):
+        spec = _spec(seed=5.0, amplitude_script=((3.0, 2.0),), dictionary=DictionarySpec(kind="random_signs", d=2, seed=7.0))
+        assert (spec.seed, spec.dictionary.seed, spec.amplitude_script) == (5, 7, ((3, 2.0),))
+        assert type(spec.seed) is type(spec.dictionary.seed) is type(spec.amplitude_script[0][0]) is int
+        expected = _spec(seed=5, amplitude_script=((3, 2.0),), dictionary=DictionarySpec(kind="random_signs", d=2, seed=7))
+        played, reference = gen_individual_sequence(spec), gen_individual_sequence(expected)
+        assert all(np.array_equal(x, x0) and y == y0 for (x, y), (x0, y0) in zip(played, reference))
 
 
 class TestAmplitudeScript:

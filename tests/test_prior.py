@@ -229,8 +229,12 @@ class TestArgumentRefusals:
                 "u_star has shape (2,), expected (1,)",
             ),
             (lambda: kl_duality_check([0.5, 0.5], [0.0]), ArgumentError, "weights_pi and h must be 1-d arrays of equal positive length"),
+            (lambda: sample(SparsityPrior(1.0, 2), np.random.default_rng(0), size=2.5), ArgumentError, "size must be an integer, got 2.5"),
         ],
-        ids=["s-ln-term", "kl-upper-bound", "refined-sparsity-term", "identity-rounds", "identity-witness", "kl-duality-shapes"],
+        ids=[
+            "s-ln-term", "kl-upper-bound", "refined-sparsity-term", "identity-rounds", "identity-witness", "kl-duality-shapes",
+            "sample-size",
+        ],
     )
     def test_out_of_range_argument_is_refused(self, call, error, message):
         with pytest.raises(error, match=re.escape(message)):
