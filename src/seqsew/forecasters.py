@@ -30,7 +30,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DataError, StateError, _checked_integer
-from .posterior import BackendConfig, PosteriorCloud, _checked_features, init as init_cloud
+from .posterior import BackendConfig, PosteriorCloud, _checked_features, _scaled_init, _unit_draw
 from .prior import SparsityPrior
 
 __all__ = [
@@ -211,12 +211,20 @@ class SeqSEWAdaptive(_ForecasterBase):
         self._rng = np.random.default_rng(seed)
         self._restart(tau)
 
+    # The prior sample set at scale 1 that every cloud of the forecaster
+    # scales, or None: each cloud then draws its own points.
+    _unit: np.ndarray | None = None
+
     def _restart(self, tau: float) -> None:
         """Start the scheme afresh at prior scale tau, which the prior
-        checks: a fresh cloud drawing from the forecaster's one generator,
-        and no threshold yet."""
+        checks: a fresh cloud, and no threshold yet.  Its points are tau
+        times the forecaster's unit-scale sample set where it keeps one,
+        and otherwise its own draw from the forecaster's one generator.
+        The last cloud is let go first, so that its points and the new
+        ones are never alive together."""
         self.tau = float(tau)
-        self.cloud: PosteriorCloud = init_cloud(SparsityPrior(self.tau, self.dim), self.config, self._rng)
+        self.cloud: PosteriorCloud | None = None
+        self.cloud = _scaled_init(SparsityPrior(self.tau, self.dim), self.config, self._rng, self._unit)
         self.state = AdaptiveState()
 
     def _predict(self, features: np.ndarray) -> float:
@@ -294,9 +302,13 @@ class SeqSEWAuto(SeqSEWAdaptive):
     where gamma_t = ln(1 + sqrt(cumulative Gram trace)) exceeds 2^r, with
     the boundary round itself still predicted in regime r and its outcome
     never observed.  Regime r runs the adaptive scheme at prior scale
-    1 / (exp(2^r) - 1) on its own rounds only, from a fresh cloud that
-    draws on from the forecaster's one generator, where the last regime's
-    cloud stopped.
+    1 / (exp(2^r) - 1) on its own rounds only, from a fresh cloud.  A
+    sampling backend draws one prior sample set at scale 1 per run, from
+    the forecaster's one generator, when the forecaster is built, and
+    each regime's cloud starts from its scale times that set: the prior
+    is an exact scale family, so regime 0 starts from the very points it
+    would have drawn itself.  A regime's moves draw on from the generator
+    where the last regime's stopped.
     """
 
     def __init__(
@@ -307,6 +319,12 @@ class SeqSEWAuto(SeqSEWAdaptive):
     ) -> None:
         self.regime = RegimeState()
         super().__init__(dim, regime_prior_scale(0), backend, seed)
+
+    def _restart(self, tau: float) -> None:
+        if self.regime.r == 0:
+            # The run's one prior draw, where regime 0's own would be.
+            self._unit = _unit_draw(self.dim, self.config, self._rng)
+        super()._restart(tau)
 
     def _predict(self, features: np.ndarray) -> float:
         self.regime.gram_trace += float(np.sum(features**2))

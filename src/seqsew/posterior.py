@@ -118,7 +118,6 @@ import copy
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -683,12 +682,18 @@ def _metropolis_coordinate_steps(
             np.einsum("ij,ij->i", exact_rows, exact_rows, out=cum_loss[start : start + m])
         return multipliers
 
-    # The pool starts a thread on its first submit, so one worker starts none.
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        others = [pool.submit(move_blocks, worker) for worker in range(1, workers)]
+    if workers == 1:
         multipliers = move_blocks(0)
-        for other in others:
-            multipliers += other.result()
+    else:
+        # Imported on first use, so a process whose moves all run on one
+        # worker never loads the thread pool.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = [pool.submit(move_blocks, worker) for worker in range(1, workers)]
+            multipliers = move_blocks(0)
+            for other in others:
+                multipliers += other.result()
     return float(_median(np.asarray(multipliers)))
 
 
@@ -942,6 +947,15 @@ class PosteriorCloud:
     """
 
     def __init__(self, prior: SparsityPrior, config: BackendConfig, rng: np.random.Generator | None) -> None:
+        self._begin(prior, config, rng, None)
+
+    def _begin(
+        self, prior: SparsityPrior, config: BackendConfig, rng: np.random.Generator | None, unit: np.ndarray | None
+    ) -> None:
+        """Set the cloud up at the prior, with no data.  A stochastic
+        cloud's points are ``prior.tau * unit``, a fresh array, when a
+        unit-scale sample set is given, and otherwise its own draw from
+        ``rng``."""
         self.prior = prior
         self.config = config
         self.backend = config.backend
@@ -966,7 +980,7 @@ class PosteriorCloud:
             # A draw is tau ((1 - v)^(-1/3) - 1) with 1 - v >= 2^-53.
             if not prior.tau * 2.0 ** (53 / 3) < math.inf:
                 raise ArgumentError(f"prior scale tau = {prior.tau!r} is too large to sample: draws reach tau * 2^(53/3)")
-            self.samples = prior_mod.sample(prior, rng, size=config.n_samples)
+            self.samples = prior_mod.sample(prior, rng, size=config.n_samples) if unit is None else prior.tau * unit
             self._log_base = np.zeros(config.n_samples)
         self.cum_loss = np.zeros(self.samples.shape[0])
 
@@ -1104,3 +1118,28 @@ def init(prior: SparsityPrior, config: BackendConfig, rng: np.random.Generator |
     """Fresh cloud representing the prior itself (no data, eta formally
     infinite)."""
     return PosteriorCloud(prior, config, rng)
+
+
+def _unit_draw(dim: int, config: BackendConfig, rng: np.random.Generator | None) -> np.ndarray | None:
+    """The one prior sample set, at scale 1, that the clouds of a forecaster
+    restarting at several scales all scale from; None for the quadrature
+    backend, which draws nothing.  The prior is an exact scale family in
+    floating point: a draw at scale tau is a magnitude times tau, then a
+    sign, both exact, so ``tau * unit`` equals, bit for bit, the draw at
+    scale tau that ``rng`` would have made in its place."""
+    if config.backend == "quadrature":
+        return None
+    return prior_mod.sample(SparsityPrior(1.0, dim), rng, size=config.n_samples)
+
+
+def _scaled_init(
+    prior: SparsityPrior, config: BackendConfig, rng: np.random.Generator | None, unit: np.ndarray | None
+) -> PosteriorCloud:
+    """Fresh cloud at ``prior``, as :func:`init` builds it, except that
+    a stochastic cloud takes ``prior.tau * unit`` as its points and draws
+    none (``unit`` from :func:`_unit_draw`; None draws as :func:`init`)."""
+    if unit is None:
+        return init(prior, config, rng)
+    cloud = PosteriorCloud.__new__(PosteriorCloud)
+    cloud._begin(prior, config, rng, unit)
+    return cloud

@@ -137,10 +137,15 @@ def sample(prior: SparsityPrior, rng: np.random.Generator, size: int | None = No
     and reproducible: each coordinate consumes one uniform for the
     magnitude and one for the sign, in the row-major order of the (size,
     dim) matrix, so the values do not depend on the layout.  At most two
-    (size, dim) arrays are alive at once.
+    (size, dim) arrays are alive at once.  A ``size`` that is negative, or
+    whose array's bytes numpy cannot count in an ``np.intp``, raises
+    :class:`ArgumentError`; ``size=0`` gives a (0, dim) matrix.
     """
     n = 1 if size is None else _checked_integer("size", size)
     d = prior.dim
+    largest = np.iinfo(np.intp).max // 8 // d  # float64 cells
+    if not 0 <= n <= largest:
+        raise ArgumentError(f"size must lie in [0, {largest}] at dimension {d}, got {size!r}")
     # signs * magnitude_from_uniform(v, tau), with signs -1.0 where the
     # sign uniform is below 0.5, built in v's own array.  The magnitude is
     # the same arithmetic in the same order, and it is never negative, so

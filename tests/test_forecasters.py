@@ -4,10 +4,12 @@ restarts, causality, and agreement with a hand-coded recursion."""
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from seqsew import forecasters, prior as prior_mod
 from seqsew.batch import fit_random_design
 from seqsew.errors import ArgumentError, DataError, DimensionMismatchError, StateError
 from seqsew.forecasters import (
@@ -21,6 +23,7 @@ from seqsew.forecasters import (
     seqsew_fixed,
 )
 from seqsew.posterior import BackendConfig
+from seqsew.prior import SparsityPrior, sample
 
 QUAD = BackendConfig(backend="quadrature", grid_points_per_dim=513)
 
@@ -208,7 +211,8 @@ class TestAutoForecaster:
     @pytest.mark.parametrize("backend", ["importance", "chain"])
     def test_regimes_draw_in_turn_from_one_generator(self, backend):
         # A Generator seed is taken like any other; an int seed is the
-        # generator it builds, and every regime's cloud draws on from it.
+        # generator it builds.  The run's one unit-scale prior draw comes
+        # from it, and every regime's moves draw on from it in turn.
         seq = [(np.array([0.2]), 0.1)] * 5 + [(np.array([4.0]), 0.5)] + [(np.array([0.3]), 0.2)] * 4
         config = BackendConfig(backend=backend, n_samples=200)
         seeds = (np.random.default_rng(1), np.random.default_rng(1), 1)
@@ -217,6 +221,64 @@ class TestAutoForecaster:
         for run in runs[1:]:
             assert np.array_equal(run.predictions, runs[0].predictions)
             assert np.array_equal(run.ess, runs[0].ess)
+
+    # Three restarts, each intermediate regime closed at its own first round.
+    CASCADE = [(np.array([0.1]), 0.5), (np.array([60.0]), 0.5)] + [(np.array([0.1]), 0.5)] * 4
+
+    @pytest.mark.parametrize("backend", ["importance", "chain"])
+    def test_one_prior_draw_per_run(self, backend, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(prior_mod, "sample", counted)
+        res = run_protocol(seqsew_auto(1, BackendConfig(backend=backend, n_samples=200), seed=4), self.CASCADE)
+        assert res.regime_bounds[1] == [2, 3, 4]
+        assert len(calls) == 1 and calls[0][0] == SparsityPrior(1.0, 1)
+
+    @pytest.mark.parametrize("backend", ["importance", "chain"])
+    def test_every_regime_starts_from_its_scale_times_the_unit_set(self, backend):
+        n, seed = 300, 6
+        f = seqsew_auto(1, BackendConfig(backend=backend, n_samples=n), seed=seed)
+        # Regime 0 starts from the very points it drew before the unit set.
+        today = sample(SparsityPrior(regime_prior_scale(0), 1), np.random.default_rng(seed), n)
+        assert np.array_equal(f.cloud.samples, today)
+        starts = {0: f.cloud.samples.copy()}
+        for x, y in self.CASCADE:
+            f.predict(x)
+            f.observe(y)
+            starts.setdefault(f.regime.r, f.cloud.samples.copy())
+        assert sorted(starts) == [0, 1, 2, 3]
+        for r, points in starts.items():
+            assert np.array_equal(points, regime_prior_scale(r) * f._unit)
+            assert points.flags.f_contiguous
+
+    def test_quadrature_run_leaves_the_generator_alone(self):
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        res = run_protocol(seqsew_auto(1, QUAD, seed=rng), self.CASCADE)
+        assert res.regime_bounds[1] == [2, 3, 4]
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("backend", ["importance", "chain"])
+    def test_last_regime_cloud_goes_before_the_next_is_built(self, backend, monkeypatch):
+        f = seqsew_auto(1, BackendConfig(backend=backend, n_samples=200), seed=9)
+        built = forecasters._scaled_init
+        last = [weakref.ref(f.cloud)]
+        alive_at_build = []
+
+        def watched(*args):
+            alive_at_build.append(last[-1]() is not None)
+            cloud = built(*args)
+            last.append(weakref.ref(cloud))
+            return cloud
+
+        monkeypatch.setattr(forecasters, "_scaled_init", watched)
+        run_protocol(f, self.CASCADE)
+        assert alive_at_build == [False, False, False]
+        assert [ref() is None for ref in last] == [True, True, True, False]
 
     def test_restarted_instance_sees_only_its_regime(self):
         # Immediately after a restart the inner threshold is back to zero.

@@ -6,7 +6,8 @@ the CLI.  The CLI is the top layer: only the ``python -m seqsew`` entry
 point, ``__main__``, imports it.  No module imports scipy at module level:
 only the quadrature oracles need it, and they import it when called.  The
 CLI imports ``multiprocessing`` only in the helper that plays replays on
-worker processes, and the usable cores are read in one place.  A
+worker processes, the posterior imports its thread pool only in the
+Metropolis kernel, and the usable cores are read in one place.  A
 ``FrozenCloud`` is built only by ``PosteriorCloud.snapshot`` and
 ``FrozenCloud.from_json``, so a live cloud has one way to be frozen, and
 a snapshot's weights come from the live cloud's one weight formula.  A
@@ -130,6 +131,13 @@ def test_cli_imports_process_pools_only_in_the_replay_helper():
     # Importing multiprocessing costs every command that plays no replay.
     found = _imports_by_function((PACKAGE / "cli.py").read_text())
     assert {function for function, names in found.items() if names & {"multiprocessing", "concurrent"}} == {"_replay_losses"}
+
+
+def test_posterior_imports_the_thread_pool_only_in_the_kernel():
+    # Importing concurrent.futures costs every process whose moves all run
+    # on one worker, the replay workers among them.
+    found = _imports_by_function((PACKAGE / "posterior.py").read_text())
+    assert {function for function, names in found.items() if "concurrent" in names} == {"_metropolis_coordinate_steps"}
 
 
 def test_usable_cores_have_one_definition():

@@ -1,6 +1,7 @@
 """Tests for the posterior backends: exact grid oracle, importance
 reweighting, Markov-chain walkers, and their agreement."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -791,12 +792,13 @@ class TestMetropolisKernel:
         assert self.N % rows != 0
         submitted = []
 
-        class RecordingPool(posterior.ThreadPoolExecutor):
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def submit(self, fn, *args, **kwargs):
                 submitted.append(args[0])
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(posterior, "ThreadPoolExecutor", RecordingPool)
+        # The kernel imports the pool when a move has a second worker.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * rows)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 1)
         _, serial_samples, serial_loss, serial_multiplier = self._run(n_steps=20)
@@ -963,10 +965,10 @@ class TestMetropolisKernel:
         assert multiplier == narrow[2]
 
     def test_one_block_starts_no_thread(self, monkeypatch):
-        def submit(*args, **kwargs):
-            raise AssertionError("started a worker for a single block")
+        def pool(*args, **kwargs):
+            raise AssertionError("built a thread pool for a single block")
 
-        monkeypatch.setattr(posterior.ThreadPoolExecutor, "submit", submit)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(posterior, "_usable_cores", lambda: 4)
         monkeypatch.setattr(posterior, "_BLOCK_BYTES", 4 * self.T * self.N)
         self._run(n_steps=5)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize, stats
 
 from seqsew.errors import ArgumentError, DimensionMismatchError
+from seqsew.forecasters import _REGIME_CAP, regime_prior_scale
 from seqsew.prior import (
     SparsityPrior,
     TranslatedPrior,
@@ -100,6 +101,18 @@ class TestSampler:
         expected = signs * magnitude_from_uniform(v, tau)
         # Compared as bit patterns, so the sign of a zero counts too.
         assert np.array_equal(draws.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("r", range(_REGIME_CAP + 1))
+    def test_draw_is_an_exact_scale_family(self, r):
+        # Every regime's points can be its scale times one unit-scale set.
+        tau = regime_prior_scale(r)
+        draws = sample(SparsityPrior(tau, 5), np.random.default_rng(r), size=2000)
+        unit = sample(SparsityPrior(1.0, 5), np.random.default_rng(r), size=2000)
+        assert np.array_equal(draws.view(np.int64), (tau * unit).view(np.int64))
+
+    def test_empty_draw(self):
+        draws = sample(SparsityPrior(tau=1.0, dim=3), np.random.default_rng(0), size=0)
+        assert draws.shape == (0, 3)
 
     def test_matrix_draw_is_column_major(self):
         draws = sample(SparsityPrior(tau=1.0, dim=7), np.random.default_rng(2), size=500)
@@ -230,10 +243,13 @@ class TestArgumentRefusals:
             ),
             (lambda: kl_duality_check([0.5, 0.5], [0.0]), ArgumentError, "weights_pi and h must be 1-d arrays of equal positive length"),
             (lambda: sample(SparsityPrior(1.0, 2), np.random.default_rng(0), size=2.5), ArgumentError, "size must be an integer, got 2.5"),
+            (lambda: sample(SparsityPrior(1.0, 2), np.random.default_rng(0), size=-1), ArgumentError, "size must lie in [0, "),
+            (lambda: sample(SparsityPrior(1.0, 2), np.random.default_rng(0), size=-1.0), ArgumentError, "got -1.0"),
+            (lambda: sample(SparsityPrior(1.0, 2), np.random.default_rng(0), size=1e308), ArgumentError, "size must lie in [0, "),
         ],
         ids=[
             "s-ln-term", "kl-upper-bound", "refined-sparsity-term", "identity-rounds", "identity-witness", "kl-duality-shapes",
-            "sample-size",
+            "sample-size", "sample-size-negative", "sample-size-negative-float", "sample-size-beyond-intp",
         ],
     )
     def test_out_of_range_argument_is_refused(self, call, error, message):
